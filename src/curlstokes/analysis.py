@@ -18,14 +18,15 @@ import numpy as np
 import scipy.linalg
 
 from .forms import (assemble_b, assemble_curl_curl, assemble_mass,
-                    assemble_mean_vector, assemble_nitsche, assemble_stiffness,
-                    _boundary_edge_data, _boundary_rule, merge_triplets)
+                    assemble_mean_vector, assemble_stiffness, _assemble_cells,
+                    _boundary_edge_data, _boundary_rule, _cell_weights,
+                    _volume_rule)
 from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
 from .solver import KERNEL_SIZE_GUARD, KERNEL_RANK_RTOL, SizeGuardError
-from .spaces import (DiscreteField, EdgeSpace, NodalSpace,
-                     _edge_points_in_triangle, eval_edge_field,
-                     eval_nodal_field, gradient_coefficients)
+from .spaces import (DiscreteField, EdgeSpace, NodalSpace, _edge_field,
+                     _edge_points, _nodal_field, _sample, _tabulate_edge,
+                     gradient_coefficients)
 
 #: bundle attribute -> report/CSV column name
 NORM_COLUMNS = {
@@ -94,46 +95,25 @@ def compute_errors(u_h: DiscreteField, p_h: DiscreteField, case, mesh: Mesh) -> 
     """
     order = u_h.space.order
     rule = triangle_rule(min(2 * order + 4, 10))
-    areas = mesh.signed_areas()
-    verts = mesh.vertices[mesh.triangles]
-    pts_all = [rule.points @ verts[t] for t in range(mesh.triangle_count)]
+    w = _cell_weights(mesh, rule)
+    pts = np.matmul(rule.points, mesh.vertices[mesh.triangles])
+    p_exact = _sample(case.p, pts)
+    p_mean = float((w * p_exact).sum()) / float(mesh.signed_areas().sum())
 
-    total_area = float(areas.sum())
-    p_int = 0.0
-    for t in range(mesh.triangle_count):
-        pts = pts_all[t]
-        p_int += 2.0 * areas[t] * float(rule.weights @ np.asarray(case.p(pts[:, 0], pts[:, 1])))
-    p_mean = p_int / total_area
-
-    u_sq = curl_sq = p_sq = gp_sq = 0.0
-    for t in range(mesh.triangle_count):
-        pts = pts_all[t]
-        w = 2.0 * areas[t] * rule.weights
-        uh, ch = eval_edge_field(u_h, t, rule.points)
-        ph, gph = eval_nodal_field(p_h, t, rule.points)
-        du = np.asarray(case.u(pts[:, 0], pts[:, 1])) - uh
-        dc = np.asarray(case.curl_u(pts[:, 0], pts[:, 1])) - ch
-        dp = np.asarray(case.p(pts[:, 0], pts[:, 1])) - p_mean - ph
-        dgp = np.asarray(case.grad_p(pts[:, 0], pts[:, 1])) - gph
-        u_sq += float(w @ (du ** 2).sum(axis=1))
-        curl_sq += float(w @ dc ** 2)
-        p_sq += float(w @ dp ** 2)
-        gp_sq += float(w @ (dgp ** 2).sum(axis=1))
+    uh, ch = _edge_field(u_h, rule.points)
+    ph, gph = _nodal_field(p_h, rule.points)
+    u_sq = float((w * ((_sample(case.u, pts) - uh) ** 2).sum(axis=-1)).sum())
+    curl_sq = float((w * (_sample(case.curl_u, pts) - ch) ** 2).sum())
+    p_sq = float((w * (p_exact - p_mean - ph) ** 2).sum())
+    gp_sq = float((w * ((_sample(case.grad_p, pts) - gph) ** 2).sum(axis=-1)).sum())
 
     erule = edge_rule(min(2 * order + 4, 12))
-    gpar_sq = gcurl_sq = 0.0
-    for k, e in enumerate(mesh.boundary_edges):
-        t = int(mesh.edge_triangles[e, 0])
-        a, b = mesh.edges[e]
-        length = float(np.hypot(*(mesh.vertices[b] - mesh.vertices[a])))
-        w = length * erule.weights
-        bary = _edge_points_in_triangle(mesh, e, t, erule.points)
-        pts = bary @ verts[t]
-        uh, ch = eval_edge_field(u_h, t, bary)
-        du = np.asarray(case.u(pts[:, 0], pts[:, 1])) - uh
-        dc = np.asarray(case.curl_u(pts[:, 0], pts[:, 1])) - ch
-        gpar_sq += float(w @ (du @ mesh.boundary_tangents[k]) ** 2)
-        gcurl_sq += float(w @ dc ** 2)
+    tri, length, bary, pts = _edge_points(mesh, mesh.boundary_edges, erule.points)
+    w = length[:, None] * erule.weights
+    uh, ch = _edge_field(u_h, bary, tri)
+    du_t = np.einsum("ekd,ed->ek", _sample(case.u, pts) - uh, mesh.boundary_tangents)
+    gpar_sq = float((w * du_t ** 2).sum())
+    gcurl_sq = float((w * (_sample(case.curl_u, pts) - ch) ** 2).sum())
 
     h = mesh.h_max
     hcurl_sq = u_sq + curl_sq
@@ -192,21 +172,13 @@ def boundary_gram_matrices(V: EdgeSpace) -> tuple[np.ndarray, np.ndarray]:
     """Dense boundary Gram matrices of tangential traces and curl traces."""
     rule = _boundary_rule(V)
     n = V.full_dof_count
-    rows, cols, vals_p, vals_c = [], [], [], []
-    for k, e, t, length, trace, curls in _boundary_edge_data(V, rule):
-        w = length * rule.weights
-        dofs = V.cell_dofs[t]
-        rows.append(np.repeat(dofs, dofs.size))
-        cols.append(np.tile(dofs, dofs.size))
-        vals_p.append(np.einsum("k,ki,kj->ij", w, trace, trace).ravel())
-        vals_c.append(np.einsum("k,ki,kj->ij", w, curls, curls).ravel())
-    if not rows:
-        z = np.zeros((V.dof_count, V.dof_count))
-        return z, z.copy()
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    t_par = merge_triplets(r, c, np.concatenate(vals_p), (n, n)).toarray()
-    t_curl = merge_triplets(r, c, np.concatenate(vals_c), (n, n)).toarray()
+    tri, length, _, trace, curls = _boundary_edge_data(V, rule)
+    w = length[:, None] * rule.weights
+    dofs = V.cell_dofs[tri]
+    t_par = _assemble_cells(dofs, dofs, np.einsum("ek,eki,ekj->eij", w, trace, trace),
+                            (n, n)).toarray()
+    t_curl = _assemble_cells(dofs, dofs, np.einsum("ek,eki,ekj->eij", w, curls, curls),
+                             (n, n)).toarray()
     if V.essential_bc:
         t_par = t_par[np.ix_(V.free, V.free)]
         t_curl = t_curl[np.ix_(V.free, V.free)]
@@ -220,18 +192,12 @@ def _curl_factor(V: EdgeSpace) -> np.ndarray:
     points; kernel vectors of C are curl-free to full precision, unlike
     eigenvectors of the squared operator.
     """
-    from .quadrature import triangle_rule as _rule
-    from .spaces import eval_edge_basis as _eval
-
-    mesh = V.mesh
-    rule = _rule(2 * V.order + 2)
-    areas = mesh.signed_areas()
-    npts = rule.weights.size
-    out = np.zeros((npts * mesh.triangle_count, V.full_dof_count))
-    for t in range(mesh.triangle_count):
-        _, curls = _eval(V, t, rule.points)
-        w = np.sqrt(2.0 * areas[t] * rule.weights)
-        out[npts * t:npts * (t + 1), V.cell_dofs[t]] = w[:, None] * curls
+    rule = _volume_rule(V)
+    _, curls = _tabulate_edge(V, rule.points)                   # (F, k, nloc)
+    nf, npts = curls.shape[:2]
+    w = np.sqrt(2.0 * V.mesh.signed_areas()[:, None] * rule.weights)
+    out = np.zeros((nf * npts, V.full_dof_count))
+    out[np.arange(nf * npts).reshape(nf, npts, 1), V.cell_dofs[:, None, :]] = w[..., None] * curls
     return out[:, V.free] if V.essential_bc else out
 
 

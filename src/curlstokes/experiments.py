@@ -17,10 +17,12 @@ from .cases import ManufacturedCase, get_case
 from .forms import (BoundaryData, assemble_b, assemble_curl_curl,
                     assemble_divergence_rhs, assemble_mass,
                     assemble_mean_vector, assemble_rhs,
-                    assemble_velocity_block, boundary_trace_norms)
+                    assemble_velocity_block, boundary_trace_norms, _cell_weights,
+                    _volume_rule)
 from .mesh import Mesh
 from .solver import SaddleSystem, SolveReport, kernel_probe, solve
-from .spaces import (DiscreteField, build_edge_space, build_nodal_space)
+from .spaces import (DiscreteField, _edge_field, build_edge_space,
+                     build_nodal_space)
 
 
 def thread_count() -> int:
@@ -40,7 +42,7 @@ def build_saddle_system(mesh: Mesh, order: int, case: ManufacturedCase,
     boundary terms are assembled: the (ill-posed) strong-imposition variant.
     """
     V = build_edge_space(mesh, order, essential_bc=essential)
-    Q = build_nodal_space(mesh, order, zero_mean=True)
+    Q = build_nodal_space(mesh, order)
     if essential:
         A = assemble_curl_curl(V)
         rhs_u = np.zeros(V.dof_count)
@@ -56,12 +58,10 @@ def build_saddle_system(mesh: Mesh, order: int, case: ManufacturedCase,
 
 def discrete_hash_norm(u_h: DiscreteField) -> float:
     """Mesh-dependent velocity norm of a discrete field (stability monitor)."""
-    space = u_h.space
-    mesh = space.mesh
-    m = assemble_mass(space).matrix
-    k = assemble_curl_curl(space).matrix
-    c = u_h.coefficients
-    vol = float(c @ (m @ c) + c @ (k @ c))
+    mesh = u_h.space.mesh
+    rule = _volume_rule(u_h.space)
+    vals, curls = _edge_field(u_h, rule.points)
+    vol = float((_cell_weights(mesh, rule) * ((vals ** 2).sum(axis=-1) + curls ** 2)).sum())
     gpar, gcurl = boundary_trace_norms(u_h, mesh)
     h = mesh.h_max
     return float(np.sqrt(vol + gpar ** 2 / h + h * gcurl ** 2))
@@ -177,7 +177,7 @@ def run_harmonic(case_name: str = "hole", n: int | None = None, order: int = 1) 
     case = get_case(case_name)
     mesh = case.build_mesh(n)
     V = build_edge_space(mesh, order)
-    Q = build_nodal_space(mesh, order, zero_mean=True)
+    Q = build_nodal_space(mesh, order)
     dec = hodge_decompose(V, Q)
     dim = dec.harmonic_basis.shape[1]
     betti = betti_number(mesh)
@@ -186,19 +186,15 @@ def run_harmonic(case_name: str = "hole", n: int | None = None, order: int = 1) 
     ratio = None
     if dim:
         field = DiscreteField(V, dec.harmonic_basis[:, 0])
-        from .spaces import eval_edge_field
-
         k_mat = assemble_curl_curl(V).matrix
         m_mat = assemble_mass(V).matrix
         c = field.coefficients
         curl_ratio = float(np.sqrt(max(c @ (k_mat @ c), 0.0) / (c @ (m_mat @ c))))
         ratio = harmonic_boundary_ratio(V, Q)
         center = np.array([[1.0, 1.0, 1.0]]) / 3.0
-        for t in range(mesh.triangle_count):
-            pts = center @ mesh.vertices[mesh.triangles[t]]
-            vals, _ = eval_edge_field(field, t, center)
-            samples.append((float(pts[0, 0]), float(pts[0, 1]),
-                            float(vals[0, 0]), float(vals[0, 1])))
+        pts = np.matmul(center, mesh.vertices[mesh.triangles])[:, 0]
+        vals = _edge_field(field, center)[0][:, 0]
+        samples = np.hstack([pts, vals]).tolist()
     return {
         "schema_version": 1,
         "case": case_name,
@@ -222,7 +218,7 @@ def run_probe(case_name: str, levels: int = 3, order: int = 1,
     for k in range(levels):
         mesh = level_mesh(case, base_n, k, None)
         V = build_edge_space(mesh, order)
-        Q = build_nodal_space(mesh, order, zero_mean=True)
+        Q = build_nodal_space(mesh, order)
         tc = estimate_trace_constants(V)
         beta = estimate_infsup(V, Q)
         rows.append({

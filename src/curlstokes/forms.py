@@ -9,8 +9,23 @@ boundary pairing of curl against tangential traces is realized as
 
 with t = rotate90(n) counterclockwise; the sign is pinned by requiring the
 integration-by-parts identity (and hence exact consistency) to close.
-Triplet accumulation is merged with a fixed (row, col, value) sort so that
-assembled matrices do not depend on element processing order.
+
+Every form takes three steps on all cells (or boundary edges) at once:
+tabulate the basis with the batched kernels of ``spaces``, contract with one
+``einsum``/``matmul``, and scatter. Matrices are scattered through
+``merge_triplets``, whose fixed (row, col, value) sort makes them independent
+of element processing order; vectors are scattered with ``np.add.at`` in
+triangle order, volume terms before boundary terms.
+
+The assembled system is bit-identical to a per-triangle loop, and it has to
+be: one ulp of noise in A, the load vectors or the mean vector moves the
+pressure errors of a jittered order-1 star run (n = 64) by 1e-10 to 9e-10,
+and order-2 errors at n = 32 by up to 7e-9, beyond the 1e-10 tolerance of
+the reference reports. The rule that keeps the arithmetic identical: where
+the per-triangle form used ``@``, the batched one uses stacked ``np.matmul``
+on the same operand shapes; where it used ``einsum``, the same subscripts
+with a leading cell axis. ``tests/test_bit_identity.py`` holds the loop
+reference.
 """
 
 from __future__ import annotations
@@ -22,9 +37,8 @@ import numpy as np
 from scipy import sparse
 
 from .quadrature import edge_rule, triangle_rule
-from .spaces import (DiscreteField, EdgeSpace, NodalSpace,
-                     _edge_points_in_triangle, eval_edge_basis,
-                     eval_edge_field, eval_nodal_basis)
+from .spaces import (DiscreteField, EdgeSpace, NodalSpace, _edge_field,
+                     _edge_points, _sample, _tabulate_edge, _tabulate_nodal)
 
 
 @dataclass
@@ -32,18 +46,6 @@ class SparseOperator:
     """Assembled bilinear form in compressed sparse form."""
 
     matrix: sparse.csr_array
-    symmetric: bool = False
-
-    @property
-    def row_count(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def col_count(self) -> int:
-        return self.matrix.shape[1]
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 @dataclass
@@ -83,6 +85,14 @@ def merge_triplets(rows, cols, vals, shape) -> sparse.csr_array:
     return sparse.csr_array((sums, (r[starts], c[starts])), shape=shape)
 
 
+def _assemble_cells(row_dofs: np.ndarray, col_dofs: np.ndarray, local: np.ndarray,
+                    shape) -> sparse.csr_array:
+    """Scatter local matrices (F', m, n) on cells with dofs (F', m) and (F', n)."""
+    rows = np.broadcast_to(row_dofs[:, :, None], local.shape)
+    cols = np.broadcast_to(col_dofs[:, None, :], local.shape)
+    return merge_triplets(rows.ravel(), cols.ravel(), local.ravel(), shape)
+
+
 def _restrict_operator(mat: sparse.csr_array, space: EdgeSpace,
                        cols_space: EdgeSpace | None = None) -> sparse.csr_array:
     if space.essential_bc:
@@ -100,157 +110,92 @@ def _boundary_rule(space: EdgeSpace):
     return edge_rule(2 * space.order + 2)
 
 
+def _cell_weights(mesh, rule) -> np.ndarray:
+    """Physical quadrature weights per triangle, (F, k)."""
+    return 2.0 * mesh.signed_areas()[:, None] * rule.weights
+
+
 def assemble_mass(V: EdgeSpace) -> SparseOperator:
     """Velocity mass matrix (v_i, v_j)."""
-    mesh = V.mesh
     rule = _volume_rule(V)
-    areas = mesh.signed_areas()
-    nloc = V.local_dof_count
-    rows, cols, vals = [], [], []
-    for t in range(mesh.triangle_count):
-        phi, _ = eval_edge_basis(V, t, rule.points)
-        w = 2.0 * areas[t] * rule.weights
-        local = np.einsum("k,kid,kjd->ij", w, phi, phi)
-        dofs = V.cell_dofs[t]
-        rows.append(np.repeat(dofs, nloc))
-        cols.append(np.tile(dofs, nloc))
-        vals.append(local.ravel())
-    mat = merge_triplets(np.concatenate(rows), np.concatenate(cols),
-                         np.concatenate(vals), (V.full_dof_count, V.full_dof_count))
-    return SparseOperator(_restrict_operator(mat, V, V), symmetric=True)
+    phi, _ = _tabulate_edge(V, rule.points)
+    local = np.einsum("fk,fkid,fkjd->fij", _cell_weights(V.mesh, rule), phi, phi)
+    mat = _assemble_cells(V.cell_dofs, V.cell_dofs, local, (V.full_dof_count,) * 2)
+    return SparseOperator(_restrict_operator(mat, V, V))
 
 
 def assemble_curl_curl(V: EdgeSpace) -> SparseOperator:
     """Curl-curl matrix (curl v_i, curl v_j); discrete gradients lie in its kernel."""
-    mesh = V.mesh
     rule = _volume_rule(V)
-    areas = mesh.signed_areas()
-    nloc = V.local_dof_count
-    rows, cols, vals = [], [], []
-    for t in range(mesh.triangle_count):
-        _, curls = eval_edge_basis(V, t, rule.points)
-        w = 2.0 * areas[t] * rule.weights
-        local = np.einsum("k,ki,kj->ij", w, curls, curls)
-        dofs = V.cell_dofs[t]
-        rows.append(np.repeat(dofs, nloc))
-        cols.append(np.tile(dofs, nloc))
-        vals.append(local.ravel())
-    mat = merge_triplets(np.concatenate(rows), np.concatenate(cols),
-                         np.concatenate(vals), (V.full_dof_count, V.full_dof_count))
-    return SparseOperator(_restrict_operator(mat, V, V), symmetric=True)
+    _, curls = _tabulate_edge(V, rule.points)
+    local = np.einsum("fk,fki,fkj->fij", _cell_weights(V.mesh, rule), curls, curls)
+    mat = _assemble_cells(V.cell_dofs, V.cell_dofs, local, (V.full_dof_count,) * 2)
+    return SparseOperator(_restrict_operator(mat, V, V))
 
 
 def _boundary_edge_data(V: EdgeSpace, rule):
-    """Per boundary edge: adjacent triangle, length, tangent, trace and curl values."""
+    """Per boundary edge: adjacent triangle, length, physical points, and the
+    tangential traces (Bn, k, nloc) and curls (Bn, k, nloc) of the basis."""
     mesh = V.mesh
-    for k, e in enumerate(mesh.boundary_edges):
-        t = int(mesh.edge_triangles[e, 0])
-        a, b = mesh.edges[e]
-        length = float(np.hypot(*(mesh.vertices[b] - mesh.vertices[a])))
-        tang = mesh.boundary_tangents[k]
-        bary = _edge_points_in_triangle(mesh, e, t, rule.points)
-        phi, curls = eval_edge_basis(V, t, bary)
-        trace = phi @ tang
-        yield k, e, t, length, trace, curls
+    tri, length, bary, pts = _edge_points(mesh, mesh.boundary_edges, rule.points)
+    phi, curls = _tabulate_edge(V, bary, tri)
+    trace = np.matmul(phi, mesh.boundary_tangents[:, None, :, None])[..., 0]
+    return tri, length, pts, trace, curls
+
+
+def _penalty(bd: BoundaryData, length: np.ndarray) -> np.ndarray:
+    """C_w / h per boundary edge."""
+    return bd.C_w / (length if bd.per_edge_h else np.full_like(length, bd.h))
 
 
 def assemble_nitsche(V: EdgeSpace, bd: BoundaryData) -> SparseOperator:
     """Boundary part of the velocity form: consistency, symmetry and penalty terms."""
-    mesh = V.mesh
     rule = _boundary_rule(V)
-    nloc = V.local_dof_count
-    rows, cols, vals = [], [], []
-    for k, e, t, length, trace, curls in _boundary_edge_data(V, rule):
-        w = length * rule.weights
-        h_eff = length if bd.per_edge_h else bd.h
-        pen = (bd.C_w / h_eff) * np.einsum("k,ki,kj->ij", w, trace, trace)
-        cons = -np.einsum("k,ki,kj->ij", w, trace, curls)
-        local = pen + cons + cons.T
-        dofs = V.cell_dofs[t]
-        rows.append(np.repeat(dofs, nloc))
-        cols.append(np.tile(dofs, nloc))
-        vals.append(local.ravel())
-    if rows:
-        mat = merge_triplets(np.concatenate(rows), np.concatenate(cols),
-                             np.concatenate(vals), (V.full_dof_count, V.full_dof_count))
-    else:
-        mat = sparse.csr_array((V.full_dof_count, V.full_dof_count))
-    return SparseOperator(_restrict_operator(mat, V, V), symmetric=True)
+    tri, length, _, trace, curls = _boundary_edge_data(V, rule)
+    w = length[:, None] * rule.weights
+    pen = _penalty(bd, length)[:, None, None] * np.einsum("ek,eki,ekj->eij", w, trace, trace)
+    cons = -np.einsum("ek,eki,ekj->eij", w, trace, curls)
+    local = pen + cons + cons.transpose(0, 2, 1)
+    dofs = V.cell_dofs[tri]
+    mat = _assemble_cells(dofs, dofs, local, (V.full_dof_count,) * 2)
+    return SparseOperator(_restrict_operator(mat, V, V))
 
 
 def assemble_b(V: EdgeSpace, Q: NodalSpace) -> SparseOperator:
     """Coupling matrix B[i, j] = (v_i, grad q_j)."""
     if V.mesh is not Q.mesh:
         raise ValueError("velocity and pressure spaces must share a mesh")
-    mesh = V.mesh
     rule = triangle_rule(2 * max(V.order, Q.order) + 2)
-    areas = mesh.signed_areas()
-    rows, cols, vals = [], [], []
-    for t in range(mesh.triangle_count):
-        phi, _ = eval_edge_basis(V, t, rule.points)
-        _, gq = eval_nodal_basis(Q, t, rule.points)
-        w = 2.0 * areas[t] * rule.weights
-        local = np.einsum("k,kid,kjd->ij", w, phi, gq)
-        vd = V.cell_dofs[t]
-        qd = Q.cell_dofs[t]
-        rows.append(np.repeat(vd, qd.size))
-        cols.append(np.tile(qd, vd.size))
-        vals.append(local.ravel())
-    mat = merge_triplets(np.concatenate(rows), np.concatenate(cols),
-                         np.concatenate(vals), (V.full_dof_count, Q.dof_count))
-    return SparseOperator(_restrict_operator(mat, V), symmetric=False)
+    phi, _ = _tabulate_edge(V, rule.points)
+    _, gq = _tabulate_nodal(Q, rule.points)
+    local = np.einsum("fk,fkid,fkjd->fij", _cell_weights(V.mesh, rule), phi, gq)
+    mat = _assemble_cells(V.cell_dofs, Q.cell_dofs, local, (V.full_dof_count, Q.dof_count))
+    return SparseOperator(_restrict_operator(mat, V))
 
 
 def assemble_mass_nodal(Q: NodalSpace) -> SparseOperator:
     """Pressure mass matrix (q_i, q_j)."""
-    mesh = Q.mesh
     rule = _volume_rule(Q)
-    areas = mesh.signed_areas()
-    nloc = Q.local_dof_count
-    rows, cols, vals = [], [], []
-    for t in range(mesh.triangle_count):
-        q, _ = eval_nodal_basis(Q, t, rule.points)
-        w = 2.0 * areas[t] * rule.weights
-        local = np.einsum("k,ki,kj->ij", w, q, q)
-        dofs = Q.cell_dofs[t]
-        rows.append(np.repeat(dofs, nloc))
-        cols.append(np.tile(dofs, nloc))
-        vals.append(local.ravel())
-    mat = merge_triplets(np.concatenate(rows), np.concatenate(cols),
-                         np.concatenate(vals), (Q.dof_count, Q.dof_count))
-    return SparseOperator(mat, symmetric=True)
+    q, _ = _tabulate_nodal(Q, rule.points)
+    local = np.einsum("fk,fki,fkj->fij", _cell_weights(Q.mesh, rule), q, q)
+    return SparseOperator(_assemble_cells(Q.cell_dofs, Q.cell_dofs, local, (Q.dof_count,) * 2))
 
 
 def assemble_stiffness(Q: NodalSpace) -> SparseOperator:
     """Pressure stiffness matrix (grad q_i, grad q_j)."""
-    mesh = Q.mesh
     rule = _volume_rule(Q)
-    areas = mesh.signed_areas()
-    nloc = Q.local_dof_count
-    rows, cols, vals = [], [], []
-    for t in range(mesh.triangle_count):
-        _, gq = eval_nodal_basis(Q, t, rule.points)
-        w = 2.0 * areas[t] * rule.weights
-        local = np.einsum("k,kid,kjd->ij", w, gq, gq)
-        dofs = Q.cell_dofs[t]
-        rows.append(np.repeat(dofs, nloc))
-        cols.append(np.tile(dofs, nloc))
-        vals.append(local.ravel())
-    mat = merge_triplets(np.concatenate(rows), np.concatenate(cols),
-                         np.concatenate(vals), (Q.dof_count, Q.dof_count))
-    return SparseOperator(mat, symmetric=True)
+    _, gq = _tabulate_nodal(Q, rule.points)
+    local = np.einsum("fk,fkid,fkjd->fij", _cell_weights(Q.mesh, rule), gq, gq)
+    return SparseOperator(_assemble_cells(Q.cell_dofs, Q.cell_dofs, local, (Q.dof_count,) * 2))
 
 
 def assemble_mean_vector(Q: NodalSpace) -> np.ndarray:
     """Vector of (q_j, 1), used to pin the pressure mean at solve time."""
-    mesh = Q.mesh
     rule = _volume_rule(Q)
-    areas = mesh.signed_areas()
+    q, _ = _tabulate_nodal(Q, rule.points)
+    w = _cell_weights(Q.mesh, rule)
     m = np.zeros(Q.dof_count)
-    for t in range(mesh.triangle_count):
-        q, _ = eval_nodal_basis(Q, t, rule.points)
-        w = 2.0 * areas[t] * rule.weights
-        np.add.at(m, Q.cell_dofs[t], w @ q)
+    np.add.at(m, Q.cell_dofs, np.matmul(w[:, None, :], q)[:, 0])
     return m
 
 
@@ -258,25 +203,18 @@ def assemble_rhs(V: EdgeSpace, f: Callable, bd: BoundaryData) -> np.ndarray:
     """Load vector (f, v) + C_w/h <g, gamma_par(v)> + <g, gamma_curl(v)>."""
     mesh = V.mesh
     rule = _volume_rule(V)
-    areas = mesh.signed_areas()
+    phi, _ = _tabulate_edge(V, rule.points)
+    fv = _sample(f, np.matmul(rule.points, mesh.vertices[mesh.triangles]))
     full = np.zeros(V.full_dof_count)
-    for t in range(mesh.triangle_count):
-        phi, _ = eval_edge_basis(V, t, rule.points)
-        pts = rule.points @ mesh.vertices[mesh.triangles[t]]
-        fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-        w = 2.0 * areas[t] * rule.weights
-        np.add.at(full, V.cell_dofs[t], np.einsum("k,kd,kid->i", w, fv, phi))
+    np.add.at(full, V.cell_dofs,
+              np.einsum("fk,fkd,fkid->fi", _cell_weights(mesh, rule), fv, phi))
     brule = _boundary_rule(V)
-    for k, e, t, length, trace, curls in _boundary_edge_data(V, brule):
-        a, b = mesh.edges[e]
-        pts = mesh.vertices[a][None, :] + brule.points[:, None] * (mesh.vertices[b] - mesh.vertices[a])[None, :]
-        gv = np.asarray(bd.g(pts[:, 0], pts[:, 1]), dtype=float)
-        gt = gv @ mesh.boundary_tangents[k]
-        w = length * brule.weights
-        h_eff = length if bd.per_edge_h else bd.h
-        np.add.at(full, V.cell_dofs[t],
-                  (bd.C_w / h_eff) * np.einsum("k,k,ki->i", w, gt, trace)
-                  - np.einsum("k,k,ki->i", w, gt, curls))
+    tri, length, pts, trace, curls = _boundary_edge_data(V, brule)
+    gt = np.matmul(_sample(bd.g, pts), mesh.boundary_tangents[:, :, None])[..., 0]
+    w = length[:, None] * brule.weights
+    np.add.at(full, V.cell_dofs[tri],
+              _penalty(bd, length)[:, None] * np.einsum("ek,ek,eki->ei", w, gt, trace)
+              - np.einsum("ek,ek,eki->ei", w, gt, curls))
     return V.restrict(full)
 
 
@@ -284,18 +222,12 @@ def assemble_divergence_rhs(Q: NodalSpace, g: Callable) -> np.ndarray:
     """Boundary consistency term <g . n, q_j> for nonzero normal data."""
     mesh = Q.mesh
     rule = edge_rule(2 * Q.order + 2)
+    tri, length, bary, pts = _edge_points(mesh, mesh.boundary_edges, rule.points)
+    gn = np.matmul(_sample(g, pts), mesh.boundary_normals[:, :, None])[..., 0]
+    q, _ = _tabulate_nodal(Q, bary, tri)
+    w = length[:, None] * rule.weights
     out = np.zeros(Q.dof_count)
-    for k, e in enumerate(mesh.boundary_edges):
-        t = int(mesh.edge_triangles[e, 0])
-        a, b = mesh.edges[e]
-        length = float(np.hypot(*(mesh.vertices[b] - mesh.vertices[a])))
-        pts = mesh.vertices[a][None, :] + rule.points[:, None] * (mesh.vertices[b] - mesh.vertices[a])[None, :]
-        gv = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
-        gn = gv @ mesh.boundary_normals[k]
-        bary = _edge_points_in_triangle(mesh, e, t, rule.points)
-        q, _ = eval_nodal_basis(Q, t, bary)
-        w = length * rule.weights
-        np.add.at(out, Q.cell_dofs[t], np.einsum("k,k,ki->i", w, gn, q))
+    np.add.at(out, Q.cell_dofs[tri], np.einsum("ek,ek,eki->ei", w, gn, q))
     return out
 
 
@@ -306,28 +238,18 @@ def boundary_trace_norms(field, mesh, curl=None, degree: int = 8) -> tuple[float
     ``field(x, y) -> (k, 2)`` with the matching scalar ``curl(x, y) -> (k,)``.
     """
     rule = edge_rule(degree)
-    par_sq = 0.0
-    curl_sq = 0.0
     discrete = isinstance(field, DiscreteField)
     if discrete and field.space.mesh is not mesh:
         raise ValueError("field mesh does not match")
-    for k, e in enumerate(mesh.boundary_edges):
-        t = int(mesh.edge_triangles[e, 0])
-        a, b = mesh.edges[e]
-        length = float(np.hypot(*(mesh.vertices[b] - mesh.vertices[a])))
-        w = length * rule.weights
-        if discrete:
-            bary = _edge_points_in_triangle(mesh, e, t, rule.points)
-            vals, curls = eval_edge_field(field, t, bary)
-        else:
-            pts = mesh.vertices[a][None, :] + rule.points[:, None] * (mesh.vertices[b] - mesh.vertices[a])[None, :]
-            vals = np.asarray(field(pts[:, 0], pts[:, 1]), dtype=float)
-            curls = np.zeros(rule.points.size) if curl is None else np.asarray(
-                curl(pts[:, 0], pts[:, 1]), dtype=float)
-        trace = vals @ mesh.boundary_tangents[k]
-        par_sq += float(w @ trace ** 2)
-        curl_sq += float(w @ curls ** 2)
-    return float(np.sqrt(par_sq)), float(np.sqrt(curl_sq))
+    tri, length, bary, pts = _edge_points(mesh, mesh.boundary_edges, rule.points)
+    if discrete:
+        vals, curls = _edge_field(field, bary, tri)
+    else:
+        vals = _sample(field, pts)
+        curls = np.zeros(pts.shape[:2]) if curl is None else _sample(curl, pts)
+    trace = np.einsum("ekd,ed->ek", vals, mesh.boundary_tangents)
+    w = length[:, None] * rule.weights
+    return float(np.sqrt((w * trace ** 2).sum())), float(np.sqrt((w * curls ** 2).sum()))
 
 
 def assemble_velocity_block(V: EdgeSpace, bd: BoundaryData | None) -> SparseOperator:
@@ -336,4 +258,4 @@ def assemble_velocity_block(V: EdgeSpace, bd: BoundaryData | None) -> SparseOper
     if bd is None:
         return k
     n = assemble_nitsche(V, bd)
-    return SparseOperator((k.matrix + n.matrix).tocsr(), symmetric=True)
+    return SparseOperator((k.matrix + n.matrix).tocsr())

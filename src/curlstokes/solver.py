@@ -101,6 +101,8 @@ def solve(system: SaddleSystem, tol: float = 1e-10, method: str = "direct") -> S
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if method not in ("direct", "minres"):
+        raise ValueError(f"unknown solve method {method!r}; use 'direct' or 'minres'")
     k, rhs = _augmented(system)
     n = k.shape[0]
     iterations = None

@@ -53,28 +53,26 @@ def _check_barycentric(bary: np.ndarray) -> np.ndarray:
 # monomial basis of the local order-2 space in shifted-scaled coordinates:
 # (P1)^2 plus the two homogeneous fields orthogonal to the position vector
 def _n2_monomials(xh: np.ndarray, yh: np.ndarray) -> np.ndarray:
-    k = xh.shape[0]
-    m = np.zeros((k, 8, 2))
-    m[:, 0, 0] = 1.0
-    m[:, 1, 0] = xh
-    m[:, 2, 0] = yh
-    m[:, 3, 1] = 1.0
-    m[:, 4, 1] = xh
-    m[:, 5, 1] = yh
-    m[:, 6, 0] = xh * yh
-    m[:, 6, 1] = -xh * xh
-    m[:, 7, 0] = yh * yh
-    m[:, 7, 1] = -xh * yh
+    m = np.zeros(xh.shape + (8, 2))
+    m[..., 0, 0] = 1.0
+    m[..., 1, 0] = xh
+    m[..., 2, 0] = yh
+    m[..., 3, 1] = 1.0
+    m[..., 4, 1] = xh
+    m[..., 5, 1] = yh
+    m[..., 6, 0] = xh * yh
+    m[..., 6, 1] = -xh * xh
+    m[..., 7, 0] = yh * yh
+    m[..., 7, 1] = -xh * yh
     return m
 
 
-def _n2_monomial_curls(xh: np.ndarray, yh: np.ndarray, scale: float) -> np.ndarray:
-    k = xh.shape[0]
-    c = np.zeros((k, 8))
-    c[:, 2] = -1.0
-    c[:, 4] = 1.0
-    c[:, 6] = -3.0 * xh
-    c[:, 7] = -3.0 * yh
+def _n2_monomial_curls(xh: np.ndarray, yh: np.ndarray, scale) -> np.ndarray:
+    c = np.zeros(xh.shape + (8,))
+    c[..., 2] = -1.0
+    c[..., 4] = 1.0
+    c[..., 6] = -3.0 * xh
+    c[..., 7] = -3.0 * yh
     return c / scale
 
 
@@ -118,7 +116,6 @@ class NodalSpace:
 
     mesh: Mesh
     order: int
-    zero_mean: bool
     dof_count: int
     cell_dofs: np.ndarray
     grads: np.ndarray
@@ -185,36 +182,37 @@ def _build_n2_coefficients(mesh: Mesh):
     erule = edge_rule(4)
     trule = triangle_rule(3)
     areas = mesh.signed_areas()
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    edge_vecs = mesh.vertices[mesh.triangles[:, [1, 2, 0]]] - mesh.vertices[mesh.triangles]
+    verts = mesh.vertices[mesh.triangles]
+    centroids = verts.mean(axis=1)
+    edge_vecs = mesh.vertices[mesh.triangles[:, [1, 2, 0]]] - verts
     scales = np.sqrt((edge_vecs ** 2).sum(axis=2)).max(axis=1)
-    coeff = np.empty((mesh.triangle_count, 8, 8))
     s = erule.points
     leg = 2.0 * s - 1.0
-    for t in range(mesh.triangle_count):
-        d = np.empty((8, 8))
-        for k in range(3):
-            a, b = mesh.edges[mesh.triangle_edges[t, k]]
-            xa, xb = mesh.vertices[a], mesh.vertices[b]
-            length = float(np.hypot(*(xb - xa)))
-            tang = (xb - xa) / length
-            pts = xa[None, :] + s[:, None] * (xb - xa)[None, :]
-            mono = _n2_monomials((pts[:, 0] - centroids[t, 0]) / scales[t],
-                                 (pts[:, 1] - centroids[t, 1]) / scales[t])
-            trace = mono @ tang
-            d[2 * k] = length * (erule.weights @ trace)
-            d[2 * k + 1] = length * ((erule.weights * leg) @ trace)
-        pts = trule.points @ mesh.vertices[mesh.triangles[t]]
-        mono = _n2_monomials((pts[:, 0] - centroids[t, 0]) / scales[t],
-                             (pts[:, 1] - centroids[t, 1]) / scales[t])
-        w = 2.0 * areas[t] * trule.weights
-        d[6] = w @ mono[:, :, 0]
-        d[7] = w @ mono[:, :, 1]
-        coeff[t] = np.linalg.inv(d)
-    return coeff, centroids, scales
+
+    def monomials(pts):   # (F, ..., 2) -> (F, ..., 8, 2)
+        cell = (slice(None),) + (None,) * (pts.ndim - 2)
+        xh = (pts - centroids[cell]) / scales[cell][..., None]
+        return _n2_monomials(xh[..., 0], xh[..., 1])
+
+    # edge moments along the global edge orientation, rows 2k and 2k + 1
+    ends = mesh.vertices[mesh.edges[mesh.triangle_edges]]          # (F, 3, 2, 2)
+    xa, vec = ends[:, :, 0], ends[:, :, 1] - ends[:, :, 0]
+    length = np.hypot(vec[..., 0], vec[..., 1])                    # (F, 3)
+    tang = vec / length[..., None]
+    pts = xa[:, :, None, :] + s[:, None] * vec[:, :, None, :]
+    trace = np.matmul(monomials(pts), tang[:, :, None, :, None])[..., 0]   # (F, 3, k, 8)
+    moments = np.empty((mesh.triangle_count, 8, 8))
+    moments[:, 0:6:2] = length[..., None] * np.matmul(erule.weights, trace)
+    moments[:, 1:6:2] = length[..., None] * np.matmul(erule.weights * leg, trace)
+    # interior moments against the two constant fields
+    mono = monomials(np.matmul(trule.points, verts))                 # (F, k, 8, 2)
+    w = 2.0 * areas[:, None] * trule.weights
+    moments[:, 6] = np.matmul(w[:, None, :], mono[..., 0])[:, 0]
+    moments[:, 7] = np.matmul(w[:, None, :], mono[..., 1])[:, 0]
+    return np.linalg.inv(moments), centroids, scales
 
 
-def build_nodal_space(mesh: Mesh, order: int, zero_mean: bool = False) -> NodalSpace:
+def build_nodal_space(mesh: Mesh, order: int) -> NodalSpace:
     if order not in (1, 2):
         raise ValueError(f"unsupported Lagrange order {order}")
     grads = _barycentric_gradients(mesh)
@@ -226,7 +224,105 @@ def build_nodal_space(mesh: Mesh, order: int, zero_mean: bool = False) -> NodalS
         cell_dofs = np.hstack([mesh.triangles,
                                mesh.vertex_count + mesh.triangle_edges])
     cell_dofs.flags.writeable = False
-    return NodalSpace(mesh, order, zero_mean, dof, cell_dofs, grads)
+    return NodalSpace(mesh, order, dof, cell_dofs, grads)
+
+
+# Batched kernels. ``bary`` holds barycentric points shared by every cell,
+# (k, 3), or one set per cell, (F', k, 3); ``cells`` selects the triangles
+# (all of them by default). They are private so that the per-cell public
+# evaluators below stay thin slices of them, and so that the tracer in
+# ``bench/`` records one span per form rather than one per element.
+_ALL = slice(None)
+
+
+def _tabulate_edge(V: EdgeSpace, bary: np.ndarray, cells=_ALL) -> tuple[np.ndarray, np.ndarray]:
+    """Basis values (F', k, nloc, 2) and curls (F', k, nloc) in the local dof
+    order of ``V.cell_dofs``."""
+    g = V.grads[cells]
+    nf, k = g.shape[0], bary.shape[-2]
+    if V.order == 1:
+        signs = V.cell_signs[cells]
+        vals = np.empty((nf, k, 3, 2))
+        curls = np.empty((nf, k, 3))
+        for slot, (p, q) in enumerate(_LOCAL_EDGES):
+            sgn = signs[:, slot, None]
+            vals[:, :, slot] = sgn[..., None] * (bary[..., p, None] * g[:, None, q]
+                                                 - bary[..., q, None] * g[:, None, p])
+            curls[:, :, slot] = sgn * 2.0 * (g[:, p, 0] * g[:, q, 1]
+                                             - g[:, p, 1] * g[:, q, 0])[:, None]
+        return vals, curls
+    mesh = V.mesh
+    pts = np.matmul(bary, mesh.vertices[mesh.triangles[cells]])
+    centroids, scales = V.centroids[cells], V.scales[cells]
+    xh = (pts[..., 0] - centroids[:, 0, None]) / scales[:, None]
+    yh = (pts[..., 1] - centroids[:, 1, None]) / scales[:, None]
+    c = V.coeff[cells]
+    vals = np.einsum("fkjd,fji->fkid", _n2_monomials(xh, yh), c)
+    curls = np.matmul(_n2_monomial_curls(xh, yh, scales[:, None, None]), c)
+    return vals, curls
+
+
+def _tabulate_nodal(Q: NodalSpace, bary: np.ndarray, cells=_ALL) -> tuple[np.ndarray, np.ndarray]:
+    """Lagrange basis values (F', k, nloc) and gradients (F', k, nloc, 2)."""
+    g = Q.grads[cells]
+    nf, k = g.shape[0], bary.shape[-2]
+    if Q.order == 1:
+        vals = np.broadcast_to(bary, (nf, k, 3)).copy()
+        grads = np.broadcast_to(g[:, None], (nf, k, 3, 2)).copy()
+        return vals, grads
+    vals = np.empty((nf, k, 6))
+    grads = np.empty((nf, k, 6, 2))
+    for i in range(3):
+        vals[..., i] = bary[..., i] * (2.0 * bary[..., i] - 1.0)
+        grads[..., i, :] = (4.0 * bary[..., i, None] - 1.0) * g[:, None, i]
+    for slot, (p, q) in enumerate(_LOCAL_EDGES):
+        vals[..., 3 + slot] = 4.0 * bary[..., p] * bary[..., q]
+        grads[..., 3 + slot, :] = 4.0 * (bary[..., p, None] * g[:, None, q]
+                                         + bary[..., q, None] * g[:, None, p])
+    return vals, grads
+
+
+def _edge_field(field: DiscreteField, bary: np.ndarray, cells=_ALL) -> tuple[np.ndarray, np.ndarray]:
+    """Values (F', k, 2) and curls (F', k) of a velocity field."""
+    space: EdgeSpace = field.space
+    local = space.prolong(field.coefficients)[space.cell_dofs[cells]]
+    vals, curls = _tabulate_edge(space, bary, cells)
+    return np.einsum("fkid,fi->fkd", vals, local), np.matmul(curls, local[..., None])[..., 0]
+
+
+def _nodal_field(field: DiscreteField, bary: np.ndarray, cells=_ALL) -> tuple[np.ndarray, np.ndarray]:
+    """Values (F', k) and gradients (F', k, 2) of a pressure field."""
+    space: NodalSpace = field.space
+    local = field.coefficients[space.cell_dofs[cells]]
+    vals, grads = _tabulate_nodal(space, bary, cells)
+    return np.matmul(vals, local[..., None])[..., 0], np.einsum("fkid,fi->fkd", grads, local)
+
+
+def _edge_points(mesh: Mesh, edges: np.ndarray, s: np.ndarray):
+    """Points at parameters ``s`` along each of ``edges``, from its first vertex.
+
+    Returns the adjacent triangle (E',), the edge length (E',), the
+    barycentric coordinates inside that triangle (E', k, 3) and the physical
+    points (E', k, 2).
+    """
+    tri = mesh.edge_triangles[edges, 0]
+    a, b = mesh.edges[edges].T
+    xa = mesh.vertices[a]
+    d = mesh.vertices[b] - xa
+    length = np.hypot(d[:, 0], d[:, 1])
+    corners = mesh.triangles[tri]
+    rows = np.arange(tri.size)
+    bary = np.zeros((tri.size, s.size, 3))
+    bary[rows, :, np.argmax(corners == a[:, None], axis=1)] = 1.0 - s
+    bary[rows, :, np.argmax(corners == b[:, None], axis=1)] = s
+    pts = xa[:, None, :] + s[:, None] * d[:, None, :]
+    return tri, length, bary, pts
+
+
+def _sample(fn: Callable, pts: np.ndarray) -> np.ndarray:
+    """``fn(x, y)`` at points (..., 2), shaped (...) or (..., 2)."""
+    out = np.asarray(fn(pts[..., 0].ravel(), pts[..., 1].ravel()), dtype=float)
+    return out.reshape(pts.shape[:-1] + out.shape[1:])
 
 
 def eval_edge_basis(space: EdgeSpace, triangle: int, points) -> tuple[np.ndarray, np.ndarray]:
@@ -235,75 +331,26 @@ def eval_edge_basis(space: EdgeSpace, triangle: int, points) -> tuple[np.ndarray
     Returns (values, curls) of shapes (k, nloc, 2) and (k, nloc) in the local
     dof order of ``space.cell_dofs``.
     """
-    bary = _check_barycentric(points)
-    k = bary.shape[0]
-    g = space.grads[triangle]
-    if space.order == 1:
-        vals = np.empty((k, 3, 2))
-        curls = np.empty((k, 3))
-        for slot, (p, q) in enumerate(_LOCAL_EDGES):
-            sgn = space.cell_signs[triangle, slot]
-            vals[:, slot, :] = sgn * (bary[:, p, None] * g[q] - bary[:, q, None] * g[p])
-            curls[:, slot] = sgn * 2.0 * (g[p, 0] * g[q, 1] - g[p, 1] * g[q, 0])
-        return vals, curls
-    pts = bary @ space.mesh.vertices[space.mesh.triangles[triangle]]
-    xh = (pts[:, 0] - space.centroids[triangle, 0]) / space.scales[triangle]
-    yh = (pts[:, 1] - space.centroids[triangle, 1]) / space.scales[triangle]
-    mono = _n2_monomials(xh, yh)
-    mcurl = _n2_monomial_curls(xh, yh, space.scales[triangle])
-    c = space.coeff[triangle]
-    vals = np.einsum("kjd,ji->kid", mono, c)
-    curls = mcurl @ c
-    return vals, curls
+    vals, curls = _tabulate_edge(space, _check_barycentric(points), [triangle])
+    return vals[0], curls[0]
 
 
 def eval_nodal_basis(space: NodalSpace, triangle: int, points) -> tuple[np.ndarray, np.ndarray]:
     """Local Lagrange basis values and gradients, shapes (k, nloc) and (k, nloc, 2)."""
-    bary = _check_barycentric(points)
-    k = bary.shape[0]
-    g = space.grads[triangle]
-    if space.order == 1:
-        vals = bary.copy()
-        grads = np.broadcast_to(g, (k, 3, 2)).copy()
-        return vals, grads
-    vals = np.empty((k, 6))
-    grads = np.empty((k, 6, 2))
-    for i in range(3):
-        vals[:, i] = bary[:, i] * (2.0 * bary[:, i] - 1.0)
-        grads[:, i, :] = (4.0 * bary[:, i, None] - 1.0) * g[i]
-    for slot, (p, q) in enumerate(_LOCAL_EDGES):
-        vals[:, 3 + slot] = 4.0 * bary[:, p] * bary[:, q]
-        grads[:, 3 + slot, :] = 4.0 * (bary[:, p, None] * g[q] + bary[:, q, None] * g[p])
-    return vals, grads
+    vals, grads = _tabulate_nodal(space, _check_barycentric(points), [triangle])
+    return vals[0], grads[0]
 
 
 def eval_edge_field(field: DiscreteField, triangle: int, points) -> tuple[np.ndarray, np.ndarray]:
     """Values (k, 2) and curls (k,) of a velocity field on one triangle."""
-    space: EdgeSpace = field.space
-    full = space.prolong(field.coefficients)
-    local = full[space.cell_dofs[triangle]]
-    vals, curls = eval_edge_basis(space, triangle, points)
-    return np.einsum("kid,i->kd", vals, local), curls @ local
+    vals, curls = _edge_field(field, _check_barycentric(points), [triangle])
+    return vals[0], curls[0]
 
 
 def eval_nodal_field(field: DiscreteField, triangle: int, points) -> tuple[np.ndarray, np.ndarray]:
     """Values (k,) and gradients (k, 2) of a pressure field on one triangle."""
-    space: NodalSpace = field.space
-    local = field.coefficients[space.cell_dofs[triangle]]
-    vals, grads = eval_nodal_basis(space, triangle, points)
-    return vals @ local, np.einsum("kid,i->kd", grads, local)
-
-
-def _edge_points_in_triangle(mesh: Mesh, edge: int, triangle: int, s: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates, inside ``triangle``, of points along ``edge``."""
-    a, b = mesh.edges[edge]
-    tri = mesh.triangles[triangle]
-    la = int(np.nonzero(tri == a)[0][0])
-    lb = int(np.nonzero(tri == b)[0][0])
-    bary = np.zeros((s.size, 3))
-    bary[:, la] = 1.0 - s
-    bary[:, lb] = s
-    return bary
+    vals, grads = _nodal_field(field, _check_barycentric(points), [triangle])
+    return vals[0], grads[0]
 
 
 def interpolate_cellwise(space: EdgeSpace, eval_on_triangle) -> DiscreteField:
@@ -316,22 +363,17 @@ def interpolate_cellwise(space: EdgeSpace, eval_on_triangle) -> DiscreteField:
     mesh = space.mesh
     degree = 2 * space.order + 2
     erule = edge_rule(degree)
-    s = erule.points
-    leg = 2.0 * s - 1.0
+    leg = 2.0 * erule.points - 1.0
+    tri, length, bary, _ = _edge_points(mesh, np.arange(mesh.edge_count), erule.points)
+    tang = np.diff(mesh.vertices[mesh.edges], axis=1)[:, 0] / length[:, None]
     full = np.zeros(space.full_dof_count)
     for e in range(mesh.edge_count):
-        t = int(mesh.edge_triangles[e, 0])
-        a, b = mesh.edges[e]
-        xa, xb = mesh.vertices[a], mesh.vertices[b]
-        length = float(np.hypot(*(xb - xa)))
-        tang = (xb - xa) / length
-        vals = eval_on_triangle(t, _edge_points_in_triangle(mesh, e, t, s))
-        trace = vals @ tang
+        trace = eval_on_triangle(int(tri[e]), bary[e]) @ tang[e]
         if space.order == 1:
-            full[e] = length * (erule.weights @ trace)
+            full[e] = length[e] * (erule.weights @ trace)
         else:
-            full[2 * e] = length * (erule.weights @ trace)
-            full[2 * e + 1] = length * ((erule.weights * leg) @ trace)
+            full[2 * e] = length[e] * (erule.weights @ trace)
+            full[2 * e + 1] = length[e] * ((erule.weights * leg) @ trace)
     if space.order == 2:
         trule = triangle_rule(degree)
         areas = mesh.signed_areas()
@@ -341,8 +383,6 @@ def interpolate_cellwise(space: EdgeSpace, eval_on_triangle) -> DiscreteField:
             full[space.cell_dofs[t, 6]] = w @ vals[:, 0]
             full[space.cell_dofs[t, 7]] = w @ vals[:, 1]
     return DiscreteField(space, space.restrict(full))
-
-
 def interpolate_edge(space: EdgeSpace, field: Callable) -> DiscreteField:
     """Interpolate an analytic vector field ``field(x, y) -> (k, 2)``."""
     mesh = space.mesh
@@ -382,36 +422,27 @@ def gradient_coefficients(edge_space: EdgeSpace, nodal_space: NodalSpace) -> csr
         return csr_array((vals, (rows, cols)), shape=(ne, nodal_space.dof_count))
 
     erule = edge_rule(4)
-    s = erule.points
-    leg = 2.0 * s - 1.0
+    leg = 2.0 * erule.points - 1.0
     trule = triangle_rule(2)
-    areas = mesh.signed_areas()
-    rows, cols, vals = [], [], []
-    for e in range(mesh.edge_count):
-        t = int(mesh.edge_triangles[e, 0])
-        a, b = mesh.edges[e]
-        xa, xb = mesh.vertices[a], mesh.vertices[b]
-        length = float(np.hypot(*(xb - xa)))
-        tang = (xb - xa) / length
-        bary = _edge_points_in_triangle(mesh, e, t, s)
-        _, grads = eval_nodal_basis(nodal_space, t, bary)
-        trace = grads @ tang
-        m0 = length * (erule.weights @ trace)
-        m1 = length * ((erule.weights * leg) @ trace)
-        for j, dof in enumerate(nodal_space.cell_dofs[t]):
-            rows += [2 * e, 2 * e + 1]
-            cols += [dof, dof]
-            vals += [m0[j], m1[j]]
-    for t in range(mesh.triangle_count):
-        _, grads = eval_nodal_basis(nodal_space, t, trule.points)
-        w = 2.0 * areas[t] * trule.weights
-        mx = w @ grads[:, :, 0]
-        my = w @ grads[:, :, 1]
-        for j, dof in enumerate(nodal_space.cell_dofs[t]):
-            rows += [edge_space.cell_dofs[t, 6], edge_space.cell_dofs[t, 7]]
-            cols += [dof, dof]
-            vals += [mx[j], my[j]]
-    return csr_array((np.array(vals), (np.array(rows), np.array(cols))),
+    # edge moments of the tangential trace, from the first adjacent triangle
+    tri, length, bary, _ = _edge_points(mesh, np.arange(mesh.edge_count), erule.points)
+    tang = np.diff(mesh.vertices[mesh.edges], axis=1)[:, 0] / length[:, None]
+    _, grads = _tabulate_nodal(nodal_space, bary, tri)                  # (E, k, 6, 2)
+    trace = np.matmul(grads, tang[:, None, :, None])[..., 0]           # (E, k, 6)
+    edge_vals = np.stack([length[:, None] * np.matmul(erule.weights, trace),
+                          length[:, None] * np.matmul(erule.weights * leg, trace)], axis=-1)
+    edge_rows = np.broadcast_to(2 * np.arange(mesh.edge_count)[:, None, None] + [0, 1],
+                                edge_vals.shape)
+    # interior moments against the two constant fields
+    _, grads = _tabulate_nodal(nodal_space, trule.points)              # (F, k, 6, 2)
+    w = 2.0 * mesh.signed_areas()[:, None] * trule.weights
+    cell_vals = np.stack([np.matmul(w[:, None, :], grads[..., 0])[:, 0],
+                          np.matmul(w[:, None, :], grads[..., 1])[:, 0]], axis=-1)
+    cell_rows = np.broadcast_to(edge_space.cell_dofs[:, None, 6:], cell_vals.shape)
+    rows = np.concatenate([edge_rows.ravel(), cell_rows.ravel()])
+    cols = np.concatenate([np.repeat(nodal_space.cell_dofs[tri], 2),
+                           np.repeat(nodal_space.cell_dofs, 2)])
+    return csr_array((np.concatenate([edge_vals.ravel(), cell_vals.ravel()]), (rows, cols)),
                      shape=(edge_space.full_dof_count, nodal_space.dof_count))
 
 
@@ -431,16 +462,13 @@ def grad_inclusion_check(edge_space: EdgeSpace, nodal_space: NodalSpace) -> floa
     lu = splu(m.tocsc())
     x = lu.solve(b.toarray())          # best-approximation coefficients per column
 
-    mesh = edge_space.mesh
+    # residual field of every column at every quadrature point, (F, k, nq, 2)
     rule = triangle_rule(2 * edge_space.order + 2)
-    areas = mesh.signed_areas()
-    res_sq = np.zeros(nodal_space.dof_count)
-    for t in range(mesh.triangle_count):
-        phi, _ = eval_edge_basis(edge_space, t, rule.points)
-        _, gq = eval_nodal_basis(nodal_space, t, rule.points)
-        w = 2.0 * areas[t] * rule.weights
-        diff = np.einsum("kid,ij->kjd", phi, x[edge_space.cell_dofs[t]])
-        for slot, dof in enumerate(nodal_space.cell_dofs[t]):
-            diff[:, dof, :] -= gq[:, slot, :]
-        res_sq += np.einsum("k,kjd->j", w, diff ** 2)
-    return float(np.sqrt(res_sq.max()))
+    phi, _ = _tabulate_edge(edge_space, rule.points)
+    _, gq = _tabulate_nodal(nodal_space, rule.points)
+    diff = np.einsum("fkid,fij->fkjd", phi, x[edge_space.cell_dofs])
+    nf, k = phi.shape[:2]
+    diff[np.arange(nf)[:, None, None], np.arange(k)[:, None],
+         nodal_space.cell_dofs[:, None, :]] -= gq
+    w = 2.0 * edge_space.mesh.signed_areas()[:, None] * rule.weights
+    return float(np.sqrt(np.einsum("fk,fkjd->j", w, diff ** 2).max()))

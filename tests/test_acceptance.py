@@ -146,7 +146,7 @@ def test_criterion_4_hole_rates():
     dims = []
     for mesh in meshes:
         V = build_edge_space(mesh, 1)
-        Q = build_nodal_space(mesh, 1, zero_mean=True)
+        Q = build_nodal_space(mesh, 1)
         dims.append(harmonic_dimension(V, Q))
     if dims != [1] * len(meshes):
         violations.append(f"harmonic dimensions {dims} != 1 at every level")
@@ -195,7 +195,7 @@ def test_criterion_6_structure_invariants():
                         (lambda: generate_square_with_hole(3), 1)]:
         mesh = make()
         V = build_edge_space(mesh, 1)
-        Q = build_nodal_space(mesh, 1, zero_mean=True)
+        Q = build_nodal_space(mesh, 1)
         dec = hodge_decompose(V, Q)
         total = (dec.grad_basis.shape[1] + dec.z_basis.shape[1]
                  + dec.harmonic_basis.shape[1])
@@ -249,7 +249,7 @@ def test_criterion_7_stability_probes():
     for n in (2, 4, 8):
         mesh = generate_unit_square(n)
         V = build_edge_space(mesh, 1)
-        Q = build_nodal_space(mesh, 1, zero_mean=True)
+        Q = build_nodal_space(mesh, 1)
         betas.append(estimate_infsup(V, Q) / mesh.h_max)
     if max(betas) / min(betas) > 3.0:
         violations.append(f"beta_h/h varies by {max(betas) / min(betas):.2f}x > 3x")

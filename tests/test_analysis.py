@@ -21,7 +21,7 @@ def test_errors_vanish_for_reproduced_solution():
     case = linear_case()
     mesh = generate_unit_square(2)
     V = build_edge_space(mesh, 1)
-    Q = build_nodal_space(mesh, 1, zero_mean=True)
+    Q = build_nodal_space(mesh, 1)
     u_h = interpolate_edge(V, case.u)
     p_h = interpolate_nodal(Q, case.p)
     e = compute_errors(u_h, p_h, case, mesh)
@@ -78,7 +78,7 @@ def test_least_squares_rates():
 def test_hodge_square(order):
     mesh = generate_unit_square(2)
     V = build_edge_space(mesh, order)
-    Q = build_nodal_space(mesh, order, zero_mean=True)
+    Q = build_nodal_space(mesh, order)
     dec = hodge_decompose(V, Q)
     assert dec.harmonic_basis.shape[1] == 0
     assert dec.grad_basis.shape[1] == Q.dof_count - 1
@@ -89,7 +89,7 @@ def test_hodge_square(order):
 def test_hodge_orthogonality_and_hole_dimension():
     mesh = generate_square_with_hole(3)
     V = build_edge_space(mesh, 1)
-    Q = build_nodal_space(mesh, 1, zero_mean=True)
+    Q = build_nodal_space(mesh, 1)
     dec = hodge_decompose(V, Q)
     assert dec.harmonic_basis.shape[1] == 1
     m = assemble_mass(V).matrix.toarray()
@@ -108,7 +108,7 @@ def test_harmonic_dimension_equals_betti():
         mesh = make()
         assert betti_number(mesh) == betti
         V = build_edge_space(mesh, 1)
-        Q = build_nodal_space(mesh, 1, zero_mean=True)
+        Q = build_nodal_space(mesh, 1)
         assert harmonic_dimension(V, Q) == betti
 
 
@@ -118,7 +118,7 @@ def test_harmonic_boundary_ratio_bounded_across_levels():
     mesh = generate_square_with_hole(3)
     for _ in range(2):
         V = build_edge_space(mesh, 1)
-        Q = build_nodal_space(mesh, 1, zero_mean=True)
+        Q = build_nodal_space(mesh, 1)
         ratios.append(harmonic_boundary_ratio(V, Q))
         mesh = refine_uniform(mesh)
     assert ratios[0] > 0 and ratios[1] > 0
@@ -142,7 +142,7 @@ def test_infsup_scales_linearly_in_h():
     for n in (2, 4, 8):
         mesh = generate_unit_square(n)
         V = build_edge_space(mesh, 1)
-        Q = build_nodal_space(mesh, 1, zero_mean=True)
+        Q = build_nodal_space(mesh, 1)
         beta = estimate_infsup(V, Q)
         assert beta > 0
         ratios.append(beta / mesh.h_max)
@@ -152,7 +152,7 @@ def test_infsup_scales_linearly_in_h():
 def test_infsup_vanishes_for_essential_counterexample():
     tt = two_triangle_square()
     V = build_edge_space(tt, 1, essential_bc=True)
-    Q = build_nodal_space(tt, 1, zero_mean=True)
+    Q = build_nodal_space(tt, 1)
     assert estimate_infsup(V, Q) <= 1e-10
 
 

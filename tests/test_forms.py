@@ -58,7 +58,7 @@ def test_essential_coupling_row_matches_hand_computation():
     # one interior edge dof against the four P1 hats: (0, -1/3, 0, 1/3)
     tt = two_triangle_square()
     V = build_edge_space(tt, 1, essential_bc=True)
-    Q = build_nodal_space(tt, 1, zero_mean=True)
+    Q = build_nodal_space(tt, 1)
     B = assemble_b(V, Q).matrix.toarray()
     assert np.allclose(B, [[0.0, -1 / 3, 0.0, 1 / 3]], atol=1e-14)
     K = assemble_curl_curl(V).matrix.toarray()
@@ -174,7 +174,7 @@ def test_rhs_linear_in_penalty():
 
 def test_divergence_rhs():
     m = generate_unit_square(2)
-    Q = build_nodal_space(m, 1, zero_mean=True)
+    Q = build_nodal_space(m, 1)
     # tangential stream-function field: g . n = 0 on the whole boundary
     tangential = lambda x, y: np.column_stack(
         [x * (1 - x) * (1 - 2 * y), -(1 - 2 * x) * y * (1 - y)])
@@ -217,7 +217,7 @@ def test_exact_consistency_residual(seed, cw):
     if seed is not None:
         m = jitter(m, seed)
     V = build_edge_space(m, 1)
-    Q = build_nodal_space(m, 1, zero_mean=True)
+    Q = build_nodal_space(m, 1)
     bd = BoundaryData(case.g, C_w=cw, h=m.h_max)
     A = assemble_velocity_block(V, bd).matrix
     B = assemble_b(V, Q).matrix
@@ -232,7 +232,7 @@ def test_exact_consistency_residual(seed, cw):
 def test_coercivity_on_divergence_free_complement():
     m = generate_unit_square(2)
     V = build_edge_space(m, 1)
-    Q = build_nodal_space(m, 1, zero_mean=True)
+    Q = build_nodal_space(m, 1)
     cw = max(10.0, 1.01 * estimate_trace_constants(V).recommended_cw)
     bd = BoundaryData(zero_g, C_w=cw, h=m.h_max)
     A = assemble_velocity_block(V, bd).matrix.toarray()
@@ -248,7 +248,7 @@ def test_coercivity_on_divergence_free_complement():
 
 def test_mean_vector():
     m = generate_unit_square(2)
-    Q = build_nodal_space(m, 1, zero_mean=True)
+    Q = build_nodal_space(m, 1)
     mvec = assemble_mean_vector(Q)
     assert float(mvec.sum()) == pytest.approx(1.0, abs=1e-13)  # (1, 1) = area
     p = interpolate_nodal(Q, lambda x, y: x - 0.5).coefficients

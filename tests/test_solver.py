@@ -136,3 +136,9 @@ def test_invalid_tolerance():
     sys_ = build_saddle_system(two_triangle_square(), 1, linear_case(), C_w=10.0)
     with pytest.raises(ValueError):
         solve(sys_, tol=0.0)
+
+
+@pytest.mark.parametrize("method", ["", "Direct", "lu", "gmres"])
+def test_unknown_method_rejected(nitsche_system, method):
+    with pytest.raises(ValueError, match="unknown solve method"):
+        solve(nitsche_system, method=method)

@@ -39,7 +39,6 @@ def test_nodal_space_dof_counts():
     assert build_nodal_space(tt, 1).dof_count == 4
     m = generate_unit_square(2)
     assert build_nodal_space(m, 2).dof_count == 9 + 16
-    assert build_nodal_space(m, 2, zero_mean=True).dof_count == 25
 
 
 def test_unsupported_orders():
