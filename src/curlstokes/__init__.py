@@ -1,9 +1,8 @@
 """2D H(curl)-conforming Stokes discretization with weak no-slip boundary conditions."""
 
-from .analysis import (ConvergenceReport, ErrorBundle, HodgeDecomposition,
-                       TraceConstants, compute_eoc, compute_errors,
-                       estimate_infsup, estimate_trace_constants,
-                       hodge_decompose)
+from .analysis import (ErrorBundle, HodgeDecomposition, TraceConstants,
+                       compute_eoc, compute_errors, estimate_infsup,
+                       estimate_trace_constants, hodge_decompose)
 from .cases import ManufacturedCase, get_case
 from .forms import (BoundaryData, SparseOperator, assemble_b,
                     assemble_curl_curl, assemble_divergence_rhs, assemble_mass,

@@ -57,17 +57,6 @@ class ErrorBundle:
     dofs_p: int
 
 
-@dataclass
-class ConvergenceReport:
-    """Per-refinement errors plus pairwise experimental orders of convergence."""
-
-    bundles: list[ErrorBundle]
-
-    @property
-    def eoc(self) -> dict[str, list[float]]:
-        return compute_eoc(self)
-
-
 @dataclass(frozen=True)
 class HodgeDecomposition:
     """Coefficient bases of the three orthogonal blocks of the velocity space."""
@@ -133,9 +122,8 @@ def compute_errors(u_h: DiscreteField, p_h: DiscreteField, case, mesh: Mesh) -> 
     )
 
 
-def compute_eoc(report: ConvergenceReport) -> dict[str, list[float]]:
+def compute_eoc(bundles: list[ErrorBundle]) -> dict[str, list[float]]:
     """Pairwise EOCs: log(e_k / e_{k+1}) / log(h_k / h_{k+1}) per norm."""
-    bundles = report.bundles if isinstance(report, ConvergenceReport) else list(report)
     if len(bundles) < 2:
         raise ValueError("EOC requires at least two refinement levels")
     out: dict[str, list[float]] = {}
@@ -149,9 +137,9 @@ def compute_eoc(report: ConvergenceReport) -> dict[str, list[float]]:
     return out
 
 
-def least_squares_rates(report: ConvergenceReport, window: int = 3) -> dict[str, float]:
+def least_squares_rates(bundles: list[ErrorBundle], window: int = 3) -> dict[str, float]:
     """Log-log least-squares slope over the last ``window`` levels per norm."""
-    bundles = report.bundles[-window:]
+    bundles = bundles[-window:]
     if len(bundles) < 2:
         raise ValueError("rate fit requires at least two levels")
     hs = np.log([b.h for b in bundles])
@@ -240,10 +228,6 @@ def hodge_decompose(V: EdgeSpace, Q: NodalSpace) -> HodgeDecomposition:
                               harmonic_basis=harmonic_basis)
 
 
-def harmonic_dimension(V: EdgeSpace, Q: NodalSpace) -> int:
-    return hodge_decompose(V, Q).harmonic_basis.shape[1]
-
-
 def betti_number(mesh: Mesh) -> int:
     return 1 - mesh.euler_characteristic()
 
@@ -297,22 +281,3 @@ def estimate_infsup(V: EdgeSpace, Q: NodalSpace) -> float:
     vals = scipy.linalg.eigh(gram, sz, eigvals_only=True)
     return float(np.sqrt(max(vals[0], 0.0)))
 
-
-def harmonic_boundary_ratio(V: EdgeSpace, Q: NodalSpace) -> float:
-    """Surrogate for the harmonic-field boundary bound: ||h||_curl / ||h.t||_Gamma.
-
-    Uses the L2 boundary norm in place of the dual norm; meaningful only on
-    domains with nontrivial topology.
-    """
-    from .forms import boundary_trace_norms
-
-    dec = hodge_decompose(V, Q)
-    if dec.harmonic_basis.shape[1] == 0:
-        raise ValueError("domain has no discrete harmonic fields")
-    coeffs = dec.harmonic_basis[:, 0]
-    field = DiscreteField(V, coeffs)
-    m = assemble_mass(V).matrix
-    k = assemble_curl_curl(V).matrix
-    curl_norm = float(np.sqrt(coeffs @ (m @ coeffs) + coeffs @ (k @ coeffs)))
-    gpar, _ = boundary_trace_norms(field, V.mesh)
-    return curl_norm / gpar

@@ -4,7 +4,8 @@ counterexample, harmonic-field extraction, and stability probes.
 Outputs are deterministic: identical configuration (and jitter seed) yields
 byte-identical CSV and JSON files. Exit codes: 0 success, 2 configuration
 error, 3 solver singularity (outside the counterexample command), 4 size
-guard exceeded.
+guard exceeded, 5 out of memory, 6 harmonic dimension differs from the
+Betti number.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 EXIT_SIZE_GUARD = 4
+EXIT_MEMORY = 5
+EXIT_BETTI_MISMATCH = 6
 
 CSV_COLUMNS = ["level", "h", "dofs_u", "dofs_p",
                "err_u_l2", "err_u_curl", "err_u_hash", "err_gpar",
@@ -40,9 +43,9 @@ def _json_dump(data, path: Path) -> None:
 
 
 def _write_errors_csv(run: ConvergenceRun, path: Path) -> None:
-    eoc = compute_eoc(run.report)
+    eoc = compute_eoc(run.bundles)
     lines = [",".join(CSV_COLUMNS + EOC_COLUMNS)]
-    for k, b in enumerate(run.report.bundles):
+    for k, b in enumerate(run.bundles):
         row = [str(k), repr(b.h), str(b.dofs_u), str(b.dofs_p),
                repr(b.err_u_l2), repr(b.err_u_curl_seminorm), repr(b.err_u_hash),
                repr(b.err_gpar_boundary), repr(b.err_gcurl_boundary),
@@ -55,7 +58,7 @@ def _write_errors_csv(run: ConvergenceRun, path: Path) -> None:
 
 
 def _write_report_json(run: ConvergenceRun, path: Path) -> None:
-    eoc = compute_eoc(run.report)
+    eoc = compute_eoc(run.bundles)
     data = {
         "schema_version": SCHEMA_VERSION,
         "config": run.config,
@@ -69,16 +72,16 @@ def _write_report_json(run: ConvergenceRun, path: Path) -> None:
                 "err_u_hcurl": b.err_u_hcurl,
                 "norm_u_hash": run.hash_norms[k],
             }
-            for k, b in enumerate(run.report.bundles)
+            for k, b in enumerate(run.bundles)
         ],
         "eoc": eoc,
-        "eoc_least_squares_last3": least_squares_rates(run.report),
+        "eoc_least_squares_last3": least_squares_rates(run.bundles),
     }
     _json_dump(data, path)
 
 
 def _write_svgs(run: ConvergenceRun, outdir: Path) -> None:
-    bundles = run.report.bundles
+    bundles = run.bundles
     hs = [b.h for b in bundles]
     r = run.config["order"]
     groups = {
@@ -128,7 +131,7 @@ def _cmd_convergence(args) -> int:
         _write_report_json(run, outdir / "report.json")
     if "svg" in formats:
         _write_svgs(run, outdir)
-    eoc = compute_eoc(run.report)
+    eoc = compute_eoc(run.bundles)
     final = {k: v[-1] for k, v in eoc.items()}
     print(f"convergence {args.case} order {args.order}: final EOC "
           + " ".join(f"{k}={v:.3f}" for k, v in final.items()))
@@ -157,7 +160,7 @@ def _cmd_harmonic(args) -> int:
     if data["dimension"] != data["betti_number"]:
         print("error: harmonic dimension does not equal the Betti number",
               file=sys.stderr)
-        return 1
+        return EXIT_BETTI_MISMATCH
     print(f"harmonic dimension {data['dimension']} (Betti {data['betti_number']})")
     return EXIT_OK
 
@@ -165,8 +168,7 @@ def _cmd_harmonic(args) -> int:
 def _cmd_probe(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    data = run_probe(args.case, args.levels, args.order, C_w=args.cw,
-                     base_n=args.base_n)
+    data = run_probe(args.case, args.levels, args.order, base_n=args.base_n)
     _json_dump(data, outdir / "probe.json")
     last = data["levels"][-1]
     print(f"probe {args.case}: C_n={last['C_n']:.4f} C_par={last['C_par']:.4f} "
@@ -213,7 +215,6 @@ def make_parser() -> argparse.ArgumentParser:
     pr.add_argument("--case", choices=sorted(CASES), default="star")
     pr.add_argument("--levels", type=int, default=3)
     pr.add_argument("--order", type=int, choices=(1, 2), default=1)
-    pr.add_argument("--cw", type=float, default=10.0)
     pr.add_argument("--base-n", type=int, default=None)
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=_cmd_probe)
@@ -231,6 +232,9 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_GUARD
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mesh as meshmod
-from .analysis import (ConvergenceReport, ErrorBundle, betti_number,
-                       compute_eoc, compute_errors, estimate_infsup,
-                       estimate_trace_constants, harmonic_boundary_ratio,
-                       hodge_decompose, least_squares_rates)
+from .analysis import (ErrorBundle, betti_number, compute_errors,
+                       estimate_infsup, estimate_trace_constants,
+                       hodge_decompose)
 from .cases import ManufacturedCase, get_case
 from .forms import (BoundaryData, assemble_b, assemble_curl_curl,
                     assemble_divergence_rhs, assemble_mass,
@@ -23,14 +20,6 @@ from .mesh import Mesh
 from .solver import SaddleSystem, SolveReport, kernel_probe, solve
 from .spaces import (DiscreteField, _edge_field, build_edge_space,
                      build_nodal_space)
-
-
-def thread_count() -> int:
-    """Level-parallelism requested through CURLSTOKES_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("CURLSTOKES_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def build_saddle_system(mesh: Mesh, order: int, case: ManufacturedCase,
@@ -80,7 +69,7 @@ def level_mesh(case: ManufacturedCase, base_n: int, level: int,
 
 @dataclass
 class ConvergenceRun:
-    report: ConvergenceReport
+    bundles: list[ErrorBundle]
     hash_norms: list[float]
     config: dict
 
@@ -95,29 +84,21 @@ def run_convergence(case_name: str, order: int, levels: int, C_w: float = 10.0,
     if base_n is None:
         base_n = case.default_n
 
-    def solve_level(k: int) -> tuple[ErrorBundle, float]:
+    bundles = []
+    hash_norms = []
+    for k in range(levels):
         mesh = level_mesh(case, base_n, k, jitter_seed)
-        system = build_saddle_system(mesh, order, case, C_w, per_edge_h)
-        rep = solve(system)
+        rep = solve(build_saddle_system(mesh, order, case, C_w, per_edge_h))
         if rep.singular:
             raise SingularLevelError(k)
-        bundle = compute_errors(rep.u, rep.p, case, mesh)
-        return bundle, discrete_hash_norm(rep.u)
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_level, range(levels)))
-    else:
-        results = [solve_level(k) for k in range(levels)]
-    bundles = [r[0] for r in results]
+        bundles.append(compute_errors(rep.u, rep.p, case, mesh))
+        hash_norms.append(discrete_hash_norm(rep.u))
     config = {
         "command": "convergence", "case": case_name, "order": order,
         "levels": levels, "C_w": C_w, "base_n": base_n,
         "jitter_seed": jitter_seed, "per_edge_h": per_edge_h,
     }
-    return ConvergenceRun(report=ConvergenceReport(bundles),
-                          hash_norms=[r[1] for r in results], config=config)
+    return ConvergenceRun(bundles=bundles, hash_norms=hash_norms, config=config)
 
 
 class SingularLevelError(Exception):
@@ -185,12 +166,16 @@ def run_harmonic(case_name: str = "hole", n: int | None = None, order: int = 1) 
     curl_ratio = None
     ratio = None
     if dim:
-        field = DiscreteField(V, dec.harmonic_basis[:, 0])
-        k_mat = assemble_curl_curl(V).matrix
-        m_mat = assemble_mass(V).matrix
-        c = field.coefficients
-        curl_ratio = float(np.sqrt(max(c @ (k_mat @ c), 0.0) / (c @ (m_mat @ c))))
-        ratio = harmonic_boundary_ratio(V, Q)
+        # curl_norm_over_boundary_trace is a surrogate for the harmonic-field
+        # boundary bound, ||h||_curl / ||h.t||_Gamma, with the L2 boundary
+        # norm in place of the dual norm
+        c = dec.harmonic_basis[:, 0]
+        field = DiscreteField(V, c)
+        mc = c @ (assemble_mass(V).matrix @ c)
+        kc = c @ (assemble_curl_curl(V).matrix @ c)
+        curl_ratio = float(np.sqrt(max(kc, 0.0) / mc))
+        gpar, _ = boundary_trace_norms(field, mesh)
+        ratio = float(np.sqrt(mc + kc)) / gpar
         center = np.array([[1.0, 1.0, 1.0]]) / 3.0
         pts = np.matmul(center, mesh.vertices[mesh.triangles])[:, 0]
         vals = _edge_field(field, center)[0][:, 0]
@@ -209,7 +194,7 @@ def run_harmonic(case_name: str = "hole", n: int | None = None, order: int = 1) 
 
 
 def run_probe(case_name: str, levels: int = 3, order: int = 1,
-              C_w: float = 10.0, base_n: int | None = None) -> dict:
+              base_n: int | None = None) -> dict:
     """Trace-constant and inf-sup probes across a refinement sequence."""
     case = get_case(case_name)
     if base_n is None:
@@ -234,6 +219,5 @@ def run_probe(case_name: str, levels: int = 3, order: int = 1,
         "schema_version": 1,
         "case": case_name,
         "order": order,
-        "C_w_used": C_w,
         "levels": rows,
     }

@@ -73,9 +73,6 @@ class Mesh:
     def signed_areas(self) -> np.ndarray:
         return _signed_areas(self.vertices, self.triangles)
 
-    def triangle_vertices(self, t: int) -> np.ndarray:
-        return self.vertices[self.triangles[t]]
-
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.edge_count + self.triangle_count
 
@@ -91,6 +88,15 @@ def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     c = vertices[triangles[:, 2]]
     return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
                   - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+
+
+def _outward(vertices, triangles, edges, edge_triangles, boundary_edges,
+             normals) -> np.ndarray:
+    """Per boundary edge, (edge midpoint - centroid of its triangle) . normal."""
+    ends = vertices[edges[boundary_edges]]                       # (Bn, 2, 2)
+    mid = 0.5 * (ends[:, 0] + ends[:, 1])
+    centroid = vertices[triangles[edge_triangles[boundary_edges, 0]]].mean(axis=1)
+    return ((mid - centroid) * normals).sum(axis=1)
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -136,28 +142,20 @@ def build_mesh(vertices, triangles) -> Mesh:
         raise MeshConnectivityError(
             f"edge {tuple(edges[bad])} is shared by {counts[bad]} triangles")
 
+    # adjacent triangles of each edge in increasing triangle order
+    order = np.argsort(triangle_edges.ravel(), kind="stable")
+    by_edge = triangle_edges.ravel()[order]
+    slot = np.arange(by_edge.size) - (np.cumsum(counts) - counts)[by_edge]
     edge_triangles = np.full((ne, 2), -1, dtype=np.int64)
-    slot = np.zeros(ne, dtype=np.int64)
-    for t in range(triangles.shape[0]):
-        for e in triangle_edges[t]:
-            edge_triangles[e, slot[e]] = t
-            slot[e] += 1
+    edge_triangles[by_edge, slot] = order // 3
 
     boundary_edges = np.nonzero(counts == 1)[0]
-    normals = np.zeros((boundary_edges.size, 2))
-    tangents = np.zeros_like(normals)
-    for k, e in enumerate(boundary_edges):
-        a, b = edges[e]
-        mid = 0.5 * (vertices[a] + vertices[b])
-        tri = edge_triangles[e, 0]
-        centroid = vertices[triangles[tri]].mean(axis=0)
-        d = vertices[b] - vertices[a]
-        n = np.array([d[1], -d[0]])
-        if np.dot(mid - centroid, n) < 0:
-            n = -n
-        n /= np.hypot(n[0], n[1])
-        normals[k] = n
-        tangents[k] = [-n[1], n[0]]
+    d = vertices[edges[boundary_edges, 1]] - vertices[edges[boundary_edges, 0]]
+    normals = np.column_stack([d[:, 1], -d[:, 0]])
+    normals[_outward(vertices, triangles, edges, edge_triangles, boundary_edges,
+                     normals) < 0] *= -1.0
+    normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
+    tangents = np.column_stack([-normals[:, 1], normals[:, 0]])
 
     edge_vec = vertices[triangles[:, [1, 2, 0]]] - vertices[triangles]
     h_max = float(np.sqrt((edge_vec ** 2).sum(axis=2)).max())
@@ -245,14 +243,10 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     nv = mesh.vertex_count
     midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
     vertices = np.vstack([mesh.vertices, midpoints])
-    tris = np.empty((4 * mesh.triangle_count, 3), dtype=np.int64)
-    for t in range(mesh.triangle_count):
-        v0, v1, v2 = mesh.triangles[t]
-        m01, m12, m20 = nv + mesh.triangle_edges[t]
-        tris[4 * t + 0] = (v0, m01, m20)
-        tris[4 * t + 1] = (v1, m12, m01)
-        tris[4 * t + 2] = (v2, m20, m12)
-        tris[4 * t + 3] = (m01, m12, m20)
+    # columns v0, v1, v2, m01, m12, m20; children (v0, m01, m20), (v1, m12, m01),
+    # (v2, m20, m12), (m01, m12, m20)
+    corners = np.hstack([mesh.triangles, nv + mesh.triangle_edges])
+    tris = corners[:, [[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]]].reshape(-1, 3)
     return build_mesh(vertices, tris)
 
 
@@ -317,20 +311,19 @@ def validate_mesh(mesh: Mesh, tol: float = 1e-12) -> None:
             raise MeshError("boundary normal is not unit length")
         if np.abs(np.hypot(t[:, 0], t[:, 1]) - 1).max() > tol:
             raise MeshError("boundary tangent is not unit length")
-        for k, e in enumerate(mesh.boundary_edges):
-            a, b = mesh.edges[e]
-            mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-            tri = mesh.edge_triangles[e, 0]
-            centroid = mesh.vertices[mesh.triangles[tri]].mean(axis=0)
-            if np.dot(mid - centroid, n[k]) <= 0:
-                raise MeshError(f"boundary normal of edge {e} points inward")
-    # signed local edges must close the triangle boundary cycle
-    for tri in range(mesh.triangle_count):
-        chain = np.zeros(mesh.vertex_count, dtype=np.int64)
-        for k in range(3):
-            a, b = mesh.edges[mesh.triangle_edges[tri, k]]
-            s = mesh.triangle_edge_signs[tri, k]
-            chain[a] -= s
-            chain[b] += s
-        if chain.any():
-            raise MeshError(f"edge signs of triangle {tri} do not form a cycle")
+        inward = np.nonzero(_outward(mesh.vertices, mesh.triangles, mesh.edges,
+                                     mesh.edge_triangles, mesh.boundary_edges, n) <= 0)[0]
+        if inward.size:
+            raise MeshError(
+                f"boundary normal of edge {mesh.boundary_edges[inward[0]]} points inward")
+    # signed local edges must close the triangle boundary cycle: per triangle,
+    # the signed edge ends summed per vertex all vanish
+    ends = mesh.edges[mesh.triangle_edges]                             # (F, 3, 2)
+    signs = mesh.triangle_edge_signs.astype(np.int64)[:, :, None]
+    keys = np.arange(mesh.triangle_count)[:, None, None] * mesh.vertex_count + ends
+    chain_keys, slot = np.unique(keys.ravel(), return_inverse=True)
+    chain = np.zeros(chain_keys.size, dtype=np.int64)
+    np.add.at(chain, slot, (np.array([-1, 1]) * signs).ravel())
+    if chain.any():
+        tri = chain_keys[np.nonzero(chain)[0][0]] // mesh.vertex_count
+        raise MeshError(f"edge signs of triangle {tri} do not form a cycle")

@@ -22,6 +22,10 @@ from .spaces import DiscreteField, EdgeSpace, NodalSpace
 KERNEL_SIZE_GUARD = 20000
 KERNEL_RANK_RTOL = 1e-10
 _DENSE_CUTOFF = 400
+#: relative residual of the seeded probe solve above which a factored system
+#: counts as singular; well-posed systems reach about 1e-10, singular ones 1e3
+#: to 1e16
+_PROBE_RTOL = 1e-6
 
 
 class SolverError(Exception):
@@ -66,14 +70,12 @@ class SaddleSystem:
 class KernelReport:
     dimension: int
     witnesses: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    singular_values: np.ndarray | None = None
 
 
 @dataclass
 class SolveReport:
     u: DiscreteField | np.ndarray
     p: DiscreteField | np.ndarray
-    multiplier: float
     residual: float
     iterations: int | None
     singular: bool
@@ -122,7 +124,14 @@ def solve(system: SaddleSystem, tol: float = 1e-10, method: str = "direct") -> S
                 else:
                     z = vt.T @ ((u_svd.T @ rhs) / s)
             else:
-                z = splu(k).solve(rhs)
+                lu = _factor(k)
+                z = lu.solve(rhs)
+                # a singular operator can still factor and, with zero data,
+                # return the zero "solution"; a seeded random right-hand side
+                # solved with the same factor exposes it
+                probe = np.random.default_rng(0).standard_normal(n)
+                probe_res = np.linalg.norm(k @ lu.solve(probe) - probe) / np.linalg.norm(probe)
+                singular = not probe_res <= _PROBE_RTOL
         except (np.linalg.LinAlgError, MatrixRankWarning, RuntimeError):
             singular = True
 
@@ -141,12 +150,10 @@ def solve(system: SaddleSystem, tol: float = 1e-10, method: str = "direct") -> S
             kernel = kernel_probe(system)
         u = np.full(system.n_u, np.nan)
         p = np.full(system.n_q, np.nan)
-        mu = np.nan
         residual = np.inf
     else:
         u = z[:system.n_u]
         p = z[system.n_u:system.n_u + system.n_q]
-        mu = float(z[-1])
         total = float(system.mean_vector.sum())
         if total > 0:
             p = p - (system.mean_vector @ p) / total
@@ -155,8 +162,18 @@ def solve(system: SaddleSystem, tol: float = 1e-10, method: str = "direct") -> S
         u = DiscreteField(system.velocity_space, u)
     if system.pressure_space is not None and not singular:
         p = DiscreteField(system.pressure_space, p)
-    return SolveReport(u=u, p=p, multiplier=mu, residual=residual,
+    return SolveReport(u=u, p=p, residual=residual,
                        iterations=iterations, singular=singular, kernel=kernel)
+
+
+def _factor(matrix: sparse.csc_array):
+    """Sparse LU; SuperLU running out of memory is raised as MemoryError."""
+    try:
+        return splu(matrix)
+    except SystemError as exc:
+        if "MemType" not in str(exc):
+            raise
+        raise MemoryError(f"sparse LU factorization: {exc}") from exc
 
 
 def _solve_minres(system: SaddleSystem, k: sparse.csc_array, rhs: np.ndarray, tol: float):
@@ -176,8 +193,8 @@ def _solve_minres(system: SaddleSystem, k: sparse.csc_array, rhs: np.ndarray, to
         stiff = assemble_stiffness(system.pressure_space).matrix
         mass_q = assemble_mass_nodal(system.pressure_space).matrix
         h = system.velocity_space.mesh.h_max
-        pu = splu((system.A + mass).tocsc())
-        pq = splu((h ** 2 * (stiff + mass_q)).tocsc())
+        pu = _factor((system.A + mass).tocsc())
+        pq = _factor((h ** 2 * (stiff + mass_q)).tocsc())
 
         def apply(v):
             out = np.empty_like(v)
@@ -236,4 +253,4 @@ def kernel_probe(system: SaddleSystem) -> KernelReport:
     for idx in np.nonzero(null_mask)[0]:
         vec = u_svd[:, idx]
         witnesses.append((vec[:n_u].copy(), z_basis @ vec[n_u:]))
-    return KernelReport(dimension=dim, witnesses=witnesses, singular_values=s)
+    return KernelReport(dimension=dim, witnesses=witnesses)

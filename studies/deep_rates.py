@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from curlstokes.analysis import ConvergenceReport, compute_eoc, compute_errors
+from curlstokes.analysis import compute_eoc, compute_errors
 from curlstokes.cases import get_case
 from curlstokes.experiments import build_saddle_system, level_mesh
 from curlstokes.forms import assemble_mass_nodal
@@ -97,7 +97,7 @@ def main():
             print(f"  direct solve: max |du| {np.abs(ref.u.coefficients - u).max():.1e}, "
                   f"max |dp| {np.abs(ref.p.coefficients - p).max():.1e}", flush=True)
     print("pairwise EOCs, each at the finer level of its pair:")
-    for key, vals in compute_eoc(ConvergenceReport(bundles)).items():
+    for key, vals in compute_eoc(bundles).items():
         print(f"  {key:11s}" + "".join(f" {v:+.3f}" for v in vals))
 
 

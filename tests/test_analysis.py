@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from curlstokes.analysis import (ConvergenceReport, betti_number, compute_eoc,
-                                 compute_errors, estimate_infsup,
-                                 estimate_trace_constants, harmonic_boundary_ratio,
-                                 harmonic_dimension, hodge_decompose,
-                                 least_squares_rates)
+from curlstokes import analysis, experiments
+from curlstokes.analysis import (betti_number, compute_eoc, compute_errors,
+                                 estimate_infsup, estimate_trace_constants,
+                                 hodge_decompose, least_squares_rates)
 from curlstokes.cases import get_case, linear_case
-from curlstokes.experiments import build_saddle_system, discrete_hash_norm
+from curlstokes.experiments import (build_saddle_system, discrete_hash_norm,
+                                    run_harmonic)
 from curlstokes.forms import assemble_mass
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
-                             generate_unit_square, refine_uniform,
-                             two_triangle_square)
+                             generate_unit_square, two_triangle_square)
 from curlstokes.solver import solve
 from curlstokes.spaces import (build_edge_space, build_nodal_space,
                                interpolate_edge, interpolate_nodal)
@@ -55,22 +54,22 @@ def _bundle(err, h):
 
 
 def test_eoc_formula():
-    rep = ConvergenceReport([_bundle(1.0, 1.0), _bundle(0.5, 0.5)])
+    rep = [_bundle(1.0, 1.0), _bundle(0.5, 0.5)]
     assert compute_eoc(rep)["err_u_l2"] == [pytest.approx(1.0)]
-    rep = ConvergenceReport([_bundle(1.0, 1.0), _bundle(0.25, 0.5)])
+    rep = [_bundle(1.0, 1.0), _bundle(0.25, 0.5)]
     assert compute_eoc(rep)["err_u_l2"] == [pytest.approx(2.0)]
-    rep = ConvergenceReport([_bundle(1.0, 1.0), _bundle(np.sqrt(2) / 2, 0.5)])
+    rep = [_bundle(1.0, 1.0), _bundle(np.sqrt(2) / 2, 0.5)]
     assert compute_eoc(rep)["err_u_l2"] == [pytest.approx(0.5)]
 
 
 def test_eoc_requires_two_levels():
     with pytest.raises(ValueError):
-        compute_eoc(ConvergenceReport([_bundle(1.0, 1.0)]))
+        compute_eoc([_bundle(1.0, 1.0)])
 
 
 def test_least_squares_rates():
     bundles = [_bundle(2.0 * 0.5 ** (2 * k), 0.5 ** k) for k in range(4)]
-    rates = least_squares_rates(ConvergenceReport(bundles))
+    rates = least_squares_rates(bundles)
     assert rates["err_u_l2"] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -101,7 +100,7 @@ def test_hodge_orthogonality_and_hole_dimension():
                 assert np.abs(gram).max() <= 1e-10
 
 
-def test_harmonic_dimension_equals_betti():
+def test_harmonic_basis_size_equals_betti():
     for make, betti in [(lambda: generate_unit_square(2), 0),
                         (lambda: generate_square_with_hole(3), 1),
                         (lambda: generate_l_shape(1), 0)]:
@@ -109,20 +108,29 @@ def test_harmonic_dimension_equals_betti():
         assert betti_number(mesh) == betti
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
-        assert harmonic_dimension(V, Q) == betti
+        assert hodge_decompose(V, Q).harmonic_basis.shape[1] == betti
 
 
-def test_harmonic_boundary_ratio_bounded_across_levels():
-    # computable surrogate with the L2 boundary norm in place of the dual norm
-    ratios = []
-    mesh = generate_square_with_hole(3)
-    for _ in range(2):
-        V = build_edge_space(mesh, 1)
-        Q = build_nodal_space(mesh, 1)
-        ratios.append(harmonic_boundary_ratio(V, Q))
-        mesh = refine_uniform(mesh)
+def test_harmonic_curl_over_trace_bounded_across_levels():
+    # computable surrogate with the L2 boundary norm in place of the dual norm;
+    # n = 6 is the uniform refinement of n = 3
+    ratios = [run_harmonic("hole", n)["curl_norm_over_boundary_trace"] for n in (3, 6)]
     assert ratios[0] > 0 and ratios[1] > 0
     assert max(ratios) / min(ratios) <= 3.0
+
+
+def test_harmonic_run_decomposes_once(monkeypatch):
+    calls = []
+
+    def counted(V, Q):
+        calls.append(V)
+        return hodge_decompose(V, Q)
+
+    for module in (analysis, experiments):
+        monkeypatch.setattr(module, "hodge_decompose", counted)
+    data = run_harmonic("hole", 3)
+    assert data["dimension"] == 1 and data["curl_norm_over_boundary_trace"] > 0
+    assert len(calls) == 1
 
 
 def test_trace_constants_stable_under_refinement():

@@ -1,13 +1,17 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curlstokes.mesh import (Mesh, MeshConnectivityError, MeshFormatError,
-                             MeshOrientationError, build_mesh, generate_l_shape,
-                             generate_square_with_hole, generate_unit_square,
-                             jitter, load_mesh, refine_uniform, save_mesh,
-                             two_triangle_square, validate_mesh)
+from curlstokes.mesh import (Mesh, MeshConnectivityError, MeshError,
+                             MeshFormatError, MeshOrientationError, build_mesh,
+                             generate_l_shape, generate_square_with_hole,
+                             generate_unit_square, jitter, load_mesh,
+                             refine_uniform, save_mesh, two_triangle_square,
+                             validate_mesh)
 
 ALL_GENERATORS = [
     lambda: generate_unit_square(3),
@@ -200,3 +204,117 @@ def test_mesh_arrays_immutable():
         m.vertices[0, 0] = 5.0
     with pytest.raises(ValueError):
         m.triangles[0, 0] = 0
+
+
+# -- loop reference for the array operations in mesh.py ----------------------
+#
+# build_mesh's edge adjacency and boundary normals, refine_uniform and
+# validate_mesh's normal and cycle checks were per-triangle / per-edge loops.
+# The loops below are that reference; every Mesh array must stay
+# np.array_equal to them, and validate_mesh must reject what they reject.
+
+def loop_adjacency(m):
+    edge_triangles = np.full((m.edge_count, 2), -1, dtype=np.int64)
+    slot = np.zeros(m.edge_count, dtype=np.int64)
+    for t in range(m.triangle_count):
+        for e in m.triangle_edges[t]:
+            edge_triangles[e, slot[e]] = t
+            slot[e] += 1
+    normals = np.zeros((m.boundary_edges.size, 2))
+    tangents = np.zeros_like(normals)
+    for k, e in enumerate(m.boundary_edges):
+        a, b = m.edges[e]
+        mid = 0.5 * (m.vertices[a] + m.vertices[b])
+        centroid = m.vertices[m.triangles[edge_triangles[e, 0]]].mean(axis=0)
+        d = m.vertices[b] - m.vertices[a]
+        n = np.array([d[1], -d[0]])
+        if np.dot(mid - centroid, n) < 0:
+            n = -n
+        n /= np.hypot(n[0], n[1])
+        normals[k] = n
+        tangents[k] = [-n[1], n[0]]
+    return edge_triangles, normals, tangents
+
+
+def loop_refined_triangles(m):
+    nv = m.vertex_count
+    tris = np.empty((4 * m.triangle_count, 3), dtype=np.int64)
+    for t in range(m.triangle_count):
+        v0, v1, v2 = m.triangles[t]
+        m01, m12, m20 = nv + m.triangle_edges[t]
+        tris[4 * t + 0] = (v0, m01, m20)
+        tris[4 * t + 1] = (v1, m12, m01)
+        tris[4 * t + 2] = (v2, m20, m12)
+        tris[4 * t + 3] = (m01, m12, m20)
+    return tris
+
+
+def loop_first_fault(m):
+    """The message validate_mesh's normal and cycle loops raised, or None."""
+    for k, e in enumerate(m.boundary_edges):
+        a, b = m.edges[e]
+        mid = 0.5 * (m.vertices[a] + m.vertices[b])
+        centroid = m.vertices[m.triangles[m.edge_triangles[e, 0]]].mean(axis=0)
+        if np.dot(mid - centroid, m.boundary_normals[k]) <= 0:
+            return f"boundary normal of edge {e} points inward"
+    for tri in range(m.triangle_count):
+        chain = np.zeros(m.vertex_count, dtype=np.int64)
+        for k in range(3):
+            a, b = m.edges[m.triangle_edges[tri, k]]
+            s = m.triangle_edge_signs[tri, k]
+            chain[a] -= s
+            chain[b] += s
+        if chain.any():
+            return f"edge signs of triangle {tri} do not form a cycle"
+    return None
+
+
+def _validate_message(m):
+    try:
+        validate_mesh(m)
+    except MeshError as exc:
+        return str(exc)
+    return None
+
+
+mesh_inputs = st.one_of(
+    st.builds(generate_unit_square, st.integers(1, 4)),
+    st.builds(generate_square_with_hole, st.sampled_from([3, 6])),
+    st.builds(generate_l_shape, st.integers(1, 2)),
+    st.just(two_triangle_square()))
+
+
+@settings(max_examples=20, deadline=None)
+@given(mesh=mesh_inputs, seed=st.one_of(st.none(), st.integers(0, 2 ** 16)),
+       refine=st.booleans())
+def test_mesh_arrays_equal_loop_reference(mesh, seed, refine):
+    if seed is not None:
+        mesh = jitter(mesh, seed)
+    if refine:
+        refined = refine_uniform(mesh)
+        assert np.array_equal(refined.triangles, loop_refined_triangles(mesh))
+        mesh = refined
+    edge_triangles, normals, tangents = loop_adjacency(mesh)
+    assert np.array_equal(mesh.edge_triangles, edge_triangles)
+    assert np.array_equal(mesh.boundary_normals, normals)
+    assert np.array_equal(mesh.boundary_tangents, tangents)
+    assert _validate_message(mesh) is None and loop_first_fault(mesh) is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(mesh=mesh_inputs, data=st.data())
+def test_validate_rejects_what_the_loops_reject(mesh, data):
+    # flip one boundary normal (and its tangent, so they stay orthonormal)
+    k = data.draw(st.integers(0, mesh.boundary_edges.size - 1))
+    normals, tangents = mesh.boundary_normals.copy(), mesh.boundary_tangents.copy()
+    normals[k] *= -1.0
+    tangents[k] *= -1.0
+    flipped = replace(mesh, boundary_normals=normals, boundary_tangents=tangents)
+    assert _validate_message(flipped) == loop_first_fault(flipped) is not None
+    # flip a local edge sign in two triangles: the first one is reported
+    t = data.draw(st.integers(0, mesh.triangle_count - 2))
+    signs = mesh.triangle_edge_signs.copy()
+    signs[t, data.draw(st.integers(0, 2))] *= -1
+    signs[-1, 0] *= -1
+    broken = replace(mesh, triangle_edge_signs=signs)
+    assert _validate_message(broken) == loop_first_fault(broken) is not None

@@ -46,6 +46,16 @@ def test_kernel_contains_hat_witness(essential_system):
         assert np.abs(wu).max() <= 1e-10
 
 
+@pytest.mark.parametrize("n", [16, 32])
+def test_essential_system_flagged_on_sparse_path(n):
+    # above the dense cutoff the LU factor of the singular system exists and
+    # its zero data gave the zero "solution" with residual 0
+    system = build_saddle_system(generate_unit_square(n), 1, linear_case(), essential=True)
+    report = solve(system)
+    assert report.singular
+    assert report.kernel is not None and report.kernel.dimension == 2
+
+
 def test_refined_essential_kernel_persists():
     mesh = refine_uniform(two_triangle_square())
     probe = kernel_probe(build_saddle_system(mesh, 1, linear_case(), essential=True))
