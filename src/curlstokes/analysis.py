@@ -191,7 +191,9 @@ def _curl_factor(V: EdgeSpace) -> np.ndarray:
 
 def hodge_decompose(V: EdgeSpace, Q: NodalSpace) -> HodgeDecomposition:
     """Split the velocity space into gradients, curl-carrying fields and
-    discrete harmonic fields, mutually orthogonal in L2."""
+    discrete harmonic fields, mutually orthogonal in L2. The harmonic fields
+    are the null right singular vectors of the curl factor on X_h; that factor
+    is tall, so its thin SVD has them all (a wide one fails the sum check)."""
     if V.essential_bc:
         raise ValueError("decomposition is defined on the unconstrained space")
     _guard(V, Q)
@@ -213,10 +215,8 @@ def hodge_decompose(V: EdgeSpace, Q: NodalSpace) -> HodgeDecomposition:
     chol = np.linalg.cholesky(x.T @ m @ x)
     x = scipy.linalg.solve_triangular(chol, x.T, lower=True).T
 
-    # split X_h along the curl square-root factor: its null vectors are the
-    # discrete harmonic fields
     cx = _curl_factor(V) @ x
-    _, s, vt = np.linalg.svd(cx, full_matrices=True)
+    _, s, vt = np.linalg.svd(cx, full_matrices=False)
     smax = s.max(initial=0.0)
     ranks = int((s > KERNEL_RANK_RTOL * smax).sum()) if smax > 0 else 0
     z_basis = x @ vt[:ranks].T

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,21 @@ def test_hodge_orthogonality_and_hole_dimension():
             if blocks[i].size and blocks[j].size:
                 gram = blocks[i].T @ m @ blocks[j]
                 assert np.abs(gram).max() <= 1e-10
+
+
+def test_hodge_decompose_memory_peak():
+    # the thin curl split keeps the peak at about 88 MiB on hole n = 18; the
+    # full SVD's unread 5184 x 5184 left factor raised it to 259 MiB
+    mesh = generate_square_with_hole(18)
+    V = build_edge_space(mesh, 1)
+    Q = build_nodal_space(mesh, 1)
+    tracemalloc.start()
+    try:
+        hodge_decompose(V, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2 ** 20
 
 
 def test_harmonic_basis_size_equals_betti():

@@ -1,25 +1,35 @@
-"""The batched assembly must reproduce a per-triangle loop bit for bit.
+"""The batched assembly must reproduce a per-triangle loop bit for bit, and
+the thin-SVD Hodge decomposition the full-SVD one.
 
 The loop reference below is the element-by-element formulation the batched
 kernels replaced: one basis tabulation, one contraction and one scatter per
 triangle or boundary edge. The reported errors react to a single ulp in the
 assembled system (see the ``forms`` module docstring), so every comparison
-is ``np.array_equal``, not a tolerance.
+is ``np.array_equal``, not a tolerance. The Hodge reference forms the full
+left singular factor of the curl split, which ``hodge_decompose`` no longer
+does; ``harmonic.json`` is checked to 1e-10 against a roundoff-sized ratio,
+so its bases must not move by a bit either.
 """
 
 import numpy as np
+import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curlstokes.analysis import _curl_factor, hodge_decompose
 from curlstokes.cases import star_case
 from curlstokes.forms import (BoundaryData, assemble_b, assemble_divergence_rhs,
                               assemble_mass, assemble_mass_nodal,
                               assemble_mean_vector, assemble_rhs,
                               assemble_stiffness, assemble_velocity_block,
                               merge_triplets)
-from curlstokes.mesh import generate_square_with_hole, generate_unit_square, jitter
+from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
+                             generate_unit_square, jitter)
 from curlstokes.quadrature import edge_rule, triangle_rule
-from curlstokes.spaces import build_edge_space, build_nodal_space
+from curlstokes.solver import KERNEL_RANK_RTOL
+from curlstokes.spaces import (build_edge_space, build_nodal_space,
+                               gradient_coefficients)
 
 _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
@@ -223,6 +233,25 @@ def loop_mean_vector(Q):
     return m
 
 
+def full_svd_hodge(V, Q):
+    """Grad, Z_h and harmonic bases with the full SVD of the curl split."""
+    m = assemble_mass(V).matrix.toarray()
+    b = assemble_b(V, Q).matrix.toarray()
+    g = gradient_coefficients(V, Q).toarray()
+    w, vecs = np.linalg.eigh(g.T @ m @ g)
+    keep = w > KERNEL_RANK_RTOL * w.max()
+    grad_basis = g @ (vecs[:, keep] / np.sqrt(w[keep]))
+    _, s, vt = np.linalg.svd(b.T, full_matrices=True)
+    rank = int((s > KERNEL_RANK_RTOL * s.max()).sum()) if s.size else 0
+    x = vt[rank:].T
+    chol = np.linalg.cholesky(x.T @ m @ x)
+    x = scipy.linalg.solve_triangular(chol, x.T, lower=True).T
+    _, s, vt = np.linalg.svd(_curl_factor(V) @ x, full_matrices=True)
+    smax = s.max(initial=0.0)
+    ranks = int((s > KERNEL_RANK_RTOL * smax).sum()) if smax > 0 else 0
+    return grad_basis, x @ vt[:ranks].T, x @ vt[ranks:].T
+
+
 # -- comparison -------------------------------------------------------------
 
 def _same(a, b) -> bool:
@@ -265,3 +294,25 @@ def test_batched_assembly_is_bit_identical_to_loops(mesh, seed, per_edge_h):
         assert np.array_equal(assemble_divergence_rhs(Q, case.g),
                               loop_divergence_rhs(Q, case.g))
         assert np.array_equal(assemble_mean_vector(Q), loop_mean_vector(Q))
+
+
+@pytest.mark.parametrize("make, order", [
+    (lambda: generate_unit_square(2), 1),
+    (lambda: generate_unit_square(2), 2),
+    (lambda: generate_l_shape(1), 1),
+    (lambda: generate_square_with_hole(3), 1),
+    (lambda: generate_square_with_hole(3), 2),
+    (lambda: generate_square_with_hole(6), 1),
+    (lambda: generate_square_with_hole(6), 2),
+    (lambda: jitter(generate_square_with_hole(6), 7), 1),
+], ids=["square2-o1", "square2-o2", "lshape1-o1", "hole3-o1", "hole3-o2",
+        "hole6-o1", "hole6-o2", "hole6-jitter7-o1"])
+def test_hodge_decomposition_is_bit_identical_to_full_svd(make, order):
+    mesh = make()
+    V = build_edge_space(mesh, order)
+    Q = build_nodal_space(mesh, order)
+    dec = hodge_decompose(V, Q)
+    grad_basis, z_basis, harmonic_basis = full_svd_hodge(V, Q)
+    assert np.array_equal(dec.grad_basis, grad_basis)
+    assert np.array_equal(dec.z_basis, z_basis)
+    assert np.array_equal(dec.harmonic_basis, harmonic_basis)
