@@ -23,7 +23,7 @@ from .forms import (assemble_b, assemble_curl_curl, assemble_mass,
                     _volume_rule)
 from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
-from .solver import KERNEL_SIZE_GUARD, KERNEL_RANK_RTOL, SizeGuardError
+from .solver import KERNEL_RANK_RTOL, _guard_size
 from .spaces import (DiscreteField, EdgeSpace, NodalSpace, _edge_field,
                      _edge_points, _nodal_field, _sample, _tabulate_edge,
                      gradient_coefficients)
@@ -150,12 +150,6 @@ def least_squares_rates(bundles: list[ErrorBundle], window: int = 3) -> dict[str
     return out
 
 
-def _guard(V: EdgeSpace, Q: NodalSpace | None = None) -> None:
-    n = V.dof_count + (Q.dof_count if Q is not None else 0)
-    if n > KERNEL_SIZE_GUARD:
-        raise SizeGuardError(f"dense probe limited to {KERNEL_SIZE_GUARD} unknowns, got {n}")
-
-
 def boundary_gram_matrices(V: EdgeSpace) -> tuple[np.ndarray, np.ndarray]:
     """Dense boundary Gram matrices of tangential traces and curl traces."""
     rule = _boundary_rule(V)
@@ -196,7 +190,7 @@ def hodge_decompose(V: EdgeSpace, Q: NodalSpace) -> HodgeDecomposition:
     is tall, so its thin SVD has them all (a wide one fails the sum check)."""
     if V.essential_bc:
         raise ValueError("decomposition is defined on the unconstrained space")
-    _guard(V, Q)
+    _guard_size(V.dof_count + Q.dof_count)
     m = assemble_mass(V).matrix.toarray()
     b = assemble_b(V, Q).matrix.toarray()
     n = V.dof_count
@@ -238,7 +232,7 @@ def estimate_trace_constants(V: EdgeSpace) -> TraceConstants:
     C_par^2 bounds h ||v . t||^2_Gamma by ||v||^2; C_n^2 bounds
     h ||curl v||^2_Gamma by ||curl v||^2 over fields with nonzero curl.
     """
-    _guard(V)
+    _guard_size(V.dof_count)
     h = V.mesh.h_max
     t_par, t_curl = boundary_gram_matrices(V)
     m = assemble_mass(V).matrix.toarray()
@@ -262,7 +256,7 @@ def estimate_infsup(V: EdgeSpace, Q: NodalSpace) -> float:
     beta_h = min over zero-mean q of max over v of b(v, q) / (|q|_1 |||v|||),
     computed densely; the theory predicts beta_h ~ h.
     """
-    _guard(V, Q)
+    _guard_size(V.dof_count + Q.dof_count)
     h = V.mesh.h_max
     t_par, t_curl = boundary_gram_matrices(V)
     m = assemble_mass(V).matrix.toarray()

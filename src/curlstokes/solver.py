@@ -1,11 +1,17 @@
-"""Saddle-point solver with zero-mean pressure and kernel diagnostics.
+"""Saddle-point solver with zero-mean pressure and a dense kernel probe.
 
 The discrete system couples the velocity operator A with the pressure
 gradient B; the pressure mean is pinned through a scalar Lagrange
 multiplier rather than by eliminating a degree of freedom, which would
-perturb the inf-sup structure. The default path is a direct sparse
-factorization (dense for tiny systems); kernel_probe exposes a dense
-rank-revealing analysis for the ill-posedness counterexample.
+perturb the inf-sup structure.
+
+``solve`` is direct and has two paths: a dense rank-revealing SVD up to 400
+unknowns, and above that a sparse LU factor whose singularity a seeded
+random right-hand side exposes. A solution must also reach a true relative
+residual of 1e-10. A singular system is reported, not raised, at the cost of
+the solve itself: ``solve`` has no iterative fallback and never computes a
+kernel. Kernel dimensions and witnesses come only from ``kernel_probe``, a
+dense SVD behind the size guard, as the ill-posedness counterexample uses it.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import MatrixRankWarning, minres, splu
+from scipy.sparse.linalg import MatrixRankWarning, splu
 
 from .spaces import DiscreteField, EdgeSpace, NodalSpace
 
@@ -26,10 +32,8 @@ _DENSE_CUTOFF = 400
 #: counts as singular; well-posed systems reach about 1e-10, singular ones 1e3
 #: to 1e16
 _PROBE_RTOL = 1e-6
-
-
-class SolverError(Exception):
-    """Linear solve failed to reach the requested residual."""
+#: relative residual of the solution above which a solve counts as singular
+_RESIDUAL_RTOL = 1e-10
 
 
 class SizeGuardError(Exception):
@@ -74,12 +78,13 @@ class KernelReport:
 
 @dataclass
 class SolveReport:
+    """Outcome of ``solve``. A singular system has ``singular=True``, NaN
+    fields and an infinite residual, and carries no kernel."""
+
     u: DiscreteField | np.ndarray
     p: DiscreteField | np.ndarray
     residual: float
-    iterations: int | None
     singular: bool
-    kernel: KernelReport | None = None
 
 
 def _augmented(system: SaddleSystem) -> tuple[sparse.csc_array, np.ndarray]:
@@ -95,27 +100,19 @@ def _augmented(system: SaddleSystem) -> tuple[sparse.csc_array, np.ndarray]:
     return k, rhs
 
 
-def solve(system: SaddleSystem, tol: float = 1e-10, method: str = "direct") -> SolveReport:
+def solve(system: SaddleSystem) -> SolveReport:
     """Solve the augmented symmetric indefinite system.
 
-    Returns a report whose pressure has zero mean; when the operator is
-    singular the report carries the kernel analysis instead of raising.
+    Returns a report whose pressure has zero mean. A singular operator is
+    reported, not raised; its kernel is left to ``kernel_probe``.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if method not in ("direct", "minres"):
-        raise ValueError(f"unknown solve method {method!r}; use 'direct' or 'minres'")
     k, rhs = _augmented(system)
     n = k.shape[0]
-    iterations = None
     singular = False
-    z = None
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
-            if method == "minres":
-                z, iterations = _solve_minres(system, k, rhs, tol)
-            elif n <= _DENSE_CUTOFF:
+            if n <= _DENSE_CUTOFF:
                 # rank-revealing path: a singular operator with zero data would
                 # otherwise sneak through as the zero solution
                 u_svd, s, vt = np.linalg.svd(k.toarray())
@@ -135,35 +132,24 @@ def solve(system: SaddleSystem, tol: float = 1e-10, method: str = "direct") -> S
         except (np.linalg.LinAlgError, MatrixRankWarning, RuntimeError):
             singular = True
 
-    if z is not None and not np.isfinite(z).all():
-        singular = True
-    scale = max(float(np.linalg.norm(rhs)), 1.0)
-    residual = float(np.linalg.norm(k @ z - rhs) / scale) if z is not None else np.inf
-    if not singular and residual > tol:
-        if method == "minres":
-            raise SolverError(f"iterative solve stalled at relative residual {residual:.3e}")
-        singular = True
-
-    kernel = None
+    if not singular:
+        scale = max(float(np.linalg.norm(rhs)), 1.0)
+        residual = float(np.linalg.norm(k @ z - rhs) / scale)
+        singular = not (np.isfinite(z).all() and residual <= _RESIDUAL_RTOL)
     if singular:
-        if system.n_u + system.n_q <= KERNEL_SIZE_GUARD:
-            kernel = kernel_probe(system)
-        u = np.full(system.n_u, np.nan)
-        p = np.full(system.n_q, np.nan)
-        residual = np.inf
-    else:
-        u = z[:system.n_u]
-        p = z[system.n_u:system.n_u + system.n_q]
-        total = float(system.mean_vector.sum())
-        if total > 0:
-            p = p - (system.mean_vector @ p) / total
+        return SolveReport(u=np.full(system.n_u, np.nan), p=np.full(system.n_q, np.nan),
+                           residual=np.inf, singular=True)
 
-    if system.velocity_space is not None and not singular:
+    u = z[:system.n_u]
+    p = z[system.n_u:system.n_u + system.n_q]
+    total = float(system.mean_vector.sum())
+    if total > 0:
+        p = p - (system.mean_vector @ p) / total
+    if system.velocity_space is not None:
         u = DiscreteField(system.velocity_space, u)
-    if system.pressure_space is not None and not singular:
+    if system.pressure_space is not None:
         p = DiscreteField(system.pressure_space, p)
-    return SolveReport(u=u, p=p, residual=residual,
-                       iterations=iterations, singular=singular, kernel=kernel)
+    return SolveReport(u=u, p=p, residual=residual, singular=False)
 
 
 def _factor(matrix: sparse.csc_array):
@@ -176,53 +162,10 @@ def _factor(matrix: sparse.csc_array):
         raise MemoryError(f"sparse LU factorization: {exc}") from exc
 
 
-def _solve_minres(system: SaddleSystem, k: sparse.csc_array, rhs: np.ndarray, tol: float):
-    """Symmetric indefinite iterative fallback with a block-diagonal preconditioner.
-
-    The velocity block is preconditioned by the full velocity operator plus
-    the mass matrix, the pressure block by the h^2-scaled stiffness (shifted
-    by the mass matrix to control the constant mode that the multiplier row
-    pins). The true residual is checked outside minres's own recurrence.
-    """
-    from .forms import assemble_mass, assemble_mass_nodal, assemble_stiffness
-
-    if system.velocity_space is None or system.pressure_space is None:
-        precond = None
-    else:
-        mass = assemble_mass(system.velocity_space).matrix
-        stiff = assemble_stiffness(system.pressure_space).matrix
-        mass_q = assemble_mass_nodal(system.pressure_space).matrix
-        h = system.velocity_space.mesh.h_max
-        pu = _factor((system.A + mass).tocsc())
-        pq = _factor((h ** 2 * (stiff + mass_q)).tocsc())
-
-        def apply(v):
-            out = np.empty_like(v)
-            out[:system.n_u] = pu.solve(v[:system.n_u])
-            out[system.n_u:system.n_u + system.n_q] = pq.solve(
-                v[system.n_u:system.n_u + system.n_q])
-            out[-1] = v[-1]
-            return out
-
-        precond = sparse.linalg.LinearOperator(k.shape, matvec=apply, dtype=float)
-
-    count = {"n": 0}
-
-    def cb(_):
-        count["n"] += 1
-
-    scale = max(float(np.linalg.norm(rhs)), 1.0)
-    z = np.zeros_like(rhs)
-    rtol = tol
-    for _ in range(8):
-        z, info = minres(k, rhs, x0=z, rtol=rtol, maxiter=100 * k.shape[0],
-                         M=precond, callback=cb)
-        if info != 0:
-            break
-        if np.linalg.norm(k @ z - rhs) / scale <= tol:
-            return z, count["n"]
-        rtol *= 1e-2
-    raise SolverError(f"minres stalled after {count['n']} iterations")
+def _guard_size(n: int) -> None:
+    """Refuse a dense diagnostic of ``n`` unknowns above the size guard."""
+    if n > KERNEL_SIZE_GUARD:
+        raise SizeGuardError(f"dense probe limited to {KERNEL_SIZE_GUARD} unknowns, got {n}")
 
 
 def kernel_probe(system: SaddleSystem) -> KernelReport:
@@ -233,9 +176,7 @@ def kernel_probe(system: SaddleSystem) -> KernelReport:
     coordinates.
     """
     n_u, n_q = system.n_u, system.n_q
-    if n_u + n_q > KERNEL_SIZE_GUARD:
-        raise SizeGuardError(
-            f"kernel probe limited to {KERNEL_SIZE_GUARD} unknowns, got {n_u + n_q}")
+    _guard_size(n_u + n_q)
     m = system.mean_vector
     if np.linalg.norm(m) == 0:
         z_basis = np.eye(n_q)

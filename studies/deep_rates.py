@@ -2,7 +2,7 @@
 
 ``solver.solve`` factors the indefinite saddle matrix with SuperLU, which
 runs out of memory near 250k unknowns. This study solves each level through
-the augmented-Lagrangian reformulation instead (ROADMAP item 3):
+the augmented-Lagrangian reformulation instead (ROADMAP item 1):
 
     A_g = A + g B W^-1 B^T      (SPD; W = diagonal of the pressure mass)
     S p = B^T A_g^-1 (f + g B W^-1 q) - q,   S = B^T A_g^-1 B,
