@@ -73,7 +73,8 @@ class TraceConstants:
 
     @property
     def recommended_cw(self) -> float:
-        return 4.0 * self.c_n
+        """Twice the coercivity threshold C_n^2 of the velocity block."""
+        return 2.0 * self.c_n ** 2
 
 
 def compute_errors(u_h: DiscreteField, p_h: DiscreteField, case, mesh: Mesh) -> ErrorBundle:

@@ -31,11 +31,8 @@ EXIT_SIZE_GUARD = 4
 EXIT_MEMORY = 5
 EXIT_BETTI_MISMATCH = 6
 
-CSV_COLUMNS = ["level", "h", "dofs_u", "dofs_p",
-               "err_u_l2", "err_u_curl", "err_u_hash", "err_gpar",
-               "err_gcurl", "err_p_l2", "err_p_h1"]
-EOC_COLUMNS = ["eoc_u_l2", "eoc_u_curl", "eoc_u_hash", "eoc_gpar",
-               "eoc_gcurl", "eoc_p_l2", "eoc_p_h1"]
+CSV_COLUMNS = ["level", "h", "dofs_u", "dofs_p", *NORM_COLUMNS.values()]
+EOC_COLUMNS = [col.replace("err_", "eoc_", 1) for col in NORM_COLUMNS.values()]
 
 
 def _json_dump(data, path: Path) -> None:
@@ -46,13 +43,9 @@ def _write_errors_csv(run: ConvergenceRun, path: Path) -> None:
     eoc = compute_eoc(run.bundles)
     lines = [",".join(CSV_COLUMNS + EOC_COLUMNS)]
     for k, b in enumerate(run.bundles):
-        row = [str(k), repr(b.h), str(b.dofs_u), str(b.dofs_p),
-               repr(b.err_u_l2), repr(b.err_u_curl_seminorm), repr(b.err_u_hash),
-               repr(b.err_gpar_boundary), repr(b.err_gcurl_boundary),
-               repr(b.err_p_l2), repr(b.err_p_h1_seminorm)]
-        for col in EOC_COLUMNS:
-            key = col.replace("eoc_", "err_", 1)
-            row.append("" if k == 0 else repr(eoc[key][k - 1]))
+        row = [str(k), repr(b.h), str(b.dofs_u), str(b.dofs_p)]
+        row += [repr(getattr(b, attr)) for attr in NORM_COLUMNS]
+        row += ["" if k == 0 else repr(eoc[col][k - 1]) for col in NORM_COLUMNS.values()]
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
 
@@ -85,27 +78,13 @@ def _write_svgs(run: ConvergenceRun, outdir: Path) -> None:
     hs = [b.h for b in bundles]
     r = run.config["order"]
     groups = {
-        "convergence_velocity.svg": (
-            "velocity errors",
-            {"err_u_l2": [b.err_u_l2 for b in bundles],
-             "err_u_curl": [b.err_u_curl_seminorm for b in bundles],
-             "err_u_hash": [b.err_u_hash for b in bundles]},
-            (float(r), r - 0.5),
-        ),
-        "convergence_boundary.svg": (
-            "boundary trace errors",
-            {"err_gpar": [b.err_gpar_boundary for b in bundles],
-             "err_gcurl": [b.err_gcurl_boundary for b in bundles]},
-            (float(r),),
-        ),
-        "convergence_pressure.svg": (
-            "pressure errors",
-            {"err_p_l2": [b.err_p_l2 for b in bundles],
-             "err_p_h1": [b.err_p_h1_seminorm for b in bundles]},
-            (r - 0.5,),
-        ),
+        "convergence_velocity.svg": ("velocity errors", "err_u_", (float(r), r - 0.5)),
+        "convergence_boundary.svg": ("boundary trace errors", "err_g", (float(r),)),
+        "convergence_pressure.svg": ("pressure errors", "err_p_", (r - 0.5,)),
     }
-    for fname, (title, series, slopes) in groups.items():
+    for fname, (title, prefix, slopes) in groups.items():
+        series = {col: [getattr(b, attr) for b in bundles]
+                  for attr, col in NORM_COLUMNS.items() if col.startswith(prefix)}
         (outdir / fname).write_text(loglog_chart(
             f"{run.config['case']} order {r}: {title}", hs, series, slopes))
 

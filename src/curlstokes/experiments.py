@@ -37,7 +37,7 @@ def build_saddle_system(mesh: Mesh, order: int, case: ManufacturedCase,
         rhs_u = np.zeros(V.dof_count)
         rhs_q = np.zeros(Q.dof_count)
     else:
-        bd = BoundaryData(g=case.g, C_w=C_w, h=mesh.h_max, per_edge_h=per_edge_h)
+        bd = BoundaryData(g=case.g, C_w=C_w, per_edge_h=per_edge_h)
         A = assemble_velocity_block(V, bd)
         rhs_u = assemble_rhs(V, case.f, bd)
         rhs_q = assemble_divergence_rhs(Q, case.g)

@@ -54,20 +54,17 @@ class BoundaryData:
 
     ``g(x, y)`` returns the full boundary velocity (both components); the
     assembly pairs it against tangential traces, which selects the
-    tangential part automatically. ``h`` is the global mesh size used in
-    the C_w/h scaling unless ``per_edge_h`` replaces it by edge lengths.
+    tangential part automatically. The penalty is C_w/h with h the mesh's
+    ``h_max``, unless ``per_edge_h`` replaces h by edge lengths.
     """
 
     g: Callable
     C_w: float
-    h: float
     per_edge_h: bool = False
 
     def __post_init__(self):
         if self.C_w <= 0:
             raise ValueError("penalty constant must be positive")
-        if self.h <= 0:
-            raise ValueError("mesh size must be positive")
 
 
 def merge_triplets(rows, cols, vals, shape) -> sparse.csr_array:
@@ -143,9 +140,9 @@ def _boundary_edge_data(V: EdgeSpace, rule):
     return tri, length, pts, trace, curls
 
 
-def _penalty(bd: BoundaryData, length: np.ndarray) -> np.ndarray:
+def _penalty(V: EdgeSpace, bd: BoundaryData, length: np.ndarray) -> np.ndarray:
     """C_w / h per boundary edge."""
-    return bd.C_w / (length if bd.per_edge_h else np.full_like(length, bd.h))
+    return bd.C_w / (length if bd.per_edge_h else np.full_like(length, V.mesh.h_max))
 
 
 def assemble_nitsche(V: EdgeSpace, bd: BoundaryData) -> SparseOperator:
@@ -153,7 +150,7 @@ def assemble_nitsche(V: EdgeSpace, bd: BoundaryData) -> SparseOperator:
     rule = _boundary_rule(V)
     tri, length, _, trace, curls = _boundary_edge_data(V, rule)
     w = length[:, None] * rule.weights
-    pen = _penalty(bd, length)[:, None, None] * np.einsum("ek,eki,ekj->eij", w, trace, trace)
+    pen = _penalty(V, bd, length)[:, None, None] * np.einsum("ek,eki,ekj->eij", w, trace, trace)
     cons = -np.einsum("ek,eki,ekj->eij", w, trace, curls)
     local = pen + cons + cons.transpose(0, 2, 1)
     dofs = V.cell_dofs[tri]
@@ -213,7 +210,7 @@ def assemble_rhs(V: EdgeSpace, f: Callable, bd: BoundaryData) -> np.ndarray:
     gt = np.matmul(_sample(bd.g, pts), mesh.boundary_tangents[:, :, None])[..., 0]
     w = length[:, None] * brule.weights
     np.add.at(full, V.cell_dofs[tri],
-              _penalty(bd, length)[:, None] * np.einsum("ek,ek,eki->ei", w, gt, trace)
+              _penalty(V, bd, length)[:, None] * np.einsum("ek,ek,eki->ei", w, gt, trace)
               - np.einsum("ek,ek,eki->ei", w, gt, curls))
     return V.restrict(full)
 

@@ -13,6 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# largest jitter offset per coordinate, as a fraction of the shortest incident
+# edge; up to 0.2 keeps every triangle positively oriented
+JITTER_MAGNITUDE = 0.2
+
 
 class MeshError(Exception):
     """Base class for mesh construction and file errors."""
@@ -166,28 +170,16 @@ def build_mesh(vertices, triangles) -> Mesh:
                 edge_triangles, boundary_edges, normals, tangents, h_max)
 
 
-def _grid_mesh(xs: np.ndarray, ys: np.ndarray, keep_cell) -> Mesh:
-    """Criss-cross mesh over a tensor grid, keeping cells where keep_cell(i, j)."""
+def _grid_mesh(xs: np.ndarray, ys: np.ndarray, keep: np.ndarray) -> Mesh:
+    """Criss-cross mesh over a tensor grid, keeping the cells where the
+    (ny, nx) boolean mask ``keep`` is set; two triangles per cell, row by row."""
     nx = xs.size - 1
-    ny = ys.size - 1
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            if not keep_cell(i, j):
-                continue
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            tris.append((a, b, d))
-            tris.append((b, c, d))
-    triangles = np.array(tris, dtype=np.int64)
+    j, i = np.nonzero(keep)
+    a = j * (nx + 1) + i               # lower-left corner; b, c, d counterclockwise
+    b, c, d = a + 1, a + nx + 2, a + nx + 1
+    triangles = np.column_stack([a, b, d, b, c, d]).reshape(-1, 3).astype(np.int64)
 
     used = np.unique(triangles.ravel())
     remap = -np.ones(vertices.shape[0], dtype=np.int64)
@@ -200,7 +192,7 @@ def generate_unit_square(n: int) -> Mesh:
     if n < 1:
         raise ValueError("subdivision count must be >= 1")
     coords = np.arange(n + 1) / n
-    return _grid_mesh(coords, coords, lambda i, j: True)
+    return _grid_mesh(coords, coords, np.ones((n, n), dtype=bool))
 
 
 def generate_square_with_hole(n: int) -> Mesh:
@@ -209,10 +201,8 @@ def generate_square_with_hole(n: int) -> Mesh:
         raise ValueError("subdivision count must be a positive multiple of 3")
     coords = np.arange(n + 1) / n
     third = n // 3
-
-    def keep(i, j):
-        return not (third <= i < 2 * third and third <= j < 2 * third)
-
+    keep = np.ones((n, n), dtype=bool)
+    keep[third:2 * third, third:2 * third] = False
     return _grid_mesh(coords, coords, keep)
 
 
@@ -224,10 +214,8 @@ def generate_l_shape(n: int) -> Mesh:
     if n < 1:
         raise ValueError("subdivision count must be >= 1")
     coords = -1.0 + np.arange(2 * n + 1) / n
-
-    def keep(i, j):
-        return not (i >= n and j < n)
-
+    keep = np.ones((2 * n, 2 * n), dtype=bool)
+    keep[:n, n:] = False               # rows are y, columns x
     return _grid_mesh(coords, coords, keep)
 
 
@@ -250,15 +238,13 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     return build_mesh(vertices, tris)
 
 
-def jitter(mesh: Mesh, seed: int, magnitude: float = 0.2) -> Mesh:
+def jitter(mesh: Mesh, seed: int) -> Mesh:
     """Perturb interior vertices by a seeded uniform offset.
 
-    Each interior vertex moves by at most ``magnitude`` times its shortest
-    incident edge per coordinate, which keeps all triangles positively
-    oriented for magnitude <= 0.2. Boundary vertices stay put.
+    Each interior vertex moves by at most ``JITTER_MAGNITUDE`` times its
+    shortest incident edge per coordinate, which keeps all triangles
+    positively oriented. Boundary vertices stay put.
     """
-    if not 0.0 < magnitude <= 0.2:
-        raise ValueError("jitter magnitude must be in (0, 0.2]")
     lengths = np.hypot(*(mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]).T)
     local = np.full(mesh.vertex_count, np.inf)
     for k in range(2):
@@ -267,7 +253,7 @@ def jitter(mesh: Mesh, seed: int, magnitude: float = 0.2) -> Mesh:
     rng = np.random.default_rng(seed)
     offsets = rng.uniform(-1.0, 1.0, size=(mesh.vertex_count, 2))
     vertices = mesh.vertices.copy()
-    vertices[interior] += magnitude * local[interior, None] * offsets[interior]
+    vertices[interior] += JITTER_MAGNITUDE * local[interior, None] * offsets[interior]
     return build_mesh(vertices, mesh.triangles)
 
 

@@ -177,6 +177,23 @@ def build_edge_space(mesh: Mesh, order: int, essential_bc: bool = False) -> Edge
                      grads, coeff, centroids, scales)
 
 
+def _edge_moments(rule, length: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """Edge degrees of freedom: moments of tangential traces (..., k, m),
+    sampled at ``rule.points`` along edges of lengths (...), against 1 and
+    2s - 1. Returns (..., 2, m)."""
+    leg = 2.0 * rule.points - 1.0
+    return length[..., None, None] * np.stack(
+        [np.matmul(rule.weights, trace), np.matmul(rule.weights * leg, trace)], axis=-2)
+
+
+def _cell_moments(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Interior degrees of freedom of order 2: moments of fields (F, k, m, 2)
+    against the two constant fields, with physical weights (F, k). Returns
+    (F, 2, m)."""
+    return np.stack([np.matmul(w[:, None, :], vals[..., 0])[:, 0],
+                     np.matmul(w[:, None, :], vals[..., 1])[:, 0]], axis=1)
+
+
 def _build_n2_coefficients(mesh: Mesh):
     """Per-triangle coefficients of the order-2 dual basis via moment matrices."""
     erule = edge_rule(4)
@@ -186,8 +203,6 @@ def _build_n2_coefficients(mesh: Mesh):
     centroids = verts.mean(axis=1)
     edge_vecs = mesh.vertices[mesh.triangles[:, [1, 2, 0]]] - verts
     scales = np.sqrt((edge_vecs ** 2).sum(axis=2)).max(axis=1)
-    s = erule.points
-    leg = 2.0 * s - 1.0
 
     def monomials(pts):   # (F, ..., 2) -> (F, ..., 8, 2)
         cell = (slice(None),) + (None,) * (pts.ndim - 2)
@@ -199,16 +214,12 @@ def _build_n2_coefficients(mesh: Mesh):
     xa, vec = ends[:, :, 0], ends[:, :, 1] - ends[:, :, 0]
     length = np.hypot(vec[..., 0], vec[..., 1])                    # (F, 3)
     tang = vec / length[..., None]
-    pts = xa[:, :, None, :] + s[:, None] * vec[:, :, None, :]
+    pts = xa[:, :, None, :] + erule.points[:, None] * vec[:, :, None, :]
     trace = np.matmul(monomials(pts), tang[:, :, None, :, None])[..., 0]   # (F, 3, k, 8)
     moments = np.empty((mesh.triangle_count, 8, 8))
-    moments[:, 0:6:2] = length[..., None] * np.matmul(erule.weights, trace)
-    moments[:, 1:6:2] = length[..., None] * np.matmul(erule.weights * leg, trace)
-    # interior moments against the two constant fields
-    mono = monomials(np.matmul(trule.points, verts))                 # (F, k, 8, 2)
+    moments[:, :6] = _edge_moments(erule, length, trace).reshape(-1, 6, 8)
     w = 2.0 * areas[:, None] * trule.weights
-    moments[:, 6] = np.matmul(w[:, None, :], mono[..., 0])[:, 0]
-    moments[:, 7] = np.matmul(w[:, None, :], mono[..., 1])[:, 0]
+    moments[:, 6:] = _cell_moments(w, monomials(np.matmul(trule.points, verts)))
     return np.linalg.inv(moments), centroids, scales
 
 
@@ -353,45 +364,36 @@ def eval_nodal_field(field: DiscreteField, triangle: int, points) -> tuple[np.nd
     return vals[0], grads[0]
 
 
-def interpolate_cellwise(space: EdgeSpace, eval_on_triangle) -> DiscreteField:
-    """Edge-moment interpolation of a field given by a per-triangle evaluator.
+def interpolate_edge(space: EdgeSpace, field: Callable | DiscreteField) -> DiscreteField:
+    """Interpolate a vector field by its edge (and, at order 2, interior) moments.
 
-    ``eval_on_triangle(t, bary)`` must return values of shape (k, 2). Edge
-    moments are taken from one adjacent triangle; this is well defined for
+    ``field`` is either a callable ``field(x, y) -> (k, 2)`` or a
+    DiscreteField on an edge space over the same mesh. Edge moments are
+    taken from the first adjacent triangle; this is well defined for
     tangentially continuous fields.
     """
     mesh = space.mesh
+    discrete = isinstance(field, DiscreteField)
+    if discrete and (field.space.mesh is not mesh or not isinstance(field.space, EdgeSpace)):
+        raise ValueError("field must be an edge field on the same mesh")
+
+    def values(bary, cells, pts):
+        return _edge_field(field, bary, cells)[0] if discrete else _sample(field, pts)
+
     degree = 2 * space.order + 2
     erule = edge_rule(degree)
-    leg = 2.0 * erule.points - 1.0
-    tri, length, bary, _ = _edge_points(mesh, np.arange(mesh.edge_count), erule.points)
+    tri, length, bary, pts = _edge_points(mesh, np.arange(mesh.edge_count), erule.points)
     tang = np.diff(mesh.vertices[mesh.edges], axis=1)[:, 0] / length[:, None]
-    full = np.zeros(space.full_dof_count)
-    for e in range(mesh.edge_count):
-        trace = eval_on_triangle(int(tri[e]), bary[e]) @ tang[e]
-        if space.order == 1:
-            full[e] = length[e] * (erule.weights @ trace)
-        else:
-            full[2 * e] = length[e] * (erule.weights @ trace)
-            full[2 * e + 1] = length[e] * ((erule.weights * leg) @ trace)
-    if space.order == 2:
+    trace = np.matmul(values(bary, tri, pts), tang[:, :, None])          # (E, k, 1)
+    full = _edge_moments(erule, length, trace).ravel()
+    if space.order == 1:
+        full = full[0::2]
+    else:
         trule = triangle_rule(degree)
-        areas = mesh.signed_areas()
-        for t in range(mesh.triangle_count):
-            vals = eval_on_triangle(t, trule.points)
-            w = 2.0 * areas[t] * trule.weights
-            full[space.cell_dofs[t, 6]] = w @ vals[:, 0]
-            full[space.cell_dofs[t, 7]] = w @ vals[:, 1]
+        vals = values(trule.points, _ALL, np.matmul(trule.points, mesh.vertices[mesh.triangles]))
+        w = 2.0 * mesh.signed_areas()[:, None] * trule.weights
+        full = np.concatenate([full, _cell_moments(w, vals[:, :, None]).ravel()])
     return DiscreteField(space, space.restrict(full))
-def interpolate_edge(space: EdgeSpace, field: Callable) -> DiscreteField:
-    """Interpolate an analytic vector field ``field(x, y) -> (k, 2)``."""
-    mesh = space.mesh
-
-    def on_triangle(t, bary):
-        pts = np.atleast_2d(bary) @ mesh.vertices[mesh.triangles[t]]
-        return np.asarray(field(pts[:, 0], pts[:, 1]), dtype=float)
-
-    return interpolate_cellwise(space, on_triangle)
 
 
 def interpolate_nodal(space: NodalSpace, f: Callable) -> DiscreteField:
@@ -422,27 +424,23 @@ def gradient_coefficients(edge_space: EdgeSpace, nodal_space: NodalSpace) -> csr
         return csr_array((vals, (rows, cols)), shape=(ne, nodal_space.dof_count))
 
     erule = edge_rule(4)
-    leg = 2.0 * erule.points - 1.0
     trule = triangle_rule(2)
     # edge moments of the tangential trace, from the first adjacent triangle
     tri, length, bary, _ = _edge_points(mesh, np.arange(mesh.edge_count), erule.points)
     tang = np.diff(mesh.vertices[mesh.edges], axis=1)[:, 0] / length[:, None]
     _, grads = _tabulate_nodal(nodal_space, bary, tri)                  # (E, k, 6, 2)
     trace = np.matmul(grads, tang[:, None, :, None])[..., 0]           # (E, k, 6)
-    edge_vals = np.stack([length[:, None] * np.matmul(erule.weights, trace),
-                          length[:, None] * np.matmul(erule.weights * leg, trace)], axis=-1)
-    edge_rows = np.broadcast_to(2 * np.arange(mesh.edge_count)[:, None, None] + [0, 1],
-                                edge_vals.shape)
-    # interior moments against the two constant fields
-    _, grads = _tabulate_nodal(nodal_space, trule.points)              # (F, k, 6, 2)
+    _, cell_grads = _tabulate_nodal(nodal_space, trule.points)         # (F, k, 6, 2)
     w = 2.0 * mesh.signed_areas()[:, None] * trule.weights
-    cell_vals = np.stack([np.matmul(w[:, None, :], grads[..., 0])[:, 0],
-                          np.matmul(w[:, None, :], grads[..., 1])[:, 0]], axis=-1)
-    cell_rows = np.broadcast_to(edge_space.cell_dofs[:, None, 6:], cell_vals.shape)
-    rows = np.concatenate([edge_rows.ravel(), cell_rows.ravel()])
-    cols = np.concatenate([np.repeat(nodal_space.cell_dofs[tri], 2),
-                           np.repeat(nodal_space.cell_dofs, 2)])
-    return csr_array((np.concatenate([edge_vals.ravel(), cell_vals.ravel()]), (rows, cols)),
+    # one block per edge and per triangle: 2 moment rows by 6 nodal columns
+    vals = np.concatenate([_edge_moments(erule, length, trace),
+                           _cell_moments(w, cell_grads)])               # (E + F, 2, 6)
+    row_dofs = np.concatenate([2 * np.arange(mesh.edge_count)[:, None] + [0, 1],
+                               edge_space.cell_dofs[:, 6:]])
+    col_dofs = np.concatenate([nodal_space.cell_dofs[tri], nodal_space.cell_dofs])
+    rows = np.broadcast_to(row_dofs[:, :, None], vals.shape)
+    cols = np.broadcast_to(col_dofs[:, None, :], vals.shape)
+    return csr_array((vals.ravel(), (rows.ravel(), cols.ravel())),
                      shape=(edge_space.full_dof_count, nodal_space.dof_count))
 
 

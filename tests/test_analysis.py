@@ -10,9 +10,10 @@ from curlstokes.analysis import (betti_number, compute_eoc, compute_errors,
 from curlstokes.cases import get_case, linear_case
 from curlstokes.experiments import (build_saddle_system, discrete_hash_norm,
                                     run_harmonic)
-from curlstokes.forms import assemble_mass
+from curlstokes.forms import (BoundaryData, assemble_mass,
+                              assemble_velocity_block)
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
-                             generate_unit_square, two_triangle_square)
+                             generate_unit_square, jitter, two_triangle_square)
 from curlstokes.solver import solve
 from curlstokes.spaces import (build_edge_space, build_nodal_space,
                                interpolate_edge, interpolate_nodal)
@@ -159,7 +160,18 @@ def test_trace_constants_stable_under_refinement():
         a, b = getattr(consts[0], attr), getattr(consts[1], attr)
         assert a > 0 and b > 0
         assert abs(a - b) / max(a, b) <= 0.25
-    assert consts[0].recommended_cw == pytest.approx(4 * consts[0].c_n)
+    assert consts[0].recommended_cw == pytest.approx(2 * consts[0].c_n ** 2)
+
+
+def test_recommended_penalty_keeps_velocity_block_semidefinite():
+    # coercivity needs C_w > C_n^2; on this order-2 mesh C_n^2 = 16.57 lies
+    # above 4 C_n = 16.28, a penalty that leaves two negative eigenvalues
+    V = build_edge_space(jitter(generate_unit_square(6), 0), 2)
+    cw = estimate_trace_constants(V).recommended_cw
+    zero_g = lambda x, y: np.zeros((np.size(x), 2))
+    ev = np.linalg.eigvalsh(assemble_velocity_block(V, BoundaryData(zero_g, C_w=cw))
+                            .matrix.toarray())
+    assert ev.min() >= -1e-12 * ev.max()
 
 
 def test_infsup_scales_linearly_in_h():

@@ -174,7 +174,7 @@ def loop_velocity_block(V, bd):
     blocks = []
     for _, _, t, length, trace, curls in loop_boundary(V, brule):
         w = length * brule.weights
-        h_eff = length if bd.per_edge_h else bd.h
+        h_eff = length if bd.per_edge_h else V.mesh.h_max
         pen = (bd.C_w / h_eff) * np.einsum("k,ki,kj->ij", w, trace, trace)
         cons = -np.einsum("k,ki,kj->ij", w, trace, curls)
         blocks.append(_block(V.cell_dofs[t], V.cell_dofs[t], pen + cons + cons.T))
@@ -199,7 +199,7 @@ def loop_rhs(V, f, bd):
             mesh.vertices[b] - mesh.vertices[a])[None, :]
         gt = np.asarray(bd.g(pts[:, 0], pts[:, 1]), dtype=float) @ mesh.boundary_tangents[k]
         w = length * brule.weights
-        h_eff = length if bd.per_edge_h else bd.h
+        h_eff = length if bd.per_edge_h else V.mesh.h_max
         np.add.at(full, V.cell_dofs[t],
                   (bd.C_w / h_eff) * np.einsum("k,k,ki->i", w, gt, trace)
                   - np.einsum("k,k,ki->i", w, gt, curls))
@@ -270,7 +270,7 @@ def test_batched_assembly_is_bit_identical_to_loops(mesh, seed, per_edge_h):
     if seed is not None:
         mesh = jitter(mesh, seed)
     case = star_case()
-    bd = BoundaryData(g=case.g, C_w=10.0, h=mesh.h_max, per_edge_h=per_edge_h)
+    bd = BoundaryData(g=case.g, C_w=10.0, per_edge_h=per_edge_h)
     for order in (1, 2):
         V = build_edge_space(mesh, order)
         Q = build_nodal_space(mesh, order)

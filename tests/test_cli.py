@@ -116,7 +116,7 @@ def test_probe_command(tmp_path):
     assert len(levels) == 3
     for row in levels:
         assert row["C_par"] > 0
-        assert row["recommended_C_w"] == pytest.approx(4 * row["C_n"])
+        assert row["recommended_C_w"] == pytest.approx(2 * row["C_n"] ** 2)
     cns = [row["C_n"] for row in levels]
     assert max(cns[:2]) / min(cns[:2]) <= 1.25
     betas = [row["beta_over_h"] for row in levels]

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curlstokes.analysis import estimate_trace_constants
 from curlstokes.cases import linear_case, star_case
+from curlstokes.experiments import build_saddle_system
 from curlstokes.forms import (BoundaryData, assemble_b, assemble_curl_curl,
                               assemble_divergence_rhs, assemble_mass,
                               assemble_mean_vector, assemble_nitsche,
@@ -11,9 +14,11 @@ from curlstokes.forms import (BoundaryData, assemble_b, assemble_curl_curl,
                               merge_triplets)
 from curlstokes.mesh import (generate_unit_square, jitter, refine_uniform,
                              two_triangle_square)
+from curlstokes.solver import solve
 from curlstokes.spaces import (DiscreteField, build_edge_space,
                                build_nodal_space, gradient_coefficients,
                                interpolate_edge, interpolate_nodal)
+from mesh_strategies import jittered_meshes
 
 
 def zero_g(x, y):
@@ -102,9 +107,9 @@ def test_nitsche_penalty_block_by_linearity():
     tt = two_triangle_square()
     V = build_edge_space(tt, 1)
     h = tt.h_max
-    n1 = assemble_nitsche(V, BoundaryData(zero_g, C_w=1.0, h=h)).matrix.toarray()
-    n2 = assemble_nitsche(V, BoundaryData(zero_g, C_w=2.0, h=h)).matrix.toarray()
-    n3 = assemble_nitsche(V, BoundaryData(zero_g, C_w=3.0, h=h)).matrix.toarray()
+    n1 = assemble_nitsche(V, BoundaryData(zero_g, C_w=1.0)).matrix.toarray()
+    n2 = assemble_nitsche(V, BoundaryData(zero_g, C_w=2.0)).matrix.toarray()
+    n3 = assemble_nitsche(V, BoundaryData(zero_g, C_w=3.0)).matrix.toarray()
     penalty = n2 - n1
     assert np.allclose(n3 - n2, penalty, atol=1e-13)           # linear in C_w
     consistency = n1 - penalty
@@ -120,28 +125,48 @@ def test_nitsche_vanishes_on_interior_bubble_gradient():
     m = generate_unit_square(2)
     V = build_edge_space(m, 1)
     Q = build_nodal_space(m, 1)
-    N = assemble_nitsche(V, BoundaryData(zero_g, C_w=10.0, h=m.h_max)).matrix
+    N = assemble_nitsche(V, BoundaryData(zero_g, C_w=10.0)).matrix
     G = gradient_coefficients(V, Q).toarray()
     center = int(np.nonzero((m.vertices == [0.5, 0.5]).all(axis=1))[0][0])
     g = G[:, center]
     assert np.abs(N @ g).max() <= 1e-13
 
 
+meshes = jittered_meshes(12, [3, 6])
+
+
 @pytest.mark.parametrize("order", [1, 2])
-def test_velocity_block_symmetric(order):
-    m = jitter(generate_unit_square(2), seed=4)
-    V = build_edge_space(m, order)
-    bd = BoundaryData(zero_g, C_w=10.0, h=m.h_max)
-    A = assemble_velocity_block(V, bd).matrix.toarray()
-    assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
+@settings(max_examples=10, deadline=None)
+@given(mesh=meshes, cw=st.floats(1.0, 100.0), per_edge_h=st.booleans())
+def test_velocity_block_symmetric(order, mesh, cw, per_edge_h):
+    V = build_edge_space(mesh, order)
+    A = assemble_velocity_block(V, BoundaryData(star_case().g, C_w=cw,
+                                                per_edge_h=per_edge_h)).matrix
+    assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
     M = assemble_mass(V).matrix.toarray()
     assert np.linalg.eigvalsh(M).min() > 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(mesh=meshes)
+def test_linear_case_reproduced_on_jittered_meshes(mesh):
+    # the order-1 spaces contain the linear solution, so the solve returns it
+    case = linear_case()
+    report = solve(build_saddle_system(mesh, 1, case))
+    assert not report.singular
+    u = interpolate_edge(report.u.space, case.u).coefficients
+    Q = report.p.space
+    p = interpolate_nodal(Q, case.p).coefficients
+    mean = assemble_mean_vector(Q)
+    p -= (mean @ p) / mean.sum()
+    assert np.abs(report.u.coefficients - u).max() <= 1e-10
+    assert np.abs(report.p.coefficients - p).max() <= 1e-10
 
 
 def test_rhs_zero_data():
     m = generate_unit_square(2)
     V = build_edge_space(m, 1)
-    bd = BoundaryData(zero_g, C_w=10.0, h=m.h_max)
+    bd = BoundaryData(zero_g, C_w=10.0)
     rhs = assemble_rhs(V, lambda x, y: np.zeros((np.size(x), 2)), bd)
     assert np.abs(rhs).max() == 0.0
 
@@ -149,7 +174,7 @@ def test_rhs_zero_data():
 def test_rhs_constant_forcing_oracle():
     m = generate_unit_square(2)
     V = build_edge_space(m, 1)
-    bd = BoundaryData(zero_g, C_w=10.0, h=m.h_max)
+    bd = BoundaryData(zero_g, C_w=10.0)
     rhs = assemble_rhs(V, lambda x, y: np.column_stack(
         [np.ones_like(x), np.zeros_like(x)]), bd)
     # independent oracle: (e_x, w_i) through the mass matrix applied to the
@@ -164,11 +189,10 @@ def test_rhs_linear_in_penalty():
     case = linear_case()
     m = generate_unit_square(2)
     V = build_edge_space(m, 1)
-    h = m.h_max
     f0 = lambda x, y: np.zeros((np.size(x), 2))
-    r1 = assemble_rhs(V, f0, BoundaryData(case.g, C_w=1.0, h=h))
-    r2 = assemble_rhs(V, f0, BoundaryData(case.g, C_w=2.0, h=h))
-    r3 = assemble_rhs(V, f0, BoundaryData(case.g, C_w=3.0, h=h))
+    r1 = assemble_rhs(V, f0, BoundaryData(case.g, C_w=1.0))
+    r2 = assemble_rhs(V, f0, BoundaryData(case.g, C_w=2.0))
+    r3 = assemble_rhs(V, f0, BoundaryData(case.g, C_w=3.0))
     assert np.allclose(r3 - r2, r2 - r1, atol=1e-13)
 
 
@@ -218,7 +242,7 @@ def test_exact_consistency_residual(seed, cw):
         m = jitter(m, seed)
     V = build_edge_space(m, 1)
     Q = build_nodal_space(m, 1)
-    bd = BoundaryData(case.g, C_w=cw, h=m.h_max)
+    bd = BoundaryData(case.g, C_w=cw)
     A = assemble_velocity_block(V, bd).matrix
     B = assemble_b(V, Q).matrix
     l = assemble_rhs(V, case.f, bd)
@@ -233,8 +257,9 @@ def test_coercivity_on_divergence_free_complement():
     m = generate_unit_square(2)
     V = build_edge_space(m, 1)
     Q = build_nodal_space(m, 1)
-    cw = max(10.0, 1.01 * estimate_trace_constants(V).recommended_cw)
-    bd = BoundaryData(zero_g, C_w=cw, h=m.h_max)
+    # the default penalty, or just above the coercivity threshold C_n^2
+    cw = max(10.0, 1.01 * estimate_trace_constants(V).c_n ** 2)
+    bd = BoundaryData(zero_g, C_w=cw)
     A = assemble_velocity_block(V, bd).matrix.toarray()
     B = assemble_b(V, Q).matrix.toarray()
     _, s, vt = np.linalg.svd(B.T)
@@ -257,9 +282,7 @@ def test_mean_vector():
 
 def test_boundary_data_validation():
     with pytest.raises(ValueError):
-        BoundaryData(zero_g, C_w=-1.0, h=1.0)
-    with pytest.raises(ValueError):
-        BoundaryData(zero_g, C_w=1.0, h=0.0)
+        BoundaryData(zero_g, C_w=-1.0)
 
 
 def test_mismatched_meshes_rejected():
@@ -272,12 +295,12 @@ def test_mismatched_meshes_rejected():
 def test_per_edge_penalty_scaling():
     tt = two_triangle_square()
     V = build_edge_space(tt, 1)
-    n_global = assemble_nitsche(V, BoundaryData(zero_g, C_w=1.0, h=tt.h_max)).matrix.toarray()
+    n_global = assemble_nitsche(V, BoundaryData(zero_g, C_w=1.0)).matrix.toarray()
     n_local = assemble_nitsche(
-        V, BoundaryData(zero_g, C_w=1.0, h=tt.h_max, per_edge_h=True)).matrix.toarray()
+        V, BoundaryData(zero_g, C_w=1.0, per_edge_h=True)).matrix.toarray()
     # boundary edges have unit length; h_max is sqrt(2), so the local penalty
     # is sqrt(2) times stronger while consistency terms stay fixed
-    p_global = (assemble_nitsche(V, BoundaryData(zero_g, C_w=2.0, h=tt.h_max)).matrix.toarray()
+    p_global = (assemble_nitsche(V, BoundaryData(zero_g, C_w=2.0)).matrix.toarray()
                 - n_global)
     diff = n_local - n_global
     assert np.allclose(diff, (np.sqrt(2.0) - 1.0) * p_global, atol=1e-12)

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -132,8 +132,6 @@ def test_jitter():
     assert np.array_equal(j1.vertices[boundary], m.vertices[boundary])
     interior = ~boundary
     assert (np.abs(j1.vertices[interior] - m.vertices[interior]).max(axis=1) > 0).all()
-    with pytest.raises(ValueError):
-        jitter(m, seed=0, magnitude=0.5)
 
 
 def test_jitter_preserves_topology_under_refinement():
@@ -249,6 +247,26 @@ def loop_refined_triangles(m):
     return tris
 
 
+def loop_grid_mesh(xs, ys, keep_cell):
+    """Criss-cross mesh over a tensor grid, cell by cell, keeping the cells
+    where ``keep_cell(i, j)``."""
+    nx = xs.size - 1
+    X, Y = np.meshgrid(xs, ys, indexing="xy")
+    vertices = np.column_stack([X.ravel(), Y.ravel()])
+    tris = []
+    for j in range(ys.size - 1):
+        for i in range(nx):
+            if keep_cell(i, j):
+                a, b = j * (nx + 1) + i, j * (nx + 1) + i + 1
+                c, d = b + nx + 1, a + nx + 1
+                tris += [(a, b, d), (b, c, d)]
+    triangles = np.array(tris, dtype=np.int64)
+    used = np.unique(triangles.ravel())
+    remap = -np.ones(vertices.shape[0], dtype=np.int64)
+    remap[used] = np.arange(used.size)
+    return build_mesh(vertices[used], remap[triangles])
+
+
 def loop_first_fault(m):
     """The message validate_mesh's normal and cycle loops raised, or None."""
     for k, e in enumerate(m.boundary_edges):
@@ -299,6 +317,23 @@ def test_mesh_arrays_equal_loop_reference(mesh, seed, refine):
     assert np.array_equal(mesh.boundary_normals, normals)
     assert np.array_equal(mesh.boundary_tangents, tangents)
     assert _validate_message(mesh) is None and loop_first_fault(mesh) is None
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_generators_equal_grid_loop_reference(n):
+    square = np.arange(n + 1) / n
+    hole = np.arange(3 * n + 1) / (3 * n)
+    lshape = -1.0 + np.arange(2 * n + 1) / n
+    pairs = [
+        (generate_unit_square(n), loop_grid_mesh(square, square, lambda i, j: True)),
+        (generate_square_with_hole(3 * n), loop_grid_mesh(hole, hole, lambda i, j: not (
+            n <= i < 2 * n and n <= j < 2 * n))),
+        (generate_l_shape(n), loop_grid_mesh(lshape, lshape, lambda i, j: not (
+            i >= n and j < n))),
+    ]
+    for got, ref in pairs:
+        for f in fields(Mesh):
+            assert np.array_equal(getattr(got, f.name), getattr(ref, f.name)), f.name
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,19 +1,62 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curlstokes.mesh import (generate_square_with_hole, generate_unit_square,
                              jitter, two_triangle_square)
-from curlstokes.quadrature import edge_rule
+from curlstokes.quadrature import edge_rule, triangle_rule
 from curlstokes.spaces import (DiscreteField, build_edge_space,
                                build_nodal_space, eval_edge_basis,
                                eval_edge_field, eval_nodal_basis,
                                grad_inclusion_check, gradient_coefficients,
-                               interpolate_cellwise, interpolate_edge,
-                               interpolate_nodal)
+                               interpolate_edge, interpolate_nodal)
+from mesh_strategies import jittered_meshes
 
 
 def rot_field(x, y):
     return np.column_stack([-np.asarray(y, float), np.asarray(x, float)])
+
+
+def smooth_field(x, y):
+    return np.column_stack([np.sin(2 * x + y), x * np.cos(3 * y)])
+
+
+meshes = jittered_meshes(4, [3])
+
+
+def loop_interpolate(space, eval_on_triangle):
+    """Edge-moment interpolation edge by edge and triangle by triangle, from
+    a per-triangle evaluator ``eval_on_triangle(t, bary) -> (k, 2)``."""
+    mesh = space.mesh
+    degree = 2 * space.order + 2
+    erule = edge_rule(degree)
+    leg = 2.0 * erule.points - 1.0
+    full = np.zeros(space.full_dof_count)
+    for e in range(mesh.edge_count):
+        t = int(mesh.edge_triangles[e, 0])
+        a, b = mesh.edges[e]
+        xa, xb = mesh.vertices[a], mesh.vertices[b]
+        length = float(np.hypot(*(xb - xa)))
+        tri = mesh.triangles[t]
+        bary = np.zeros((erule.points.size, 3))
+        bary[:, int(np.nonzero(tri == a)[0][0])] = 1.0 - erule.points
+        bary[:, int(np.nonzero(tri == b)[0][0])] = erule.points
+        trace = eval_on_triangle(t, bary) @ ((xb - xa) / length)
+        if space.order == 1:
+            full[e] = length * (erule.weights @ trace)
+        else:
+            full[2 * e] = length * (erule.weights @ trace)
+            full[2 * e + 1] = length * ((erule.weights * leg) @ trace)
+    if space.order == 2:
+        trule = triangle_rule(degree)
+        areas = mesh.signed_areas()
+        for t in range(mesh.triangle_count):
+            vals = eval_on_triangle(t, trule.points)
+            w = 2.0 * areas[t] * trule.weights
+            full[space.cell_dofs[t, 6]] = w @ vals[:, 0]
+            full[space.cell_dofs[t, 7]] = w @ vals[:, 1]
+    return space.restrict(full)
 
 
 def test_edge_space_dof_counts():
@@ -183,14 +226,60 @@ def test_gradient_field_not_in_whitney_space():
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_interpolation_projection_property(order):
-    m = jitter(generate_unit_square(2), seed=9)
-    V = build_edge_space(m, order)
-    rng = np.random.default_rng(5)
-    coeffs = rng.standard_normal(V.dof_count)
-    field = DiscreteField(V, coeffs)
-    again = interpolate_cellwise(V, lambda t, bary: eval_edge_field(field, t, bary)[0])
+@settings(max_examples=10, deadline=None)
+@given(mesh=meshes, seed=st.integers(0, 2 ** 16))
+def test_interpolation_projection_property(order, mesh, seed):
+    V = build_edge_space(mesh, order)
+    coeffs = np.random.default_rng(seed).standard_normal(V.dof_count)
+    again = interpolate_edge(V, DiscreteField(V, coeffs))
     assert np.abs(again.coefficients - coeffs).max() <= 1e-12 * max(1, np.abs(coeffs).max())
+
+
+def test_interpolation_rejects_foreign_fields():
+    m = generate_unit_square(2)
+    V = build_edge_space(m, 1)
+    other = build_edge_space(generate_unit_square(2), 1)
+    with pytest.raises(ValueError):
+        interpolate_edge(V, DiscreteField(other, np.zeros(other.dof_count)))
+    Q = build_nodal_space(m, 1)
+    with pytest.raises(ValueError):
+        interpolate_edge(V, DiscreteField(Q, np.zeros(Q.dof_count)))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@settings(max_examples=10, deadline=None)
+@given(mesh=meshes, seed=st.integers(0, 2 ** 16))
+def test_interpolation_matches_loop_reference(order, mesh, seed):
+    V = build_edge_space(mesh, order)
+    field = DiscreteField(V, np.random.default_rng(seed).standard_normal(V.dof_count))
+
+    def on_triangle(t, bary):
+        pts = bary @ mesh.vertices[mesh.triangles[t]]
+        return smooth_field(pts[:, 0], pts[:, 1])
+
+    for got, ref in [
+            (interpolate_edge(V, smooth_field), loop_interpolate(V, on_triangle)),
+            (interpolate_edge(V, field),
+             loop_interpolate(V, lambda t, bary: eval_edge_field(field, t, bary)[0]))]:
+        assert np.abs(got.coefficients - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@settings(max_examples=10, deadline=None)
+@given(mesh=meshes, seed=st.integers(0, 2 ** 16))
+def test_interpolated_gradient_is_gradient_coefficients(order, mesh, seed):
+    # gradient inclusion: for p in P_r, Pi_h grad p = G (Lagrange interpolant of p)
+    c = np.random.default_rng(seed).standard_normal(6)
+    if order == 1:
+        c[3:] = 0.0
+    p = lambda x, y: c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
+    grad_p = lambda x, y: np.column_stack([c[1] + 2 * c[3] * x + c[4] * y,
+                                           c[2] + c[4] * x + 2 * c[5] * y])
+    V = build_edge_space(mesh, order)
+    Q = build_nodal_space(mesh, order)
+    got = interpolate_edge(V, grad_p).coefficients
+    ref = gradient_coefficients(V, Q) @ interpolate_nodal(Q, p).coefficients
+    assert np.abs(got - ref).max() <= 1e-12 * max(1, np.abs(ref).max())
 
 
 @pytest.mark.parametrize("mesh,order,tol", [
