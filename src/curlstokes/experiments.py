@@ -196,6 +196,8 @@ def run_harmonic(case_name: str = "hole", n: int | None = None, order: int = 1) 
 def run_probe(case_name: str, levels: int = 3, order: int = 1,
               base_n: int | None = None) -> dict:
     """Trace-constant and inf-sup probes across a refinement sequence."""
+    if levels < 1:
+        raise ValueError("a probe needs at least one level")
     case = get_case(case_name)
     if base_n is None:
         base_n = min(case.default_n, 3 if case_name == "hole" else 2)

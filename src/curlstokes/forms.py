@@ -63,8 +63,8 @@ class BoundaryData:
     per_edge_h: bool = False
 
     def __post_init__(self):
-        if self.C_w <= 0:
-            raise ValueError("penalty constant must be positive")
+        if not (np.isfinite(self.C_w) and self.C_w > 0):
+            raise ValueError("penalty constant must be positive and finite")
 
 
 def merge_triplets(rows, cols, vals, shape) -> sparse.csr_array:

@@ -5,29 +5,28 @@ gradient B; the pressure mean is pinned through a scalar Lagrange
 multiplier rather than by eliminating a degree of freedom, which would
 perturb the inf-sup structure.
 
-``solve`` is direct and has two paths: a dense rank-revealing SVD up to 400
-unknowns, and above that a sparse LU factor whose singularity a seeded
-random right-hand side exposes. A solution must also reach a true relative
-residual of 1e-10. A singular system is reported, not raised, at the cost of
-the solve itself: ``solve`` has no iterative fallback and never computes a
-kernel. Kernel dimensions and witnesses come only from ``kernel_probe``, a
-dense SVD behind the size guard, as the ill-posedness counterexample uses it.
+``solve`` has one path at every size: a sparse LU factor of the augmented
+matrix, whose singularity a seeded random right-hand side exposes, and a
+true relative residual of 1e-10 that the solution must reach. A singular
+system is reported, not raised, at the cost of the solve itself: ``solve``
+has no iterative fallback and never computes a kernel. Kernel dimensions and
+witnesses come only from ``kernel_probe``, a dense symmetric eigensolve of
+the same augmented matrix behind the size guard, as the ill-posedness
+counterexample uses it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import MatrixRankWarning, splu
+from scipy.sparse.linalg import splu
 
 from .spaces import DiscreteField, EdgeSpace, NodalSpace
 
 KERNEL_SIZE_GUARD = 20000
 KERNEL_RANK_RTOL = 1e-10
-_DENSE_CUTOFF = 400
 #: relative residual of the seeded probe solve above which a factored system
 #: counts as singular; well-posed systems reach about 1e-10, singular ones 1e3
 #: to 1e16
@@ -107,30 +106,17 @@ def solve(system: SaddleSystem) -> SolveReport:
     reported, not raised; its kernel is left to ``kernel_probe``.
     """
     k, rhs = _augmented(system)
-    n = k.shape[0]
-    singular = False
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            if n <= _DENSE_CUTOFF:
-                # rank-revealing path: a singular operator with zero data would
-                # otherwise sneak through as the zero solution
-                u_svd, s, vt = np.linalg.svd(k.toarray())
-                if s.size and s[-1] <= KERNEL_RANK_RTOL * s[0]:
-                    singular = True
-                else:
-                    z = vt.T @ ((u_svd.T @ rhs) / s)
-            else:
-                lu = _factor(k)
-                z = lu.solve(rhs)
-                # a singular operator can still factor and, with zero data,
-                # return the zero "solution"; a seeded random right-hand side
-                # solved with the same factor exposes it
-                probe = np.random.default_rng(0).standard_normal(n)
-                probe_res = np.linalg.norm(k @ lu.solve(probe) - probe) / np.linalg.norm(probe)
-                singular = not probe_res <= _PROBE_RTOL
-        except (np.linalg.LinAlgError, MatrixRankWarning, RuntimeError):
-            singular = True
+    try:
+        lu = _factor(k)
+        z = lu.solve(rhs)
+        # a singular operator can still factor and, with zero data, return the
+        # zero "solution"; a seeded random right-hand side solved with the same
+        # factor exposes it
+        probe = np.random.default_rng(0).standard_normal(k.shape[0])
+        probe_res = np.linalg.norm(k @ lu.solve(probe) - probe) / np.linalg.norm(probe)
+        singular = not probe_res <= _PROBE_RTOL
+    except RuntimeError:    # SuperLU: factor is exactly singular
+        singular = True
 
     if not singular:
         scale = max(float(np.linalg.norm(rhs)), 1.0)
@@ -171,27 +157,17 @@ def _guard_size(n: int) -> None:
 def kernel_probe(system: SaddleSystem) -> KernelReport:
     """Nullspace of the saddle matrix restricted to zero-mean pressures.
 
-    Dense rank-revealing SVD with threshold 1e-10 * sigma_max; witnesses are
-    returned as (velocity, pressure) coefficient pairs in the full pressure
-    coordinates.
+    Dense symmetric eigensolve of the augmented matrix with threshold
+    1e-10 * max|lambda|. Because B maps constants to zero and the mean
+    vector has a positive sum, every kernel vector of the augmented matrix
+    has a zero multiplier and a zero-mean pressure, so the two kernels
+    coincide. Witnesses are returned as (velocity, pressure) coefficient
+    pairs in the full pressure coordinates.
     """
     n_u, n_q = system.n_u, system.n_q
     _guard_size(n_u + n_q)
-    m = system.mean_vector
-    if np.linalg.norm(m) == 0:
-        z_basis = np.eye(n_q)
-    else:
-        _, _, vt = np.linalg.svd(m[None, :])
-        z_basis = vt[1:].T          # (n_q, n_q - 1), orthonormal, orthogonal to m
-    a = system.A.toarray()
-    bz = system.B.toarray() @ z_basis
-    k = np.block([[a, bz], [bz.T, np.zeros((z_basis.shape[1],) * 2)]])
-    u_svd, s, _ = np.linalg.svd(k)
-    smax = s.max(initial=0.0)
-    null_mask = s <= KERNEL_RANK_RTOL * smax if smax > 0 else np.ones_like(s, dtype=bool)
-    dim = int(null_mask.sum())
-    witnesses = []
-    for idx in np.nonzero(null_mask)[0]:
-        vec = u_svd[:, idx]
-        witnesses.append((vec[:n_u].copy(), z_basis @ vec[n_u:]))
-    return KernelReport(dimension=dim, witnesses=witnesses)
+    lam, vecs = np.linalg.eigh(_augmented(system)[0].toarray())
+    null_mask = np.abs(lam) <= KERNEL_RANK_RTOL * np.abs(lam).max(initial=0.0)
+    witnesses = [(vecs[:n_u, i].copy(), vecs[n_u:n_u + n_q, i].copy())
+                 for i in np.nonzero(null_mask)[0]]
+    return KernelReport(dimension=int(null_mask.sum()), witnesses=witnesses)

@@ -58,6 +58,14 @@ def test_convergence_rejects_single_level(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("cw", ["nan", "inf"])
+def test_convergence_rejects_non_finite_penalty(tmp_path, capsys, cw):
+    code = main(["convergence", "--case", "star", "--levels", "2", "--cw", cw,
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "penalty constant" in capsys.readouterr().err
+
+
 def test_convergence_rejects_unknown_format(tmp_path):
     code = main(["convergence", "--case", "star", "--levels", "2",
                  "--formats", "pdf", "--out", str(tmp_path / "x")])
@@ -128,6 +136,14 @@ def test_probe_deterministic(tmp_path):
     main(["probe", "--case", "star", "--levels", "2", "--out", str(out1)])
     main(["probe", "--case", "star", "--levels", "2", "--out", str(out2)])
     assert (out1 / "probe.json").read_bytes() == (out2 / "probe.json").read_bytes()
+
+
+@pytest.mark.parametrize("levels", ["0", "-2"])
+def test_probe_rejects_fewer_than_one_level(tmp_path, capsys, levels):
+    code = main(["probe", "--case", "star", "--levels", levels,
+                 "--out", str(tmp_path / "p")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: a probe needs")
 
 
 @pytest.mark.parametrize("error", [SystemError("Can't expand MemType 1: jcol 1320"),

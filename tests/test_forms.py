@@ -281,8 +281,9 @@ def test_mean_vector():
 
 
 def test_boundary_data_validation():
-    with pytest.raises(ValueError):
-        BoundaryData(zero_g, C_w=-1.0)
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            BoundaryData(zero_g, C_w=bad)
 
 
 def test_mismatched_meshes_rejected():

@@ -1,15 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from curlstokes.analysis import compute_errors
-from curlstokes.cases import linear_case
+from curlstokes.cases import linear_case, star_case
 from curlstokes.experiments import build_saddle_system
 from curlstokes.mesh import generate_unit_square, refine_uniform, two_triangle_square
-from curlstokes.solver import (SaddleSystem, SizeGuardError, kernel_probe,
-                               solve)
+from curlstokes.solver import (KERNEL_RANK_RTOL, SaddleSystem, SizeGuardError,
+                               kernel_probe, solve)
+
+from mesh_strategies import jittered_meshes
 
 HAT_WITNESS = np.array([5.0, -1.0, -1.0, -1.0]) / 6.0   # lambda_1 - 1/6 at the corners
+
+
+def dense_svd_solve(system):
+    """Reference: rank-revealing dense SVD solve of the augmented system,
+    with the pressure shifted to zero mean."""
+    a, b, m = system.A.toarray(), system.B.toarray(), system.mean_vector[:, None]
+    n_u, n_q = system.n_u, system.n_q
+    k = np.block([[a, b, np.zeros((n_u, 1))],
+                  [b.T, np.zeros((n_q, n_q)), m],
+                  [np.zeros((1, n_u)), m.T, np.zeros((1, 1))]])
+    rhs = np.concatenate([system.rhs_u, system.rhs_q, [0.0]])
+    u_svd, s, vt = np.linalg.svd(k)
+    assert s[-1] > KERNEL_RANK_RTOL * s[0], "the reference system is singular"
+    z = vt.T @ ((u_svd.T @ rhs) / s)
+    p = z[n_u:n_u + n_q]
+    return z[:n_u], p - (system.mean_vector @ p) / system.mean_vector.sum()
 
 
 @pytest.fixture
@@ -48,11 +68,43 @@ def test_kernel_contains_hat_witness(essential_system):
 
 @pytest.mark.parametrize("n", [16, 32])
 def test_essential_system_flagged_on_sparse_path(n):
-    # above the dense cutoff the LU factor of the singular system exists and
-    # its zero data gave the zero "solution" with residual 0
+    # the LU factor of this singular system exists, and its zero data gives
+    # the zero "solution" with residual 0; only the seeded probe flags it
     system = build_saddle_system(generate_unit_square(n), 1, linear_case(), essential=True)
     assert solve(system).singular
     assert kernel_probe(system).dimension == 2
+
+
+@pytest.mark.parametrize("mesh", [two_triangle_square(),
+                                  refine_uniform(two_triangle_square()),
+                                  generate_unit_square(16)],
+                         ids=["counterexample", "counterexample-refined", "unit16"])
+def test_kernel_witnesses_are_zero_mean_kernel_vectors(mesh):
+    system = build_saddle_system(mesh, 1, linear_case(), essential=True)
+    probe = kernel_probe(system)
+    assert probe.dimension >= 1
+    scale = max(np.abs(system.A).max(), np.abs(system.B).max())
+    for wu, wp in probe.witnesses:
+        assert abs(system.mean_vector @ wp) <= 1e-12 * np.linalg.norm(wp)
+        res_u = system.A @ wu + system.B @ wp
+        res_q = system.B.T @ wu
+        assert max(np.abs(res_u).max(), np.abs(res_q).max()) <= 1e-10 * scale
+        assert np.linalg.norm(np.concatenate([wu, wp])) == pytest.approx(1.0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), order=st.sampled_from((1, 2)))
+def test_solve_matches_dense_svd_reference(data, order):
+    # meshes of at most 400 unknowns, the size the dense SVD used to solve
+    max_n, hole_ns = {1: (9, (3, 6)), 2: (5, (3,))}[order]
+    mesh = data.draw(jittered_meshes(max_n, hole_ns))
+    system = build_saddle_system(mesh, order, star_case(), C_w=10.0)
+    assert system.n_u + system.n_q + 1 <= 400
+    reference = dense_svd_solve(system)
+    report = solve(system)
+    assert not report.singular
+    for got, want in zip((report.u.coefficients, report.p.coefficients), reference):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_singular_verdict_computes_no_kernel(monkeypatch):
@@ -113,7 +165,6 @@ def test_solve_is_deterministic():
 
 
 def test_sparse_path_matches_dense():
-    # a mesh large enough to cross the dense cutoff
     case = linear_case()
     mesh = generate_unit_square(12)
     system = build_saddle_system(mesh, 1, case, C_w=10.0)
