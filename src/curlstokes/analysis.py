@@ -154,7 +154,7 @@ def least_squares_rates(bundles: list[ErrorBundle], window: int = 3) -> dict[str
 def boundary_gram_matrices(V: EdgeSpace) -> tuple[np.ndarray, np.ndarray]:
     """Dense boundary Gram matrices of tangential traces and curl traces."""
     rule = _boundary_rule(V)
-    n = V.full_dof_count
+    n = V.dof_count
     tri, length, _, trace, curls = _boundary_edge_data(V, rule)
     w = length[:, None] * rule.weights
     dofs = V.cell_dofs[tri]
@@ -162,9 +162,6 @@ def boundary_gram_matrices(V: EdgeSpace) -> tuple[np.ndarray, np.ndarray]:
                             (n, n)).toarray()
     t_curl = _assemble_cells(dofs, dofs, np.einsum("ek,eki,ekj->eij", w, curls, curls),
                              (n, n)).toarray()
-    if V.essential_bc:
-        t_par = t_par[np.ix_(V.free, V.free)]
-        t_curl = t_curl[np.ix_(V.free, V.free)]
     return t_par, t_curl
 
 
@@ -179,9 +176,9 @@ def _curl_factor(V: EdgeSpace) -> np.ndarray:
     _, curls = _tabulate_edge(V, rule.points)                   # (F, k, nloc)
     nf, npts = curls.shape[:2]
     w = np.sqrt(2.0 * V.mesh.signed_areas()[:, None] * rule.weights)
-    out = np.zeros((nf * npts, V.full_dof_count))
+    out = np.zeros((nf * npts, V.dof_count))
     out[np.arange(nf * npts).reshape(nf, npts, 1), V.cell_dofs[:, None, :]] = w[..., None] * curls
-    return out[:, V.free] if V.essential_bc else out
+    return out
 
 
 def hodge_decompose(V: EdgeSpace, Q: NodalSpace) -> HodgeDecomposition:
@@ -189,8 +186,6 @@ def hodge_decompose(V: EdgeSpace, Q: NodalSpace) -> HodgeDecomposition:
     discrete harmonic fields, mutually orthogonal in L2. The harmonic fields
     are the null right singular vectors of the curl factor on X_h; that factor
     is tall, so its thin SVD has them all (a wide one fails the sum check)."""
-    if V.essential_bc:
-        raise ValueError("decomposition is defined on the unconstrained space")
     _guard_size(V.dof_count + Q.dof_count)
     m = assemble_mass(V).matrix.toarray()
     b = assemble_b(V, Q).matrix.toarray()

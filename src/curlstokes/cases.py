@@ -39,7 +39,6 @@ class ManufacturedCase:
     curl_u: Callable
     grad_p: Callable
     f: Callable
-    regularity_note: str
 
     @property
     def g(self) -> Callable:
@@ -72,10 +71,7 @@ def star_case() -> ManufacturedCase:
 
     return ManufacturedCase(
         name="star", mesh_builder=meshmod.generate_unit_square, default_n=8,
-        u=u, p=p, curl_u=curl_u, grad_p=grad_p, f=f,
-        regularity_note="smooth; expected rates: u L2 r, curl at least r-1/2 "
-                        "(observed r on the test windows), #-norm r-1/2, "
-                        "p L2 r-1/2, p H1 r-3/2")
+        u=u, p=p, curl_u=curl_u, grad_p=grad_p, f=f)
 
 
 def hole_case() -> ManufacturedCase:
@@ -83,11 +79,7 @@ def hole_case() -> ManufacturedCase:
     base = star_case()
     return ManufacturedCase(
         name="hole", mesh_builder=meshmod.generate_square_with_hole, default_n=3,
-        u=base.u, p=base.p, curl_u=base.curl_u, grad_p=base.grad_p, f=base.f,
-        regularity_note="smooth on a domain with first Betti number 1; expected "
-                        "rates as for star: u L2 r, curl at least r-1/2 (observed "
-                        "r on the test windows), #-norm r-1/2, p L2 r-1/2, "
-                        "p H1 r-3/2")
+        u=base.u, p=base.p, curl_u=base.curl_u, grad_p=base.grad_p, f=base.f)
 
 
 def linear_case() -> ManufacturedCase:
@@ -114,8 +106,7 @@ def linear_case() -> ManufacturedCase:
 
     return ManufacturedCase(
         name="linear", mesh_builder=meshmod.generate_unit_square, default_n=2,
-        u=u, p=p, curl_u=curl_u, grad_p=grad_p, f=f,
-        regularity_note="exactly representable for r = 1: reproduction test")
+        u=u, p=p, curl_u=curl_u, grad_p=grad_p, f=f)
 
 
 def _lshape_angular(phi):
@@ -151,7 +142,11 @@ def _polar(x, y):
 
 
 def lshape_case() -> ManufacturedCase:
-    """Corner singularity on the L-shaped domain; homogeneous volume forcing."""
+    """Corner singularity on the L-shaped domain; homogeneous volume forcing.
+
+    u is not in H^2 and p is not in H^1, so every rate is reduced and limited
+    by the regularity rather than by the order.
+    """
     lam = LSHAPE_LAMBDA
 
     def u(x, y):
@@ -194,8 +189,7 @@ def lshape_case() -> ManufacturedCase:
 
     return ManufacturedCase(
         name="lshape", mesh_builder=meshmod.generate_l_shape, default_n=2,
-        u=u, p=p, curl_u=curl_u, grad_p=grad_p, f=f,
-        regularity_note="u not in H^2, p not in H^1: reduced, regularity-limited rates")
+        u=u, p=p, curl_u=curl_u, grad_p=grad_p, f=f)
 
 
 CASES = {

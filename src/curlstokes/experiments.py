@@ -27,22 +27,27 @@ def build_saddle_system(mesh: Mesh, order: int, case: ManufacturedCase,
                         essential: bool = False) -> SaddleSystem:
     """Assemble the discrete system for a case on one mesh.
 
-    With ``essential`` the tangential boundary dofs are removed and no
-    boundary terms are assembled: the (ill-posed) strong-imposition variant.
+    By default the tangential data enter weakly through the Nitsche terms of
+    ``forms``, and the system carries its velocity and pressure spaces. With
+    ``essential`` no boundary terms are assembled: the rows and columns of
+    the tangential boundary dofs (both moments of every boundary edge at
+    order 2) are deleted from the curl-curl and coupling blocks, and the data
+    are zero. This is the ill-posed strong-imposition variant; its velocity
+    block no longer matches the edge space, so the system carries no spaces.
     """
-    V = build_edge_space(mesh, order, essential_bc=essential)
+    V = build_edge_space(mesh, order)
     Q = build_nodal_space(mesh, order)
     if essential:
-        A = assemble_curl_curl(V)
-        rhs_u = np.zeros(V.dof_count)
-        rhs_q = np.zeros(Q.dof_count)
-    else:
-        bd = BoundaryData(g=case.g, C_w=C_w, per_edge_h=per_edge_h)
-        A = assemble_velocity_block(V, bd)
-        rhs_u = assemble_rhs(V, case.f, bd)
-        rhs_q = assemble_divergence_rhs(Q, case.g)
-    return SaddleSystem(A.matrix, assemble_b(V, Q).matrix, rhs_u, rhs_q,
-                        assemble_mean_vector(Q), V, Q)
+        be = mesh.boundary_edges
+        keep = np.ones(V.dof_count, dtype=bool)
+        keep[be if order == 1 else np.concatenate([2 * be, 2 * be + 1])] = False
+        A = assemble_curl_curl(V).matrix[keep][:, keep]
+        return SaddleSystem(A, assemble_b(V, Q).matrix[keep], np.zeros(A.shape[0]),
+                            np.zeros(Q.dof_count), assemble_mean_vector(Q))
+    bd = BoundaryData(g=case.g, C_w=C_w, per_edge_h=per_edge_h)
+    A = assemble_velocity_block(V, bd).matrix
+    rhs_u, rhs_q = assemble_rhs(V, case.f, bd), assemble_divergence_rhs(Q, case.g)
+    return SaddleSystem(A, assemble_b(V, Q).matrix, rhs_u, rhs_q, assemble_mean_vector(Q), V, Q)
 
 
 def discrete_hash_norm(u_h: DiscreteField) -> float:

@@ -90,15 +90,6 @@ def _assemble_cells(row_dofs: np.ndarray, col_dofs: np.ndarray, local: np.ndarra
     return merge_triplets(rows.ravel(), cols.ravel(), local.ravel(), shape)
 
 
-def _restrict_operator(mat: sparse.csr_array, space: EdgeSpace,
-                       cols_space: EdgeSpace | None = None) -> sparse.csr_array:
-    if space.essential_bc:
-        mat = mat[space.free]
-    if cols_space is not None and cols_space.essential_bc:
-        mat = mat[:, cols_space.free]
-    return mat
-
-
 def _volume_rule(space: EdgeSpace | NodalSpace):
     return triangle_rule(2 * space.order + 2)
 
@@ -117,8 +108,7 @@ def assemble_mass(V: EdgeSpace) -> SparseOperator:
     rule = _volume_rule(V)
     phi, _ = _tabulate_edge(V, rule.points)
     local = np.einsum("fk,fkid,fkjd->fij", _cell_weights(V.mesh, rule), phi, phi)
-    mat = _assemble_cells(V.cell_dofs, V.cell_dofs, local, (V.full_dof_count,) * 2)
-    return SparseOperator(_restrict_operator(mat, V, V))
+    return SparseOperator(_assemble_cells(V.cell_dofs, V.cell_dofs, local, (V.dof_count,) * 2))
 
 
 def assemble_curl_curl(V: EdgeSpace) -> SparseOperator:
@@ -126,8 +116,7 @@ def assemble_curl_curl(V: EdgeSpace) -> SparseOperator:
     rule = _volume_rule(V)
     _, curls = _tabulate_edge(V, rule.points)
     local = np.einsum("fk,fki,fkj->fij", _cell_weights(V.mesh, rule), curls, curls)
-    mat = _assemble_cells(V.cell_dofs, V.cell_dofs, local, (V.full_dof_count,) * 2)
-    return SparseOperator(_restrict_operator(mat, V, V))
+    return SparseOperator(_assemble_cells(V.cell_dofs, V.cell_dofs, local, (V.dof_count,) * 2))
 
 
 def _boundary_edge_data(V: EdgeSpace, rule):
@@ -154,8 +143,7 @@ def assemble_nitsche(V: EdgeSpace, bd: BoundaryData) -> SparseOperator:
     cons = -np.einsum("ek,eki,ekj->eij", w, trace, curls)
     local = pen + cons + cons.transpose(0, 2, 1)
     dofs = V.cell_dofs[tri]
-    mat = _assemble_cells(dofs, dofs, local, (V.full_dof_count,) * 2)
-    return SparseOperator(_restrict_operator(mat, V, V))
+    return SparseOperator(_assemble_cells(dofs, dofs, local, (V.dof_count,) * 2))
 
 
 def assemble_b(V: EdgeSpace, Q: NodalSpace) -> SparseOperator:
@@ -166,8 +154,8 @@ def assemble_b(V: EdgeSpace, Q: NodalSpace) -> SparseOperator:
     phi, _ = _tabulate_edge(V, rule.points)
     _, gq = _tabulate_nodal(Q, rule.points)
     local = np.einsum("fk,fkid,fkjd->fij", _cell_weights(V.mesh, rule), phi, gq)
-    mat = _assemble_cells(V.cell_dofs, Q.cell_dofs, local, (V.full_dof_count, Q.dof_count))
-    return SparseOperator(_restrict_operator(mat, V))
+    return SparseOperator(_assemble_cells(V.cell_dofs, Q.cell_dofs, local,
+                                          (V.dof_count, Q.dof_count)))
 
 
 def assemble_mass_nodal(Q: NodalSpace) -> SparseOperator:
@@ -202,17 +190,17 @@ def assemble_rhs(V: EdgeSpace, f: Callable, bd: BoundaryData) -> np.ndarray:
     rule = _volume_rule(V)
     phi, _ = _tabulate_edge(V, rule.points)
     fv = _sample(f, np.matmul(rule.points, mesh.vertices[mesh.triangles]))
-    full = np.zeros(V.full_dof_count)
-    np.add.at(full, V.cell_dofs,
+    out = np.zeros(V.dof_count)
+    np.add.at(out, V.cell_dofs,
               np.einsum("fk,fkd,fkid->fi", _cell_weights(mesh, rule), fv, phi))
     brule = _boundary_rule(V)
     tri, length, pts, trace, curls = _boundary_edge_data(V, brule)
     gt = np.matmul(_sample(bd.g, pts), mesh.boundary_tangents[:, :, None])[..., 0]
     w = length[:, None] * brule.weights
-    np.add.at(full, V.cell_dofs[tri],
+    np.add.at(out, V.cell_dofs[tri],
               _penalty(V, bd, length)[:, None] * np.einsum("ek,ek,eki->ei", w, gt, trace)
               - np.einsum("ek,ek,eki->ei", w, gt, curls))
-    return V.restrict(full)
+    return out
 
 
 def assemble_divergence_rhs(Q: NodalSpace, g: Callable) -> np.ndarray:

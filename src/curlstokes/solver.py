@@ -41,7 +41,9 @@ class SizeGuardError(Exception):
 
 @dataclass
 class SaddleSystem:
-    """Assembled blocks of the velocity-pressure system."""
+    """Assembled blocks of the velocity-pressure system. Without spaces (as
+    for the strong-imposition variant, whose velocity block is smaller than
+    the edge space) ``solve`` returns plain coefficient arrays."""
 
     A: sparse.csr_array
     B: sparse.csr_array

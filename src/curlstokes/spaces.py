@@ -82,32 +82,13 @@ class EdgeSpace:
 
     mesh: Mesh
     order: int
-    essential_bc: bool
-    full_dof_count: int
-    free: np.ndarray          # mask of retained dofs (tangential boundary dofs
-                              # are dropped when essential_bc is set)
-    cell_dofs: np.ndarray     # (F, nloc) indices into the full layout
+    dof_count: int
+    cell_dofs: np.ndarray     # (F, nloc) global dof indices
     cell_signs: np.ndarray    # (F, nloc) orientation factors
     grads: np.ndarray         # (F, 3, 2) barycentric gradients
     coeff: np.ndarray | None  # (F, 8, 8) order-2 nodal-basis coefficients
     centroids: np.ndarray | None
     scales: np.ndarray | None
-
-    @property
-    def dof_count(self) -> int:
-        return int(self.free.sum())
-
-    @property
-    def local_dof_count(self) -> int:
-        return 3 if self.order == 1 else 8
-
-    def restrict(self, full: np.ndarray) -> np.ndarray:
-        return full[..., self.free] if full.ndim == 1 else full[self.free]
-
-    def prolong(self, reduced: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.full_dof_count)
-        full[self.free] = reduced
-        return full
 
 
 @dataclass(frozen=True)
@@ -119,10 +100,6 @@ class NodalSpace:
     dof_count: int
     cell_dofs: np.ndarray
     grads: np.ndarray
-
-    @property
-    def local_dof_count(self) -> int:
-        return 3 if self.order == 1 else 6
 
 
 @dataclass
@@ -140,19 +117,19 @@ class DiscreteField:
                 f"space dof count {self.space.dof_count}")
 
 
-def build_edge_space(mesh: Mesh, order: int, essential_bc: bool = False) -> EdgeSpace:
+def build_edge_space(mesh: Mesh, order: int) -> EdgeSpace:
     if order not in (1, 2):
         raise ValueError(f"unsupported edge-element order {order}")
     grads = _barycentric_gradients(mesh)
     ne = mesh.edge_count
     nf = mesh.triangle_count
     if order == 1:
-        full = ne
+        dof = ne
         cell_dofs = mesh.triangle_edges.copy()
         cell_signs = mesh.triangle_edge_signs.astype(float)
         coeff = centroids = scales = None
     else:
-        full = 2 * ne + 2 * nf
+        dof = 2 * ne + 2 * nf
         cell_dofs = np.empty((nf, 8), dtype=np.int64)
         for k in range(3):
             cell_dofs[:, 2 * k] = 2 * mesh.triangle_edges[:, k]
@@ -162,19 +139,9 @@ def build_edge_space(mesh: Mesh, order: int, essential_bc: bool = False) -> Edge
         cell_signs = np.ones((nf, 8))
         coeff, centroids, scales = _build_n2_coefficients(mesh)
 
-    free = np.ones(full, dtype=bool)
-    if essential_bc:
-        if order == 1:
-            free[mesh.boundary_edges] = False
-        else:
-            free[2 * mesh.boundary_edges] = False
-            free[2 * mesh.boundary_edges + 1] = False
-
     cell_dofs.flags.writeable = False
     cell_signs.flags.writeable = False
-    free.flags.writeable = False
-    return EdgeSpace(mesh, order, essential_bc, full, free, cell_dofs, cell_signs,
-                     grads, coeff, centroids, scales)
+    return EdgeSpace(mesh, order, dof, cell_dofs, cell_signs, grads, coeff, centroids, scales)
 
 
 def _edge_moments(rule, length: np.ndarray, trace: np.ndarray) -> np.ndarray:
@@ -296,7 +263,7 @@ def _tabulate_nodal(Q: NodalSpace, bary: np.ndarray, cells=_ALL) -> tuple[np.nda
 def _edge_field(field: DiscreteField, bary: np.ndarray, cells=_ALL) -> tuple[np.ndarray, np.ndarray]:
     """Values (F', k, 2) and curls (F', k) of a velocity field."""
     space: EdgeSpace = field.space
-    local = space.prolong(field.coefficients)[space.cell_dofs[cells]]
+    local = field.coefficients[space.cell_dofs[cells]]
     vals, curls = _tabulate_edge(space, bary, cells)
     return np.einsum("fkid,fi->fkd", vals, local), np.matmul(curls, local[..., None])[..., 0]
 
@@ -385,15 +352,15 @@ def interpolate_edge(space: EdgeSpace, field: Callable | DiscreteField) -> Discr
     tri, length, bary, pts = _edge_points(mesh, np.arange(mesh.edge_count), erule.points)
     tang = np.diff(mesh.vertices[mesh.edges], axis=1)[:, 0] / length[:, None]
     trace = np.matmul(values(bary, tri, pts), tang[:, :, None])          # (E, k, 1)
-    full = _edge_moments(erule, length, trace).ravel()
+    coeffs = _edge_moments(erule, length, trace).ravel()
     if space.order == 1:
-        full = full[0::2]
+        coeffs = coeffs[0::2]
     else:
         trule = triangle_rule(degree)
         vals = values(trule.points, _ALL, np.matmul(trule.points, mesh.vertices[mesh.triangles]))
         w = 2.0 * mesh.signed_areas()[:, None] * trule.weights
-        full = np.concatenate([full, _cell_moments(w, vals[:, :, None]).ravel()])
-    return DiscreteField(space, space.restrict(full))
+        coeffs = np.concatenate([coeffs, _cell_moments(w, vals[:, :, None]).ravel()])
+    return DiscreteField(space, coeffs)
 
 
 def interpolate_nodal(space: NodalSpace, f: Callable) -> DiscreteField:
@@ -410,7 +377,7 @@ def interpolate_nodal(space: NodalSpace, f: Callable) -> DiscreteField:
 def gradient_coefficients(edge_space: EdgeSpace, nodal_space: NodalSpace) -> csr_array:
     """Exact velocity-space representation of every nodal basis gradient.
 
-    Returns a sparse (full_dof_count, nodal dof) matrix whose column j holds
+    Returns a sparse (edge dof, nodal dof) matrix whose column j holds
     the edge-space coefficients of grad(q_j). Requires matching orders.
     """
     if edge_space.order != nodal_space.order:
@@ -441,7 +408,7 @@ def gradient_coefficients(edge_space: EdgeSpace, nodal_space: NodalSpace) -> csr
     rows = np.broadcast_to(row_dofs[:, :, None], vals.shape)
     cols = np.broadcast_to(col_dofs[:, None, :], vals.shape)
     return csr_array((vals.ravel(), (rows.ravel(), cols.ravel())),
-                     shape=(edge_space.full_dof_count, nodal_space.dof_count))
+                     shape=(edge_space.dof_count, nodal_space.dof_count))
 
 
 def grad_inclusion_check(edge_space: EdgeSpace, nodal_space: NodalSpace) -> float:

@@ -10,7 +10,8 @@ the augmented-Lagrangian reformulation instead (ROADMAP item 1):
 factoring only A_g (no pivoting) and solving the zero-mean Schur system by
 CG preconditioned with g W^-1. The added term vanishes at the solution, so
 the discrete solution is that of the original system; ``--check-below``
-compares both solves on the small levels.
+compares both solves on the small levels and exits non-zero when they
+disagree or ``solve`` reports a singular system.
 
 Prints the errors of every level and the pairwise EOCs of
 ``analysis.compute_eoc``:
@@ -34,6 +35,10 @@ from curlstokes.spaces import DiscreteField
 
 GAMMA = 1e3   # augmentation weight relative to the two blocks' mean diagonals
 C_W = 10.0    # Nitsche penalty, as in the acceptance criteria
+#: largest difference from ``solver.solve``, relative to the largest direct-solve
+#: coefficient, that ``--check-below`` accepts. Agreeing solves differ by at most
+#: 1.1e-10 against max |p| >= 2 at the CI sizes, and by 3e-8 at order 2, n = 32.
+CHECK_RTOL = 1e-6
 
 
 def augmented_solve(system, tol=1e-12):
@@ -67,6 +72,24 @@ def augmented_solve(system, tol=1e-12):
     return u, p, count[0], lu.L.nnz + lu.U.nnz, float(res)
 
 
+def check_against_solve(system, u, p, where):
+    """Compare with ``solver.solve``; exit non-zero when it reports the system
+    singular or either field differs by more than CHECK_RTOL of its largest
+    direct-solve coefficient."""
+    ref = solve(system)
+    if ref.singular:
+        raise SystemExit(f"{where}: solve() reports the system singular")
+    diffs = {name: (np.abs(direct - mine).max(), np.abs(direct).max())
+             for name, direct, mine in (("u", ref.u.coefficients, u),
+                                        ("p", ref.p.coefficients, p))}
+    print("  direct solve: " + ", ".join(f"max |d{name}| {d:.1e}"
+                                         for name, (d, _) in diffs.items()), flush=True)
+    for name, (d, size) in diffs.items():
+        if not d <= CHECK_RTOL * size:
+            raise SystemExit(f"{where}: max |d{name}| {d:.1e} exceeds {CHECK_RTOL:g} "
+                             f"of the direct solve's max |{name}| {size:.1e}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--case", required=True)
@@ -75,7 +98,8 @@ def main():
     ap.add_argument("--levels", type=int, required=True)
     ap.add_argument("--jitter", type=int, default=None, metavar="SEED")
     ap.add_argument("--check-below", type=int, default=0, metavar="UNKNOWNS",
-                    help="also run solver.solve on levels with fewer unknowns")
+                    help="also run solver.solve on levels with fewer unknowns "
+                         "and exit non-zero if the two solves disagree")
     args = ap.parse_args()
     case = get_case(args.case)
     print(f"case={args.case} order={args.order} base_n={args.base_n} "
@@ -93,9 +117,7 @@ def main():
               f"p_l2={b.err_p_l2:.6e} p_h1={b.err_p_h1_seminorm:.6e} "
               f"cg={iters} nnz_lu={fill} residual={res:.1e}", flush=True)
         if system.n_u + system.n_q < args.check_below:
-            ref = solve(system)
-            print(f"  direct solve: max |du| {np.abs(ref.u.coefficients - u).max():.1e}, "
-                  f"max |dp| {np.abs(ref.p.coefficients - p).max():.1e}", flush=True)
+            check_against_solve(system, u, p, f"level {k} (n={args.base_n * 2 ** k})")
     print("pairwise EOCs, each at the finer level of its pair:")
     for key, vals in compute_eoc(bundles).items():
         print(f"  {key:11s}" + "".join(f" {v:+.3f}" for v in vals))

@@ -13,7 +13,7 @@ from curlstokes.experiments import (build_saddle_system, discrete_hash_norm,
 from curlstokes.forms import (BoundaryData, assemble_mass,
                               assemble_velocity_block)
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
-                             generate_unit_square, jitter, two_triangle_square)
+                             generate_unit_square, jitter)
 from curlstokes.solver import solve
 from curlstokes.spaces import (build_edge_space, build_nodal_space,
                                interpolate_edge, interpolate_nodal)
@@ -184,13 +184,6 @@ def test_infsup_scales_linearly_in_h():
         assert beta > 0
         ratios.append(beta / mesh.h_max)
     assert max(ratios) / min(ratios) <= 3.0
-
-
-def test_infsup_vanishes_for_essential_counterexample():
-    tt = two_triangle_square()
-    V = build_edge_space(tt, 1, essential_bc=True)
-    Q = build_nodal_space(tt, 1)
-    assert estimate_infsup(V, Q) <= 1e-10
 
 
 def test_hash_norm_monitor():

@@ -167,7 +167,7 @@ def loop_cell_matrix(row_space, col_space, basis, rule, subscripts, shape):
 
 def loop_velocity_block(V, bd):
     rule = triangle_rule(2 * V.order + 2)
-    n = V.full_dof_count
+    n = V.dof_count
     curl = lambda t: (loop_edge_basis(V, t, rule.points)[1],) * 2
     k = loop_cell_matrix(V, V, curl, rule, "k,ki,kj->ij", (n, n))
     brule = edge_rule(2 * V.order + 2)
@@ -185,7 +185,7 @@ def loop_rhs(V, f, bd):
     mesh = V.mesh
     rule = triangle_rule(2 * V.order + 2)
     areas = mesh.signed_areas()
-    full = np.zeros(V.full_dof_count)
+    full = np.zeros(V.dof_count)
     for t in range(mesh.triangle_count):
         phi, _ = loop_edge_basis(V, t, rule.points)
         pts = rule.points @ mesh.vertices[mesh.triangles[t]]
@@ -276,7 +276,7 @@ def test_batched_assembly_is_bit_identical_to_loops(mesh, seed, per_edge_h):
         Q = build_nodal_space(mesh, order)
         if order == 2:
             assert np.array_equal(V.coeff, loop_coefficients(mesh, V.centroids, V.scales))
-        nv, nq = V.full_dof_count, Q.dof_count
+        nv, nq = V.dof_count, Q.dof_count
         rule = triangle_rule(2 * order + 2)
         edge = lambda t: loop_edge_basis(V, t, rule.points)
         nodal = lambda t: loop_nodal_basis(Q, t, rule.points)

@@ -61,13 +61,9 @@ def test_curl_curl_quadratic_form_of_rotation():
 
 def test_essential_coupling_row_matches_hand_computation():
     # one interior edge dof against the four P1 hats: (0, -1/3, 0, 1/3)
-    tt = two_triangle_square()
-    V = build_edge_space(tt, 1, essential_bc=True)
-    Q = build_nodal_space(tt, 1)
-    B = assemble_b(V, Q).matrix.toarray()
-    assert np.allclose(B, [[0.0, -1 / 3, 0.0, 1 / 3]], atol=1e-14)
-    K = assemble_curl_curl(V).matrix.toarray()
-    assert np.allclose(K, [[4.0]], atol=1e-13)
+    system = build_saddle_system(two_triangle_square(), 1, linear_case(), essential=True)
+    assert np.allclose(system.B.toarray(), [[0.0, -1 / 3, 0.0, 1 / 3]], atol=1e-14)
+    assert np.allclose(system.A.toarray(), [[4.0]], atol=1e-13)
 
 
 def test_b_of_gradient_equals_stiffness_energy():

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
 from curlstokes.analysis import compute_errors
 from curlstokes.cases import linear_case, star_case
 from curlstokes.experiments import build_saddle_system
-from curlstokes.mesh import generate_unit_square, refine_uniform, two_triangle_square
+from curlstokes.mesh import (generate_unit_square, jitter, refine_uniform,
+                             two_triangle_square)
 from curlstokes.solver import (KERNEL_RANK_RTOL, SaddleSystem, SizeGuardError,
                                kernel_probe, solve)
 
@@ -92,19 +93,30 @@ def test_kernel_witnesses_are_zero_mean_kernel_vectors(mesh):
         assert np.linalg.norm(np.concatenate([wu, wp])) == pytest.approx(1.0)
 
 
+# meshes of at most 400 unknowns, the size the dense SVD used to solve:
+# order -> (largest unit-square n, square-with-hole n)
+REFERENCE_MESHES = {1: (9, (3, 6)), 2: (5, (3,))}
+
+
 @settings(max_examples=12, deadline=None)
-@given(data=st.data(), order=st.sampled_from((1, 2)))
-def test_solve_matches_dense_svd_reference(data, order):
-    # meshes of at most 400 unknowns, the size the dense SVD used to solve
-    max_n, hole_ns = {1: (9, (3, 6)), 2: (5, (3,))}[order]
-    mesh = data.draw(jittered_meshes(max_n, hole_ns))
+@given(order_mesh=st.sampled_from((1, 2)).flatmap(
+    lambda order: st.tuples(st.just(order), jittered_meshes(*REFERENCE_MESHES[order]))))
+# Known failure, pinned so that it does not depend on the example database: on
+# this mesh the order-2 C_n^2 is 14.81, above the default C_w = 10, so the
+# velocity block has 10 eigenvalues below -1e-10 max|lambda|, and p differs
+# from the reference by 1.3e-10 relative (3.4e-12 at C_w = 20).
+@example(order_mesh=(2, jitter(generate_unit_square(4), 145)))
+def test_solve_matches_dense_svd_reference(order_mesh):
+    order, mesh = order_mesh
     system = build_saddle_system(mesh, order, star_case(), C_w=10.0)
     assert system.n_u + system.n_q + 1 <= 400
     reference = dense_svd_solve(system)
     report = solve(system)
     assert not report.singular
-    for got, want in zip((report.u.coefficients, report.p.coefficients), reference):
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    for name, got, want in zip("up", (report.u.coefficients, report.p.coefficients),
+                               reference):
+        diff, size = np.linalg.norm(got - want), np.linalg.norm(want)
+        assert diff <= 1e-10 * size, f"order {order}: {name} differs by {diff / size:.2e} relative"
 
 
 def test_singular_verdict_computes_no_kernel(monkeypatch):

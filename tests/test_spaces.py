@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curlstokes.cases import linear_case
+from curlstokes.experiments import build_saddle_system
+from curlstokes.forms import assemble_b
 from curlstokes.mesh import (generate_square_with_hole, generate_unit_square,
                              jitter, two_triangle_square)
 from curlstokes.quadrature import edge_rule, triangle_rule
@@ -32,7 +35,7 @@ def loop_interpolate(space, eval_on_triangle):
     degree = 2 * space.order + 2
     erule = edge_rule(degree)
     leg = 2.0 * erule.points - 1.0
-    full = np.zeros(space.full_dof_count)
+    full = np.zeros(space.dof_count)
     for e in range(mesh.edge_count):
         t = int(mesh.edge_triangles[e, 0])
         a, b = mesh.edges[e]
@@ -56,25 +59,31 @@ def loop_interpolate(space, eval_on_triangle):
             w = 2.0 * areas[t] * trule.weights
             full[space.cell_dofs[t, 6]] = w @ vals[:, 0]
             full[space.cell_dofs[t, 7]] = w @ vals[:, 1]
-    return space.restrict(full)
+    return full
+
+
+def essential_velocity_count(mesh, order):
+    return build_saddle_system(mesh, order, linear_case(), essential=True).n_u
 
 
 def test_edge_space_dof_counts():
     tt = two_triangle_square()
     assert build_edge_space(tt, 1).dof_count == 5
-    assert build_edge_space(tt, 1, essential_bc=True).dof_count == 1
+    assert essential_velocity_count(tt, 1) == 1
     m = generate_unit_square(2)
-    # order 2 in 2D: two dofs per edge plus two interior dofs per triangle
+    # order 2 in 2D: two dofs per edge plus two interior dofs per triangle;
+    # the strong constraint deletes both moments of the 8 boundary edges
     assert build_edge_space(m, 2).dof_count == 2 * 16 + 2 * 8
-    assert build_edge_space(m, 2, essential_bc=True).dof_count == 48 - 2 * 8
+    assert essential_velocity_count(m, 2) == 48 - 2 * 8
 
 
 def test_essential_space_keeps_the_interior_edge():
     tt = two_triangle_square()
-    V = build_edge_space(tt, 1, essential_bc=True)
-    kept = np.nonzero(V.free)[0]
-    assert kept.size == 1
-    assert tuple(tt.edges[kept[0]]) == (1, 3)
+    full_b = assemble_b(build_edge_space(tt, 1), build_nodal_space(tt, 1)).matrix.toarray()
+    kept_b = build_saddle_system(tt, 1, linear_case(), essential=True).B.toarray()
+    interior = [e for e in range(tt.edge_count) if tuple(tt.edges[e]) == (1, 3)]
+    assert len(interior) == 1
+    assert np.array_equal(kept_b, full_b[interior])
 
 
 def test_nodal_space_dof_counts():
@@ -302,7 +311,7 @@ def test_gradient_coefficients_exact(order):
     G = gradient_coefficients(V, Q).toarray()
     rng = np.random.default_rng(6)
     qc = rng.standard_normal(Q.dof_count)
-    grad_field = DiscreteField(V, V.restrict(G @ qc))
+    grad_field = DiscreteField(V, G @ qc)
     p_field = DiscreteField(Q, qc)
     pts = rng.dirichlet([1, 1, 1], size=6)
     from curlstokes.spaces import eval_nodal_field
