@@ -4,10 +4,10 @@ The velocity error is measured in the mesh-dependent norm
 
     |||v|||^2 = ||v||^2 + ||curl v||^2 + (1/h) ||v . t||^2_Gamma + h ||curl v||^2_Gamma,
 
-whose boundary contributions make weak tangential data controllable. Probes
-for the discrete trace constants and the inf-sup constant use dense
-generalized eigensolves and are gated to small systems; dual boundary norms
-are replaced by computable L2 surrogates throughout.
+whose boundary contributions make weak tangential data controllable. The
+trace and inf-sup probes are local or sparse eigensolves, so they serve every
+mesh the solver factors; dual boundary norms are replaced by computable L2
+surrogates throughout.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .forms import (assemble_b, assemble_curl_curl, assemble_mass,
                     assemble_mean_vector, assemble_stiffness, _assemble_cells,
@@ -23,7 +24,7 @@ from .forms import (assemble_b, assemble_curl_curl, assemble_mass,
                     _volume_rule)
 from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
-from .solver import KERNEL_RANK_RTOL, _guard_size
+from .solver import KERNEL_RANK_RTOL, SaddleSystem, _augmented, _factor, _guard_size
 from .spaces import (DiscreteField, EdgeSpace, NodalSpace, _edge_field,
                      _edge_points, _nodal_field, _sample, _tabulate_edge,
                      gradient_coefficients)
@@ -151,18 +152,15 @@ def least_squares_rates(bundles: list[ErrorBundle], window: int = 3) -> dict[str
     return out
 
 
-def boundary_gram_matrices(V: EdgeSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Dense boundary Gram matrices of tangential traces and curl traces."""
+def _boundary_gram(V: EdgeSpace, c_par: float, c_curl: float):
+    """Sparse c_par <v . t, w . t>_Gamma + c_curl <curl v, curl w>_Gamma."""
     rule = _boundary_rule(V)
-    n = V.dof_count
     tri, length, _, trace, curls = _boundary_edge_data(V, rule)
     w = length[:, None] * rule.weights
+    local = (c_par * np.einsum("ek,eki,ekj->eij", w, trace, trace)
+             + c_curl * np.einsum("ek,eki,ekj->eij", w, curls, curls))
     dofs = V.cell_dofs[tri]
-    t_par = _assemble_cells(dofs, dofs, np.einsum("ek,eki,ekj->eij", w, trace, trace),
-                            (n, n)).toarray()
-    t_curl = _assemble_cells(dofs, dofs, np.einsum("ek,eki,ekj->eij", w, curls, curls),
-                             (n, n)).toarray()
-    return t_par, t_curl
+    return _assemble_cells(dofs, dofs, local, (V.dof_count,) * 2)
 
 
 def _curl_factor(V: EdgeSpace) -> np.ndarray:
@@ -223,51 +221,53 @@ def betti_number(mesh: Mesh) -> int:
 
 
 def estimate_trace_constants(V: EdgeSpace) -> TraceConstants:
-    """Constants of the discrete trace inequalities, by generalized eigensolve.
+    """Constants of the discrete trace inequalities.
 
-    C_par^2 bounds h ||v . t||^2_Gamma by ||v||^2; C_n^2 bounds
-    h ||curl v||^2_Gamma by ||curl v||^2 over fields with nonzero curl.
+    C_par^2, the top eigenvalue of the pencil (h T_par, M), bounds
+    h ||v . t||^2_Gamma by ||v||^2. C_n^2 bounds h ||curl v||^2_Gamma by
+    ||curl v||^2; the curl maps onto broken P_{r-1}, so C_n^2 is h times the
+    top eigenvalue of (boundary mass, cell mass) of P_{r-1} on a triangle.
     """
-    _guard_size(V.dof_count)
-    h = V.mesh.h_max
-    t_par, t_curl = boundary_gram_matrices(V)
-    m = assemble_mass(V).matrix.toarray()
-    k = assemble_curl_curl(V).matrix.toarray()
-
-    c_par_sq = scipy.linalg.eigh(h * t_par, m, eigvals_only=True)[-1]
-
-    w, vecs = np.linalg.eigh(k)
-    keep = w > KERNEL_RANK_RTOL * w.max()
-    basis = vecs[:, keep]
-    kk = basis.T @ k @ basis
-    tc = basis.T @ t_curl @ basis
-    c_n_sq = scipy.linalg.eigh(h * tc, kk, eigvals_only=True)[-1]
-    return TraceConstants(c_n=float(np.sqrt(max(c_n_sq, 0.0))),
-                          c_par=float(np.sqrt(max(c_par_sq, 0.0))))
+    mesh, h = V.mesh, V.mesh.h_max
+    basis = np.eye(3) if V.order == 2 else np.ones((3, 1))   # P_{r-1} from barycentrics
+    rule = _boundary_rule(V)
+    tri, length, bary, _ = _edge_points(mesh, mesh.boundary_edges, rule.points)
+    bnd = np.zeros((mesh.triangle_count,) + (basis.shape[1],) * 2)
+    np.add.at(bnd, tri, np.einsum("ek,eki,ekj->eij", length[:, None] * rule.weights,
+                                  bary @ basis, bary @ basis))
+    tri, rule = np.unique(tri), _volume_rule(V)
+    cell = np.einsum("fk,ki,kj->fij", _cell_weights(mesh, rule)[tri],
+                     rule.points @ basis, rule.points @ basis)
+    c_n_sq = h * np.linalg.eigvals(np.linalg.solve(cell, bnd[tri])).real.max()
+    c_par_sq = eigsh(_boundary_gram(V, h, 0.0), k=1, M=assemble_mass(V).matrix, which="LA",
+                     v0=np.random.default_rng(0).standard_normal(V.dof_count),
+                     return_eigenvectors=False)[0]
+    return TraceConstants(c_n=float(np.sqrt(c_n_sq)), c_par=float(np.sqrt(c_par_sq)))
 
 
 def estimate_infsup(V: EdgeSpace, Q: NodalSpace) -> float:
     """Smallest scaled singular value of the coupling form.
 
-    beta_h = min over zero-mean q of max over v of b(v, q) / (|q|_1 |||v|||),
-    computed densely; the theory predicts beta_h ~ h.
+    beta_h = min over zero-mean q of max over v of b(v, q) / (|q|_1 |||v|||);
+    the theory predicts beta_h ~ h. beta_h^2 is the bottom eigenvalue of the
+    pencil (B^T H^-1 B, S), H the #-norm Gram matrix and S the pressure
+    stiffness, with the first pressure dof pinned (both vanish on constants),
+    by shift-invert Lanczos through an LU factor of the solver's augmented
+    matrix with H in place of A.
     """
-    _guard_size(V.dof_count + Q.dof_count)
     h = V.mesh.h_max
-    t_par, t_curl = boundary_gram_matrices(V)
-    m = assemble_mass(V).matrix.toarray()
-    k = assemble_curl_curl(V).matrix.toarray()
-    hash_gram = m + k + t_par / h + h * t_curl
-    b = assemble_b(V, Q).matrix.toarray()
-    s_mat = assemble_stiffness(Q).matrix.toarray()
-    mean = assemble_mean_vector(Q)
+    hash_gram = assemble_mass(V).matrix + assemble_curl_curl(V).matrix + _boundary_gram(V, 1 / h, h)
+    n_u, n_q = V.dof_count, Q.dof_count
+    lu = _factor(_augmented(SaddleSystem(hash_gram, assemble_b(V, Q).matrix, np.zeros(n_u),
+                                         np.zeros(n_q), assemble_mean_vector(Q)))[0])
 
-    _, _, vt = np.linalg.svd(mean[None, :])
-    z = vt[1:].T
-    bz = b @ z
-    sz = z.T @ s_mat @ z
-    hinv_bz = np.linalg.solve(hash_gram, bz)
-    gram = bz.T @ hinv_bz
-    vals = scipy.linalg.eigh(gram, sz, eigvals_only=True)
-    return float(np.sqrt(max(vals[0], 0.0)))
+    def pinned_inverse(r):   # zero-sum data: zero multiplier, zero-mean y
+        y = lu.solve(np.concatenate([np.zeros(n_u), [-r.sum()], r, [0.0]]))[n_u:n_u + n_q]
+        return y[0] - y[1:]
 
+    # in shift-invert mode eigsh reads only the shape of A; OPinv applies A^-1
+    op = LinearOperator((n_q - 1,) * 2, matvec=pinned_inverse, dtype=float)
+    theta = eigsh(op, k=1, M=assemble_stiffness(Q).matrix[1:, 1:], sigma=0.0, OPinv=op,
+                  v0=np.random.default_rng(0).standard_normal(n_q - 1),
+                  return_eigenvectors=False)[0]
+    return float(np.sqrt(max(theta, 0.0)))

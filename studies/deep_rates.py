@@ -9,9 +9,11 @@ the augmented-Lagrangian reformulation instead (ROADMAP item 1):
 
 factoring only A_g (no pivoting) and solving the zero-mean Schur system by
 CG preconditioned with g W^-1. The added term vanishes at the solution, so
-the discrete solution is that of the original system; ``--check-below``
-compares both solves on the small levels and exits non-zero when they
-disagree or ``solve`` reports a singular system.
+the discrete solution is that of the original system. The study exits
+non-zero at the first level whose saddle residual exceeds
+``solver._RESIDUAL_RTOL``, the bound ``solve`` holds itself to.
+``--check-below`` also compares both solves on the small levels and exits
+non-zero when they disagree or ``solve`` reports a singular system.
 
 Prints the errors of every level and the pairwise EOCs of
 ``analysis.compute_eoc``:
@@ -30,7 +32,7 @@ from curlstokes.analysis import compute_eoc, compute_errors
 from curlstokes.cases import get_case
 from curlstokes.experiments import build_saddle_system, level_mesh
 from curlstokes.forms import assemble_mass_nodal
-from curlstokes.solver import solve
+from curlstokes.solver import _RESIDUAL_RTOL, solve
 from curlstokes.spaces import DiscreteField
 
 GAMMA = 1e3   # augmentation weight relative to the two blocks' mean diagonals
@@ -116,8 +118,11 @@ def main():
               f"curl={b.err_u_curl_seminorm:.6e} hash={b.err_u_hash:.6e} "
               f"p_l2={b.err_p_l2:.6e} p_h1={b.err_p_h1_seminorm:.6e} "
               f"cg={iters} nnz_lu={fill} residual={res:.1e}", flush=True)
+        where = f"level {k} (n={args.base_n * 2 ** k})"
+        if not res <= _RESIDUAL_RTOL:
+            raise SystemExit(f"{where}: saddle residual {res:.1e} exceeds {_RESIDUAL_RTOL:g}")
         if system.n_u + system.n_q < args.check_below:
-            check_against_solve(system, u, p, f"level {k} (n={args.base_n * 2 ** k})")
+            check_against_solve(system, u, p, where)
     print("pairwise EOCs, each at the finer level of its pair:")
     for key, vals in compute_eoc(bundles).items():
         print(f"  {key:11s}" + "".join(f" {v:+.3f}" for v in vals))

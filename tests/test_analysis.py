@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curlstokes import analysis, experiments
 from curlstokes.analysis import (betti_number, compute_eoc, compute_errors,
@@ -10,13 +13,65 @@ from curlstokes.analysis import (betti_number, compute_eoc, compute_errors,
 from curlstokes.cases import get_case, linear_case
 from curlstokes.experiments import (build_saddle_system, discrete_hash_norm,
                                     run_harmonic)
-from curlstokes.forms import (BoundaryData, assemble_mass,
+from curlstokes.forms import (BoundaryData, _assemble_cells, _boundary_edge_data,
+                              _boundary_rule, assemble_b, assemble_curl_curl,
+                              assemble_mass, assemble_mean_vector, assemble_stiffness,
                               assemble_velocity_block)
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
-                             generate_unit_square, jitter)
+                             generate_unit_square, jitter, two_triangle_square)
 from curlstokes.solver import solve
 from curlstokes.spaces import (build_edge_space, build_nodal_space,
                                interpolate_edge, interpolate_nodal)
+
+from mesh_strategies import jittered_meshes
+
+
+# Dense oracles for the trace-constant and inf-sup probes: full generalized
+# eigensolves on the dense Gram matrices, restricted to the range of the curl
+# and to zero-mean pressures by explicit bases.
+
+def dense_boundary_grams(V):
+    """Dense boundary Gram matrices of tangential traces and curl traces."""
+    rule = _boundary_rule(V)
+    n = V.dof_count
+    tri, length, _, trace, curls = _boundary_edge_data(V, rule)
+    w = length[:, None] * rule.weights
+    dofs = V.cell_dofs[tri]
+    t_par = _assemble_cells(dofs, dofs, np.einsum("ek,eki,ekj->eij", w, trace, trace),
+                            (n, n)).toarray()
+    t_curl = _assemble_cells(dofs, dofs, np.einsum("ek,eki,ekj->eij", w, curls, curls),
+                             (n, n)).toarray()
+    return t_par, t_curl
+
+
+def dense_trace_constants(V):
+    """(C_n, C_par) from dense eigensolves; C_n over the range of the curl."""
+    h = V.mesh.h_max
+    t_par, t_curl = dense_boundary_grams(V)
+    m = assemble_mass(V).matrix.toarray()
+    k = assemble_curl_curl(V).matrix.toarray()
+    c_par_sq = scipy.linalg.eigh(h * t_par, m, eigvals_only=True)[-1]
+    w, vecs = np.linalg.eigh(k)
+    basis = vecs[:, w > 1e-10 * w.max()]
+    c_n_sq = scipy.linalg.eigh(h * basis.T @ t_curl @ basis, basis.T @ k @ basis,
+                               eigvals_only=True)[-1]
+    return float(np.sqrt(c_n_sq)), float(np.sqrt(c_par_sq))
+
+
+def dense_infsup(V, Q):
+    """beta_h from a dense solve and eigensolve on the zero-mean pressures."""
+    h = V.mesh.h_max
+    t_par, t_curl = dense_boundary_grams(V)
+    hash_gram = (assemble_mass(V).matrix.toarray() + assemble_curl_curl(V).matrix.toarray()
+                 + t_par / h + h * t_curl)
+    b = assemble_b(V, Q).matrix.toarray()
+    _, _, vt = np.linalg.svd(assemble_mean_vector(Q)[None, :])
+    z = vt[1:].T
+    bz = b @ z
+    gram = bz.T @ np.linalg.solve(hash_gram, bz)
+    vals = scipy.linalg.eigh(gram, z.T @ assemble_stiffness(Q).matrix.toarray() @ z,
+                             eigvals_only=True)
+    return float(np.sqrt(max(vals[0], 0.0)))
 
 
 def test_errors_vanish_for_reproduced_solution():
@@ -168,6 +223,50 @@ def test_recommended_penalty_keeps_velocity_block_semidefinite():
     # above 4 C_n = 16.28, a penalty that leaves two negative eigenvalues
     V = build_edge_space(jitter(generate_unit_square(6), 0), 2)
     cw = estimate_trace_constants(V).recommended_cw
+    zero_g = lambda x, y: np.zeros((np.size(x), 2))
+    ev = np.linalg.eigvalsh(assemble_velocity_block(V, BoundaryData(zero_g, C_w=cw))
+                            .matrix.toarray())
+    assert ev.min() >= -1e-12 * ev.max()
+
+
+# hole n = 3 is where ARPACK, on the augmented pencil (K_aug, diag(0, S, 0)),
+# returned anything from 0.051 to the true beta_h = 0.2699 depending on its
+# random start
+ORACLE_MESHES = {"hole3": lambda: generate_square_with_hole(3),
+                 "two_triangles": two_triangle_square,
+                 "jitter6_seed0": lambda: jitter(generate_unit_square(6), 0)}
+
+
+def check_probes_match_dense_oracle(mesh, order):
+    V = build_edge_space(mesh, order)
+    Q = build_nodal_space(mesh, order)
+    consts = estimate_trace_constants(V)
+    c_n, c_par = dense_trace_constants(V)
+    assert consts.c_n == pytest.approx(c_n, rel=1e-12, abs=0)
+    assert consts.c_par == pytest.approx(c_par, rel=1e-12, abs=0)
+    assert estimate_infsup(V, Q) == pytest.approx(dense_infsup(V, Q), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_probes_match_dense_oracle(name, order):
+    check_probes_match_dense_oracle(ORACLE_MESHES[name](), order)
+
+
+@settings(max_examples=10, deadline=None)
+@given(mesh=jittered_meshes(6, [3, 6]), order=st.sampled_from((1, 2)))
+def test_probes_match_dense_oracle_on_jittered_meshes(mesh, order):
+    check_probes_match_dense_oracle(mesh, order)
+
+
+@settings(max_examples=10, deadline=None)
+@given(mesh=jittered_meshes(6, [3, 6]), order=st.sampled_from((1, 2)))
+def test_velocity_block_coercive_above_local_trace_threshold(mesh, order):
+    # a(v, v) >= x^2 - 2 C_n x y + C_w y^2 with x = ||curl v|| and
+    # y = h^-1/2 ||v . t||_Gamma, which is nonnegative for C_w >= C_n^2. The
+    # bound is not sharp, so nothing is asserted below the threshold.
+    V = build_edge_space(mesh, order)
+    cw = 1.01 * estimate_trace_constants(V).c_n ** 2
     zero_g = lambda x, y: np.zeros((np.size(x), 2))
     ev = np.linalg.eigvalsh(assemble_velocity_block(V, BoundaryData(zero_g, C_w=cw))
                             .matrix.toarray())
