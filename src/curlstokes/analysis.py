@@ -183,7 +183,14 @@ def hodge_decompose(V: EdgeSpace, Q: NodalSpace) -> HodgeDecomposition:
     """Split the velocity space into gradients, curl-carrying fields and
     discrete harmonic fields, mutually orthogonal in L2. The harmonic fields
     are the null right singular vectors of the curl factor on X_h; that factor
-    is tall, so its thin SVD has them all (a wide one fails the sum check)."""
+    is tall, so its thin SVD has them all (a wide one fails the sum check).
+
+    The curl factor has m >= 11n/6 rows for its n columns (about 9 per column
+    at order 1, 5 at order 2), and for such a matrix LAPACK's gesdd runs
+    dgeqrf and then the SVD of the triangular factor R. Taking the SVD of
+    np.linalg.qr(..., mode="r") runs that same arithmetic, so the bases are
+    bit-identical to the whole factor's SVD, but never builds the m x n left
+    factor that nothing reads."""
     _guard_size(V.dof_count + Q.dof_count)
     m = assemble_mass(V).matrix.toarray()
     b = assemble_b(V, Q).matrix.toarray()
@@ -204,7 +211,7 @@ def hodge_decompose(V: EdgeSpace, Q: NodalSpace) -> HodgeDecomposition:
     x = scipy.linalg.solve_triangular(chol, x.T, lower=True).T
 
     cx = _curl_factor(V) @ x
-    _, s, vt = np.linalg.svd(cx, full_matrices=False)
+    _, s, vt = np.linalg.svd(np.linalg.qr(cx, mode="r"), full_matrices=False)
     smax = s.max(initial=0.0)
     ranks = int((s > KERNEL_RANK_RTOL * smax).sum()) if smax > 0 else 0
     z_basis = x @ vt[:ranks].T

@@ -173,7 +173,7 @@ def test_criterion_4_hole_rates():
             f"p H1: final EOC {eoc['err_p_h1']:+.3f} > 0.1 (no convergence expected)")
     # the harmonic dimension comes from the dense Hodge decomposition: check
     # it on n = 3, 6, 12, 24. n = 96 and 192 exceed KERNEL_SIZE_GUARD. The
-    # four decompositions take about 4.5 s on a 2-core box, 4.1 s of it at
+    # four decompositions take about 3 s on a 2-core box, 2.6 s of it at
     # n = 24 (1600 edge dofs, 273 MiB traced peak); n = 48 (6272 edge dofs)
     # would take about 64x as long as n = 24, past the runtime guard below
     dims = []

@@ -159,8 +159,12 @@ def test_hodge_orthogonality_and_hole_dimension():
 
 
 def test_hodge_decompose_memory_peak():
-    # the thin curl split keeps the peak at about 88 MiB on hole n = 18; the
-    # full SVD's unread 5184 x 5184 left factor raised it to 259 MiB
+    # tracemalloc sees numpy arrays, not the operand copies and workspace that
+    # numpy's linalg takes with malloc, and on hole n = 18 its 88 MiB peak is
+    # set before the curl split: this bounds the dense arrays only (the full
+    # SVD's unread 5184 x 5184 left factor raised it to 259 MiB). The curl
+    # split's QR route saves memory that only peak RSS shows
+    # (bench/run.py --workload hole-harmonic).
     mesh = generate_square_with_hole(18)
     V = build_edge_space(mesh, 1)
     Q = build_nodal_space(mesh, 1)

@@ -6,9 +6,9 @@ kernels replaced: one basis tabulation, one contraction and one scatter per
 triangle or boundary edge. The reported errors react to a single ulp in the
 assembled system (see the ``forms`` module docstring), so every comparison
 is ``np.array_equal``, not a tolerance. The Hodge reference forms the full
-left singular factor of the curl split, which ``hodge_decompose`` no longer
-does; ``harmonic.json`` is checked to 1e-10 against a roundoff-sized ratio,
-so its bases must not move by a bit either.
+left singular factor of the curl split; ``hodge_decompose`` forms none, it
+takes the SVD of the R of a QR. ``harmonic.json`` is checked to 1e-10
+against a roundoff-sized ratio, so its bases must not move by a bit either.
 """
 
 import numpy as np
@@ -305,8 +305,12 @@ def test_batched_assembly_is_bit_identical_to_loops(mesh, seed, per_edge_h):
     (lambda: generate_square_with_hole(6), 1),
     (lambda: generate_square_with_hole(6), 2),
     (lambda: jitter(generate_square_with_hole(6), 7), 1),
+    # harmonic --n 18's input: 577 columns, most of them through dgeqrf's
+    # blocked code (the cases above reach 193); the full-SVD reference here
+    # takes about 4 s and 600 MB
+    (lambda: generate_square_with_hole(18), 1),
 ], ids=["square2-o1", "square2-o2", "lshape1-o1", "hole3-o1", "hole3-o2",
-        "hole6-o1", "hole6-o2", "hole6-jitter7-o1"])
+        "hole6-o1", "hole6-o2", "hole6-jitter7-o1", "hole18-o1"])
 def test_hodge_decomposition_is_bit_identical_to_full_svd(make, order):
     mesh = make()
     V = build_edge_space(mesh, order)
