@@ -21,7 +21,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from .forms import (assemble_b, assemble_curl_curl, assemble_mass,
                     assemble_mean_vector, assemble_stiffness, _assemble_cells,
                     _boundary_edge_data, _boundary_rule, _cell_weights,
-                    _volume_rule)
+                    _local_matrix, _volume_rule)
 from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
 from .solver import KERNEL_RANK_RTOL, SaddleSystem, _augmented, _factor, _guard_size
@@ -39,6 +39,8 @@ NORM_COLUMNS = {
     "err_p_l2": "err_p_l2",
     "err_p_h1_seminorm": "err_p_h1",
 }
+
+RATE_WINDOW = 3
 
 
 @dataclass(frozen=True)
@@ -139,9 +141,9 @@ def compute_eoc(bundles: list[ErrorBundle]) -> dict[str, list[float]]:
     return out
 
 
-def least_squares_rates(bundles: list[ErrorBundle], window: int = 3) -> dict[str, float]:
-    """Log-log least-squares slope over the last ``window`` levels per norm."""
-    bundles = bundles[-window:]
+def least_squares_rates(bundles: list[ErrorBundle]) -> dict[str, float]:
+    """Log-log least-squares slope over the last ``RATE_WINDOW`` levels per norm."""
+    bundles = bundles[-RATE_WINDOW:]
     if len(bundles) < 2:
         raise ValueError("rate fit requires at least two levels")
     hs = np.log([b.h for b in bundles])
@@ -157,8 +159,8 @@ def _boundary_gram(V: EdgeSpace, c_par: float, c_curl: float):
     rule = _boundary_rule(V)
     tri, length, _, trace, curls = _boundary_edge_data(V, rule)
     w = length[:, None] * rule.weights
-    local = (c_par * np.einsum("ek,eki,ekj->eij", w, trace, trace)
-             + c_curl * np.einsum("ek,eki,ekj->eij", w, curls, curls))
+    trace, curls = trace[..., None], curls[..., None]
+    local = c_par * _local_matrix(w, trace, trace) + c_curl * _local_matrix(w, curls, curls)
     dofs = V.cell_dofs[tri]
     return _assemble_cells(dofs, dofs, local, (V.dof_count,) * 2)
 

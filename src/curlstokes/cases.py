@@ -3,9 +3,9 @@
 Every case bundles the analytic velocity, pressure, their derivatives and
 the matching volume/boundary data, together with a domain builder. The
 boundary velocity g always equals the analytic velocity restricted to the
-boundary. Case data is validated by finite-difference checks of the
-divergence constraint and of the momentum identity f = curl(curl u) + grad p
-before any solve.
+boundary. ``validate_case`` checks the divergence constraint and the identity
+f = curl(curl u) + grad p by finite differences; only the test suite
+(``tests/test_cases.py``) runs it, no command does.
 """
 
 from __future__ import annotations
@@ -21,6 +21,13 @@ from .mesh import Mesh
 # smallest positive exponent of the corner singularity on the 3*pi/2 sector
 LSHAPE_LAMBDA = 0.54448373678246
 LSHAPE_OMEGA = 1.5 * np.pi
+
+# validate_case: sample points, their seed, and the largest finite-difference
+# residuals of the divergence and of the momentum identity
+VALIDATE_POINTS = 50
+VALIDATE_SEED = 1234
+DIV_TOL = 1e-6
+MOMENTUM_TOL = 1e-8
 
 
 class SingularPointError(ValueError):
@@ -221,18 +228,17 @@ def _sample_points(case: ManufacturedCase, count: int, rng: np.random.Generator)
     return pts[:count]
 
 
-def validate_case(case: ManufacturedCase, count: int = 50, seed: int = 1234,
-                  div_tol: float = 1e-6, momentum_tol: float = 1e-8) -> None:
+def validate_case(case: ManufacturedCase) -> None:
     """Finite-difference checks of the case invariants; raises on failure."""
-    rng = np.random.default_rng(seed)
-    pts = _sample_points(case, count, rng)
+    rng = np.random.default_rng(VALIDATE_SEED)
+    pts = _sample_points(case, VALIDATE_POINTS, rng)
     x, y = pts[:, 0], pts[:, 1]
     d = 1e-6
 
     div = ((case.u(x + d, y)[:, 0] - case.u(x - d, y)[:, 0])
            + (case.u(x, y + d)[:, 1] - case.u(x, y - d)[:, 1])) / (2 * d)
     worst = float(np.abs(div).max())
-    if worst > div_tol:
+    if worst > DIV_TOL:
         raise AssertionError(f"case {case.name}: divergence residual {worst:.3e}")
 
     curl_curl = np.column_stack([
@@ -241,5 +247,5 @@ def validate_case(case: ManufacturedCase, count: int = 50, seed: int = 1234,
     ])
     res = case.f(x, y) - curl_curl - case.grad_p(x, y)
     worst = float(np.abs(res).max())
-    if worst > momentum_tol:
+    if worst > MOMENTUM_TOL:
         raise AssertionError(f"case {case.name}: momentum residual {worst:.3e}")

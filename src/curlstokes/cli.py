@@ -90,26 +90,17 @@ def _write_svgs(run: ConvergenceRun, outdir: Path) -> None:
 
 
 def _cmd_convergence(args) -> int:
-    formats = set(args.formats.split(","))
-    bad = formats - {"csv", "json", "svg"}
-    if bad:
-        print(f"error: unknown output formats {sorted(bad)}", file=sys.stderr)
-        return EXIT_CONFIG
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         run = run_convergence(args.case, args.order, args.levels, C_w=args.cw,
-                              base_n=args.base_n, jitter_seed=args.jitter,
-                              per_edge_h=args.per_edge_h)
+                              base_n=args.base_n, jitter_seed=args.jitter)
     except SingularLevelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    if "csv" in formats:
-        _write_errors_csv(run, outdir / "errors.csv")
-    if "json" in formats:
-        _write_report_json(run, outdir / "report.json")
-    if "svg" in formats:
-        _write_svgs(run, outdir)
+    _write_errors_csv(run, outdir / "errors.csv")
+    _write_report_json(run, outdir / "report.json")
+    _write_svgs(run, outdir)
     eoc = compute_eoc(run.bundles)
     final = {k: v[-1] for k, v in eoc.items()}
     print(f"convergence {args.case} order {args.order}: final EOC "
@@ -172,9 +163,6 @@ def make_parser() -> argparse.ArgumentParser:
                       help="base subdivision (default: per-case)")
     conv.add_argument("--jitter", type=int, default=None, metavar="SEED",
                       help="perturb interior vertices with this seed")
-    conv.add_argument("--per-edge-h", action="store_true",
-                      help="scale the penalty with edge lengths instead of h_max")
-    conv.add_argument("--formats", default="csv,json,svg")
     conv.add_argument("--out", required=True)
     conv.set_defaults(func=_cmd_convergence)
 
@@ -203,9 +191,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    if args.command == "convergence" and args.levels < 2:
-        print("error: convergence needs --levels >= 2", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.func(args)
     except SizeGuardError as exc:

@@ -23,8 +23,7 @@ from .spaces import (DiscreteField, _edge_field, build_edge_space,
 
 
 def build_saddle_system(mesh: Mesh, order: int, case: ManufacturedCase,
-                        C_w: float = 10.0, per_edge_h: bool = False,
-                        essential: bool = False) -> SaddleSystem:
+                        C_w: float = 10.0, essential: bool = False) -> SaddleSystem:
     """Assemble the discrete system for a case on one mesh.
 
     By default the tangential data enter weakly through the Nitsche terms of
@@ -44,7 +43,7 @@ def build_saddle_system(mesh: Mesh, order: int, case: ManufacturedCase,
         A = assemble_curl_curl(V).matrix[keep][:, keep]
         return SaddleSystem(A, assemble_b(V, Q).matrix[keep], np.zeros(A.shape[0]),
                             np.zeros(Q.dof_count), assemble_mean_vector(Q))
-    bd = BoundaryData(g=case.g, C_w=C_w, per_edge_h=per_edge_h)
+    bd = BoundaryData(g=case.g, C_w=C_w)
     A = assemble_velocity_block(V, bd).matrix
     rhs_u, rhs_q = assemble_rhs(V, case.f, bd), assemble_divergence_rhs(Q, case.g)
     return SaddleSystem(A, assemble_b(V, Q).matrix, rhs_u, rhs_q, assemble_mean_vector(Q), V, Q)
@@ -80,8 +79,7 @@ class ConvergenceRun:
 
 
 def run_convergence(case_name: str, order: int, levels: int, C_w: float = 10.0,
-                    base_n: int | None = None, jitter_seed: int | None = None,
-                    per_edge_h: bool = False) -> ConvergenceRun:
+                    base_n: int | None = None, jitter_seed: int | None = None) -> ConvergenceRun:
     """Solve a refinement sequence and collect errors and rates."""
     if levels < 2:
         raise ValueError("a convergence study needs at least two levels")
@@ -93,7 +91,7 @@ def run_convergence(case_name: str, order: int, levels: int, C_w: float = 10.0,
     hash_norms = []
     for k in range(levels):
         mesh = level_mesh(case, base_n, k, jitter_seed)
-        rep = solve(build_saddle_system(mesh, order, case, C_w, per_edge_h))
+        rep = solve(build_saddle_system(mesh, order, case, C_w))
         if rep.singular:
             raise SingularLevelError(k)
         bundles.append(compute_errors(rep.u, rep.p, case, mesh))
@@ -101,7 +99,7 @@ def run_convergence(case_name: str, order: int, levels: int, C_w: float = 10.0,
     config = {
         "command": "convergence", "case": case_name, "order": order,
         "levels": levels, "C_w": C_w, "base_n": base_n,
-        "jitter_seed": jitter_seed, "per_edge_h": per_edge_h,
+        "jitter_seed": jitter_seed,
     }
     return ConvergenceRun(bundles=bundles, hash_norms=hash_norms, config=config)
 

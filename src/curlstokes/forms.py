@@ -24,8 +24,9 @@ and order-2 errors at n = 32 by up to 7e-9, beyond the 1e-10 tolerance of
 the reference reports. The rule that keeps the arithmetic identical: where
 the per-triangle form used ``@``, the batched one uses stacked ``np.matmul``
 on the same operand shapes; where it used ``einsum``, the same subscripts
-with a leading cell axis. ``tests/test_bit_identity.py`` holds the loop
-reference.
+with a leading cell axis. ``_local_matrix`` serves every local matrix: a
+scalar field takes a unit trailing axis, which keeps einsum's arithmetic.
+``tests/test_bit_identity.py`` holds the loop reference.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from .quadrature import edge_rule, triangle_rule
 from .spaces import (DiscreteField, EdgeSpace, NodalSpace, _edge_field,
                      _edge_points, _sample, _tabulate_edge, _tabulate_nodal)
 
+TRACE_NORM_DEGREE = 8
+
 
 @dataclass
 class SparseOperator:
@@ -50,17 +53,17 @@ class SparseOperator:
 
 @dataclass
 class BoundaryData:
-    """Boundary velocity data and the penalty configuration.
+    """Boundary velocity data and the penalty constant.
 
     ``g(x, y)`` returns the full boundary velocity (both components); the
     assembly pairs it against tangential traces, which selects the
     tangential part automatically. The penalty is C_w/h with h the mesh's
-    ``h_max``, unless ``per_edge_h`` replaces h by edge lengths.
+    ``h_max``, the scaling that ``analysis.estimate_trace_constants``
+    analyses.
     """
 
     g: Callable
     C_w: float
-    per_edge_h: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.C_w) and self.C_w > 0):
@@ -103,11 +106,17 @@ def _cell_weights(mesh, rule) -> np.ndarray:
     return 2.0 * mesh.signed_areas()[:, None] * rule.weights
 
 
+def _local_matrix(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Local matrices sum_k w[f, k] a[f, k, i, :] . b[f, k, j, :], (F', m, n),
+    of cells or boundary edges; scalar fields carry a unit trailing axis."""
+    return np.einsum("fk,fkid,fkjd->fij", w, a, b)
+
+
 def assemble_mass(V: EdgeSpace) -> SparseOperator:
     """Velocity mass matrix (v_i, v_j)."""
     rule = _volume_rule(V)
     phi, _ = _tabulate_edge(V, rule.points)
-    local = np.einsum("fk,fkid,fkjd->fij", _cell_weights(V.mesh, rule), phi, phi)
+    local = _local_matrix(_cell_weights(V.mesh, rule), phi, phi)
     return SparseOperator(_assemble_cells(V.cell_dofs, V.cell_dofs, local, (V.dof_count,) * 2))
 
 
@@ -115,7 +124,7 @@ def assemble_curl_curl(V: EdgeSpace) -> SparseOperator:
     """Curl-curl matrix (curl v_i, curl v_j); discrete gradients lie in its kernel."""
     rule = _volume_rule(V)
     _, curls = _tabulate_edge(V, rule.points)
-    local = np.einsum("fk,fki,fkj->fij", _cell_weights(V.mesh, rule), curls, curls)
+    local = _local_matrix(_cell_weights(V.mesh, rule), curls[..., None], curls[..., None])
     return SparseOperator(_assemble_cells(V.cell_dofs, V.cell_dofs, local, (V.dof_count,) * 2))
 
 
@@ -129,18 +138,14 @@ def _boundary_edge_data(V: EdgeSpace, rule):
     return tri, length, pts, trace, curls
 
 
-def _penalty(V: EdgeSpace, bd: BoundaryData, length: np.ndarray) -> np.ndarray:
-    """C_w / h per boundary edge."""
-    return bd.C_w / (length if bd.per_edge_h else np.full_like(length, V.mesh.h_max))
-
-
 def assemble_nitsche(V: EdgeSpace, bd: BoundaryData) -> SparseOperator:
     """Boundary part of the velocity form: consistency, symmetry and penalty terms."""
     rule = _boundary_rule(V)
     tri, length, _, trace, curls = _boundary_edge_data(V, rule)
     w = length[:, None] * rule.weights
-    pen = _penalty(V, bd, length)[:, None, None] * np.einsum("ek,eki,ekj->eij", w, trace, trace)
-    cons = -np.einsum("ek,eki,ekj->eij", w, trace, curls)
+    trace = trace[..., None]
+    pen = bd.C_w / V.mesh.h_max * _local_matrix(w, trace, trace)
+    cons = -_local_matrix(w, trace, curls[..., None])
     local = pen + cons + cons.transpose(0, 2, 1)
     dofs = V.cell_dofs[tri]
     return SparseOperator(_assemble_cells(dofs, dofs, local, (V.dof_count,) * 2))
@@ -153,7 +158,7 @@ def assemble_b(V: EdgeSpace, Q: NodalSpace) -> SparseOperator:
     rule = triangle_rule(2 * max(V.order, Q.order) + 2)
     phi, _ = _tabulate_edge(V, rule.points)
     _, gq = _tabulate_nodal(Q, rule.points)
-    local = np.einsum("fk,fkid,fkjd->fij", _cell_weights(V.mesh, rule), phi, gq)
+    local = _local_matrix(_cell_weights(V.mesh, rule), phi, gq)
     return SparseOperator(_assemble_cells(V.cell_dofs, Q.cell_dofs, local,
                                           (V.dof_count, Q.dof_count)))
 
@@ -162,7 +167,7 @@ def assemble_mass_nodal(Q: NodalSpace) -> SparseOperator:
     """Pressure mass matrix (q_i, q_j)."""
     rule = _volume_rule(Q)
     q, _ = _tabulate_nodal(Q, rule.points)
-    local = np.einsum("fk,fki,fkj->fij", _cell_weights(Q.mesh, rule), q, q)
+    local = _local_matrix(_cell_weights(Q.mesh, rule), q[..., None], q[..., None])
     return SparseOperator(_assemble_cells(Q.cell_dofs, Q.cell_dofs, local, (Q.dof_count,) * 2))
 
 
@@ -170,7 +175,7 @@ def assemble_stiffness(Q: NodalSpace) -> SparseOperator:
     """Pressure stiffness matrix (grad q_i, grad q_j)."""
     rule = _volume_rule(Q)
     _, gq = _tabulate_nodal(Q, rule.points)
-    local = np.einsum("fk,fkid,fkjd->fij", _cell_weights(Q.mesh, rule), gq, gq)
+    local = _local_matrix(_cell_weights(Q.mesh, rule), gq, gq)
     return SparseOperator(_assemble_cells(Q.cell_dofs, Q.cell_dofs, local, (Q.dof_count,) * 2))
 
 
@@ -198,7 +203,7 @@ def assemble_rhs(V: EdgeSpace, f: Callable, bd: BoundaryData) -> np.ndarray:
     gt = np.matmul(_sample(bd.g, pts), mesh.boundary_tangents[:, :, None])[..., 0]
     w = length[:, None] * brule.weights
     np.add.at(out, V.cell_dofs[tri],
-              _penalty(V, bd, length)[:, None] * np.einsum("ek,ek,eki->ei", w, gt, trace)
+              bd.C_w / V.mesh.h_max * np.einsum("ek,ek,eki->ei", w, gt, trace)
               - np.einsum("ek,ek,eki->ei", w, gt, curls))
     return out
 
@@ -216,13 +221,13 @@ def assemble_divergence_rhs(Q: NodalSpace, g: Callable) -> np.ndarray:
     return out
 
 
-def boundary_trace_norms(field, mesh, curl=None, degree: int = 8) -> tuple[float, float]:
+def boundary_trace_norms(field, mesh, curl=None) -> tuple[float, float]:
     """L2 norms over the boundary of the tangential trace and of the curl trace.
 
     ``field`` is either a DiscreteField on an edge space or a callable
     ``field(x, y) -> (k, 2)`` with the matching scalar ``curl(x, y) -> (k,)``.
     """
-    rule = edge_rule(degree)
+    rule = edge_rule(TRACE_NORM_DEGREE)
     discrete = isinstance(field, DiscreteField)
     if discrete and field.space.mesh is not mesh:
         raise ValueError("field mesh does not match")
@@ -237,10 +242,8 @@ def boundary_trace_norms(field, mesh, curl=None, degree: int = 8) -> tuple[float
     return float(np.sqrt((w * trace ** 2).sum())), float(np.sqrt((w * curls ** 2).sum()))
 
 
-def assemble_velocity_block(V: EdgeSpace, bd: BoundaryData | None) -> SparseOperator:
-    """Full velocity operator: curl-curl plus the boundary terms (when given)."""
+def assemble_velocity_block(V: EdgeSpace, bd: BoundaryData) -> SparseOperator:
+    """Full velocity operator: curl-curl plus the boundary terms."""
     k = assemble_curl_curl(V)
-    if bd is None:
-        return k
     n = assemble_nitsche(V, bd)
     return SparseOperator((k.matrix + n.matrix).tocsr())

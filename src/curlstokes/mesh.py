@@ -8,7 +8,6 @@ with a single adjacent triangle lies on the boundary).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,14 +15,16 @@ import numpy as np
 # largest jitter offset per coordinate, as a fraction of the shortest incident
 # edge; up to 0.2 keeps every triangle positively oriented
 JITTER_MAGNITUDE = 0.2
+# validate_mesh's bound on |n . t| and on | |n| - 1 |, | |t| - 1 |
+UNIT_TOL = 1e-12
 
 
 class MeshError(Exception):
-    """Base class for mesh construction and file errors."""
+    """Base class for mesh construction errors."""
 
 
 class MeshFormatError(MeshError):
-    """Malformed mesh file: bad JSON or wrong structure."""
+    """Vertex or triangle arrays of the wrong shape, or non-finite coordinates."""
 
 
 class MeshConnectivityError(MeshError):
@@ -116,6 +117,9 @@ def build_mesh(vertices, triangles) -> Mesh:
         raise MeshFormatError("vertices must be an array of 2D coordinates")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise MeshFormatError("triangles must be an array of vertex triples")
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        raise MeshFormatError(f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
     nv = vertices.shape[0]
     if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
         bad = int(np.argmax((triangles < 0) | (triangles >= nv)) // 3)
@@ -257,29 +261,7 @@ def jitter(mesh: Mesh, seed: int) -> Mesh:
     return build_mesh(vertices, mesh.triangles)
 
 
-def save_mesh(mesh: Mesh, path) -> None:
-    data = {"vertices": mesh.vertices.tolist(), "triangles": mesh.triangles.tolist()}
-    with open(path, "w") as f:
-        json.dump(data, f)
-
-
-def load_mesh(path) -> Mesh:
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise MeshFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "vertices" not in data or "triangles" not in data:
-        raise MeshFormatError('mesh file must be an object with "vertices" and "triangles"')
-    try:
-        vertices = np.asarray(data["vertices"], dtype=float)
-        triangles = np.asarray(data["triangles"], dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise MeshFormatError(f"vertices/triangles are not numeric arrays: {exc}") from exc
-    return build_mesh(vertices, triangles)
-
-
-def validate_mesh(mesh: Mesh, tol: float = 1e-12) -> None:
+def validate_mesh(mesh: Mesh) -> None:
     """Check every structural invariant; raise MeshError on the first failure."""
     if (mesh.signed_areas() <= 0).any():
         raise MeshOrientationError("non-positive triangle area")
@@ -291,11 +273,11 @@ def validate_mesh(mesh: Mesh, tol: float = 1e-12) -> None:
     n = mesh.boundary_normals
     t = mesh.boundary_tangents
     if n.size:
-        if np.abs((n * t).sum(axis=1)).max() > tol:
+        if np.abs((n * t).sum(axis=1)).max() > UNIT_TOL:
             raise MeshError("boundary normal and tangent are not orthogonal")
-        if np.abs(np.hypot(n[:, 0], n[:, 1]) - 1).max() > tol:
+        if np.abs(np.hypot(n[:, 0], n[:, 1]) - 1).max() > UNIT_TOL:
             raise MeshError("boundary normal is not unit length")
-        if np.abs(np.hypot(t[:, 0], t[:, 1]) - 1).max() > tol:
+        if np.abs(np.hypot(t[:, 0], t[:, 1]) - 1).max() > UNIT_TOL:
             raise MeshError("boundary tangent is not unit length")
         inward = np.nonzero(_outward(mesh.vertices, mesh.triangles, mesh.edges,
                                      mesh.edge_triangles, mesh.boundary_edges, n) <= 0)[0]

@@ -20,8 +20,6 @@ from scipy.sparse.linalg import splu
 from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
 
-BARYCENTRIC_TOL = 1e-10
-
 # cycle-order local edges, matching mesh.triangle_edges
 _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
@@ -39,15 +37,6 @@ def _barycentric_gradients(mesh: Mesh) -> np.ndarray:
     grads[:, 2, 1] = (b[:, 0] - a[:, 0]) / det
     grads[:, 0] = -grads[:, 1] - grads[:, 2]
     return grads
-
-
-def _check_barycentric(bary: np.ndarray) -> np.ndarray:
-    bary = np.atleast_2d(np.asarray(bary, dtype=float))
-    if bary.shape[1] != 3:
-        raise ValueError("barycentric points must have three components")
-    if bary.min() < -BARYCENTRIC_TOL or np.abs(bary.sum(axis=1) - 1.0).max() > BARYCENTRIC_TOL:
-        raise ValueError("point outside the closed triangle")
-    return bary
 
 
 # monomial basis of the local order-2 space in shifted-scaled coordinates:
@@ -207,9 +196,8 @@ def build_nodal_space(mesh: Mesh, order: int) -> NodalSpace:
 
 # Batched kernels. ``bary`` holds barycentric points shared by every cell,
 # (k, 3), or one set per cell, (F', k, 3); ``cells`` selects the triangles
-# (all of them by default). They are private so that the per-cell public
-# evaluators below stay thin slices of them, and so that the tracer in
-# ``bench/`` records one span per form rather than one per element.
+# (all of them by default). They are private so that the tracer in ``bench/``
+# records one span per form rather than one per kernel call.
 _ALL = slice(None)
 
 
@@ -301,34 +289,6 @@ def _sample(fn: Callable, pts: np.ndarray) -> np.ndarray:
     """``fn(x, y)`` at points (..., 2), shaped (...) or (..., 2)."""
     out = np.asarray(fn(pts[..., 0].ravel(), pts[..., 1].ravel()), dtype=float)
     return out.reshape(pts.shape[:-1] + out.shape[1:])
-
-
-def eval_edge_basis(space: EdgeSpace, triangle: int, points) -> tuple[np.ndarray, np.ndarray]:
-    """Local basis fields and curls at barycentric points.
-
-    Returns (values, curls) of shapes (k, nloc, 2) and (k, nloc) in the local
-    dof order of ``space.cell_dofs``.
-    """
-    vals, curls = _tabulate_edge(space, _check_barycentric(points), [triangle])
-    return vals[0], curls[0]
-
-
-def eval_nodal_basis(space: NodalSpace, triangle: int, points) -> tuple[np.ndarray, np.ndarray]:
-    """Local Lagrange basis values and gradients, shapes (k, nloc) and (k, nloc, 2)."""
-    vals, grads = _tabulate_nodal(space, _check_barycentric(points), [triangle])
-    return vals[0], grads[0]
-
-
-def eval_edge_field(field: DiscreteField, triangle: int, points) -> tuple[np.ndarray, np.ndarray]:
-    """Values (k, 2) and curls (k,) of a velocity field on one triangle."""
-    vals, curls = _edge_field(field, _check_barycentric(points), [triangle])
-    return vals[0], curls[0]
-
-
-def eval_nodal_field(field: DiscreteField, triangle: int, points) -> tuple[np.ndarray, np.ndarray]:
-    """Values (k,) and gradients (k, 2) of a pressure field on one triangle."""
-    vals, grads = _nodal_field(field, _check_barycentric(points), [triangle])
-    return vals[0], grads[0]
 
 
 def interpolate_edge(space: EdgeSpace, field: Callable | DiscreteField) -> DiscreteField:

@@ -22,6 +22,8 @@ def test_convergence_linear_case(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["schema_version"] == 1
     assert report["config"]["case"] == "linear"
+    assert set(report["config"]) == {"command", "case", "order", "levels", "C_w",
+                                     "base_n", "jitter_seed"}
     for level in report["levels"]:
         assert level["errors"]["err_u_l2"] <= 1e-8
         assert level["errors"]["err_p_l2"] <= 1e-8
@@ -44,12 +46,10 @@ def test_convergence_deterministic_outputs(tmp_path):
 def test_convergence_star_rates_in_report(tmp_path):
     out = tmp_path / "star"
     code = main(["convergence", "--case", "star", "--order", "1",
-                 "--levels", "3", "--base-n", "4", "--out", str(out),
-                 "--formats", "json"])
+                 "--levels", "3", "--base-n", "4", "--out", str(out)])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert 0.7 <= report["eoc"]["err_u_l2"][-1] <= 1.3
-    assert not (out / "errors.csv").exists()
 
 
 def test_convergence_rejects_single_level(tmp_path):
@@ -64,12 +64,6 @@ def test_convergence_rejects_non_finite_penalty(tmp_path, capsys, cw):
                  "--out", str(tmp_path / "x")])
     assert code == 2
     assert "penalty constant" in capsys.readouterr().err
-
-
-def test_convergence_rejects_unknown_format(tmp_path):
-    code = main(["convergence", "--case", "star", "--levels", "2",
-                 "--formats", "pdf", "--out", str(tmp_path / "x")])
-    assert code == 2
 
 
 def test_unknown_case_exits_with_config_error(tmp_path):

@@ -133,11 +133,10 @@ meshes = jittered_meshes(12, [3, 6])
 
 @pytest.mark.parametrize("order", [1, 2])
 @settings(max_examples=10, deadline=None)
-@given(mesh=meshes, cw=st.floats(1.0, 100.0), per_edge_h=st.booleans())
-def test_velocity_block_symmetric(order, mesh, cw, per_edge_h):
+@given(mesh=meshes, cw=st.floats(1.0, 100.0))
+def test_velocity_block_symmetric(order, mesh, cw):
     V = build_edge_space(mesh, order)
-    A = assemble_velocity_block(V, BoundaryData(star_case().g, C_w=cw,
-                                                per_edge_h=per_edge_h)).matrix
+    A = assemble_velocity_block(V, BoundaryData(star_case().g, C_w=cw)).matrix
     assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
     M = assemble_mass(V).matrix.toarray()
     assert np.linalg.eigvalsh(M).min() > 0
@@ -288,16 +287,3 @@ def test_mismatched_meshes_rejected():
     with pytest.raises(ValueError):
         assemble_b(V, Q)
 
-
-def test_per_edge_penalty_scaling():
-    tt = two_triangle_square()
-    V = build_edge_space(tt, 1)
-    n_global = assemble_nitsche(V, BoundaryData(zero_g, C_w=1.0)).matrix.toarray()
-    n_local = assemble_nitsche(
-        V, BoundaryData(zero_g, C_w=1.0, per_edge_h=True)).matrix.toarray()
-    # boundary edges have unit length; h_max is sqrt(2), so the local penalty
-    # is sqrt(2) times stronger while consistency terms stay fixed
-    p_global = (assemble_nitsche(V, BoundaryData(zero_g, C_w=2.0)).matrix.toarray()
-                - n_global)
-    diff = n_local - n_global
-    assert np.allclose(diff, (np.sqrt(2.0) - 1.0) * p_global, atol=1e-12)
