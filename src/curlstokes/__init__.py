@@ -6,7 +6,7 @@ from .analysis import (ErrorBundle, HodgeDecomposition, TraceConstants,
 from .cases import ManufacturedCase, get_case
 from .forms import (BoundaryData, SparseOperator, assemble_b,
                     assemble_curl_curl, assemble_divergence_rhs, assemble_mass,
-                    assemble_nitsche, assemble_rhs, boundary_trace_norms)
+                    assemble_nitsche, assemble_rhs)
 from .mesh import (Mesh, generate_l_shape, generate_square_with_hole,
                    generate_unit_square, jitter, refine_uniform,
                    two_triangle_square)

@@ -58,6 +58,7 @@ class ErrorBundle:
     h: float
     dofs_u: int
     dofs_p: int
+    norm_u_hash: float      # |||u_h|||, the stability monitor
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,15 @@ class TraceConstants:
         return 2.0 * self.c_n ** 2
 
 
-def compute_errors(u_h: DiscreteField, p_h: DiscreteField, case, mesh: Mesh) -> ErrorBundle:
-    """Volume and boundary errors of a discrete pair against the case data.
+def compute_errors(u_h: DiscreteField, p_h: DiscreteField, case) -> ErrorBundle:
+    """Volume and boundary errors of a discrete pair against the case data,
+    and the #-norm of u_h from the same tabulation (both rules are exact for
+    its polynomial integrands).
 
     The analytic pressure is shifted by its quadrature mean over the mesh so
     that both representatives have zero mean.
     """
-    order = u_h.space.order
+    mesh, order, h = u_h.space.mesh, u_h.space.order, u_h.space.mesh.h_max
     rule = triangle_rule(min(2 * order + 4, 10))
     w = _cell_weights(mesh, rule)
     pts = np.matmul(rule.points, mesh.vertices[mesh.triangles])
@@ -99,6 +102,7 @@ def compute_errors(u_h: DiscreteField, p_h: DiscreteField, case, mesh: Mesh) -> 
     curl_sq = float((w * (_sample(case.curl_u, pts) - ch) ** 2).sum())
     p_sq = float((w * (p_exact - p_mean - ph) ** 2).sum())
     gp_sq = float((w * ((_sample(case.grad_p, pts) - gph) ** 2).sum(axis=-1)).sum())
+    norm_sq = float((w * ((uh ** 2).sum(axis=-1) + ch ** 2)).sum())
 
     erule = edge_rule(min(2 * order + 4, 12))
     tri, length, bary, pts = _edge_points(mesh, mesh.boundary_edges, erule.points)
@@ -107,8 +111,9 @@ def compute_errors(u_h: DiscreteField, p_h: DiscreteField, case, mesh: Mesh) -> 
     du_t = np.einsum("ekd,ed->ek", _sample(case.u, pts) - uh, mesh.boundary_tangents)
     gpar_sq = float((w * du_t ** 2).sum())
     gcurl_sq = float((w * (_sample(case.curl_u, pts) - ch) ** 2).sum())
+    u_t = np.einsum("ekd,ed->ek", uh, mesh.boundary_tangents)
+    norm_sq += float((w * (u_t ** 2 / h + h * ch ** 2)).sum())
 
-    h = mesh.h_max
     hcurl_sq = u_sq + curl_sq
     hash_sq = hcurl_sq + gpar_sq / h + h * gcurl_sq
     return ErrorBundle(
@@ -123,6 +128,7 @@ def compute_errors(u_h: DiscreteField, p_h: DiscreteField, case, mesh: Mesh) -> 
         h=h,
         dofs_u=u_h.space.dof_count,
         dofs_p=p_h.space.dof_count,
+        norm_u_hash=float(np.sqrt(norm_sq)),
     )
 
 

@@ -39,8 +39,7 @@ def _json_dump(data, path: Path) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _write_errors_csv(run: ConvergenceRun, path: Path) -> None:
-    eoc = compute_eoc(run.bundles)
+def _write_errors_csv(run: ConvergenceRun, eoc: dict, path: Path) -> None:
     lines = [",".join(CSV_COLUMNS + EOC_COLUMNS)]
     for k, b in enumerate(run.bundles):
         row = [str(k), repr(b.h), str(b.dofs_u), str(b.dofs_p)]
@@ -50,8 +49,7 @@ def _write_errors_csv(run: ConvergenceRun, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_report_json(run: ConvergenceRun, path: Path) -> None:
-    eoc = compute_eoc(run.bundles)
+def _write_report_json(run: ConvergenceRun, eoc: dict, path: Path) -> None:
     data = {
         "schema_version": SCHEMA_VERSION,
         "config": run.config,
@@ -63,7 +61,7 @@ def _write_report_json(run: ConvergenceRun, path: Path) -> None:
                 "dofs_p": b.dofs_p,
                 "errors": {col: getattr(b, attr) for attr, col in NORM_COLUMNS.items()},
                 "err_u_hcurl": b.err_u_hcurl,
-                "norm_u_hash": run.hash_norms[k],
+                "norm_u_hash": b.norm_u_hash,
             }
             for k, b in enumerate(run.bundles)
         ],
@@ -91,17 +89,17 @@ def _write_svgs(run: ConvergenceRun, outdir: Path) -> None:
 
 def _cmd_convergence(args) -> int:
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
         run = run_convergence(args.case, args.order, args.levels, C_w=args.cw,
                               base_n=args.base_n, jitter_seed=args.jitter)
     except SingularLevelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    _write_errors_csv(run, outdir / "errors.csv")
-    _write_report_json(run, outdir / "report.json")
-    _write_svgs(run, outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     eoc = compute_eoc(run.bundles)
+    _write_errors_csv(run, eoc, outdir / "errors.csv")
+    _write_report_json(run, eoc, outdir / "report.json")
+    _write_svgs(run, outdir)
     final = {k: v[-1] for k, v in eoc.items()}
     print(f"convergence {args.case} order {args.order}: final EOC "
           + " ".join(f"{k}={v:.3f}" for k, v in final.items()))
@@ -110,8 +108,8 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     data = run_counterexample()
+    outdir.mkdir(parents=True, exist_ok=True)
     _json_dump(data, outdir / "counterexample.json")
     print(f"essential kernel dimension {data['essential']['kernel_dimension']} "
           f"(refined: {data['essential_refined']['kernel_dimension']}), "
@@ -121,8 +119,8 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_harmonic(args) -> int:
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     data = run_harmonic(args.case, args.n, args.order)
+    outdir.mkdir(parents=True, exist_ok=True)
     samples = data.pop("samples")
     _json_dump(data, outdir / "harmonic.json")
     lines = ["x,y,hx,hy"] + [",".join(repr(v) for v in row) for row in samples]
@@ -137,8 +135,8 @@ def _cmd_harmonic(args) -> int:
 
 def _cmd_probe(args) -> int:
     outdir = Path(args.out)
+    data = run_probe(args.case, args.levels, args.order)
     outdir.mkdir(parents=True, exist_ok=True)
-    data = run_probe(args.case, args.levels, args.order, base_n=args.base_n)
     _json_dump(data, outdir / "probe.json")
     last = data["levels"][-1]
     print(f"probe {args.case}: C_n={last['C_n']:.4f} C_par={last['C_par']:.4f} "
@@ -182,7 +180,6 @@ def make_parser() -> argparse.ArgumentParser:
     pr.add_argument("--case", choices=sorted(CASES), default="star")
     pr.add_argument("--levels", type=int, default=3)
     pr.add_argument("--order", type=int, choices=(1, 2), default=1)
-    pr.add_argument("--base-n", type=int, default=None)
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=_cmd_probe)
     return parser

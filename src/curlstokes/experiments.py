@@ -9,13 +9,12 @@ import numpy as np
 from . import mesh as meshmod
 from .analysis import (ErrorBundle, betti_number, compute_errors,
                        estimate_infsup, estimate_trace_constants,
-                       hodge_decompose)
+                       hodge_decompose, _boundary_gram)
 from .cases import ManufacturedCase, get_case
 from .forms import (BoundaryData, assemble_b, assemble_curl_curl,
                     assemble_divergence_rhs, assemble_mass,
                     assemble_mean_vector, assemble_rhs,
-                    assemble_velocity_block, boundary_trace_norms, _cell_weights,
-                    _volume_rule)
+                    assemble_velocity_block)
 from .mesh import Mesh
 from .solver import SaddleSystem, SolveReport, kernel_probe, solve
 from .spaces import (DiscreteField, _edge_field, build_edge_space,
@@ -49,17 +48,6 @@ def build_saddle_system(mesh: Mesh, order: int, case: ManufacturedCase,
     return SaddleSystem(A, assemble_b(V, Q).matrix, rhs_u, rhs_q, assemble_mean_vector(Q), V, Q)
 
 
-def discrete_hash_norm(u_h: DiscreteField) -> float:
-    """Mesh-dependent velocity norm of a discrete field (stability monitor)."""
-    mesh = u_h.space.mesh
-    rule = _volume_rule(u_h.space)
-    vals, curls = _edge_field(u_h, rule.points)
-    vol = float((_cell_weights(mesh, rule) * ((vals ** 2).sum(axis=-1) + curls ** 2)).sum())
-    gpar, gcurl = boundary_trace_norms(u_h, mesh)
-    h = mesh.h_max
-    return float(np.sqrt(vol + gpar ** 2 / h + h * gcurl ** 2))
-
-
 def level_mesh(case: ManufacturedCase, base_n: int, level: int,
                jitter_seed: int | None) -> Mesh:
     """Uniformly refined mesh for one level, optionally jittered at its own scale."""
@@ -74,7 +62,6 @@ def level_mesh(case: ManufacturedCase, base_n: int, level: int,
 @dataclass
 class ConvergenceRun:
     bundles: list[ErrorBundle]
-    hash_norms: list[float]
     config: dict
 
 
@@ -88,20 +75,18 @@ def run_convergence(case_name: str, order: int, levels: int, C_w: float = 10.0,
         base_n = case.default_n
 
     bundles = []
-    hash_norms = []
     for k in range(levels):
         mesh = level_mesh(case, base_n, k, jitter_seed)
         rep = solve(build_saddle_system(mesh, order, case, C_w))
         if rep.singular:
             raise SingularLevelError(k)
-        bundles.append(compute_errors(rep.u, rep.p, case, mesh))
-        hash_norms.append(discrete_hash_norm(rep.u))
+        bundles.append(compute_errors(rep.u, rep.p, case))
     config = {
         "command": "convergence", "case": case_name, "order": order,
         "levels": levels, "C_w": C_w, "base_n": base_n,
         "jitter_seed": jitter_seed,
     }
-    return ConvergenceRun(bundles=bundles, hash_norms=hash_norms, config=config)
+    return ConvergenceRun(bundles=bundles, config=config)
 
 
 class SingularLevelError(Exception):
@@ -173,15 +158,14 @@ def run_harmonic(case_name: str = "hole", n: int | None = None, order: int = 1) 
         # boundary bound, ||h||_curl / ||h.t||_Gamma, with the L2 boundary
         # norm in place of the dual norm
         c = dec.harmonic_basis[:, 0]
-        field = DiscreteField(V, c)
         mc = c @ (assemble_mass(V).matrix @ c)
         kc = c @ (assemble_curl_curl(V).matrix @ c)
+        tc = c @ (_boundary_gram(V, 1.0, 0.0) @ c)
         curl_ratio = float(np.sqrt(max(kc, 0.0) / mc))
-        gpar, _ = boundary_trace_norms(field, mesh)
-        ratio = float(np.sqrt(mc + kc)) / gpar
+        ratio = float(np.sqrt(mc + kc) / np.sqrt(tc))
         center = np.array([[1.0, 1.0, 1.0]]) / 3.0
         pts = np.matmul(center, mesh.vertices[mesh.triangles])[:, 0]
-        vals = _edge_field(field, center)[0][:, 0]
+        vals = _edge_field(DiscreteField(V, c), center)[0][:, 0]
         samples = np.hstack([pts, vals]).tolist()
     return {
         "schema_version": 1,
@@ -196,14 +180,13 @@ def run_harmonic(case_name: str = "hole", n: int | None = None, order: int = 1) 
     }
 
 
-def run_probe(case_name: str, levels: int = 3, order: int = 1,
-              base_n: int | None = None) -> dict:
-    """Trace-constant and inf-sup probes across a refinement sequence."""
+def run_probe(case_name: str, levels: int = 3, order: int = 1) -> dict:
+    """Trace-constant and inf-sup probes across a refinement sequence from
+    the coarsest mesh of the case (n = 3 for ``hole``, 2 otherwise)."""
     if levels < 1:
         raise ValueError("a probe needs at least one level")
     case = get_case(case_name)
-    if base_n is None:
-        base_n = min(case.default_n, 3 if case_name == "hole" else 2)
+    base_n = 3 if case_name == "hole" else 2
     rows = []
     for k in range(levels):
         mesh = level_mesh(case, base_n, k, None)

@@ -38,11 +38,8 @@ import numpy as np
 from scipy import sparse
 
 from .quadrature import edge_rule, triangle_rule
-from .spaces import (DiscreteField, EdgeSpace, NodalSpace, _edge_field,
-                     _edge_points, _sample, _tabulate_edge, _tabulate_nodal)
-
-TRACE_NORM_DEGREE = 8
-
+from .spaces import (EdgeSpace, NodalSpace, _edge_points, _sample, _tabulate_edge,
+                     _tabulate_nodal)
 
 @dataclass
 class SparseOperator:
@@ -219,27 +216,6 @@ def assemble_divergence_rhs(Q: NodalSpace, g: Callable) -> np.ndarray:
     out = np.zeros(Q.dof_count)
     np.add.at(out, Q.cell_dofs[tri], np.einsum("ek,ek,eki->ei", w, gn, q))
     return out
-
-
-def boundary_trace_norms(field, mesh, curl=None) -> tuple[float, float]:
-    """L2 norms over the boundary of the tangential trace and of the curl trace.
-
-    ``field`` is either a DiscreteField on an edge space or a callable
-    ``field(x, y) -> (k, 2)`` with the matching scalar ``curl(x, y) -> (k,)``.
-    """
-    rule = edge_rule(TRACE_NORM_DEGREE)
-    discrete = isinstance(field, DiscreteField)
-    if discrete and field.space.mesh is not mesh:
-        raise ValueError("field mesh does not match")
-    tri, length, bary, pts = _edge_points(mesh, mesh.boundary_edges, rule.points)
-    if discrete:
-        vals, curls = _edge_field(field, bary, tri)
-    else:
-        vals = _sample(field, pts)
-        curls = np.zeros(pts.shape[:2]) if curl is None else _sample(curl, pts)
-    trace = np.einsum("ekd,ed->ek", vals, mesh.boundary_tangents)
-    w = length[:, None] * rule.weights
-    return float(np.sqrt((w * trace ** 2).sum())), float(np.sqrt((w * curls ** 2).sum()))
 
 
 def assemble_velocity_block(V: EdgeSpace, bd: BoundaryData) -> SparseOperator:

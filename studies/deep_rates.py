@@ -2,7 +2,7 @@
 
 ``solver.solve`` factors the indefinite saddle matrix with SuperLU, which
 runs out of memory near 250k unknowns. This study solves each level through
-the augmented-Lagrangian reformulation instead (ROADMAP item 1):
+the augmented-Lagrangian reformulation instead (ROADMAP item 2):
 
     A_g = A + g B W^-1 B^T      (SPD; W = diagonal of the pressure mass)
     S p = B^T A_g^-1 (f + g B W^-1 q) - q,   S = B^T A_g^-1 B,
@@ -112,7 +112,7 @@ def main():
         system = build_saddle_system(mesh, args.order, case, C_W)
         u, p, iters, fill, res = augmented_solve(system)
         b = compute_errors(DiscreteField(system.velocity_space, u),
-                           DiscreteField(system.pressure_space, p), case, mesh)
+                           DiscreteField(system.pressure_space, p), case)
         bundles.append(b)
         print(f"n={args.base_n * 2 ** k} dofs={b.dofs_u}+{b.dofs_p} u_l2={b.err_u_l2:.6e} "
               f"curl={b.err_u_curl_seminorm:.6e} hash={b.err_u_hash:.6e} "

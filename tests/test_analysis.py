@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from curlstokes import analysis, experiments
 from curlstokes.analysis import (betti_number, compute_eoc, compute_errors,
                                  estimate_infsup, estimate_trace_constants,
-                                 hodge_decompose, least_squares_rates)
-from curlstokes.cases import get_case, linear_case
-from curlstokes.experiments import (build_saddle_system, discrete_hash_norm,
-                                    run_harmonic)
+                                 hodge_decompose, least_squares_rates, _boundary_gram)
+from curlstokes.cases import ManufacturedCase, get_case, linear_case
+from curlstokes.experiments import build_saddle_system, run_harmonic
 from curlstokes.forms import (BoundaryData, _assemble_cells, _boundary_edge_data,
                               _boundary_rule, assemble_b, assemble_curl_curl,
                               assemble_mass, assemble_mean_vector, assemble_stiffness,
@@ -20,7 +19,7 @@ from curlstokes.forms import (BoundaryData, _assemble_cells, _boundary_edge_data
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
                              generate_unit_square, jitter, two_triangle_square)
 from curlstokes.solver import solve
-from curlstokes.spaces import (build_edge_space, build_nodal_space,
+from curlstokes.spaces import (DiscreteField, build_edge_space, build_nodal_space,
                                interpolate_edge, interpolate_nodal)
 
 from mesh_strategies import jittered_meshes
@@ -81,7 +80,7 @@ def test_errors_vanish_for_reproduced_solution():
     Q = build_nodal_space(mesh, 1)
     u_h = interpolate_edge(V, case.u)
     p_h = interpolate_nodal(Q, case.p)
-    e = compute_errors(u_h, p_h, case, mesh)
+    e = compute_errors(u_h, p_h, case)
     assert e.err_u_l2 <= 1e-10
     assert e.err_u_curl_seminorm <= 1e-10
     assert e.err_u_hash <= 1e-9
@@ -95,7 +94,7 @@ def test_hash_norm_identity():
     case = get_case("star")
     mesh = generate_unit_square(4)
     rep = solve(build_saddle_system(mesh, 1, case, 10.0))
-    e = compute_errors(rep.u, rep.p, case, mesh)
+    e = compute_errors(rep.u, rep.p, case)
     h = mesh.h_max
     recomposed = (e.err_u_hcurl ** 2 + e.err_gpar_boundary ** 2 / h
                   + h * e.err_gcurl_boundary ** 2)
@@ -105,10 +104,56 @@ def test_hash_norm_identity():
         e.err_u_l2 ** 2 + e.err_u_curl_seminorm ** 2, rel=1e-12)
 
 
+def _zero_case():
+    """Zero analytic data: every error of compute_errors is a norm of u_h, p_h."""
+    vec = lambda x, y: np.zeros((np.size(x), 2))
+    scalar = lambda x, y: np.zeros(np.size(x))
+    return ManufacturedCase(name="zero", mesh_builder=generate_unit_square, default_n=2,
+                            u=vec, p=scalar, curl_u=scalar, grad_p=vec, f=vec)
+
+
+def _zero_pressure(V):
+    Q = build_nodal_space(V.mesh, V.order)
+    return DiscreteField(Q, np.zeros(Q.dof_count))
+
+
+def test_hash_norm_oracle_rotation_field():
+    # sympy oracle on the unit square: the rotation field (-y, x) lies in the
+    # Whitney space and has ||v||^2 = 2/3, ||curl v||^2 = 4,
+    # ||v . t||^2_Gamma = 2 and ||curl v||^2_Gamma = 4 * perimeter = 16
+    m = generate_unit_square(2)
+    V = build_edge_space(m, 1)
+    rot = lambda x, y: np.column_stack([-np.asarray(y, float), np.asarray(x, float)])
+    e = compute_errors(interpolate_edge(V, rot), _zero_pressure(V), _zero_case())
+    h = m.h_max
+    assert e.err_gpar_boundary ** 2 == pytest.approx(2.0, rel=1e-12)
+    assert e.err_gcurl_boundary ** 2 == pytest.approx(16.0, rel=1e-12)
+    assert e.norm_u_hash ** 2 == pytest.approx(2 / 3 + 4.0 + 2.0 / h + 16.0 * h, rel=1e-12)
+    assert e.norm_u_hash == pytest.approx(e.err_u_hash, rel=1e-14)
+    zero = compute_errors(DiscreteField(V, np.zeros(V.dof_count)), _zero_pressure(V),
+                          _zero_case())
+    assert zero.norm_u_hash == 0.0 and zero.err_u_hash == 0.0
+
+
+@settings(max_examples=10, deadline=None)
+@given(mesh=jittered_meshes(6, [3, 6]), order=st.sampled_from((1, 2)),
+       seed=st.integers(0, 2 ** 16))
+def test_hash_norm_matches_gram_of_infsup_probe(mesh, order, seed):
+    # the #-norm that compute_errors reports is the quadratic form of the
+    # Gram matrix H = M + K + T_par / h + h T_curl that estimate_infsup factors
+    V = build_edge_space(mesh, order)
+    c = np.random.default_rng(seed).standard_normal(V.dof_count)
+    h = mesh.h_max
+    gram = (assemble_mass(V).matrix + assemble_curl_curl(V).matrix
+            + _boundary_gram(V, 1 / h, h))
+    e = compute_errors(DiscreteField(V, c), _zero_pressure(V), _zero_case())
+    assert e.norm_u_hash == pytest.approx(np.sqrt(c @ (gram @ c)), rel=1e-12)
+
+
 def _bundle(err, h):
     from curlstokes.analysis import ErrorBundle
 
-    return ErrorBundle(err, err, err, err, err, err, err, err, h, 1, 1)
+    return ErrorBundle(err, err, err, err, err, err, err, err, h, 1, 1, 1.0)
 
 
 def test_eoc_formula():
@@ -295,7 +340,7 @@ def test_hash_norm_monitor():
     for n in (4, 8, 16):
         mesh = generate_unit_square(n)
         rep = solve(build_saddle_system(mesh, 1, case, 10.0))
-        norms.append(discrete_hash_norm(rep.u))
+        norms.append(compute_errors(rep.u, rep.p, case).norm_u_hash)
     # stability: no blow-up under refinement
     assert max(norms) / min(norms) <= 2.0
 
@@ -306,5 +351,5 @@ def test_star_errors_decrease_under_refinement():
     for n in (4, 8, 16):
         mesh = generate_unit_square(n)
         rep = solve(build_saddle_system(mesh, 1, case, 10.0))
-        errs.append(compute_errors(rep.u, rep.p, case, mesh).err_u_l2)
+        errs.append(compute_errors(rep.u, rep.p, case).err_u_l2)
     assert errs[0] > errs[1] > errs[2]

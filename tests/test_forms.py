@@ -10,8 +10,7 @@ from curlstokes.forms import (BoundaryData, assemble_b, assemble_curl_curl,
                               assemble_divergence_rhs, assemble_mass,
                               assemble_mean_vector, assemble_nitsche,
                               assemble_rhs, assemble_stiffness,
-                              assemble_velocity_block, boundary_trace_norms,
-                              merge_triplets)
+                              assemble_velocity_block, merge_triplets)
 from curlstokes.mesh import (generate_unit_square, jitter, refine_uniform,
                              two_triangle_square)
 from curlstokes.solver import solve
@@ -205,25 +204,6 @@ def test_divergence_rhs():
     # star data has nonzero normal trace
     star = star_case()
     assert np.abs(assemble_divergence_rhs(Q, star.g)).max() > 1e-3
-
-
-def test_boundary_trace_norms_oracle():
-    # sympy oracle on the unit square: the rotation field has
-    # ||gamma_par||^2 = 2 and ||gamma_curl||^2 = 4 * perimeter = 16
-    m = generate_unit_square(2)
-    gpar, gcurl = boundary_trace_norms(
-        rot_field, m, curl=lambda x, y: np.full(np.size(x), 2.0))
-    assert gpar ** 2 == pytest.approx(2.0, rel=1e-12)
-    assert gcurl ** 2 == pytest.approx(16.0, rel=1e-12)
-    V = build_edge_space(m, 1)
-    fld = interpolate_edge(V, rot_field)
-    gpar_d, gcurl_d = boundary_trace_norms(fld, m)
-    assert gpar_d == pytest.approx(gpar, abs=1e-10)
-    assert gcurl_d == pytest.approx(gcurl, abs=1e-10)
-    gz, cz = boundary_trace_norms(
-        lambda x, y: np.zeros((np.size(x), 2)), m,
-        curl=lambda x, y: np.zeros(np.size(x)))
-    assert gz == 0.0 and cz == 0.0
 
 
 @pytest.mark.parametrize("seed", [None, 13])

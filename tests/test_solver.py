@@ -154,7 +154,7 @@ def test_exact_reproduction_linear_case():
     report = solve(system)
     assert not report.singular
     assert report.residual <= 1e-10
-    errors = compute_errors(report.u, report.p, case, mesh)
+    errors = compute_errors(report.u, report.p, case)
     assert errors.err_u_l2 <= 1e-9
     assert errors.err_p_l2 <= 1e-9
 
@@ -182,7 +182,7 @@ def test_sparse_path_matches_dense():
     system = build_saddle_system(mesh, 1, case, C_w=10.0)
     report = solve(system)
     assert report.residual <= 1e-10
-    errors = compute_errors(report.u, report.p, case, mesh)
+    errors = compute_errors(report.u, report.p, case)
     assert errors.err_u_l2 <= 1e-8
 
 
