@@ -12,10 +12,12 @@ surrogates throughout.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .forms import (assemble_b, assemble_curl_curl, assemble_mass,
@@ -187,6 +189,38 @@ def _curl_factor(V: EdgeSpace) -> np.ndarray:
     return out
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _mass_orthonormal_bases(V: EdgeSpace, Q: NodalSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Mass-orthonormal bases of the discrete gradients and of X_h, the
+    kernel of the divergence constraint B^T v = 0. The dense mass, coupling
+    and SVD factors end with this call, before the curl factor is built."""
+    m = assemble_mass(V).matrix.toarray()
+    b = assemble_b(V, Q).matrix.toarray()
+
+    g = gradient_coefficients(V, Q).toarray()
+    gram = g.T @ m @ g
+    w, vecs = np.linalg.eigh(gram)
+    keep = w > KERNEL_RANK_RTOL * w.max()
+    grad_basis = g @ (vecs[:, keep] / np.sqrt(w[keep]))
+
+    _, s, vt = np.linalg.svd(b.T, full_matrices=True)
+    rank = int((s > KERNEL_RANK_RTOL * s.max()).sum()) if s.size else 0
+    x = vt[rank:].T
+    chol = np.linalg.cholesky(x.T @ m @ x)
+    return grad_basis, scipy.linalg.solve_triangular(chol, x.T, lower=True).T
+
+
+def _curl_r(V: EdgeSpace, x: np.ndarray) -> np.ndarray:
+    """The triangular factor R of a QR of the curl product C x; dgemm returns
+    (C x)^T in column-major order, and dgeqrf overwrites one Fortran copy."""
+    a = np.asfortranarray(scipy.linalg.blas.dgemm(1.0, x.T, _curl_factor(V).T).T)
+    return scipy.linalg.qr(a, overwrite_a=True, mode="raw", check_finite=False)[1]
+
+
 def hodge_decompose(V: EdgeSpace, Q: NodalSpace) -> HodgeDecomposition:
     """Split the velocity space into gradients, curl-carrying fields and
     discrete harmonic fields, mutually orthogonal in L2. The harmonic fields
@@ -195,31 +229,32 @@ def hodge_decompose(V: EdgeSpace, Q: NodalSpace) -> HodgeDecomposition:
 
     The curl factor has m >= 11n/6 rows for its n columns (about 9 per column
     at order 1, 5 at order 2), and for such a matrix LAPACK's gesdd runs
-    dgeqrf and then the SVD of the triangular factor R. Taking the SVD of
-    np.linalg.qr(..., mode="r") runs that same arithmetic, so the bases are
-    bit-identical to the whole factor's SVD, but never builds the m x n left
-    factor that nothing reads."""
+    dgeqrf and then the SVD of the triangular factor R. Taking the SVD of the
+    R of dgeqrf runs that same arithmetic, so the bases are bit-identical to
+    the whole factor's SVD, but never builds the m x n left factor that
+    nothing reads.
+
+    The product and the QR run in scipy's BLAS and LAPACK. For C-contiguous
+    C and x, numpy's C @ x is a row-major GEMM that OpenBLAS runs as the
+    column-major dgemm of x^T and C^T, so dgemm(1, x.T, C.T) makes that same
+    call and returns the same bits. np.linalg.qr(..., mode="r") copies its
+    operand twice (astype, then its Fortran buffer) and calls dgeqrf after a
+    workspace query; scipy's qr makes the same dgeqrf call in place on one
+    Fortran copy, so the product is held twice at most, not three times.
+
+    The dense working set (curl factor, product and its copy, the E x E mass
+    and coupling factors) is computed from the shapes first; above the
+    physical memory it raises MemoryError before allocating any of it."""
     _guard_size(V.dof_count + Q.dof_count)
-    m = assemble_mass(V).matrix.toarray()
-    b = assemble_b(V, Q).matrix.toarray()
-    n = V.dof_count
+    n, k = V.dof_count, V.dof_count - Q.dof_count + 1     # k = dim X_h
+    rows = V.mesh.triangle_count * len(_volume_rule(V).weights)
+    need, have = 8 * (rows * n + 2 * rows * k + 2 * n * n), _physical_memory()
+    if need > have:
+        raise MemoryError(f"the dense Hodge decomposition needs {need / 2 ** 30:.1f} GiB, "
+                          f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
 
-    g = gradient_coefficients(V, Q).toarray()
-    gram = g.T @ m @ g
-    w, vecs = np.linalg.eigh(gram)
-    keep = w > KERNEL_RANK_RTOL * w.max()
-    grad_basis = g @ (vecs[:, keep] / np.sqrt(w[keep]))
-
-    # X_h = kernel of the divergence constraint B^T v = 0
-    _, s, vt = np.linalg.svd(b.T, full_matrices=True)
-    rank = int((s > KERNEL_RANK_RTOL * s.max()).sum()) if s.size else 0
-    x = vt[rank:].T
-    # orthonormalize with respect to the mass inner product
-    chol = np.linalg.cholesky(x.T @ m @ x)
-    x = scipy.linalg.solve_triangular(chol, x.T, lower=True).T
-
-    cx = _curl_factor(V) @ x
-    _, s, vt = np.linalg.svd(np.linalg.qr(cx, mode="r"), full_matrices=False)
+    grad_basis, x = _mass_orthonormal_bases(V, Q)
+    _, s, vt = np.linalg.svd(_curl_r(V, x), full_matrices=False)
     smax = s.max(initial=0.0)
     ranks = int((s > KERNEL_RANK_RTOL * smax).sum()) if smax > 0 else 0
     z_basis = x @ vt[:ranks].T
@@ -235,8 +270,9 @@ def betti_number(mesh: Mesh) -> int:
     return 1 - mesh.euler_characteristic()
 
 
-def estimate_trace_constants(V: EdgeSpace) -> TraceConstants:
-    """Constants of the discrete trace inequalities.
+def estimate_trace_constants(V: EdgeSpace, M) -> TraceConstants:
+    """Constants of the discrete trace inequalities; M is the assembled
+    velocity mass matrix.
 
     C_par^2, the top eigenvalue of the pencil (h T_par, M), bounds
     h ||v . t||^2_Gamma by ||v||^2. C_n^2 bounds h ||curl v||^2_Gamma by
@@ -254,14 +290,15 @@ def estimate_trace_constants(V: EdgeSpace) -> TraceConstants:
     cell = np.einsum("fk,ki,kj->fij", _cell_weights(mesh, rule)[tri],
                      rule.points @ basis, rule.points @ basis)
     c_n_sq = h * np.linalg.eigvals(np.linalg.solve(cell, bnd[tri])).real.max()
-    c_par_sq = eigsh(_boundary_gram(V, h, 0.0), k=1, M=assemble_mass(V).matrix, which="LA",
+    c_par_sq = eigsh(_boundary_gram(V, h, 0.0), k=1, M=M, which="LA",
                      v0=np.random.default_rng(0).standard_normal(V.dof_count),
                      return_eigenvectors=False)[0]
     return TraceConstants(c_n=float(np.sqrt(c_n_sq)), c_par=float(np.sqrt(c_par_sq)))
 
 
-def estimate_infsup(V: EdgeSpace, Q: NodalSpace) -> float:
-    """Smallest scaled singular value of the coupling form.
+def estimate_infsup(V: EdgeSpace, Q: NodalSpace, M) -> float:
+    """Smallest scaled singular value of the coupling form; M is the
+    assembled velocity mass matrix.
 
     beta_h = min over zero-mean q of max over v of b(v, q) / (|q|_1 |||v|||);
     the theory predicts beta_h ~ h. beta_h^2 is the bottom eigenvalue of the
@@ -271,7 +308,7 @@ def estimate_infsup(V: EdgeSpace, Q: NodalSpace) -> float:
     matrix with H in place of A.
     """
     h = V.mesh.h_max
-    hash_gram = assemble_mass(V).matrix + assemble_curl_curl(V).matrix + _boundary_gram(V, 1 / h, h)
+    hash_gram = M + assemble_curl_curl(V).matrix + _boundary_gram(V, 1 / h, h)
     n_u, n_q = V.dof_count, Q.dof_count
     lu = _factor(_augmented(SaddleSystem(hash_gram, assemble_b(V, Q).matrix, np.zeros(n_u),
                                          np.zeros(n_q), assemble_mean_vector(Q)))[0])

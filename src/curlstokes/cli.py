@@ -2,10 +2,10 @@
 counterexample, harmonic-field extraction, and stability probes.
 
 Outputs are deterministic: identical configuration (and jitter seed) yields
-byte-identical CSV and JSON files. Exit codes: 0 success, 2 configuration
-error, 3 solver singularity (outside the counterexample command), 4 size
-guard exceeded, 5 out of memory, 6 harmonic dimension differs from the
-Betti number.
+byte-identical CSV and JSON files at a fixed BLAS thread count. Exit codes:
+0 success, 2 configuration error, 3 solver singularity (outside the
+counterexample command), 4 size guard exceeded, 5 out of memory, 6 harmonic
+dimension differs from the Betti number.
 """
 
 from __future__ import annotations

@@ -192,8 +192,9 @@ def run_probe(case_name: str, levels: int = 3, order: int = 1) -> dict:
         mesh = level_mesh(case, base_n, k, None)
         V = build_edge_space(mesh, order)
         Q = build_nodal_space(mesh, order)
-        tc = estimate_trace_constants(V)
-        beta = estimate_infsup(V, Q)
+        M = assemble_mass(V).matrix
+        tc = estimate_trace_constants(V, M)
+        beta = estimate_infsup(V, Q, M)
         rows.append({
             "level": k,
             "h": mesh.h_max,

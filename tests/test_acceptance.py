@@ -285,11 +285,11 @@ def test_criterion_7_stability_probes():
         mesh = generate_unit_square(n)
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
-        betas.append(estimate_infsup(V, Q) / mesh.h_max)
+        betas.append(estimate_infsup(V, Q, assemble_mass(V).matrix) / mesh.h_max)
     if max(betas) / min(betas) > 3.0:
         violations.append(f"beta_h/h varies by {max(betas) / min(betas):.2f}x > 3x")
-    consts = [estimate_trace_constants(build_edge_space(generate_unit_square(n), 1))
-              for n in (2, 4)]
+    spaces = [build_edge_space(generate_unit_square(n), 1) for n in (2, 4)]
+    consts = [estimate_trace_constants(V, assemble_mass(V).matrix) for V in spaces]
     for attr in ("c_n", "c_par"):
         a, b = getattr(consts[0], attr), getattr(consts[1], attr)
         if abs(a - b) / max(a, b) > 0.25:

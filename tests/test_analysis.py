@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from curlstokes.analysis import (betti_number, compute_eoc, compute_errors,
                                  estimate_infsup, estimate_trace_constants,
                                  hodge_decompose, least_squares_rates, _boundary_gram)
 from curlstokes.cases import ManufacturedCase, get_case, linear_case
-from curlstokes.experiments import build_saddle_system, run_harmonic
+from curlstokes.experiments import build_saddle_system, run_harmonic, run_probe
 from curlstokes.forms import (BoundaryData, _assemble_cells, _boundary_edge_data,
                               _boundary_rule, assemble_b, assemble_curl_curl,
                               assemble_mass, assemble_mean_vector, assemble_stiffness,
@@ -205,11 +209,12 @@ def test_hodge_orthogonality_and_hole_dimension():
 
 def test_hodge_decompose_memory_peak():
     # tracemalloc sees numpy arrays, not the operand copies and workspace that
-    # numpy's linalg takes with malloc, and on hole n = 18 its 88 MiB peak is
-    # set before the curl split: this bounds the dense arrays only (the full
-    # SVD's unread 5184 x 5184 left factor raised it to 259 MiB). The curl
-    # split's QR route saves memory that only peak RSS shows
-    # (bench/run.py --workload hole-harmonic).
+    # numpy's and scipy's linalg take with malloc, so this bounds the dense
+    # arrays only. On hole n = 18 its peak is 65 MiB, set while dgemm forms
+    # the curl product from the curl factor; it was 88 MiB with the dense mass
+    # and coupling factors still alive at the split, and 259 MiB with the full
+    # SVD's unread 5184 x 5184 left factor.
+    # test_harmonic_peak_rss bounds what only peak RSS shows.
     mesh = generate_square_with_hole(18)
     V = build_edge_space(mesh, 1)
     Q = build_nodal_space(mesh, 1)
@@ -220,6 +225,29 @@ def test_hodge_decompose_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 150 * 2 ** 20
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM")
+def test_harmonic_peak_rss(tmp_path):
+    # a fresh interpreter's peak RSS above its post-import RSS during
+    # harmonic --n 18: 123.8 MiB when the dense mass and coupling factors lived
+    # through the curl split and np.linalg.qr held the product three times,
+    # 96.7 MiB with one in-place dgeqrf copy (2-core box, OpenBLAS 0.3.30/31).
+    # The peak is the process's VmHWM, not ru_maxrss, which a child started
+    # by subprocess inherits from this (larger) test process.
+    script = ("import re, sys\n"
+              "from curlstokes.cli import main\n"
+              "def kib(key):\n"
+              "    with open('/proc/self/status') as f:\n"
+              "        return int(re.search(key + r':\\s+(\\d+)', f.read()).group(1))\n"
+              "base = kib('VmRSS')\n"
+              "assert main(['harmonic', '--n', '18', '--out', sys.argv[1]]) == 0\n"
+              "print(kib('VmHWM') - base)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "h")], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out.split()[-1]) < 110 * 1024
 
 
 def test_harmonic_basis_size_equals_betti():
@@ -255,11 +283,24 @@ def test_harmonic_run_decomposes_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_probe_assembles_mass_once_per_level(monkeypatch):
+    calls = []
+
+    def counted(V):
+        calls.append(V)
+        return assemble_mass(V)
+
+    for module in (analysis, experiments):
+        monkeypatch.setattr(module, "assemble_mass", counted)
+    run_probe("star", levels=2)
+    assert len(calls) == 2
+
+
 def test_trace_constants_stable_under_refinement():
     consts = []
     for n in (2, 4):
         V = build_edge_space(generate_unit_square(n), 1)
-        consts.append(estimate_trace_constants(V))
+        consts.append(estimate_trace_constants(V, assemble_mass(V).matrix))
     for attr in ("c_n", "c_par"):
         a, b = getattr(consts[0], attr), getattr(consts[1], attr)
         assert a > 0 and b > 0
@@ -271,7 +312,7 @@ def test_recommended_penalty_keeps_velocity_block_semidefinite():
     # coercivity needs C_w > C_n^2; on this order-2 mesh C_n^2 = 16.57 lies
     # above 4 C_n = 16.28, a penalty that leaves two negative eigenvalues
     V = build_edge_space(jitter(generate_unit_square(6), 0), 2)
-    cw = estimate_trace_constants(V).recommended_cw
+    cw = estimate_trace_constants(V, assemble_mass(V).matrix).recommended_cw
     zero_g = lambda x, y: np.zeros((np.size(x), 2))
     ev = np.linalg.eigvalsh(assemble_velocity_block(V, BoundaryData(zero_g, C_w=cw))
                             .matrix.toarray())
@@ -289,11 +330,12 @@ ORACLE_MESHES = {"hole3": lambda: generate_square_with_hole(3),
 def check_probes_match_dense_oracle(mesh, order):
     V = build_edge_space(mesh, order)
     Q = build_nodal_space(mesh, order)
-    consts = estimate_trace_constants(V)
+    M = assemble_mass(V).matrix
+    consts = estimate_trace_constants(V, M)
     c_n, c_par = dense_trace_constants(V)
     assert consts.c_n == pytest.approx(c_n, rel=1e-12, abs=0)
     assert consts.c_par == pytest.approx(c_par, rel=1e-12, abs=0)
-    assert estimate_infsup(V, Q) == pytest.approx(dense_infsup(V, Q), rel=1e-9, abs=0)
+    assert estimate_infsup(V, Q, M) == pytest.approx(dense_infsup(V, Q), rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -315,7 +357,7 @@ def test_velocity_block_coercive_above_local_trace_threshold(mesh, order):
     # y = h^-1/2 ||v . t||_Gamma, which is nonnegative for C_w >= C_n^2. The
     # bound is not sharp, so nothing is asserted below the threshold.
     V = build_edge_space(mesh, order)
-    cw = 1.01 * estimate_trace_constants(V).c_n ** 2
+    cw = 1.01 * estimate_trace_constants(V, assemble_mass(V).matrix).c_n ** 2
     zero_g = lambda x, y: np.zeros((np.size(x), 2))
     ev = np.linalg.eigvalsh(assemble_velocity_block(V, BoundaryData(zero_g, C_w=cw))
                             .matrix.toarray())
@@ -328,7 +370,7 @@ def test_infsup_scales_linearly_in_h():
         mesh = generate_unit_square(n)
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
-        beta = estimate_infsup(V, Q)
+        beta = estimate_infsup(V, Q, assemble_mass(V).matrix)
         assert beta > 0
         ratios.append(beta / mesh.h_max)
     assert max(ratios) / min(ratios) <= 3.0

@@ -233,7 +233,7 @@ def test_coercivity_on_divergence_free_complement():
     V = build_edge_space(m, 1)
     Q = build_nodal_space(m, 1)
     # the default penalty, or just above the coercivity threshold C_n^2
-    cw = max(10.0, 1.01 * estimate_trace_constants(V).c_n ** 2)
+    cw = max(10.0, 1.01 * estimate_trace_constants(V, assemble_mass(V).matrix).c_n ** 2)
     bd = BoundaryData(zero_g, C_w=cw)
     A = assemble_velocity_block(V, bd).matrix.toarray()
     B = assemble_b(V, Q).matrix.toarray()
