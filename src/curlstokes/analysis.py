@@ -20,10 +20,9 @@ import scipy.linalg
 import scipy.linalg.blas
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .forms import (assemble_b, assemble_curl_curl, assemble_mass,
-                    assemble_mean_vector, assemble_stiffness, _assemble_cells,
-                    _boundary_edge_data, _boundary_rule, _cell_weights,
-                    _local_matrix, _volume_rule)
+from .forms import (assemble_b, assemble_curl_curl, assemble_mean_vector,
+                    assemble_stiffness, _assemble_cells, _boundary_edge_data,
+                    _boundary_rule, _cell_weights, _local_matrix, _volume_rule)
 from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
 from .solver import KERNEL_RANK_RTOL, SaddleSystem, _augmented, _factor, _guard_size
@@ -194,11 +193,11 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _mass_orthonormal_bases(V: EdgeSpace, Q: NodalSpace) -> tuple[np.ndarray, np.ndarray]:
+def _mass_orthonormal_bases(V: EdgeSpace, Q: NodalSpace, M) -> tuple[np.ndarray, np.ndarray]:
     """Mass-orthonormal bases of the discrete gradients and of X_h, the
     kernel of the divergence constraint B^T v = 0. The dense mass, coupling
     and SVD factors end with this call, before the curl factor is built."""
-    m = assemble_mass(V).matrix.toarray()
+    m = M.toarray()
     b = assemble_b(V, Q).matrix.toarray()
 
     g = gradient_coefficients(V, Q).toarray()
@@ -221,9 +220,10 @@ def _curl_r(V: EdgeSpace, x: np.ndarray) -> np.ndarray:
     return scipy.linalg.qr(a, overwrite_a=True, mode="raw", check_finite=False)[1]
 
 
-def hodge_decompose(V: EdgeSpace, Q: NodalSpace) -> HodgeDecomposition:
+def hodge_decompose(V: EdgeSpace, Q: NodalSpace, M) -> HodgeDecomposition:
     """Split the velocity space into gradients, curl-carrying fields and
-    discrete harmonic fields, mutually orthogonal in L2. The harmonic fields
+    discrete harmonic fields, mutually orthogonal in L2; M is the assembled
+    velocity mass matrix, which defines that inner product. The harmonic fields
     are the null right singular vectors of the curl factor on X_h; that factor
     is tall, so its thin SVD has them all (a wide one fails the sum check).
 
@@ -253,7 +253,7 @@ def hodge_decompose(V: EdgeSpace, Q: NodalSpace) -> HodgeDecomposition:
         raise MemoryError(f"the dense Hodge decomposition needs {need / 2 ** 30:.1f} GiB, "
                           f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
 
-    grad_basis, x = _mass_orthonormal_bases(V, Q)
+    grad_basis, x = _mass_orthonormal_bases(V, Q, M)
     _, s, vt = np.linalg.svd(_curl_r(V, x), full_matrices=False)
     smax = s.max(initial=0.0)
     ranks = int((s > KERNEL_RANK_RTOL * smax).sum()) if smax > 0 else 0

@@ -15,8 +15,6 @@ import numpy as np
 # largest jitter offset per coordinate, as a fraction of the shortest incident
 # edge; up to 0.2 keeps every triangle positively oriented
 JITTER_MAGNITUDE = 0.2
-# validate_mesh's bound on |n . t| and on | |n| - 1 |, | |t| - 1 |
-UNIT_TOL = 1e-12
 
 
 class MeshError(Exception):
@@ -259,39 +257,3 @@ def jitter(mesh: Mesh, seed: int) -> Mesh:
     vertices = mesh.vertices.copy()
     vertices[interior] += JITTER_MAGNITUDE * local[interior, None] * offsets[interior]
     return build_mesh(vertices, mesh.triangles)
-
-
-def validate_mesh(mesh: Mesh) -> None:
-    """Check every structural invariant; raise MeshError on the first failure."""
-    if (mesh.signed_areas() <= 0).any():
-        raise MeshOrientationError("non-positive triangle area")
-    counts = np.bincount(mesh.triangle_edges.ravel(), minlength=mesh.edge_count)
-    if not np.isin(counts, (1, 2)).all():
-        raise MeshConnectivityError("edge shared by an invalid number of triangles")
-    if not np.array_equal(np.nonzero(counts == 1)[0], mesh.boundary_edges):
-        raise MeshConnectivityError("boundary edge list does not match adjacency counts")
-    n = mesh.boundary_normals
-    t = mesh.boundary_tangents
-    if n.size:
-        if np.abs((n * t).sum(axis=1)).max() > UNIT_TOL:
-            raise MeshError("boundary normal and tangent are not orthogonal")
-        if np.abs(np.hypot(n[:, 0], n[:, 1]) - 1).max() > UNIT_TOL:
-            raise MeshError("boundary normal is not unit length")
-        if np.abs(np.hypot(t[:, 0], t[:, 1]) - 1).max() > UNIT_TOL:
-            raise MeshError("boundary tangent is not unit length")
-        inward = np.nonzero(_outward(mesh.vertices, mesh.triangles, mesh.edges,
-                                     mesh.edge_triangles, mesh.boundary_edges, n) <= 0)[0]
-        if inward.size:
-            raise MeshError(
-                f"boundary normal of edge {mesh.boundary_edges[inward[0]]} points inward")
-    # signed local edges must close the triangle boundary cycle: per triangle,
-    # the signed edge ends summed per vertex all vanish
-    ends = mesh.edges[mesh.triangle_edges]                             # (F, 3, 2)
-    signs = mesh.triangle_edge_signs.astype(np.int64)[:, :, None]
-    keys = np.arange(mesh.triangle_count)[:, None, None] * mesh.vertex_count + ends
-    chain_keys, slot = np.unique(keys.ravel(), return_inverse=True)
-    chain = np.zeros(chain_keys.size, dtype=np.int64)
-    np.add.at(chain, slot, (np.array([-1, 1]) * signs).ravel())
-    if chain.any():
-        tri = chain_keys[np.nonzero(chain)[0][0]] // mesh.vertex_count
-        raise MeshError(f"edge signs of triangle {tri} do not form a cycle")

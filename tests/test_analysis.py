@@ -23,10 +23,10 @@ from curlstokes.forms import (BoundaryData, _assemble_cells, _boundary_edge_data
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
                              generate_unit_square, jitter, two_triangle_square)
 from curlstokes.solver import solve
-from curlstokes.spaces import (DiscreteField, build_edge_space, build_nodal_space,
-                               interpolate_edge, interpolate_nodal)
+from curlstokes.spaces import DiscreteField, build_edge_space, build_nodal_space
 
 from mesh_strategies import jittered_meshes
+from oracles import interpolate_edge, interpolate_nodal
 
 
 # Dense oracles for the trace-constant and inf-sup probes: full generalized
@@ -185,7 +185,7 @@ def test_hodge_square(order):
     mesh = generate_unit_square(2)
     V = build_edge_space(mesh, order)
     Q = build_nodal_space(mesh, order)
-    dec = hodge_decompose(V, Q)
+    dec = hodge_decompose(V, Q, assemble_mass(V).matrix)
     assert dec.harmonic_basis.shape[1] == 0
     assert dec.grad_basis.shape[1] == Q.dof_count - 1
     total = dec.grad_basis.shape[1] + dec.z_basis.shape[1] + dec.harmonic_basis.shape[1]
@@ -196,9 +196,10 @@ def test_hodge_orthogonality_and_hole_dimension():
     mesh = generate_square_with_hole(3)
     V = build_edge_space(mesh, 1)
     Q = build_nodal_space(mesh, 1)
-    dec = hodge_decompose(V, Q)
+    M = assemble_mass(V).matrix
+    dec = hodge_decompose(V, Q, M)
     assert dec.harmonic_basis.shape[1] == 1
-    m = assemble_mass(V).matrix.toarray()
+    m = M.toarray()
     blocks = [dec.grad_basis, dec.z_basis, dec.harmonic_basis]
     for i in range(3):
         for j in range(i + 1, 3):
@@ -218,9 +219,10 @@ def test_hodge_decompose_memory_peak():
     mesh = generate_square_with_hole(18)
     V = build_edge_space(mesh, 1)
     Q = build_nodal_space(mesh, 1)
+    M = assemble_mass(V).matrix
     tracemalloc.start()
     try:
-        hodge_decompose(V, Q)
+        hodge_decompose(V, Q, M)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -258,7 +260,7 @@ def test_harmonic_basis_size_equals_betti():
         assert betti_number(mesh) == betti
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
-        assert hodge_decompose(V, Q).harmonic_basis.shape[1] == betti
+        assert hodge_decompose(V, Q, assemble_mass(V).matrix).harmonic_basis.shape[1] == betti
 
 
 def test_harmonic_curl_over_trace_bounded_across_levels():
@@ -272,9 +274,9 @@ def test_harmonic_curl_over_trace_bounded_across_levels():
 def test_harmonic_run_decomposes_once(monkeypatch):
     calls = []
 
-    def counted(V, Q):
+    def counted(V, Q, M):
         calls.append(V)
-        return hodge_decompose(V, Q)
+        return hodge_decompose(V, Q, M)
 
     for module in (analysis, experiments):
         monkeypatch.setattr(module, "hodge_decompose", counted)
@@ -283,17 +285,31 @@ def test_harmonic_run_decomposes_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_probe_assembles_mass_once_per_level(monkeypatch):
+def _count_mass_assemblies(monkeypatch) -> list:
+    """Record every assemble_mass call, in every curlstokes module that binds it."""
     calls = []
 
     def counted(V):
         calls.append(V)
         return assemble_mass(V)
 
-    for module in (analysis, experiments):
-        monkeypatch.setattr(module, "assemble_mass", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("curlstokes.") and getattr(module, "assemble_mass", None) is assemble_mass:
+            monkeypatch.setattr(module, "assemble_mass", counted)
+    return calls
+
+
+def test_probe_assembles_mass_once_per_level(monkeypatch):
+    calls = _count_mass_assemblies(monkeypatch)
     run_probe("star", levels=2)
     assert len(calls) == 2
+
+
+def test_harmonic_assembles_mass_once(monkeypatch):
+    # the Hodge split and c.M.c read the same matrix
+    calls = _count_mass_assemblies(monkeypatch)
+    run_harmonic("hole", 6)
+    assert len(calls) == 1
 
 
 def test_trace_constants_stable_under_refinement():

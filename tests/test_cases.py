@@ -1,10 +1,54 @@
 import numpy as np
 import pytest
 
-from curlstokes.cases import (LSHAPE_LAMBDA, SingularPointError, get_case,
-                              hole_case, linear_case, lshape_case, star_case,
-                              validate_case)
+from curlstokes.cases import (LSHAPE_LAMBDA, ManufacturedCase,
+                              SingularPointError, get_case, hole_case,
+                              linear_case, lshape_case, star_case)
 from curlstokes.mesh import generate_square_with_hole
+
+# validate_case: sample points, their seed, and the largest finite-difference
+# residuals of the divergence and of the momentum identity
+VALIDATE_POINTS = 50
+VALIDATE_SEED = 1234
+DIV_TOL = 1e-6
+MOMENTUM_TOL = 1e-8
+
+
+def _sample_points(case: ManufacturedCase, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Random interior points of the case domain, away from any singularity."""
+    m = case.build_mesh()
+    pts = np.empty((0, 2))
+    while pts.shape[0] < count:
+        tris = rng.integers(0, m.triangle_count, size=2 * count)
+        bary = rng.dirichlet([1.0, 1.0, 1.0], size=2 * count)
+        cand = np.einsum("kj,kjd->kd", bary, m.vertices[m.triangles[tris]])
+        if case.name == "lshape":
+            cand = cand[np.hypot(cand[:, 0], cand[:, 1]) >= 0.2]
+        pts = np.vstack([pts, cand])
+    return pts[:count]
+
+
+def validate_case(case: ManufacturedCase) -> None:
+    """Finite-difference checks of the case invariants; raises on failure."""
+    rng = np.random.default_rng(VALIDATE_SEED)
+    pts = _sample_points(case, VALIDATE_POINTS, rng)
+    x, y = pts[:, 0], pts[:, 1]
+    d = 1e-6
+
+    div = ((case.u(x + d, y)[:, 0] - case.u(x - d, y)[:, 0])
+           + (case.u(x, y + d)[:, 1] - case.u(x, y - d)[:, 1])) / (2 * d)
+    worst = float(np.abs(div).max())
+    if worst > DIV_TOL:
+        raise AssertionError(f"case {case.name}: divergence residual {worst:.3e}")
+
+    curl_curl = np.column_stack([
+        (case.curl_u(x, y + d) - case.curl_u(x, y - d)) / (2 * d),
+        -(case.curl_u(x + d, y) - case.curl_u(x - d, y)) / (2 * d),
+    ])
+    res = case.f(x, y) - curl_curl - case.grad_p(x, y)
+    worst = float(np.abs(res).max())
+    if worst > MOMENTUM_TOL:
+        raise AssertionError(f"case {case.name}: momentum residual {worst:.3e}")
 
 
 @pytest.mark.parametrize("name", ["star", "hole", "lshape", "linear"])

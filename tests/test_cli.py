@@ -33,14 +33,22 @@ def test_convergence_linear_case(tmp_path):
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
 
-def test_convergence_deterministic_outputs(tmp_path):
-    args = ["convergence", "--case", "star", "--order", "1", "--levels", "2",
-            "--cw", "10", "--jitter", "7"]
+@pytest.mark.parametrize("args", [
+    ["convergence", "--case", "star", "--order", "1", "--levels", "2", "--cw", "10",
+     "--jitter", "7"],
+    ["probe", "--case", "star", "--levels", "2"],
+    ["harmonic", "--case", "hole", "--n", "6"],
+    ["counterexample"],
+], ids=lambda args: args[0])
+def test_convergence_deterministic_outputs(tmp_path, args):
+    # every file a command writes is byte-identical from run to run
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
-    for name in ("errors.csv", "report.json", "convergence_velocity.svg"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    names = sorted(p.name for p in out1.iterdir())
+    assert names and names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_convergence_star_rates_in_report(tmp_path):
@@ -138,13 +146,6 @@ def test_probe_command(tmp_path):
     assert max(betas) / min(betas) <= 3.0
 
 
-def test_probe_deterministic(tmp_path):
-    out1, out2 = tmp_path / "p1", tmp_path / "p2"
-    main(["probe", "--case", "star", "--levels", "2", "--out", str(out1)])
-    main(["probe", "--case", "star", "--levels", "2", "--out", str(out2)])
-    assert (out1 / "probe.json").read_bytes() == (out2 / "probe.json").read_bytes()
-
-
 @pytest.mark.parametrize("levels", ["0", "-2"])
 def test_probe_rejects_fewer_than_one_level(tmp_path, capsys, levels):
     code = main(["probe", "--case", "star", "--levels", levels,
@@ -172,7 +173,7 @@ def test_oversized_hodge_split_exits_before_allocating(tmp_path, monkeypatch, ca
     # with physical memory; hole n = 6 needs about 1.3 MiB
     monkeypatch.setattr(analysis, "_physical_memory", lambda: 2 ** 16)
     monkeypatch.setattr(analysis, "_mass_orthonormal_bases",
-                        lambda V, Q: pytest.fail("the split allocated its dense factors"))
+                        lambda V, Q, M: pytest.fail("the split allocated its dense factors"))
     out = tmp_path / "h"
     assert main(["harmonic", "--case", "hole", "--n", "6", "--out", str(out)]) == EXIT_MEMORY
     assert capsys.readouterr().err.startswith("error: out of memory")

@@ -15,9 +15,9 @@ from curlstokes.mesh import (generate_unit_square, jitter, refine_uniform,
                              two_triangle_square)
 from curlstokes.solver import solve
 from curlstokes.spaces import (DiscreteField, build_edge_space,
-                               build_nodal_space, gradient_coefficients,
-                               interpolate_edge, interpolate_nodal)
+                               build_nodal_space, gradient_coefficients)
 from mesh_strategies import jittered_meshes
+from oracles import interpolate_edge, interpolate_nodal
 
 
 def zero_g(x, y):

@@ -1,0 +1,46 @@
+"""Every public name of the library is read by the library, the bench or the
+studies: code that only the tests read lives in ``tests/``.
+
+The check is by name. It collects the top-level public functions, classes
+and module constants of ``src/curlstokes/*.py`` and fails on any whose name
+is never loaded (as a name or as an attribute) in ``src/``, ``bench/`` or
+``studies/``. ``__init__.py`` is skipped on both sides, so a re-export is
+not a caller.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_DIRS = ("src", "bench", "studies")
+
+
+def _modules(directory: Path):
+    return [f for f in sorted(directory.rglob("*.py")) if f.name != "__init__.py"]
+
+
+def _public_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if not n.startswith("_")}
+
+
+def _loaded_names(tree: ast.Module) -> set[str]:
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_every_public_src_name_has_a_caller_outside_the_tests():
+    loaded = set()
+    for directory in CALLER_DIRS:
+        for path in _modules(ROOT / directory):
+            loaded |= _loaded_names(ast.parse(path.read_text()))
+    uncalled = sorted(f"{path.stem}.{name}"
+                      for path in _modules(ROOT / "src" / "curlstokes")
+                      for name in _public_names(ast.parse(path.read_text()))
+                      if name not in loaded)
+    assert not uncalled, f"public names that only the tests read: {uncalled}"

@@ -12,9 +12,9 @@ from curlstokes.quadrature import edge_rule, triangle_rule
 from curlstokes.spaces import (DiscreteField, _edge_field, _nodal_field,
                                _tabulate_edge, _tabulate_nodal,
                                build_edge_space, build_nodal_space,
-                               grad_inclusion_check, gradient_coefficients,
-                               interpolate_edge, interpolate_nodal)
+                               gradient_coefficients)
 from mesh_strategies import jittered_meshes
+from oracles import grad_inclusion_check, interpolate_edge, interpolate_nodal
 
 
 def rot_field(x, y):
