@@ -1,4 +1,4 @@
-"""Error norms, convergence rates, Hodge decomposition and stability probes.
+"""Error norms, convergence rates, discrete harmonic fields and stability probes.
 
 The velocity error is measured in the mesh-dependent norm
 
@@ -25,10 +25,9 @@ from .forms import (assemble_b, assemble_curl_curl, assemble_mean_vector,
                     _boundary_rule, _cell_weights, _local_matrix, _volume_rule)
 from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
-from .solver import KERNEL_RANK_RTOL, SaddleSystem, _augmented, _factor, _guard_size
+from .solver import KERNEL_RANK_RTOL, SaddleSystem, _augmented, _factor
 from .spaces import (DiscreteField, EdgeSpace, NodalSpace, _edge_field,
-                     _edge_points, _nodal_field, _sample, _tabulate_edge,
-                     gradient_coefficients)
+                     _edge_points, _nodal_field, _sample, _tabulate_edge)
 
 #: bundle attribute -> report/CSV column name
 NORM_COLUMNS = {
@@ -60,15 +59,6 @@ class ErrorBundle:
     dofs_u: int
     dofs_p: int
     norm_u_hash: float      # |||u_h|||, the stability monitor
-
-
-@dataclass(frozen=True)
-class HodgeDecomposition:
-    """Coefficient bases of the three orthogonal blocks of the velocity space."""
-
-    grad_basis: np.ndarray      # (n, dim grad Q_h)
-    z_basis: np.ndarray         # (n, dim Z_h)
-    harmonic_basis: np.ndarray  # (n, dim harmonic)
 
 
 @dataclass(frozen=True)
@@ -161,15 +151,16 @@ def least_squares_rates(bundles: list[ErrorBundle]) -> dict[str, float]:
     return out
 
 
-def _boundary_gram(V: EdgeSpace, c_par: float, c_curl: float):
-    """Sparse c_par <v . t, w . t>_Gamma + c_curl <curl v, curl w>_Gamma."""
+def _boundary_gram(V: EdgeSpace):
+    """Sparse boundary Grams <v . t, w . t>_Gamma and <curl v, curl w>_Gamma,
+    from one tabulation of the boundary traces."""
     rule = _boundary_rule(V)
     tri, length, _, trace, curls = _boundary_edge_data(V, rule)
     w = length[:, None] * rule.weights
     trace, curls = trace[..., None], curls[..., None]
-    local = c_par * _local_matrix(w, trace, trace) + c_curl * _local_matrix(w, curls, curls)
     dofs = V.cell_dofs[tri]
-    return _assemble_cells(dofs, dofs, local, (V.dof_count,) * 2)
+    return tuple(_assemble_cells(dofs, dofs, _local_matrix(w, f, f), (V.dof_count,) * 2)
+                 for f in (trace, curls))
 
 
 def _curl_factor(V: EdgeSpace) -> np.ndarray:
@@ -193,24 +184,20 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _mass_orthonormal_bases(V: EdgeSpace, Q: NodalSpace, M) -> tuple[np.ndarray, np.ndarray]:
-    """Mass-orthonormal bases of the discrete gradients and of X_h, the
-    kernel of the divergence constraint B^T v = 0. The dense mass, coupling
-    and SVD factors end with this call, before the curl factor is built."""
+def _mass_orthonormal_kernel(V: EdgeSpace, Q: NodalSpace, M) -> np.ndarray:
+    """Mass-orthonormal basis of X_h, the kernel of the divergence constraint
+    B^T v = 0. B's kernel is the constants on a connected mesh, so B^T has
+    rank Q.dof_count - 1; any other rank raises RuntimeError. The dense mass
+    and coupling factors end with this call, before the curl factor is built."""
     m = M.toarray()
-    b = assemble_b(V, Q).matrix.toarray()
-
-    g = gradient_coefficients(V, Q).toarray()
-    gram = g.T @ m @ g
-    w, vecs = np.linalg.eigh(gram)
-    keep = w > KERNEL_RANK_RTOL * w.max()
-    grad_basis = g @ (vecs[:, keep] / np.sqrt(w[keep]))
-
-    _, s, vt = np.linalg.svd(b.T, full_matrices=True)
-    rank = int((s > KERNEL_RANK_RTOL * s.max()).sum()) if s.size else 0
+    _, s, vt = np.linalg.svd(assemble_b(V, Q).matrix.toarray().T, full_matrices=True)
+    rank = int((s > KERNEL_RANK_RTOL * s.max()).sum())
+    if rank != Q.dof_count - 1:
+        raise RuntimeError(f"the coupling block has rank {rank}, "
+                           f"not {Q.dof_count - 1} = pressure dofs - 1")
     x = vt[rank:].T
     chol = np.linalg.cholesky(x.T @ m @ x)
-    return grad_basis, scipy.linalg.solve_triangular(chol, x.T, lower=True).T
+    return scipy.linalg.solve_triangular(chol, x.T, lower=True).T
 
 
 def _curl_r(V: EdgeSpace, x: np.ndarray) -> np.ndarray:
@@ -220,17 +207,18 @@ def _curl_r(V: EdgeSpace, x: np.ndarray) -> np.ndarray:
     return scipy.linalg.qr(a, overwrite_a=True, mode="raw", check_finite=False)[1]
 
 
-def hodge_decompose(V: EdgeSpace, Q: NodalSpace, M) -> HodgeDecomposition:
-    """Split the velocity space into gradients, curl-carrying fields and
-    discrete harmonic fields, mutually orthogonal in L2; M is the assembled
-    velocity mass matrix, which defines that inner product. The harmonic fields
-    are the null right singular vectors of the curl factor on X_h; that factor
-    is tall, so its thin SVD has them all (a wide one fails the sum check).
+def hodge_decompose(V: EdgeSpace, Q: NodalSpace, M) -> np.ndarray:
+    """Basis (n, dim) of the discrete harmonic fields: the fields of X_h, the
+    L2-orthogonal complement of the discrete gradients, whose curl vanishes.
+    M is the assembled velocity mass matrix, which defines that inner product,
+    and the basis is M-orthonormal. The harmonic fields are the null right
+    singular vectors of the curl factor on X_h; that factor is tall, so its
+    thin SVD has them all.
 
     The curl factor has m >= 11n/6 rows for its n columns (about 9 per column
     at order 1, 5 at order 2), and for such a matrix LAPACK's gesdd runs
     dgeqrf and then the SVD of the triangular factor R. Taking the SVD of the
-    R of dgeqrf runs that same arithmetic, so the bases are bit-identical to
+    R of dgeqrf runs that same arithmetic, so the basis is bit-identical to
     the whole factor's SVD, but never builds the m x n left factor that
     nothing reads.
 
@@ -244,8 +232,8 @@ def hodge_decompose(V: EdgeSpace, Q: NodalSpace, M) -> HodgeDecomposition:
 
     The dense working set (curl factor, product and its copy, the E x E mass
     and coupling factors) is computed from the shapes first; above the
-    physical memory it raises MemoryError before allocating any of it."""
-    _guard_size(V.dof_count + Q.dof_count)
+    physical memory it raises MemoryError before allocating any of it. This
+    is the only limit on the input's size."""
     n, k = V.dof_count, V.dof_count - Q.dof_count + 1     # k = dim X_h
     rows = V.mesh.triangle_count * len(_volume_rule(V).weights)
     need, have = 8 * (rows * n + 2 * rows * k + 2 * n * n), _physical_memory()
@@ -253,26 +241,21 @@ def hodge_decompose(V: EdgeSpace, Q: NodalSpace, M) -> HodgeDecomposition:
         raise MemoryError(f"the dense Hodge decomposition needs {need / 2 ** 30:.1f} GiB, "
                           f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
 
-    grad_basis, x = _mass_orthonormal_bases(V, Q, M)
+    x = _mass_orthonormal_kernel(V, Q, M)
     _, s, vt = np.linalg.svd(_curl_r(V, x), full_matrices=False)
     smax = s.max(initial=0.0)
     ranks = int((s > KERNEL_RANK_RTOL * smax).sum()) if smax > 0 else 0
-    z_basis = x @ vt[:ranks].T
-    harmonic_basis = x @ vt[ranks:].T
-
-    if grad_basis.shape[1] + z_basis.shape[1] + harmonic_basis.shape[1] != n:
-        raise RuntimeError("decomposition dimensions do not sum to the space dimension")
-    return HodgeDecomposition(grad_basis=grad_basis, z_basis=z_basis,
-                              harmonic_basis=harmonic_basis)
+    return x @ vt[ranks:].T
 
 
 def betti_number(mesh: Mesh) -> int:
     return 1 - mesh.euler_characteristic()
 
 
-def estimate_trace_constants(V: EdgeSpace, M) -> TraceConstants:
+def estimate_trace_constants(V: EdgeSpace, M, t_par) -> TraceConstants:
     """Constants of the discrete trace inequalities; M is the assembled
-    velocity mass matrix.
+    velocity mass matrix and t_par the tangential boundary Gram T_par of
+    ``_boundary_gram``.
 
     C_par^2, the top eigenvalue of the pencil (h T_par, M), bounds
     h ||v . t||^2_Gamma by ||v||^2. C_n^2 bounds h ||curl v||^2_Gamma by
@@ -290,15 +273,16 @@ def estimate_trace_constants(V: EdgeSpace, M) -> TraceConstants:
     cell = np.einsum("fk,ki,kj->fij", _cell_weights(mesh, rule)[tri],
                      rule.points @ basis, rule.points @ basis)
     c_n_sq = h * np.linalg.eigvals(np.linalg.solve(cell, bnd[tri])).real.max()
-    c_par_sq = eigsh(_boundary_gram(V, h, 0.0), k=1, M=M, which="LA",
+    c_par_sq = eigsh(h * t_par, k=1, M=M, which="LA",
                      v0=np.random.default_rng(0).standard_normal(V.dof_count),
                      return_eigenvectors=False)[0]
     return TraceConstants(c_n=float(np.sqrt(c_n_sq)), c_par=float(np.sqrt(c_par_sq)))
 
 
-def estimate_infsup(V: EdgeSpace, Q: NodalSpace, M) -> float:
+def estimate_infsup(V: EdgeSpace, Q: NodalSpace, M, t_par, t_curl) -> float:
     """Smallest scaled singular value of the coupling form; M is the
-    assembled velocity mass matrix.
+    assembled velocity mass matrix, t_par and t_curl the boundary Grams of
+    ``_boundary_gram``.
 
     beta_h = min over zero-mean q of max over v of b(v, q) / (|q|_1 |||v|||);
     the theory predicts beta_h ~ h. beta_h^2 is the bottom eigenvalue of the
@@ -308,7 +292,7 @@ def estimate_infsup(V: EdgeSpace, Q: NodalSpace, M) -> float:
     matrix with H in place of A.
     """
     h = V.mesh.h_max
-    hash_gram = M + assemble_curl_curl(V).matrix + _boundary_gram(V, 1 / h, h)
+    hash_gram = M + assemble_curl_curl(V).matrix + t_par / h + h * t_curl
     n_u, n_q = V.dof_count, Q.dof_count
     lu = _factor(_augmented(SaddleSystem(hash_gram, assemble_b(V, Q).matrix, np.zeros(n_u),
                                          np.zeros(n_q), assemble_mean_vector(Q)))[0])

@@ -4,8 +4,9 @@ counterexample, harmonic-field extraction, and stability probes.
 Outputs are deterministic: identical configuration (and jitter seed) yields
 byte-identical CSV and JSON files at a fixed BLAS thread count. Exit codes:
 0 success, 2 configuration error, 3 solver singularity (outside the
-counterexample command), 4 size guard exceeded, 5 out of memory, 6 harmonic
-dimension differs from the Betti number.
+counterexample command), 5 out of memory (including a dense Hodge
+decomposition larger than the physical memory), 6 harmonic dimension differs
+from the Betti number. Code 4 is unused.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .analysis import NORM_COLUMNS, compute_eoc, least_squares_rates
 from .cases import CASES
 from .experiments import (ConvergenceRun, SingularLevelError, run_convergence,
                           run_counterexample, run_harmonic, run_probe)
-from .solver import SizeGuardError
+from .forms import DEFAULT_C_W
 from .svgplot import loglog_chart
 
 SCHEMA_VERSION = 1
@@ -27,7 +28,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
-EXIT_SIZE_GUARD = 4
 EXIT_MEMORY = 5
 EXIT_BETTI_MISMATCH = 6
 
@@ -156,7 +156,7 @@ def make_parser() -> argparse.ArgumentParser:
     conv.add_argument("--case", choices=sorted(CASES), required=True)
     conv.add_argument("--order", type=int, choices=(1, 2), default=1)
     conv.add_argument("--levels", type=int, default=4)
-    conv.add_argument("--cw", type=float, default=10.0)
+    conv.add_argument("--cw", type=float, default=DEFAULT_C_W)
     conv.add_argument("--base-n", type=int, default=None,
                       help="base subdivision (default: per-case)")
     conv.add_argument("--jitter", type=int, default=None, metavar="SEED",
@@ -190,9 +190,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_GUARD
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_MEMORY

@@ -41,6 +41,11 @@ from .quadrature import edge_rule, triangle_rule
 from .spaces import (EdgeSpace, NodalSpace, _edge_points, _sample, _tabulate_edge,
                      _tabulate_nodal)
 
+#: the Nitsche penalty C_w of every command and study unless one is given;
+#: above the order-1 coercivity threshold C_n^2 (at most 7.6, see README)
+DEFAULT_C_W = 10.0
+
+
 @dataclass
 class SparseOperator:
     """Assembled bilinear form in compressed sparse form."""

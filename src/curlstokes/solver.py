@@ -11,8 +11,8 @@ true relative residual of 1e-10 that the solution must reach. A singular
 system is reported, not raised, at the cost of the solve itself: ``solve``
 has no iterative fallback and never computes a kernel. Kernel dimensions and
 witnesses come only from ``kernel_probe``, a dense symmetric eigensolve of
-the same augmented matrix behind the size guard, as the ill-posedness
-counterexample uses it.
+the same augmented matrix, which the ill-posedness counterexample runs on its
+fixed meshes of 2 and 8 triangles.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from scipy.sparse.linalg import splu
 
 from .spaces import DiscreteField, EdgeSpace, NodalSpace
 
-KERNEL_SIZE_GUARD = 20000
 KERNEL_RANK_RTOL = 1e-10
 #: relative residual of the seeded probe solve above which a factored system
 #: counts as singular; well-posed systems reach about 1e-10, singular ones 1e3
@@ -33,10 +32,6 @@ KERNEL_RANK_RTOL = 1e-10
 _PROBE_RTOL = 1e-6
 #: relative residual of the solution above which a solve counts as singular
 _RESIDUAL_RTOL = 1e-10
-
-
-class SizeGuardError(Exception):
-    """Dense diagnostic requested on a system above the size guard."""
 
 
 @dataclass
@@ -150,12 +145,6 @@ def _factor(matrix: sparse.csc_array):
         raise MemoryError(f"sparse LU factorization: {exc}") from exc
 
 
-def _guard_size(n: int) -> None:
-    """Refuse a dense diagnostic of ``n`` unknowns above the size guard."""
-    if n > KERNEL_SIZE_GUARD:
-        raise SizeGuardError(f"dense probe limited to {KERNEL_SIZE_GUARD} unknowns, got {n}")
-
-
 def kernel_probe(system: SaddleSystem) -> KernelReport:
     """Nullspace of the saddle matrix restricted to zero-mean pressures.
 
@@ -167,7 +156,6 @@ def kernel_probe(system: SaddleSystem) -> KernelReport:
     pairs in the full pressure coordinates.
     """
     n_u, n_q = system.n_u, system.n_q
-    _guard_size(n_u + n_q)
     lam, vecs = np.linalg.eigh(_augmented(system)[0].toarray())
     null_mask = np.abs(lam) <= KERNEL_RANK_RTOL * np.abs(lam).max(initial=0.0)
     witnesses = [(vecs[:n_u, i].copy(), vecs[n_u:n_u + n_q, i].copy())

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
@@ -288,40 +287,3 @@ def _sample(fn: Callable, pts: np.ndarray) -> np.ndarray:
     """``fn(x, y)`` at points (..., 2), shaped (...) or (..., 2)."""
     out = np.asarray(fn(pts[..., 0].ravel(), pts[..., 1].ravel()), dtype=float)
     return out.reshape(pts.shape[:-1] + out.shape[1:])
-
-
-def gradient_coefficients(edge_space: EdgeSpace, nodal_space: NodalSpace) -> csr_array:
-    """Exact velocity-space representation of every nodal basis gradient.
-
-    Returns a sparse (edge dof, nodal dof) matrix whose column j holds
-    the edge-space coefficients of grad(q_j). Requires matching orders.
-    """
-    if edge_space.order != nodal_space.order:
-        raise ValueError("gradient representation requires matching orders")
-    mesh = edge_space.mesh
-    if edge_space.order == 1:
-        ne = mesh.edge_count
-        rows = np.repeat(np.arange(ne), 2)
-        cols = mesh.edges.ravel()
-        vals = np.tile([-1.0, 1.0], ne)
-        return csr_array((vals, (rows, cols)), shape=(ne, nodal_space.dof_count))
-
-    erule = edge_rule(4)
-    trule = triangle_rule(2)
-    # edge moments of the tangential trace, from the first adjacent triangle
-    tri, length, bary, _ = _edge_points(mesh, np.arange(mesh.edge_count), erule.points)
-    tang = np.diff(mesh.vertices[mesh.edges], axis=1)[:, 0] / length[:, None]
-    _, grads = _tabulate_nodal(nodal_space, bary, tri)                  # (E, k, 6, 2)
-    trace = np.matmul(grads, tang[:, None, :, None])[..., 0]           # (E, k, 6)
-    _, cell_grads = _tabulate_nodal(nodal_space, trule.points)         # (F, k, 6, 2)
-    w = 2.0 * mesh.signed_areas()[:, None] * trule.weights
-    # one block per edge and per triangle: 2 moment rows by 6 nodal columns
-    vals = np.concatenate([_edge_moments(erule, length, trace),
-                           _cell_moments(w, cell_grads)])               # (E + F, 2, 6)
-    row_dofs = np.concatenate([2 * np.arange(mesh.edge_count)[:, None] + [0, 1],
-                               edge_space.cell_dofs[:, 6:]])
-    col_dofs = np.concatenate([nodal_space.cell_dofs[tri], nodal_space.cell_dofs])
-    rows = np.broadcast_to(row_dofs[:, :, None], vals.shape)
-    cols = np.broadcast_to(col_dofs[:, None, :], vals.shape)
-    return csr_array((vals.ravel(), (rows.ravel(), cols.ravel())),
-                     shape=(edge_space.dof_count, nodal_space.dof_count))

@@ -31,12 +31,11 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 from curlstokes.analysis import compute_eoc, compute_errors
 from curlstokes.cases import get_case
 from curlstokes.experiments import build_saddle_system, level_mesh
-from curlstokes.forms import assemble_mass_nodal
+from curlstokes.forms import DEFAULT_C_W, assemble_mass_nodal
 from curlstokes.solver import _RESIDUAL_RTOL, solve
 from curlstokes.spaces import DiscreteField
 
 GAMMA = 1e3   # augmentation weight relative to the two blocks' mean diagonals
-C_W = 10.0    # Nitsche penalty, as in the acceptance criteria
 #: largest difference from ``solver.solve``, relative to the largest direct-solve
 #: coefficient, that ``--check-below`` accepts. Agreeing solves differ by at most
 #: 1.1e-10 against max |p| >= 2 at the CI sizes, and by 3e-8 at order 2, n = 32.
@@ -105,11 +104,11 @@ def main():
     args = ap.parse_args()
     case = get_case(args.case)
     print(f"case={args.case} order={args.order} base_n={args.base_n} "
-          f"jitter={args.jitter} C_w={C_W}", flush=True)
+          f"jitter={args.jitter} C_w={DEFAULT_C_W}", flush=True)
     bundles = []
     for k in range(args.levels):
         mesh = level_mesh(case, args.base_n, k, args.jitter)
-        system = build_saddle_system(mesh, args.order, case, C_W)
+        system = build_saddle_system(mesh, args.order, case)
         u, p, iters, fill, res = augmented_solve(system)
         b = compute_errors(DiscreteField(system.velocity_space, u),
                            DiscreteField(system.pressure_space, p), case)

@@ -1,18 +1,25 @@
 """Exact-structure oracles of the discrete spaces, read only by the tests.
 
 Moment interpolation into the edge space, pointwise Lagrange interpolation,
-and the L2 distance of the nodal basis gradients to the edge space (the
-gradient inclusion, which sits at roundoff when it holds).
+the exact edge-space coefficients of the nodal basis gradients, the L2
+distance of those gradients to the edge space (the gradient inclusion, which
+sits at roundoff when it holds), and the three-block Hodge decomposition by
+full SVDs, whose harmonic block ``analysis.hodge_decompose`` reproduces bit
+for bit.
 """
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import splu
 
+from curlstokes.analysis import _curl_factor
 from curlstokes.forms import assemble_b, assemble_mass
 from curlstokes.quadrature import edge_rule, triangle_rule
+from curlstokes.solver import KERNEL_RANK_RTOL
 from curlstokes.spaces import (_ALL, DiscreteField, EdgeSpace, NodalSpace,
                                _cell_moments, _edge_field, _edge_moments,
                                _edge_points, _sample, _tabulate_edge,
@@ -86,3 +93,60 @@ def grad_inclusion_check(edge_space: EdgeSpace, nodal_space: NodalSpace) -> floa
          nodal_space.cell_dofs[:, None, :]] -= gq
     w = 2.0 * edge_space.mesh.signed_areas()[:, None] * rule.weights
     return float(np.sqrt(np.einsum("fk,fkjd->j", w, diff ** 2).max()))
+
+
+def gradient_coefficients(edge_space: EdgeSpace, nodal_space: NodalSpace) -> csr_array:
+    """Exact velocity-space representation of every nodal basis gradient.
+
+    Returns a sparse (edge dof, nodal dof) matrix whose column j holds
+    the edge-space coefficients of grad(q_j). Requires matching orders.
+    """
+    if edge_space.order != nodal_space.order:
+        raise ValueError("gradient representation requires matching orders")
+    mesh = edge_space.mesh
+    if edge_space.order == 1:
+        ne = mesh.edge_count
+        rows = np.repeat(np.arange(ne), 2)
+        cols = mesh.edges.ravel()
+        vals = np.tile([-1.0, 1.0], ne)
+        return csr_array((vals, (rows, cols)), shape=(ne, nodal_space.dof_count))
+
+    erule = edge_rule(4)
+    trule = triangle_rule(2)
+    # edge moments of the tangential trace, from the first adjacent triangle
+    tri, length, bary, _ = _edge_points(mesh, np.arange(mesh.edge_count), erule.points)
+    tang = np.diff(mesh.vertices[mesh.edges], axis=1)[:, 0] / length[:, None]
+    _, grads = _tabulate_nodal(nodal_space, bary, tri)                  # (E, k, 6, 2)
+    trace = np.matmul(grads, tang[:, None, :, None])[..., 0]           # (E, k, 6)
+    _, cell_grads = _tabulate_nodal(nodal_space, trule.points)         # (F, k, 6, 2)
+    w = 2.0 * mesh.signed_areas()[:, None] * trule.weights
+    # one block per edge and per triangle: 2 moment rows by 6 nodal columns
+    vals = np.concatenate([_edge_moments(erule, length, trace),
+                           _cell_moments(w, cell_grads)])               # (E + F, 2, 6)
+    row_dofs = np.concatenate([2 * np.arange(mesh.edge_count)[:, None] + [0, 1],
+                               edge_space.cell_dofs[:, 6:]])
+    col_dofs = np.concatenate([nodal_space.cell_dofs[tri], nodal_space.cell_dofs])
+    rows = np.broadcast_to(row_dofs[:, :, None], vals.shape)
+    cols = np.broadcast_to(col_dofs[:, None, :], vals.shape)
+    return csr_array((vals.ravel(), (rows.ravel(), cols.ravel())),
+                     shape=(edge_space.dof_count, nodal_space.dof_count))
+
+
+def full_svd_hodge(V: EdgeSpace, Q: NodalSpace):
+    """Gradient, Z_h and harmonic bases, each M-orthonormal, with full SVDs
+    of the coupling and of the whole curl split."""
+    m = assemble_mass(V).matrix.toarray()
+    b = assemble_b(V, Q).matrix.toarray()
+    g = gradient_coefficients(V, Q).toarray()
+    w, vecs = np.linalg.eigh(g.T @ m @ g)
+    keep = w > KERNEL_RANK_RTOL * w.max()
+    grad_basis = g @ (vecs[:, keep] / np.sqrt(w[keep]))
+    _, s, vt = np.linalg.svd(b.T, full_matrices=True)
+    rank = int((s > KERNEL_RANK_RTOL * s.max()).sum()) if s.size else 0
+    x = vt[rank:].T
+    chol = np.linalg.cholesky(x.T @ m @ x)
+    x = scipy.linalg.solve_triangular(chol, x.T, lower=True).T
+    _, s, vt = np.linalg.svd(_curl_factor(V) @ x, full_matrices=True)
+    smax = s.max(initial=0.0)
+    ranks = int((s > KERNEL_RANK_RTOL * smax).sum()) if smax > 0 else 0
+    return grad_basis, x @ vt[:ranks].T, x @ vt[ranks:].T

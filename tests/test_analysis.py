@@ -26,7 +26,7 @@ from curlstokes.solver import solve
 from curlstokes.spaces import DiscreteField, build_edge_space, build_nodal_space
 
 from mesh_strategies import jittered_meshes
-from oracles import interpolate_edge, interpolate_nodal
+from oracles import full_svd_hodge, interpolate_edge, interpolate_nodal
 
 
 # Dense oracles for the trace-constant and inf-sup probes: full generalized
@@ -148,8 +148,8 @@ def test_hash_norm_matches_gram_of_infsup_probe(mesh, order, seed):
     V = build_edge_space(mesh, order)
     c = np.random.default_rng(seed).standard_normal(V.dof_count)
     h = mesh.h_max
-    gram = (assemble_mass(V).matrix + assemble_curl_curl(V).matrix
-            + _boundary_gram(V, 1 / h, h))
+    t_par, t_curl = _boundary_gram(V)
+    gram = assemble_mass(V).matrix + assemble_curl_curl(V).matrix + t_par / h + h * t_curl
     e = compute_errors(DiscreteField(V, c), _zero_pressure(V), _zero_case())
     assert e.norm_u_hash == pytest.approx(np.sqrt(c @ (gram @ c)), rel=1e-12)
 
@@ -180,16 +180,25 @@ def test_least_squares_rates():
     assert rates["err_u_l2"] == pytest.approx(2.0, abs=1e-12)
 
 
+def check_harmonic_complements_oracle(V, Q, M, basis):
+    """The harmonic basis is M-orthogonal to the oracle's gradient and curl
+    blocks, and the three blocks span the velocity space."""
+    grad_basis, z_basis, _ = full_svd_hodge(V, Q)
+    assert grad_basis.shape[1] + z_basis.shape[1] + basis.shape[1] == V.dof_count
+    for block in (grad_basis, z_basis):
+        if block.size and basis.size:
+            assert np.abs(block.T @ (M @ basis)).max() <= 1e-10
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_hodge_square(order):
     mesh = generate_unit_square(2)
     V = build_edge_space(mesh, order)
     Q = build_nodal_space(mesh, order)
-    dec = hodge_decompose(V, Q, assemble_mass(V).matrix)
-    assert dec.harmonic_basis.shape[1] == 0
-    assert dec.grad_basis.shape[1] == Q.dof_count - 1
-    total = dec.grad_basis.shape[1] + dec.z_basis.shape[1] + dec.harmonic_basis.shape[1]
-    assert total == V.dof_count
+    M = assemble_mass(V).matrix
+    basis = hodge_decompose(V, Q, M)
+    assert basis.shape[1] == 0
+    check_harmonic_complements_oracle(V, Q, M, basis)
 
 
 def test_hodge_orthogonality_and_hole_dimension():
@@ -197,15 +206,21 @@ def test_hodge_orthogonality_and_hole_dimension():
     V = build_edge_space(mesh, 1)
     Q = build_nodal_space(mesh, 1)
     M = assemble_mass(V).matrix
-    dec = hodge_decompose(V, Q, M)
-    assert dec.harmonic_basis.shape[1] == 1
-    m = M.toarray()
-    blocks = [dec.grad_basis, dec.z_basis, dec.harmonic_basis]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if blocks[i].size and blocks[j].size:
-                gram = blocks[i].T @ m @ blocks[j]
-                assert np.abs(gram).max() <= 1e-10
+    basis = hodge_decompose(V, Q, M)
+    assert basis.shape[1] == 1
+    check_harmonic_complements_oracle(V, Q, M, basis)
+
+
+def test_hodge_decompose_checks_the_coupling_rank(monkeypatch):
+    # a rank tolerance of 1 leaves B^T rank 0, so X_h would be the whole space;
+    # a dimension sum over the three blocks still closes (0 + 0 + n = n), the
+    # rank check (Q.dof_count - 1 on a connected mesh) does not
+    mesh = generate_square_with_hole(3)
+    V = build_edge_space(mesh, 1)
+    Q = build_nodal_space(mesh, 1)
+    monkeypatch.setattr(analysis, "KERNEL_RANK_RTOL", 1.0)
+    with pytest.raises(RuntimeError, match="rank 0"):
+        hodge_decompose(V, Q, assemble_mass(V).matrix)
 
 
 def test_hodge_decompose_memory_peak():
@@ -260,7 +275,7 @@ def test_harmonic_basis_size_equals_betti():
         assert betti_number(mesh) == betti
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
-        assert hodge_decompose(V, Q, assemble_mass(V).matrix).harmonic_basis.shape[1] == betti
+        assert hodge_decompose(V, Q, assemble_mass(V).matrix).shape[1] == betti
 
 
 def test_harmonic_curl_over_trace_bounded_across_levels():
@@ -305,6 +320,19 @@ def test_probe_assembles_mass_once_per_level(monkeypatch):
     assert len(calls) == 2
 
 
+def test_probe_tabulates_boundary_traces_once_per_level(monkeypatch):
+    # both probes scale the same two boundary Grams
+    calls = []
+
+    def counted(V, rule):
+        calls.append(V)
+        return _boundary_edge_data(V, rule)
+
+    monkeypatch.setattr(analysis, "_boundary_edge_data", counted)
+    run_probe("star", levels=2, order=2)
+    assert len(calls) == 2
+
+
 def test_harmonic_assembles_mass_once(monkeypatch):
     # the Hodge split and c.M.c read the same matrix
     calls = _count_mass_assemblies(monkeypatch)
@@ -316,7 +344,7 @@ def test_trace_constants_stable_under_refinement():
     consts = []
     for n in (2, 4):
         V = build_edge_space(generate_unit_square(n), 1)
-        consts.append(estimate_trace_constants(V, assemble_mass(V).matrix))
+        consts.append(estimate_trace_constants(V, assemble_mass(V).matrix, _boundary_gram(V)[0]))
     for attr in ("c_n", "c_par"):
         a, b = getattr(consts[0], attr), getattr(consts[1], attr)
         assert a > 0 and b > 0
@@ -328,7 +356,7 @@ def test_recommended_penalty_keeps_velocity_block_semidefinite():
     # coercivity needs C_w > C_n^2; on this order-2 mesh C_n^2 = 16.57 lies
     # above 4 C_n = 16.28, a penalty that leaves two negative eigenvalues
     V = build_edge_space(jitter(generate_unit_square(6), 0), 2)
-    cw = estimate_trace_constants(V, assemble_mass(V).matrix).recommended_cw
+    cw = estimate_trace_constants(V, assemble_mass(V).matrix, _boundary_gram(V)[0]).recommended_cw
     zero_g = lambda x, y: np.zeros((np.size(x), 2))
     ev = np.linalg.eigvalsh(assemble_velocity_block(V, BoundaryData(zero_g, C_w=cw))
                             .matrix.toarray())
@@ -347,11 +375,13 @@ def check_probes_match_dense_oracle(mesh, order):
     V = build_edge_space(mesh, order)
     Q = build_nodal_space(mesh, order)
     M = assemble_mass(V).matrix
-    consts = estimate_trace_constants(V, M)
+    t_par, t_curl = _boundary_gram(V)
+    consts = estimate_trace_constants(V, M, t_par)
     c_n, c_par = dense_trace_constants(V)
     assert consts.c_n == pytest.approx(c_n, rel=1e-12, abs=0)
     assert consts.c_par == pytest.approx(c_par, rel=1e-12, abs=0)
-    assert estimate_infsup(V, Q, M) == pytest.approx(dense_infsup(V, Q), rel=1e-9, abs=0)
+    assert estimate_infsup(V, Q, M, t_par, t_curl) == pytest.approx(dense_infsup(V, Q),
+                                                                    rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -373,7 +403,7 @@ def test_velocity_block_coercive_above_local_trace_threshold(mesh, order):
     # y = h^-1/2 ||v . t||_Gamma, which is nonnegative for C_w >= C_n^2. The
     # bound is not sharp, so nothing is asserted below the threshold.
     V = build_edge_space(mesh, order)
-    cw = 1.01 * estimate_trace_constants(V, assemble_mass(V).matrix).c_n ** 2
+    cw = 1.01 * estimate_trace_constants(V, assemble_mass(V).matrix, _boundary_gram(V)[0]).c_n ** 2
     zero_g = lambda x, y: np.zeros((np.size(x), 2))
     ev = np.linalg.eigvalsh(assemble_velocity_block(V, BoundaryData(zero_g, C_w=cw))
                             .matrix.toarray())
@@ -386,7 +416,7 @@ def test_infsup_scales_linearly_in_h():
         mesh = generate_unit_square(n)
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
-        beta = estimate_infsup(V, Q, assemble_mass(V).matrix)
+        beta = estimate_infsup(V, Q, assemble_mass(V).matrix, *_boundary_gram(V))
         assert beta > 0
         ratios.append(beta / mesh.h_max)
     assert max(ratios) / min(ratios) <= 3.0

@@ -1,23 +1,23 @@
 """The batched assembly must reproduce a per-triangle loop bit for bit, and
-the thin-SVD Hodge decomposition the full-SVD one.
+the thin-SVD harmonic basis the full-SVD one.
 
 The loop reference below is the element-by-element formulation the batched
 kernels replaced: one basis tabulation, one contraction and one scatter per
 triangle or boundary edge. The reported errors react to a single ulp in the
 assembled system (see the ``forms`` module docstring), so every comparison
-is ``np.array_equal``, not a tolerance. The Hodge reference forms the full
-left singular factor of the curl split; ``hodge_decompose`` forms none, it
-takes the SVD of the R of a QR. ``harmonic.json`` is checked to 1e-10
-against a roundoff-sized ratio, so its bases must not move by a bit either.
+is ``np.array_equal``, not a tolerance. The Hodge reference
+(``oracles.full_svd_hodge``) forms the full left singular factor of the curl
+split; ``hodge_decompose`` forms none, it takes the SVD of the R of a QR.
+``harmonic.json`` is checked to 1e-10 against a roundoff-sized ratio, so its
+basis must not move by a bit either.
 """
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curlstokes.analysis import _boundary_gram, _curl_factor, hodge_decompose
+from curlstokes.analysis import _boundary_gram, hodge_decompose
 from curlstokes.cases import star_case
 from curlstokes.forms import (BoundaryData, assemble_b, assemble_divergence_rhs,
                               assemble_mass, assemble_mass_nodal,
@@ -27,9 +27,8 @@ from curlstokes.forms import (BoundaryData, assemble_b, assemble_divergence_rhs,
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
                              generate_unit_square, jitter)
 from curlstokes.quadrature import edge_rule, triangle_rule
-from curlstokes.solver import KERNEL_RANK_RTOL
-from curlstokes.spaces import (build_edge_space, build_nodal_space,
-                               gradient_coefficients)
+from curlstokes.spaces import build_edge_space, build_nodal_space
+from oracles import full_svd_hodge
 
 _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
@@ -180,15 +179,16 @@ def loop_velocity_block(V, bd):
     return (k + _merge(blocks, (n, n))).tocsr()
 
 
-def loop_boundary_gram(V, c_par, c_curl):
+def loop_boundary_grams(V):
+    """The tangential and the curl boundary Gram, unscaled."""
     rule = edge_rule(2 * V.order + 2)
-    blocks = []
+    t_par, t_curl = [], []
     for _, _, t, length, trace, curls in loop_boundary(V, rule):
         w = length * rule.weights
-        local = (c_par * np.einsum("k,ki,kj->ij", w, trace, trace)
-                 + c_curl * np.einsum("k,ki,kj->ij", w, curls, curls))
-        blocks.append(_block(V.cell_dofs[t], V.cell_dofs[t], local))
-    return _merge(blocks, (V.dof_count,) * 2)
+        dofs = V.cell_dofs[t]
+        t_par.append(_block(dofs, dofs, np.einsum("k,ki,kj->ij", w, trace, trace)))
+        t_curl.append(_block(dofs, dofs, np.einsum("k,ki,kj->ij", w, curls, curls)))
+    return _merge(t_par, (V.dof_count,) * 2), _merge(t_curl, (V.dof_count,) * 2)
 
 
 def loop_rhs(V, f, bd):
@@ -242,25 +242,6 @@ def loop_mean_vector(Q):
     return m
 
 
-def full_svd_hodge(V, Q):
-    """Grad, Z_h and harmonic bases with the full SVD of the curl split."""
-    m = assemble_mass(V).matrix.toarray()
-    b = assemble_b(V, Q).matrix.toarray()
-    g = gradient_coefficients(V, Q).toarray()
-    w, vecs = np.linalg.eigh(g.T @ m @ g)
-    keep = w > KERNEL_RANK_RTOL * w.max()
-    grad_basis = g @ (vecs[:, keep] / np.sqrt(w[keep]))
-    _, s, vt = np.linalg.svd(b.T, full_matrices=True)
-    rank = int((s > KERNEL_RANK_RTOL * s.max()).sum()) if s.size else 0
-    x = vt[rank:].T
-    chol = np.linalg.cholesky(x.T @ m @ x)
-    x = scipy.linalg.solve_triangular(chol, x.T, lower=True).T
-    _, s, vt = np.linalg.svd(_curl_factor(V) @ x, full_matrices=True)
-    smax = s.max(initial=0.0)
-    ranks = int((s > KERNEL_RANK_RTOL * smax).sum()) if smax > 0 else 0
-    return grad_basis, x @ vt[:ranks].T, x @ vt[ranks:].T
-
-
 # -- comparison -------------------------------------------------------------
 
 def _same(a, b) -> bool:
@@ -290,8 +271,8 @@ def test_batched_assembly_is_bit_identical_to_loops(mesh, seed):
         nodal = lambda t: loop_nodal_basis(Q, t, rule.points)
 
         assert _same(assemble_velocity_block(V, bd).matrix, loop_velocity_block(V, bd))
-        h = mesh.h_max
-        assert _same(_boundary_gram(V, 1 / h, h), loop_boundary_gram(V, 1 / h, h))
+        for batched, loop in zip(_boundary_gram(V), loop_boundary_grams(V)):
+            assert _same(batched, loop)
         assert _same(assemble_b(V, Q).matrix, loop_cell_matrix(
             V, Q, lambda t: (edge(t)[0], nodal(t)[1]), rule, "k,kid,kjd->ij", (nv, nq)))
         assert _same(assemble_mass(V).matrix, loop_cell_matrix(
@@ -325,8 +306,5 @@ def test_hodge_decomposition_is_bit_identical_to_full_svd(make, order):
     mesh = make()
     V = build_edge_space(mesh, order)
     Q = build_nodal_space(mesh, order)
-    dec = hodge_decompose(V, Q, assemble_mass(V).matrix)
-    grad_basis, z_basis, harmonic_basis = full_svd_hodge(V, Q)
-    assert np.array_equal(dec.grad_basis, grad_basis)
-    assert np.array_equal(dec.z_basis, z_basis)
-    assert np.array_equal(dec.harmonic_basis, harmonic_basis)
+    harmonic_basis = hodge_decompose(V, Q, assemble_mass(V).matrix)
+    assert np.array_equal(harmonic_basis, full_svd_hodge(V, Q)[2])

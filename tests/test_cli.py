@@ -172,7 +172,7 @@ def test_oversized_hodge_split_exits_before_allocating(tmp_path, monkeypatch, ca
     # the split's dense working set is computed from the shapes and compared
     # with physical memory; hole n = 6 needs about 1.3 MiB
     monkeypatch.setattr(analysis, "_physical_memory", lambda: 2 ** 16)
-    monkeypatch.setattr(analysis, "_mass_orthonormal_bases",
+    monkeypatch.setattr(analysis, "_mass_orthonormal_kernel",
                         lambda V, Q, M: pytest.fail("the split allocated its dense factors"))
     out = tmp_path / "h"
     assert main(["harmonic", "--case", "hole", "--n", "6", "--out", str(out)]) == EXIT_MEMORY

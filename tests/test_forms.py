@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curlstokes.analysis import estimate_trace_constants
+from curlstokes.analysis import _boundary_gram, estimate_trace_constants
 from curlstokes.cases import linear_case, star_case
 from curlstokes.experiments import build_saddle_system
 from curlstokes.forms import (BoundaryData, assemble_b, assemble_curl_curl,
@@ -14,10 +14,9 @@ from curlstokes.forms import (BoundaryData, assemble_b, assemble_curl_curl,
 from curlstokes.mesh import (generate_unit_square, jitter, refine_uniform,
                              two_triangle_square)
 from curlstokes.solver import solve
-from curlstokes.spaces import (DiscreteField, build_edge_space,
-                               build_nodal_space, gradient_coefficients)
+from curlstokes.spaces import DiscreteField, build_edge_space, build_nodal_space
 from mesh_strategies import jittered_meshes
-from oracles import interpolate_edge, interpolate_nodal
+from oracles import gradient_coefficients, interpolate_edge, interpolate_nodal
 
 
 def zero_g(x, y):
@@ -233,7 +232,8 @@ def test_coercivity_on_divergence_free_complement():
     V = build_edge_space(m, 1)
     Q = build_nodal_space(m, 1)
     # the default penalty, or just above the coercivity threshold C_n^2
-    cw = max(10.0, 1.01 * estimate_trace_constants(V, assemble_mass(V).matrix).c_n ** 2)
+    consts = estimate_trace_constants(V, assemble_mass(V).matrix, _boundary_gram(V)[0])
+    cw = max(10.0, 1.01 * consts.c_n ** 2)
     bd = BoundaryData(zero_g, C_w=cw)
     A = assemble_velocity_block(V, bd).matrix.toarray()
     B = assemble_b(V, Q).matrix.toarray()

@@ -9,8 +9,7 @@ from curlstokes.cases import linear_case, star_case
 from curlstokes.experiments import build_saddle_system
 from curlstokes.mesh import (generate_unit_square, jitter, refine_uniform,
                              two_triangle_square)
-from curlstokes.solver import (KERNEL_RANK_RTOL, SaddleSystem, SizeGuardError,
-                               kernel_probe, solve)
+from curlstokes.solver import KERNEL_RANK_RTOL, SaddleSystem, kernel_probe, solve
 
 from mesh_strategies import jittered_meshes
 
@@ -184,14 +183,6 @@ def test_sparse_path_matches_dense():
     assert report.residual <= 1e-10
     errors = compute_errors(report.u, report.p, case)
     assert errors.err_u_l2 <= 1e-8
-
-
-def test_size_guard():
-    n = 30000
-    big = sparse.csr_array((n, n))
-    with pytest.raises(SizeGuardError):
-        kernel_probe(SaddleSystem(big, sparse.csr_array((n, 4)),
-                                  np.zeros(n), np.zeros(4), np.ones(4)))
 
 
 def test_dimension_validation():

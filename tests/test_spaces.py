@@ -11,10 +11,10 @@ from curlstokes.mesh import (generate_square_with_hole, generate_unit_square,
 from curlstokes.quadrature import edge_rule, triangle_rule
 from curlstokes.spaces import (DiscreteField, _edge_field, _nodal_field,
                                _tabulate_edge, _tabulate_nodal,
-                               build_edge_space, build_nodal_space,
-                               gradient_coefficients)
+                               build_edge_space, build_nodal_space)
 from mesh_strategies import jittered_meshes
-from oracles import grad_inclusion_check, interpolate_edge, interpolate_nodal
+from oracles import (grad_inclusion_check, gradient_coefficients,
+                     interpolate_edge, interpolate_nodal)
 
 
 def rot_field(x, y):
