@@ -25,7 +25,7 @@ from .forms import (assemble_b, assemble_curl_curl, assemble_mean_vector,
                     _boundary_rule, _cell_weights, _local_matrix, _volume_rule)
 from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
-from .solver import KERNEL_RANK_RTOL, SaddleSystem, _augmented, _factor
+from .solver import KERNEL_RANK_RTOL, _augmented, _factor
 from .spaces import (DiscreteField, EdgeSpace, NodalSpace, _edge_field,
                      _edge_points, _nodal_field, _sample, _tabulate_edge)
 
@@ -207,6 +207,20 @@ def _curl_r(V: EdgeSpace, x: np.ndarray) -> np.ndarray:
     return scipy.linalg.qr(a, overwrite_a=True, mode="raw", check_finite=False)[1]
 
 
+def _check_hodge_memory(V: EdgeSpace, Q: NodalSpace) -> None:
+    """Refuse a Hodge decomposition whose dense working set (curl factor,
+    product and its copy, the E x E mass and coupling factors), computed
+    from the shapes alone, exceeds the physical memory: MemoryError before
+    anything is assembled or allocated. This is the only limit on the size
+    of ``hodge_decompose``'s input."""
+    n, k = V.dof_count, V.dof_count - Q.dof_count + 1     # k = dim X_h
+    rows = V.mesh.triangle_count * len(_volume_rule(V).weights)
+    need, have = 8 * (rows * n + 2 * rows * k + 2 * n * n), _physical_memory()
+    if need > have:
+        raise MemoryError(f"the dense Hodge decomposition needs {need / 2 ** 30:.1f} GiB, "
+                          f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
+
+
 def hodge_decompose(V: EdgeSpace, Q: NodalSpace, M) -> np.ndarray:
     """Basis (n, dim) of the discrete harmonic fields: the fields of X_h, the
     L2-orthogonal complement of the discrete gradients, whose curl vanishes.
@@ -230,17 +244,8 @@ def hodge_decompose(V: EdgeSpace, Q: NodalSpace, M) -> np.ndarray:
     workspace query; scipy's qr makes the same dgeqrf call in place on one
     Fortran copy, so the product is held twice at most, not three times.
 
-    The dense working set (curl factor, product and its copy, the E x E mass
-    and coupling factors) is computed from the shapes first; above the
-    physical memory it raises MemoryError before allocating any of it. This
-    is the only limit on the input's size."""
-    n, k = V.dof_count, V.dof_count - Q.dof_count + 1     # k = dim X_h
-    rows = V.mesh.triangle_count * len(_volume_rule(V).weights)
-    need, have = 8 * (rows * n + 2 * rows * k + 2 * n * n), _physical_memory()
-    if need > have:
-        raise MemoryError(f"the dense Hodge decomposition needs {need / 2 ** 30:.1f} GiB, "
-                          f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
-
+    ``_check_hodge_memory`` bounds the dense working set that this call
+    allocates; callers run it before they assemble M."""
     x = _mass_orthonormal_kernel(V, Q, M)
     _, s, vt = np.linalg.svd(_curl_r(V, x), full_matrices=False)
     smax = s.max(initial=0.0)
@@ -294,8 +299,7 @@ def estimate_infsup(V: EdgeSpace, Q: NodalSpace, M, t_par, t_curl) -> float:
     h = V.mesh.h_max
     hash_gram = M + assemble_curl_curl(V).matrix + t_par / h + h * t_curl
     n_u, n_q = V.dof_count, Q.dof_count
-    lu = _factor(_augmented(SaddleSystem(hash_gram, assemble_b(V, Q).matrix, np.zeros(n_u),
-                                         np.zeros(n_q), assemble_mean_vector(Q)))[0])
+    lu = _factor(_augmented(hash_gram, assemble_b(V, Q).matrix, assemble_mean_vector(Q)))
 
     def pinned_inverse(r):   # zero-sum data: zero multiplier, zero-mean y
         y = lu.solve(np.concatenate([np.zeros(n_u), [-r.sum()], r, [0.0]]))[n_u:n_u + n_q]

@@ -1,4 +1,11 @@
-"""Experiment drivers shared by the command-line interface and the test suite."""
+"""Experiment drivers shared by the command-line interface and the test suite.
+
+The drivers build the finite-element spaces, assemble a system on them and
+bind the solver's coefficient arrays back to those spaces. Two systems come
+out of the same spaces: ``build_saddle_system``, the Nitsche formulation with
+weak tangential data, and ``build_essential_system``, the strongly imposed
+variant whose singularity ``run_counterexample`` exhibits.
+"""
 
 from __future__ import annotations
 
@@ -9,43 +16,43 @@ import numpy as np
 from . import mesh as meshmod
 from .analysis import (ErrorBundle, betti_number, compute_errors,
                        estimate_infsup, estimate_trace_constants,
-                       hodge_decompose, _boundary_gram)
+                       hodge_decompose, _boundary_gram, _check_hodge_memory)
 from .cases import ManufacturedCase, get_case
 from .forms import (DEFAULT_C_W, BoundaryData, assemble_b, assemble_curl_curl,
                     assemble_divergence_rhs, assemble_mass,
                     assemble_mean_vector, assemble_rhs,
                     assemble_velocity_block)
 from .mesh import Mesh
-from .solver import SaddleSystem, SolveReport, kernel_probe, solve
-from .spaces import (DiscreteField, _edge_field, build_edge_space,
-                     build_nodal_space)
+from .solver import SaddleSystem, kernel_probe, solve
+from .spaces import (DiscreteField, EdgeSpace, NodalSpace, _edge_field,
+                     build_edge_space, build_nodal_space)
 
 
-def build_saddle_system(mesh: Mesh, order: int, case: ManufacturedCase,
-                        C_w: float = DEFAULT_C_W, essential: bool = False) -> SaddleSystem:
-    """Assemble the discrete system for a case on one mesh.
-
-    By default the tangential data enter weakly through the Nitsche terms of
-    ``forms``, and the system carries its velocity and pressure spaces. With
-    ``essential`` no boundary terms are assembled: the rows and columns of
-    the tangential boundary dofs (both moments of every boundary edge at
-    order 2) are deleted from the curl-curl and coupling blocks, and the data
-    are zero. This is the ill-posed strong-imposition variant; its velocity
-    block no longer matches the edge space, so the system carries no spaces.
-    """
-    V = build_edge_space(mesh, order)
-    Q = build_nodal_space(mesh, order)
-    if essential:
-        be = mesh.boundary_edges
-        keep = np.ones(V.dof_count, dtype=bool)
-        keep[be if order == 1 else np.concatenate([2 * be, 2 * be + 1])] = False
-        A = assemble_curl_curl(V).matrix[keep][:, keep]
-        return SaddleSystem(A, assemble_b(V, Q).matrix[keep], np.zeros(A.shape[0]),
-                            np.zeros(Q.dof_count), assemble_mean_vector(Q))
+def build_saddle_system(V: EdgeSpace, Q: NodalSpace, case: ManufacturedCase,
+                        C_w: float = DEFAULT_C_W) -> SaddleSystem:
+    """Assemble the Nitsche system of a case on the spaces V and Q: the
+    tangential data enter weakly through the boundary terms of ``forms``."""
     bd = BoundaryData(g=case.g, C_w=C_w)
     A = assemble_velocity_block(V, bd).matrix
     rhs_u, rhs_q = assemble_rhs(V, case.f, bd), assemble_divergence_rhs(Q, case.g)
-    return SaddleSystem(A, assemble_b(V, Q).matrix, rhs_u, rhs_q, assemble_mean_vector(Q), V, Q)
+    return SaddleSystem(A, assemble_b(V, Q).matrix, rhs_u, rhs_q, assemble_mean_vector(Q))
+
+
+def build_essential_system(V: EdgeSpace, Q: NodalSpace) -> SaddleSystem:
+    """The ill-posed strong-imposition variant on V and Q: no boundary terms,
+    the rows and columns of the tangential boundary dofs (both moments of
+    every boundary edge at order 2) deleted from the curl-curl and coupling
+    blocks, and zero data."""
+    be = V.mesh.boundary_edges
+    keep = np.ones(V.dof_count, dtype=bool)
+    keep[be if V.order == 1 else np.concatenate([2 * be, 2 * be + 1])] = False
+    A = assemble_curl_curl(V).matrix[keep][:, keep]
+    return SaddleSystem(A, assemble_b(V, Q).matrix[keep], np.zeros(A.shape[0]),
+                        np.zeros(Q.dof_count), assemble_mean_vector(Q))
+
+
+def _spaces(mesh: Mesh, order: int) -> tuple[EdgeSpace, NodalSpace]:
+    return build_edge_space(mesh, order), build_nodal_space(mesh, order)
 
 
 def level_mesh(case: ManufacturedCase, base_n: int, level: int,
@@ -76,11 +83,11 @@ def run_convergence(case_name: str, order: int, levels: int, C_w: float = DEFAUL
 
     bundles = []
     for k in range(levels):
-        mesh = level_mesh(case, base_n, k, jitter_seed)
-        rep = solve(build_saddle_system(mesh, order, case, C_w))
+        V, Q = _spaces(level_mesh(case, base_n, k, jitter_seed), order)
+        rep = solve(build_saddle_system(V, Q, case, C_w))
         if rep.singular:
             raise SingularLevelError(k)
-        bundles.append(compute_errors(rep.u, rep.p, case))
+        bundles.append(compute_errors(DiscreteField(V, rep.u), DiscreteField(Q, rep.p), case))
     config = {
         "command": "convergence", "case": case_name, "order": order,
         "levels": levels, "C_w": C_w, "base_n": base_n,
@@ -104,40 +111,38 @@ def run_counterexample() -> dict:
     two-dimensional kernel containing the hat-function witness; the weak
     formulation on the same mesh is nonsingular.
     """
-    case = get_case("linear")   # data irrelevant; the probe inspects operators
     base = meshmod.two_triangle_square()
+    V, Q = _spaces(base, 1)
 
-    sys_ess = build_saddle_system(base, 1, case, essential=True)
-    probe = kernel_probe(sys_ess)
+    sys_ess = build_essential_system(V, Q)
+    kernel = kernel_probe(sys_ess)
     # hat-function witness: vertex values of lambda_1 - 1/6 at the four corners
     witness_p = np.array([5.0, -1.0, -1.0, -1.0]) / 6.0
     witness_u = np.zeros(sys_ess.n_u)
     res_u = sys_ess.A @ witness_u + sys_ess.B @ witness_p
     res_q = sys_ess.B.T @ witness_u
     witness_residual = float(max(np.abs(res_u).max(), np.abs(res_q).max()))
-    span = np.stack([np.concatenate([wu, wp]) for wu, wp in probe.witnesses], axis=1)
     target = np.concatenate([witness_u, witness_p])
-    coeffs, *_ = np.linalg.lstsq(span, target, rcond=None)
-    in_span_residual = float(np.linalg.norm(span @ coeffs - target))
+    coeffs, *_ = np.linalg.lstsq(kernel, target, rcond=None)
+    in_span_residual = float(np.linalg.norm(kernel @ coeffs - target))
 
     refined = meshmod.refine_uniform(base)
-    probe_refined = kernel_probe(build_saddle_system(refined, 1, case, essential=True))
-
-    sys_nitsche = build_saddle_system(base, 1, case)
-    probe_nitsche = kernel_probe(sys_nitsche)
+    kernel_refined = kernel_probe(build_essential_system(*_spaces(refined, 1)))
+    # data irrelevant; the probe inspects operators
+    kernel_nitsche = kernel_probe(build_saddle_system(V, Q, get_case("linear")))
 
     solve_report = solve(sys_ess)
     return {
         "schema_version": 1,
         "essential": {
-            "kernel_dimension": probe.dimension,
+            "kernel_dimension": kernel.shape[1],
             "witness_pressure": witness_p.tolist(),
             "witness_residual": witness_residual,
             "witness_in_span_residual": in_span_residual,
             "solver_flags_singular": bool(solve_report.singular),
         },
-        "essential_refined": {"kernel_dimension": probe_refined.dimension},
-        "nitsche": {"C_w": DEFAULT_C_W, "kernel_dimension": probe_nitsche.dimension},
+        "essential_refined": {"kernel_dimension": kernel_refined.shape[1]},
+        "nitsche": {"C_w": DEFAULT_C_W, "kernel_dimension": kernel_nitsche.shape[1]},
     }
 
 
@@ -145,8 +150,8 @@ def run_harmonic(case_name: str = "hole", n: int | None = None, order: int = 1) 
     """Extract the discrete harmonic field basis and its diagnostics."""
     case = get_case(case_name)
     mesh = case.build_mesh(n)
-    V = build_edge_space(mesh, order)
-    Q = build_nodal_space(mesh, order)
+    V, Q = _spaces(mesh, order)
+    _check_hodge_memory(V, Q)
     M = assemble_mass(V).matrix
     basis = hodge_decompose(V, Q, M)
     dim = basis.shape[1]
@@ -191,8 +196,7 @@ def run_probe(case_name: str, levels: int = 3, order: int = 1) -> dict:
     rows = []
     for k in range(levels):
         mesh = level_mesh(case, base_n, k, None)
-        V = build_edge_space(mesh, order)
-        Q = build_nodal_space(mesh, order)
+        V, Q = _spaces(mesh, order)
         M = assemble_mass(V).matrix
         t_par, t_curl = _boundary_gram(V)
         tc = estimate_trace_constants(V, M, t_par)

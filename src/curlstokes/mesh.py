@@ -93,15 +93,6 @@ def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
                   - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
 
-def _outward(vertices, triangles, edges, edge_triangles, boundary_edges,
-             normals) -> np.ndarray:
-    """Per boundary edge, (edge midpoint - centroid of its triangle) . normal."""
-    ends = vertices[edges[boundary_edges]]                       # (Bn, 2, 2)
-    mid = 0.5 * (ends[:, 0] + ends[:, 1])
-    centroid = vertices[triangles[edge_triangles[boundary_edges, 0]]].mean(axis=1)
-    return ((mid - centroid) * normals).sum(axis=1)
-
-
 def _freeze(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.flags.writeable = False
@@ -156,10 +147,13 @@ def build_mesh(vertices, triangles) -> Mesh:
     edge_triangles[by_edge, slot] = order // 3
 
     boundary_edges = np.nonzero(counts == 1)[0]
+    # a counterclockwise triangle traverses its edges with the domain on the
+    # left, so the outward normal of a boundary edge traversed along s d is
+    # s (d_y, -d_x); a boundary edge has one triangle and so one sign
+    edge_signs = np.empty(ne, dtype=np.int8)
+    edge_signs[triangle_edges] = triangle_edge_signs
     d = vertices[edges[boundary_edges, 1]] - vertices[edges[boundary_edges, 0]]
-    normals = np.column_stack([d[:, 1], -d[:, 0]])
-    normals[_outward(vertices, triangles, edges, edge_triangles, boundary_edges,
-                     normals) < 0] *= -1.0
+    normals = edge_signs[boundary_edges, None] * np.column_stack([d[:, 1], -d[:, 0]])
     normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
     tangents = np.column_stack([-normals[:, 1], normals[:, 0]])
 

@@ -3,7 +3,8 @@
 The discrete system couples the velocity operator A with the pressure
 gradient B; the pressure mean is pinned through a scalar Lagrange
 multiplier rather than by eliminating a degree of freedom, which would
-perturb the inf-sup structure.
+perturb the inf-sup structure. The module is linear algebra only: blocks go
+in, coefficient arrays come out, and the caller binds them to its spaces.
 
 ``solve`` has one path at every size: a sparse LU factor of the augmented
 matrix, whose singularity a seeded random right-hand side exposes, and a
@@ -17,13 +18,11 @@ fixed meshes of 2 and 8 triangles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
-
-from .spaces import DiscreteField, EdgeSpace, NodalSpace
 
 KERNEL_RANK_RTOL = 1e-10
 #: relative residual of the seeded probe solve above which a factored system
@@ -36,17 +35,13 @@ _RESIDUAL_RTOL = 1e-10
 
 @dataclass
 class SaddleSystem:
-    """Assembled blocks of the velocity-pressure system. Without spaces (as
-    for the strong-imposition variant, whose velocity block is smaller than
-    the edge space) ``solve`` returns plain coefficient arrays."""
+    """Assembled blocks of the velocity-pressure system."""
 
     A: sparse.csr_array
     B: sparse.csr_array
     rhs_u: np.ndarray
     rhs_q: np.ndarray
     mean_vector: np.ndarray
-    velocity_space: EdgeSpace | None = None
-    pressure_space: NodalSpace | None = None
 
     def __post_init__(self):
         n_u, n_q = self.B.shape
@@ -67,33 +62,27 @@ class SaddleSystem:
 
 
 @dataclass
-class KernelReport:
-    dimension: int
-    witnesses: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-
-
-@dataclass
 class SolveReport:
     """Outcome of ``solve``. A singular system has ``singular=True``, NaN
     fields and an infinite residual, and carries no kernel."""
 
-    u: DiscreteField | np.ndarray
-    p: DiscreteField | np.ndarray
+    u: np.ndarray
+    p: np.ndarray
     residual: float
     singular: bool
 
 
-def _augmented(system: SaddleSystem) -> tuple[sparse.csc_array, np.ndarray]:
-    n_u, n_q = system.n_u, system.n_q
-    m = sparse.csr_array((system.mean_vector, (np.arange(n_q), np.zeros(n_q, dtype=np.int64))),
+def _augmented(A, B, mean: np.ndarray) -> sparse.csc_array:
+    """The saddle matrix [[A, B, 0], [B^T, 0, m], [0, m^T, 0]], whose last
+    row and column pin the pressure mean through a Lagrange multiplier."""
+    n_q = B.shape[1]
+    m = sparse.csr_array((mean, (np.arange(n_q), np.zeros(n_q, dtype=np.int64))),
                          shape=(n_q, 1))
-    k = sparse.block_array([
-        [system.A, system.B, None],
-        [system.B.T, None, m],
+    return sparse.block_array([
+        [A, B, None],
+        [B.T, None, m],
         [None, m.T, None],
     ], format="csc")
-    rhs = np.concatenate([system.rhs_u, system.rhs_q, [0.0]])
-    return k, rhs
 
 
 def solve(system: SaddleSystem) -> SolveReport:
@@ -102,7 +91,8 @@ def solve(system: SaddleSystem) -> SolveReport:
     Returns a report whose pressure has zero mean. A singular operator is
     reported, not raised; its kernel is left to ``kernel_probe``.
     """
-    k, rhs = _augmented(system)
+    k = _augmented(system.A, system.B, system.mean_vector)
+    rhs = np.concatenate([system.rhs_u, system.rhs_q, [0.0]])
     try:
         lu = _factor(k)
         z = lu.solve(rhs)
@@ -128,10 +118,6 @@ def solve(system: SaddleSystem) -> SolveReport:
     total = float(system.mean_vector.sum())
     if total > 0:
         p = p - (system.mean_vector @ p) / total
-    if system.velocity_space is not None:
-        u = DiscreteField(system.velocity_space, u)
-    if system.pressure_space is not None:
-        p = DiscreteField(system.pressure_space, p)
     return SolveReport(u=u, p=p, residual=residual, singular=False)
 
 
@@ -145,19 +131,19 @@ def _factor(matrix: sparse.csc_array):
         raise MemoryError(f"sparse LU factorization: {exc}") from exc
 
 
-def kernel_probe(system: SaddleSystem) -> KernelReport:
-    """Nullspace of the saddle matrix restricted to zero-mean pressures.
+def kernel_probe(system: SaddleSystem) -> np.ndarray:
+    """Orthonormal basis (n_u + n_q, dim) of the nullspace of the saddle
+    matrix restricted to zero-mean pressures.
 
     Dense symmetric eigensolve of the augmented matrix with threshold
     1e-10 * max|lambda|. Because B maps constants to zero and the mean
     vector has a positive sum, every kernel vector of the augmented matrix
     has a zero multiplier and a zero-mean pressure, so the two kernels
-    coincide. Witnesses are returned as (velocity, pressure) coefficient
-    pairs in the full pressure coordinates.
+    coincide. Each witness column stacks the velocity coefficients over the
+    pressure coefficients in the full pressure coordinates.
     """
-    n_u, n_q = system.n_u, system.n_q
-    lam, vecs = np.linalg.eigh(_augmented(system)[0].toarray())
+    lam, vecs = np.linalg.eigh(_augmented(system.A, system.B, system.mean_vector).toarray())
     null_mask = np.abs(lam) <= KERNEL_RANK_RTOL * np.abs(lam).max(initial=0.0)
-    witnesses = [(vecs[:n_u, i].copy(), vecs[n_u:n_u + n_q, i].copy())
-                 for i in np.nonzero(null_mask)[0]]
-    return KernelReport(dimension=int(null_mask.sum()), witnesses=witnesses)
+    # row-major: counterexample.json's in-span residual is roundoff whose
+    # bits follow the layout of the products that read these columns
+    return np.ascontiguousarray(vecs[:system.n_u + system.n_q, null_mask])

@@ -33,7 +33,7 @@ from curlstokes.cases import get_case
 from curlstokes.experiments import build_saddle_system, level_mesh
 from curlstokes.forms import DEFAULT_C_W, assemble_mass_nodal
 from curlstokes.solver import _RESIDUAL_RTOL, solve
-from curlstokes.spaces import DiscreteField
+from curlstokes.spaces import DiscreteField, build_edge_space, build_nodal_space
 
 GAMMA = 1e3   # augmentation weight relative to the two blocks' mean diagonals
 #: largest difference from ``solver.solve``, relative to the largest direct-solve
@@ -42,10 +42,11 @@ GAMMA = 1e3   # augmentation weight relative to the two blocks' mean diagonals
 CHECK_RTOL = 1e-6
 
 
-def augmented_solve(system, tol=1e-12):
-    """(u, p, CG iterations, nnz(L+U), relative residual of the saddle system)."""
+def augmented_solve(system, W, tol=1e-12):
+    """(u, p, CG iterations, nnz(L+U), relative residual of the saddle system);
+    W is the pressure mass matrix, whose diagonal weights the augmentation."""
     A, B, f, q = system.A, system.B, system.rhs_u, system.rhs_q
-    w_inv = 1.0 / assemble_mass_nodal(system.pressure_space).matrix.diagonal()
+    w_inv = 1.0 / W.diagonal()
     bwb = B @ sparse.diags(w_inv) @ B.T
     gamma = GAMMA * A.diagonal().mean() / bwb.diagonal().mean()
     lu = splu((A + gamma * bwb).tocsc(), permc_spec="MMD_AT_PLUS_A",
@@ -81,8 +82,7 @@ def check_against_solve(system, u, p, where):
     if ref.singular:
         raise SystemExit(f"{where}: solve() reports the system singular")
     diffs = {name: (np.abs(direct - mine).max(), np.abs(direct).max())
-             for name, direct, mine in (("u", ref.u.coefficients, u),
-                                        ("p", ref.p.coefficients, p))}
+             for name, direct, mine in (("u", ref.u, u), ("p", ref.p, p))}
     print("  direct solve: " + ", ".join(f"max |d{name}| {d:.1e}"
                                          for name, (d, _) in diffs.items()), flush=True)
     for name, (d, size) in diffs.items():
@@ -108,10 +108,10 @@ def main():
     bundles = []
     for k in range(args.levels):
         mesh = level_mesh(case, args.base_n, k, args.jitter)
-        system = build_saddle_system(mesh, args.order, case)
-        u, p, iters, fill, res = augmented_solve(system)
-        b = compute_errors(DiscreteField(system.velocity_space, u),
-                           DiscreteField(system.pressure_space, p), case)
+        V, Q = build_edge_space(mesh, args.order), build_nodal_space(mesh, args.order)
+        system = build_saddle_system(V, Q, case)
+        u, p, iters, fill, res = augmented_solve(system, assemble_mass_nodal(Q).matrix)
+        b = compute_errors(DiscreteField(V, u), DiscreteField(Q, p), case)
         bundles.append(b)
         print(f"n={args.base_n * 2 ** k} dofs={b.dofs_u}+{b.dofs_p} u_l2={b.err_u_l2:.6e} "
               f"curl={b.err_u_curl_seminorm:.6e} hash={b.err_u_hash:.6e} "

@@ -5,7 +5,9 @@ the exact edge-space coefficients of the nodal basis gradients, the L2
 distance of those gradients to the edge space (the gradient inclusion, which
 sits at roundoff when it holds), and the three-block Hodge decomposition by
 full SVDs, whose harmonic block ``analysis.hodge_decompose`` reproduces bit
-for bit.
+for bit. ``solve_fields`` runs the Nitsche solve of a case on one mesh and
+binds the solver's coefficient arrays to their spaces, as
+``experiments.run_convergence`` does.
 """
 from __future__ import annotations
 
@@ -17,9 +19,10 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import splu
 
 from curlstokes.analysis import _curl_factor
-from curlstokes.forms import assemble_b, assemble_mass
+from curlstokes.experiments import _spaces, build_saddle_system
+from curlstokes.forms import DEFAULT_C_W, assemble_b, assemble_mass
 from curlstokes.quadrature import edge_rule, triangle_rule
-from curlstokes.solver import KERNEL_RANK_RTOL
+from curlstokes.solver import KERNEL_RANK_RTOL, SolveReport, solve
 from curlstokes.spaces import (_ALL, DiscreteField, EdgeSpace, NodalSpace,
                                _cell_moments, _edge_field, _edge_moments,
                                _edge_points, _sample, _tabulate_edge,
@@ -150,3 +153,12 @@ def full_svd_hodge(V: EdgeSpace, Q: NodalSpace):
     smax = s.max(initial=0.0)
     ranks = int((s > KERNEL_RANK_RTOL * smax).sum()) if smax > 0 else 0
     return grad_basis, x @ vt[:ranks].T, x @ vt[ranks:].T
+
+
+def solve_fields(mesh, order: int, case, C_w: float = DEFAULT_C_W
+                 ) -> tuple[SolveReport, DiscreteField, DiscreteField]:
+    """The solve report of a case's Nitsche system on one mesh, and its
+    velocity and pressure bound to the spaces the system was assembled on."""
+    V, Q = _spaces(mesh, order)
+    report = solve(build_saddle_system(V, Q, case, C_w))
+    return report, DiscreteField(V, report.u), DiscreteField(Q, report.p)

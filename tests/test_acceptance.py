@@ -23,15 +23,13 @@ from curlstokes.analysis import (_boundary_gram, betti_number, compute_eoc,
                                  compute_errors, estimate_infsup,
                                  estimate_trace_constants, hodge_decompose)
 from curlstokes.cases import get_case
-from curlstokes.experiments import (build_saddle_system, level_mesh,
-                                    run_counterexample)
+from curlstokes.experiments import level_mesh, run_counterexample
 from curlstokes.forms import assemble_mass
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
                              generate_unit_square)
 from curlstokes.quadrature import edge_rule, triangle_rule
-from curlstokes.solver import solve
 from curlstokes.spaces import build_edge_space, build_nodal_space
-from oracles import full_svd_hodge, grad_inclusion_check
+from oracles import full_svd_hodge, grad_inclusion_check, solve_fields
 
 JITTER_SEED = 7   # fixed seed of the unstructuredness emulation (order 1 runs)
 TOL = 0.15        # half-width of a rate band around its target
@@ -52,9 +50,9 @@ def _study(case_name: str, order: int, base_n: int, levels: int,
     meshes = []
     for k in range(levels):
         mesh = level_mesh(case, base_n, k, jitter_seed)
-        rep = solve(build_saddle_system(mesh, order, case, cw))
+        rep, u_h, p_h = solve_fields(mesh, order, case, cw)
         assert not rep.singular, f"level {k} unexpectedly singular"
-        bundles.append(compute_errors(rep.u, rep.p, case))
+        bundles.append(compute_errors(u_h, p_h, case))
         meshes.append(mesh)
     eoc = compute_eoc(bundles)
     return bundles, {k: v[-1] for k, v in eoc.items()}, meshes
@@ -94,8 +92,8 @@ def test_criterion_2_exact_reproduction():
     for level in range(4):
         case = get_case("linear")
         mesh = level_mesh(case, 2, level, None)
-        rep = solve(build_saddle_system(mesh, 1, case, 10.0))
-        e = compute_errors(rep.u, rep.p, case)
+        _, u_h, p_h = solve_fields(mesh, 1, case, 10.0)
+        e = compute_errors(u_h, p_h, case)
         worst_u = max(worst_u, e.err_u_l2)
         worst_p = max(worst_p, e.err_p_l2)
     if worst_u > 1e-8:
@@ -152,8 +150,8 @@ def test_curl_band_rejects_unscaled_penalty():
     bundles = []
     for k in range(5):
         mesh = level_mesh(case, 8, k, JITTER_SEED)
-        rep = solve(build_saddle_system(mesh, 1, case, 10.0 * mesh.h_max))
-        bundles.append(compute_errors(rep.u, rep.p, case))
+        _, u_h, p_h = solve_fields(mesh, 1, case, 10.0 * mesh.h_max)
+        bundles.append(compute_errors(u_h, p_h, case))
     curl_eoc = compute_eoc(bundles)["err_u_curl"][-1]
     violations = []
     _check_band(violations, "r=1 curl", curl_eoc, 0.5 - TOL, 1.0 + TOL)
@@ -264,8 +262,8 @@ def test_criterion_6_structure_invariants():
     # mesh-dependent norm identity
     case = get_case("star")
     mesh = generate_unit_square(4)
-    rep = solve(build_saddle_system(mesh, 1, case, 10.0))
-    e = compute_errors(rep.u, rep.p, case)
+    _, u_h, p_h = solve_fields(mesh, 1, case, 10.0)
+    e = compute_errors(u_h, p_h, case)
     recomposed = (e.err_u_hcurl ** 2 + e.err_gpar_boundary ** 2 / mesh.h_max
                   + mesh.h_max * e.err_gcurl_boundary ** 2)
     if abs(e.err_u_hash ** 2 - recomposed) > 1e-12 * recomposed:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from curlstokes import analysis, solver
+from curlstokes import analysis, experiments, solver
 from curlstokes.cli import EXIT_MEMORY, main
 
 CSV_HEADER = ("level,h,dofs_u,dofs_p,err_u_l2,err_u_curl,err_u_hash,err_gpar,"
@@ -170,8 +170,10 @@ def test_out_of_memory_exits_cleanly(tmp_path, monkeypatch, capsys, error):
 
 def test_oversized_hodge_split_exits_before_allocating(tmp_path, monkeypatch, capsys):
     # the split's dense working set is computed from the shapes and compared
-    # with physical memory; hole n = 6 needs about 1.3 MiB
+    # with physical memory before any assembly; hole n = 6 needs about 1.3 MiB
     monkeypatch.setattr(analysis, "_physical_memory", lambda: 2 ** 16)
+    monkeypatch.setattr(experiments, "assemble_mass",
+                        lambda V: pytest.fail("harmonic assembled the mass matrix"))
     monkeypatch.setattr(analysis, "_mass_orthonormal_kernel",
                         lambda V, Q, M: pytest.fail("the split allocated its dense factors"))
     out = tmp_path / "h"

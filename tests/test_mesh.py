@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curlstokes.mesh import (Mesh, MeshConnectivityError, MeshError,
-                             MeshFormatError, MeshOrientationError, _outward,
+                             MeshFormatError, MeshOrientationError,
                              build_mesh, generate_l_shape,
                              generate_square_with_hole, generate_unit_square,
                              jitter, refine_uniform, two_triangle_square)
@@ -33,8 +33,11 @@ def validate_mesh(mesh: Mesh) -> None:
             raise MeshError("boundary normal is not unit length")
         if np.abs(np.hypot(t[:, 0], t[:, 1]) - 1).max() > UNIT_TOL:
             raise MeshError("boundary tangent is not unit length")
-        inward = np.nonzero(_outward(mesh.vertices, mesh.triangles, mesh.edges,
-                                     mesh.edge_triangles, mesh.boundary_edges, n) <= 0)[0]
+        # geometric oracle: the normal points from the centroid of the edge's
+        # triangle towards the edge midpoint
+        mid = mesh.vertices[mesh.edges[mesh.boundary_edges]].mean(axis=1)
+        tri = mesh.triangles[mesh.edge_triangles[mesh.boundary_edges, 0]]
+        inward = np.nonzero(((mid - mesh.vertices[tri].mean(axis=1)) * n).sum(axis=1) <= 0)[0]
         if inward.size:
             raise MeshError(
                 f"boundary normal of edge {mesh.boundary_edges[inward[0]]} points inward")

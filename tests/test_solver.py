@@ -4,14 +4,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from curlstokes import experiments
 from curlstokes.analysis import compute_errors
 from curlstokes.cases import linear_case, star_case
-from curlstokes.experiments import build_saddle_system
+from curlstokes.experiments import (_spaces, build_essential_system,
+                                    build_saddle_system, run_counterexample)
 from curlstokes.mesh import (generate_unit_square, jitter, refine_uniform,
                              two_triangle_square)
 from curlstokes.solver import KERNEL_RANK_RTOL, SaddleSystem, kernel_probe, solve
+from curlstokes.spaces import build_edge_space
 
 from mesh_strategies import jittered_meshes
+from oracles import solve_fields
 
 HAT_WITNESS = np.array([5.0, -1.0, -1.0, -1.0]) / 6.0   # lambda_1 - 1/6 at the corners
 
@@ -34,12 +38,12 @@ def dense_svd_solve(system):
 
 @pytest.fixture
 def essential_system():
-    return build_saddle_system(two_triangle_square(), 1, linear_case(), essential=True)
+    return build_essential_system(*_spaces(two_triangle_square(), 1))
 
 
 @pytest.fixture
 def nitsche_system():
-    return build_saddle_system(two_triangle_square(), 1, linear_case(), C_w=10.0)
+    return build_saddle_system(*_spaces(two_triangle_square(), 1), linear_case(), C_w=10.0)
 
 
 def test_essential_system_is_singular(essential_system):
@@ -50,29 +54,27 @@ def test_essential_system_is_singular(essential_system):
 
 
 def test_kernel_contains_hat_witness(essential_system):
-    probe = kernel_probe(essential_system)
-    assert probe.dimension == 2
+    kernel = kernel_probe(essential_system)
+    assert kernel.shape[1] == 2
     z = np.zeros(essential_system.n_u)
     res_u = essential_system.A @ z + essential_system.B @ HAT_WITNESS
     res_q = essential_system.B.T @ z
     assert max(np.abs(res_u).max(), np.abs(res_q).max()) <= 1e-12
     # the witness lies in the span of the computed kernel basis
-    span = np.stack([np.concatenate([wu, wp]) for wu, wp in probe.witnesses], axis=1)
     target = np.concatenate([z, HAT_WITNESS])
-    coeffs, *_ = np.linalg.lstsq(span, target, rcond=None)
-    assert np.linalg.norm(span @ coeffs - target) <= 1e-10
+    coeffs, *_ = np.linalg.lstsq(kernel, target, rcond=None)
+    assert np.linalg.norm(kernel @ coeffs - target) <= 1e-10
     # all kernel members carry zero velocity
-    for wu, _ in probe.witnesses:
-        assert np.abs(wu).max() <= 1e-10
+    assert np.abs(kernel[:essential_system.n_u]).max() <= 1e-10
 
 
 @pytest.mark.parametrize("n", [16, 32])
 def test_essential_system_flagged_on_sparse_path(n):
     # the LU factor of this singular system exists, and its zero data gives
     # the zero "solution" with residual 0; only the seeded probe flags it
-    system = build_saddle_system(generate_unit_square(n), 1, linear_case(), essential=True)
+    system = build_essential_system(*_spaces(generate_unit_square(n), 1))
     assert solve(system).singular
-    assert kernel_probe(system).dimension == 2
+    assert kernel_probe(system).shape[1] == 2
 
 
 @pytest.mark.parametrize("mesh", [two_triangle_square(),
@@ -80,11 +82,11 @@ def test_essential_system_flagged_on_sparse_path(n):
                                   generate_unit_square(16)],
                          ids=["counterexample", "counterexample-refined", "unit16"])
 def test_kernel_witnesses_are_zero_mean_kernel_vectors(mesh):
-    system = build_saddle_system(mesh, 1, linear_case(), essential=True)
-    probe = kernel_probe(system)
-    assert probe.dimension >= 1
+    system = build_essential_system(*_spaces(mesh, 1))
+    kernel = kernel_probe(system)
+    assert kernel.shape[1] >= 1
     scale = max(np.abs(system.A).max(), np.abs(system.B).max())
-    for wu, wp in probe.witnesses:
+    for wu, wp in zip(kernel[:system.n_u].T, kernel[system.n_u:].T):
         assert abs(system.mean_vector @ wp) <= 1e-12 * np.linalg.norm(wp)
         res_u = system.A @ wu + system.B @ wp
         res_q = system.B.T @ wu
@@ -107,13 +109,12 @@ REFERENCE_MESHES = {1: (9, (3, 6)), 2: (5, (3,))}
 @example(order_mesh=(2, jitter(generate_unit_square(4), 145)))
 def test_solve_matches_dense_svd_reference(order_mesh):
     order, mesh = order_mesh
-    system = build_saddle_system(mesh, order, star_case(), C_w=10.0)
+    system = build_saddle_system(*_spaces(mesh, order), star_case(), C_w=10.0)
     assert system.n_u + system.n_q + 1 <= 400
     reference = dense_svd_solve(system)
     report = solve(system)
     assert not report.singular
-    for name, got, want in zip("up", (report.u.coefficients, report.p.coefficients),
-                               reference):
+    for name, got, want in zip("up", (report.u, report.p), reference):
         diff, size = np.linalg.norm(got - want), np.linalg.norm(want)
         assert diff <= 1e-10 * size, f"order {order}: {name} differs by {diff / size:.2e} relative"
 
@@ -124,36 +125,45 @@ def test_singular_verdict_computes_no_kernel(monkeypatch):
         raise AssertionError("solve() must not run the dense kernel probe")
 
     monkeypatch.setattr("curlstokes.solver.kernel_probe", refuse)
-    system = build_saddle_system(generate_unit_square(16), 1, linear_case(), essential=True)
+    system = build_essential_system(*_spaces(generate_unit_square(16), 1))
     assert solve(system).singular
 
 
 def test_refined_essential_kernel_persists():
     mesh = refine_uniform(two_triangle_square())
-    probe = kernel_probe(build_saddle_system(mesh, 1, linear_case(), essential=True))
-    assert probe.dimension >= 1
+    assert kernel_probe(build_essential_system(*_spaces(mesh, 1))).shape[1] >= 1
+
+
+def test_counterexample_builds_each_edge_space_once(monkeypatch):
+    # the essential and Nitsche systems on the base mesh share its spaces
+    triangles = []
+
+    def counted(mesh, order):
+        triangles.append(mesh.triangle_count)
+        return build_edge_space(mesh, order)
+
+    monkeypatch.setattr(experiments, "build_edge_space", counted)
+    run_counterexample()
+    assert triangles == [2, 8]
 
 
 def test_nitsche_system_nonsingular(nitsche_system):
-    assert kernel_probe(nitsche_system).dimension == 0
+    assert kernel_probe(nitsche_system).shape[1] == 0
     zero = SaddleSystem(nitsche_system.A, nitsche_system.B,
                         np.zeros(nitsche_system.n_u), np.zeros(nitsche_system.n_q),
-                        nitsche_system.mean_vector,
-                        nitsche_system.velocity_space, nitsche_system.pressure_space)
+                        nitsche_system.mean_vector)
     report = solve(zero)
     assert not report.singular
-    assert np.abs(report.u.coefficients).max() <= 1e-12
-    assert np.abs(report.p.coefficients).max() <= 1e-12
+    assert np.abs(report.u).max() <= 1e-12
+    assert np.abs(report.p).max() <= 1e-12
 
 
 def test_exact_reproduction_linear_case():
     case = linear_case()
-    mesh = generate_unit_square(2)
-    system = build_saddle_system(mesh, 1, case, C_w=10.0)
-    report = solve(system)
+    report, u_h, p_h = solve_fields(generate_unit_square(2), 1, case, C_w=10.0)
     assert not report.singular
     assert report.residual <= 1e-10
-    errors = compute_errors(report.u, report.p, case)
+    errors = compute_errors(u_h, p_h, case)
     assert errors.err_u_l2 <= 1e-9
     assert errors.err_p_l2 <= 1e-9
 
@@ -161,27 +171,25 @@ def test_exact_reproduction_linear_case():
 def test_pressure_mean_is_zero():
     case = linear_case()
     mesh = generate_unit_square(4)
-    system = build_saddle_system(mesh, 1, case, C_w=10.0)
+    system = build_saddle_system(*_spaces(mesh, 1), case, C_w=10.0)
     report = solve(system)
-    assert abs(system.mean_vector @ report.p.coefficients) <= 1e-10
+    assert abs(system.mean_vector @ report.p) <= 1e-10
 
 
 def test_solve_is_deterministic():
     case = linear_case()
     mesh = generate_unit_square(3)
-    a = solve(build_saddle_system(mesh, 1, case, C_w=10.0))
-    b = solve(build_saddle_system(mesh, 1, case, C_w=10.0))
-    assert np.array_equal(a.u.coefficients, b.u.coefficients)
-    assert np.array_equal(a.p.coefficients, b.p.coefficients)
+    a = solve(build_saddle_system(*_spaces(mesh, 1), case, C_w=10.0))
+    b = solve(build_saddle_system(*_spaces(mesh, 1), case, C_w=10.0))
+    assert np.array_equal(a.u, b.u)
+    assert np.array_equal(a.p, b.p)
 
 
 def test_sparse_path_matches_dense():
     case = linear_case()
-    mesh = generate_unit_square(12)
-    system = build_saddle_system(mesh, 1, case, C_w=10.0)
-    report = solve(system)
+    report, u_h, p_h = solve_fields(generate_unit_square(12), 1, case, C_w=10.0)
     assert report.residual <= 1e-10
-    errors = compute_errors(report.u, report.p, case)
+    errors = compute_errors(u_h, p_h, case)
     assert errors.err_u_l2 <= 1e-8
 
 

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curlstokes.cases import linear_case
-from curlstokes.experiments import build_saddle_system
+from curlstokes.experiments import _spaces, build_essential_system
 from curlstokes.forms import assemble_b
 from curlstokes.mesh import (generate_square_with_hole, generate_unit_square,
                              jitter, two_triangle_square)
@@ -69,7 +68,7 @@ def loop_interpolate(space, eval_on_triangle):
 
 
 def essential_velocity_count(mesh, order):
-    return build_saddle_system(mesh, order, linear_case(), essential=True).n_u
+    return build_essential_system(*_spaces(mesh, order)).n_u
 
 
 def test_edge_space_dof_counts():
@@ -85,8 +84,9 @@ def test_edge_space_dof_counts():
 
 def test_essential_space_keeps_the_interior_edge():
     tt = two_triangle_square()
-    full_b = assemble_b(build_edge_space(tt, 1), build_nodal_space(tt, 1)).matrix.toarray()
-    kept_b = build_saddle_system(tt, 1, linear_case(), essential=True).B.toarray()
+    V, Q = build_edge_space(tt, 1), build_nodal_space(tt, 1)
+    full_b = assemble_b(V, Q).matrix.toarray()
+    kept_b = build_essential_system(V, Q).B.toarray()
     interior = [e for e in range(tt.edge_count) if tuple(tt.edges[e]) == (1, 3)]
     assert len(interior) == 1
     assert np.array_equal(kept_b, full_b[interior])
