@@ -29,16 +29,10 @@ from .solver import KERNEL_RANK_RTOL, _augmented, _factor
 from .spaces import (DiscreteField, EdgeSpace, NodalSpace, _edge_field,
                      _edge_points, _nodal_field, _sample, _tabulate_edge)
 
-#: bundle attribute -> report/CSV column name
-NORM_COLUMNS = {
-    "err_u_l2": "err_u_l2",
-    "err_u_curl_seminorm": "err_u_curl",
-    "err_u_hash": "err_u_hash",
-    "err_gpar_boundary": "err_gpar",
-    "err_gcurl_boundary": "err_gcurl",
-    "err_p_l2": "err_p_l2",
-    "err_p_h1_seminorm": "err_p_h1",
-}
+#: the error norms of the reports, rates and CSV columns, each an
+#: ``ErrorBundle`` field
+NORMS = ("err_u_l2", "err_u_curl", "err_u_hash", "err_gpar", "err_gcurl",
+         "err_p_l2", "err_p_h1")
 
 RATE_WINDOW = 3
 
@@ -48,13 +42,13 @@ class ErrorBundle:
     """Errors of one solve against the analytic solution."""
 
     err_u_l2: float
-    err_u_curl_seminorm: float
+    err_u_curl: float         # curl seminorm
     err_u_hcurl: float
     err_u_hash: float
-    err_gpar_boundary: float
-    err_gcurl_boundary: float
+    err_gpar: float           # tangential trace on the boundary, L2
+    err_gcurl: float          # curl trace on the boundary, L2
     err_p_l2: float
-    err_p_h1_seminorm: float
+    err_p_h1: float           # H1 seminorm
     h: float
     dofs_u: int
     dofs_p: int
@@ -85,7 +79,7 @@ def compute_errors(u_h: DiscreteField, p_h: DiscreteField, case) -> ErrorBundle:
     w = _cell_weights(mesh, rule)
     pts = np.matmul(rule.points, mesh.vertices[mesh.triangles])
     p_exact = _sample(case.p, pts)
-    p_mean = float((w * p_exact).sum()) / float(mesh.signed_areas().sum())
+    p_mean = float((w * p_exact).sum()) / float(mesh.areas.sum())
 
     uh, ch = _edge_field(u_h, rule.points)
     ph, gph = _nodal_field(p_h, rule.points)
@@ -109,13 +103,13 @@ def compute_errors(u_h: DiscreteField, p_h: DiscreteField, case) -> ErrorBundle:
     hash_sq = hcurl_sq + gpar_sq / h + h * gcurl_sq
     return ErrorBundle(
         err_u_l2=float(np.sqrt(u_sq)),
-        err_u_curl_seminorm=float(np.sqrt(curl_sq)),
+        err_u_curl=float(np.sqrt(curl_sq)),
         err_u_hcurl=float(np.sqrt(hcurl_sq)),
         err_u_hash=float(np.sqrt(hash_sq)),
-        err_gpar_boundary=float(np.sqrt(gpar_sq)),
-        err_gcurl_boundary=float(np.sqrt(gcurl_sq)),
+        err_gpar=float(np.sqrt(gpar_sq)),
+        err_gcurl=float(np.sqrt(gcurl_sq)),
         err_p_l2=float(np.sqrt(p_sq)),
-        err_p_h1_seminorm=float(np.sqrt(gp_sq)),
+        err_p_h1=float(np.sqrt(gp_sq)),
         h=h,
         dofs_u=u_h.space.dof_count,
         dofs_p=p_h.space.dof_count,
@@ -128,13 +122,13 @@ def compute_eoc(bundles: list[ErrorBundle]) -> dict[str, list[float]]:
     if len(bundles) < 2:
         raise ValueError("EOC requires at least two refinement levels")
     out: dict[str, list[float]] = {}
-    for attr, column in NORM_COLUMNS.items():
+    for norm in NORMS:
         seq = []
         for k in range(len(bundles) - 1):
-            e0, e1 = getattr(bundles[k], attr), getattr(bundles[k + 1], attr)
+            e0, e1 = getattr(bundles[k], norm), getattr(bundles[k + 1], norm)
             h0, h1 = bundles[k].h, bundles[k + 1].h
             seq.append(float(np.log(e0 / e1) / np.log(h0 / h1)))
-        out[column] = seq
+        out[norm] = seq
     return out
 
 
@@ -145,9 +139,9 @@ def least_squares_rates(bundles: list[ErrorBundle]) -> dict[str, float]:
         raise ValueError("rate fit requires at least two levels")
     hs = np.log([b.h for b in bundles])
     out = {}
-    for attr, column in NORM_COLUMNS.items():
-        es = np.log([getattr(b, attr) for b in bundles])
-        out[column] = float(np.polyfit(hs, es, 1)[0])
+    for norm in NORMS:
+        es = np.log([getattr(b, norm) for b in bundles])
+        out[norm] = float(np.polyfit(hs, es, 1)[0])
     return out
 
 
@@ -173,7 +167,7 @@ def _curl_factor(V: EdgeSpace) -> np.ndarray:
     rule = _volume_rule(V)
     _, curls = _tabulate_edge(V, rule.points)                   # (F, k, nloc)
     nf, npts = curls.shape[:2]
-    w = np.sqrt(2.0 * V.mesh.signed_areas()[:, None] * rule.weights)
+    w = np.sqrt(_cell_weights(V.mesh, rule))
     out = np.zeros((nf * npts, V.dof_count))
     out[np.arange(nf * npts).reshape(nf, npts, 1), V.cell_dofs[:, None, :]] = w[..., None] * curls
     return out

@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import NORM_COLUMNS, compute_eoc, least_squares_rates
+from .analysis import NORMS, compute_eoc, least_squares_rates
 from .cases import CASES
 from .experiments import (ConvergenceRun, SingularLevelError, run_convergence,
                           run_counterexample, run_harmonic, run_probe)
@@ -31,8 +31,8 @@ EXIT_SINGULAR = 3
 EXIT_MEMORY = 5
 EXIT_BETTI_MISMATCH = 6
 
-CSV_COLUMNS = ["level", "h", "dofs_u", "dofs_p", *NORM_COLUMNS.values()]
-EOC_COLUMNS = [col.replace("err_", "eoc_", 1) for col in NORM_COLUMNS.values()]
+CSV_COLUMNS = ["level", "h", "dofs_u", "dofs_p", *NORMS]
+EOC_COLUMNS = [norm.replace("err_", "eoc_", 1) for norm in NORMS]
 
 
 def _json_dump(data, path: Path) -> None:
@@ -43,8 +43,8 @@ def _write_errors_csv(run: ConvergenceRun, eoc: dict, path: Path) -> None:
     lines = [",".join(CSV_COLUMNS + EOC_COLUMNS)]
     for k, b in enumerate(run.bundles):
         row = [str(k), repr(b.h), str(b.dofs_u), str(b.dofs_p)]
-        row += [repr(getattr(b, attr)) for attr in NORM_COLUMNS]
-        row += ["" if k == 0 else repr(eoc[col][k - 1]) for col in NORM_COLUMNS.values()]
+        row += [repr(getattr(b, norm)) for norm in NORMS]
+        row += ["" if k == 0 else repr(eoc[norm][k - 1]) for norm in NORMS]
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
 
@@ -59,7 +59,7 @@ def _write_report_json(run: ConvergenceRun, eoc: dict, path: Path) -> None:
                 "h": b.h,
                 "dofs_u": b.dofs_u,
                 "dofs_p": b.dofs_p,
-                "errors": {col: getattr(b, attr) for attr, col in NORM_COLUMNS.items()},
+                "errors": {norm: getattr(b, norm) for norm in NORMS},
                 "err_u_hcurl": b.err_u_hcurl,
                 "norm_u_hash": b.norm_u_hash,
             }
@@ -81,8 +81,8 @@ def _write_svgs(run: ConvergenceRun, outdir: Path) -> None:
         "convergence_pressure.svg": ("pressure errors", "err_p_", (r - 0.5,)),
     }
     for fname, (title, prefix, slopes) in groups.items():
-        series = {col: [getattr(b, attr) for b in bundles]
-                  for attr, col in NORM_COLUMNS.items() if col.startswith(prefix)}
+        series = {norm: [getattr(b, norm) for b in bundles]
+                  for norm in NORMS if norm.startswith(prefix)}
         (outdir / fname).write_text(loglog_chart(
             f"{run.config['case']} order {r}: {title}", hs, series, slopes))
 

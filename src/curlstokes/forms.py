@@ -99,13 +99,13 @@ def _volume_rule(space: EdgeSpace | NodalSpace):
     return triangle_rule(2 * space.order + 2)
 
 
-def _boundary_rule(space: EdgeSpace):
+def _boundary_rule(space: EdgeSpace | NodalSpace):
     return edge_rule(2 * space.order + 2)
 
 
 def _cell_weights(mesh, rule) -> np.ndarray:
     """Physical quadrature weights per triangle, (F, k)."""
-    return 2.0 * mesh.signed_areas()[:, None] * rule.weights
+    return 2.0 * mesh.areas[:, None] * rule.weights
 
 
 def _local_matrix(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -213,7 +213,7 @@ def assemble_rhs(V: EdgeSpace, f: Callable, bd: BoundaryData) -> np.ndarray:
 def assemble_divergence_rhs(Q: NodalSpace, g: Callable) -> np.ndarray:
     """Boundary consistency term <g . n, q_j> for nonzero normal data."""
     mesh = Q.mesh
-    rule = edge_rule(2 * Q.order + 2)
+    rule = _boundary_rule(Q)
     tri, length, bary, pts = _edge_points(mesh, mesh.boundary_edges, rule.points)
     gn = np.matmul(_sample(g, pts), mesh.boundary_normals[:, :, None])[..., 0]
     q, _ = _tabulate_nodal(Q, bary, tri)

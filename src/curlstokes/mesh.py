@@ -47,6 +47,9 @@ class Mesh:
     boundary_edges      (Bn,) indices of edges with a single adjacent triangle
     boundary_normals    (Bn, 2) outward unit normals
     boundary_tangents   (Bn, 2) unit tangents, t = rotate90(n) (counterclockwise)
+    areas               (F,) triangle areas, positive
+    grads               (F, 3, 2) gradients of the three barycentric coordinates
+    diameters           (F,) longest edge of each triangle
     h_max               maximum triangle diameter
     """
 
@@ -59,6 +62,9 @@ class Mesh:
     boundary_edges: np.ndarray
     boundary_normals: np.ndarray
     boundary_tangents: np.ndarray
+    areas: np.ndarray
+    grads: np.ndarray
+    diameters: np.ndarray
     h_max: float
 
     @property
@@ -73,9 +79,6 @@ class Mesh:
     def edge_count(self) -> int:
         return self.edges.shape[0]
 
-    def signed_areas(self) -> np.ndarray:
-        return _signed_areas(self.vertices, self.triangles)
-
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.edge_count + self.triangle_count
 
@@ -83,14 +86,6 @@ class Mesh:
         mask = np.zeros(self.vertex_count, dtype=bool)
         mask[self.edges[self.boundary_edges].ravel()] = True
         return mask
-
-
-def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                  - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -115,7 +110,10 @@ def build_mesh(vertices, triangles) -> Mesh:
         raise MeshConnectivityError(
             f"triangle {bad} references a vertex outside [0, {nv})")
 
-    areas = _signed_areas(vertices, triangles)
+    # edge vectors v1 - v0, v2 - v1, v0 - v2 of each triangle
+    edge_vec = vertices[triangles[:, [1, 2, 0]]] - vertices[triangles]
+    d1, d2 = edge_vec[:, 0], -edge_vec[:, 2]                  # v1 - v0, v2 - v0
+    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
     nonpos = np.nonzero(areas <= 0.0)[0]
     if nonpos.size:
         raise MeshOrientationError(
@@ -157,13 +155,22 @@ def build_mesh(vertices, triangles) -> Mesh:
     normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
     tangents = np.column_stack([-normals[:, 1], normals[:, 0]])
 
-    edge_vec = vertices[triangles[:, [1, 2, 0]]] - vertices[triangles]
-    h_max = float(np.sqrt((edge_vec ** 2).sum(axis=2)).max())
+    # the gradient of a barycentric coordinate is the rotated opposite edge
+    # over twice the area; the three sum to zero
+    det = 2.0 * areas
+    grads = np.empty((triangles.shape[0], 3, 2))
+    grads[:, 1, 0] = d2[:, 1] / det
+    grads[:, 1, 1] = -d2[:, 0] / det
+    grads[:, 2, 0] = -d1[:, 1] / det
+    grads[:, 2, 1] = d1[:, 0] / det
+    grads[:, 0] = -grads[:, 1] - grads[:, 2]
+    diameters = np.sqrt((edge_vec ** 2).sum(axis=2)).max(axis=1)
 
     _freeze(vertices, triangles, edges, triangle_edges, triangle_edge_signs,
-            edge_triangles, boundary_edges, normals, tangents)
+            edge_triangles, boundary_edges, normals, tangents, areas, grads, diameters)
     return Mesh(vertices, triangles, edges, triangle_edges, triangle_edge_signs,
-                edge_triangles, boundary_edges, normals, tangents, h_max)
+                edge_triangles, boundary_edges, normals, tangents, areas, grads,
+                diameters, float(diameters.max()))
 
 
 def _grid_mesh(xs: np.ndarray, ys: np.ndarray, keep: np.ndarray) -> Mesh:

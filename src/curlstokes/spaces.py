@@ -22,21 +22,6 @@ from .quadrature import edge_rule, triangle_rule
 _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
 
-def _barycentric_gradients(mesh: Mesh) -> np.ndarray:
-    """Gradients of the three barycentric coordinates per triangle, (F, 3, 2)."""
-    a = mesh.vertices[mesh.triangles[:, 0]]
-    b = mesh.vertices[mesh.triangles[:, 1]]
-    c = mesh.vertices[mesh.triangles[:, 2]]
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    grads = np.empty((mesh.triangle_count, 3, 2))
-    grads[:, 1, 0] = (c[:, 1] - a[:, 1]) / det
-    grads[:, 1, 1] = -(c[:, 0] - a[:, 0]) / det
-    grads[:, 2, 0] = -(b[:, 1] - a[:, 1]) / det
-    grads[:, 2, 1] = (b[:, 0] - a[:, 0]) / det
-    grads[:, 0] = -grads[:, 1] - grads[:, 2]
-    return grads
-
-
 # monomial basis of the local order-2 space in shifted-scaled coordinates:
 # (P1)^2 plus the two homogeneous fields orthogonal to the position vector
 def _n2_monomials(xh: np.ndarray, yh: np.ndarray) -> np.ndarray:
@@ -71,11 +56,7 @@ class EdgeSpace:
     order: int
     dof_count: int
     cell_dofs: np.ndarray     # (F, nloc) global dof indices
-    cell_signs: np.ndarray    # (F, nloc) orientation factors
-    grads: np.ndarray         # (F, 3, 2) barycentric gradients
     coeff: np.ndarray | None  # (F, 8, 8) order-2 nodal-basis coefficients
-    centroids: np.ndarray | None
-    scales: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -86,7 +67,6 @@ class NodalSpace:
     order: int
     dof_count: int
     cell_dofs: np.ndarray
-    grads: np.ndarray
 
 
 @dataclass
@@ -107,14 +87,12 @@ class DiscreteField:
 def build_edge_space(mesh: Mesh, order: int) -> EdgeSpace:
     if order not in (1, 2):
         raise ValueError(f"unsupported edge-element order {order}")
-    grads = _barycentric_gradients(mesh)
     ne = mesh.edge_count
     nf = mesh.triangle_count
     if order == 1:
         dof = ne
         cell_dofs = mesh.triangle_edges.copy()
-        cell_signs = mesh.triangle_edge_signs.astype(float)
-        coeff = centroids = scales = None
+        coeff = None
     else:
         dof = 2 * ne + 2 * nf
         cell_dofs = np.empty((nf, 8), dtype=np.int64)
@@ -123,12 +101,10 @@ def build_edge_space(mesh: Mesh, order: int) -> EdgeSpace:
             cell_dofs[:, 2 * k + 1] = 2 * mesh.triangle_edges[:, k] + 1
         cell_dofs[:, 6] = 2 * ne + 2 * np.arange(nf)
         cell_dofs[:, 7] = 2 * ne + 2 * np.arange(nf) + 1
-        cell_signs = np.ones((nf, 8))
-        coeff, centroids, scales = _build_n2_coefficients(mesh)
+        coeff = _build_n2_coefficients(mesh)
 
     cell_dofs.flags.writeable = False
-    cell_signs.flags.writeable = False
-    return EdgeSpace(mesh, order, dof, cell_dofs, cell_signs, grads, coeff, centroids, scales)
+    return EdgeSpace(mesh, order, dof, cell_dofs, coeff)
 
 
 def _edge_moments(rule, length: np.ndarray, trace: np.ndarray) -> np.ndarray:
@@ -152,11 +128,8 @@ def _build_n2_coefficients(mesh: Mesh):
     """Per-triangle coefficients of the order-2 dual basis via moment matrices."""
     erule = edge_rule(4)
     trule = triangle_rule(3)
-    areas = mesh.signed_areas()
     verts = mesh.vertices[mesh.triangles]
-    centroids = verts.mean(axis=1)
-    edge_vecs = mesh.vertices[mesh.triangles[:, [1, 2, 0]]] - verts
-    scales = np.sqrt((edge_vecs ** 2).sum(axis=2)).max(axis=1)
+    centroids, scales = verts.mean(axis=1), mesh.diameters
 
     def monomials(pts):   # (F, ..., 2) -> (F, ..., 8, 2)
         cell = (slice(None),) + (None,) * (pts.ndim - 2)
@@ -172,15 +145,14 @@ def _build_n2_coefficients(mesh: Mesh):
     trace = np.matmul(monomials(pts), tang[:, :, None, :, None])[..., 0]   # (F, 3, k, 8)
     moments = np.empty((mesh.triangle_count, 8, 8))
     moments[:, :6] = _edge_moments(erule, length, trace).reshape(-1, 6, 8)
-    w = 2.0 * areas[:, None] * trule.weights
+    w = 2.0 * mesh.areas[:, None] * trule.weights
     moments[:, 6:] = _cell_moments(w, monomials(np.matmul(trule.points, verts)))
-    return np.linalg.inv(moments), centroids, scales
+    return np.linalg.inv(moments)
 
 
 def build_nodal_space(mesh: Mesh, order: int) -> NodalSpace:
     if order not in (1, 2):
         raise ValueError(f"unsupported Lagrange order {order}")
-    grads = _barycentric_gradients(mesh)
     if order == 1:
         dof = mesh.vertex_count
         cell_dofs = mesh.triangles.copy()
@@ -189,7 +161,7 @@ def build_nodal_space(mesh: Mesh, order: int) -> NodalSpace:
         cell_dofs = np.hstack([mesh.triangles,
                                mesh.vertex_count + mesh.triangle_edges])
     cell_dofs.flags.writeable = False
-    return NodalSpace(mesh, order, dof, cell_dofs, grads)
+    return NodalSpace(mesh, order, dof, cell_dofs)
 
 
 # Batched kernels. ``bary`` holds barycentric points shared by every cell,
@@ -202,10 +174,11 @@ _ALL = slice(None)
 def _tabulate_edge(V: EdgeSpace, bary: np.ndarray, cells=_ALL) -> tuple[np.ndarray, np.ndarray]:
     """Basis values (F', k, nloc, 2) and curls (F', k, nloc) in the local dof
     order of ``V.cell_dofs``."""
-    g = V.grads[cells]
+    mesh = V.mesh
+    g = mesh.grads[cells]
     nf, k = g.shape[0], bary.shape[-2]
     if V.order == 1:
-        signs = V.cell_signs[cells]
+        signs = mesh.triangle_edge_signs[cells]
         vals = np.empty((nf, k, 3, 2))
         curls = np.empty((nf, k, 3))
         for slot, (p, q) in enumerate(_LOCAL_EDGES):
@@ -215,9 +188,9 @@ def _tabulate_edge(V: EdgeSpace, bary: np.ndarray, cells=_ALL) -> tuple[np.ndarr
             curls[:, :, slot] = sgn * 2.0 * (g[:, p, 0] * g[:, q, 1]
                                              - g[:, p, 1] * g[:, q, 0])[:, None]
         return vals, curls
-    mesh = V.mesh
-    pts = np.matmul(bary, mesh.vertices[mesh.triangles[cells]])
-    centroids, scales = V.centroids[cells], V.scales[cells]
+    corners = mesh.vertices[mesh.triangles[cells]]
+    pts = np.matmul(bary, corners)
+    centroids, scales = corners.mean(axis=1), mesh.diameters[cells]
     xh = (pts[..., 0] - centroids[:, 0, None]) / scales[:, None]
     yh = (pts[..., 1] - centroids[:, 1, None]) / scales[:, None]
     c = V.coeff[cells]
@@ -228,7 +201,7 @@ def _tabulate_edge(V: EdgeSpace, bary: np.ndarray, cells=_ALL) -> tuple[np.ndarr
 
 def _tabulate_nodal(Q: NodalSpace, bary: np.ndarray, cells=_ALL) -> tuple[np.ndarray, np.ndarray]:
     """Lagrange basis values (F', k, nloc) and gradients (F', k, nloc, 2)."""
-    g = Q.grads[cells]
+    g = Q.mesh.grads[cells]
     nf, k = g.shape[0], bary.shape[-2]
     if Q.order == 1:
         vals = np.broadcast_to(bary, (nf, k, 3)).copy()

@@ -56,7 +56,7 @@ def interpolate_edge(space: EdgeSpace, field: Callable | DiscreteField) -> Discr
     else:
         trule = triangle_rule(degree)
         vals = values(trule.points, _ALL, np.matmul(trule.points, mesh.vertices[mesh.triangles]))
-        w = 2.0 * mesh.signed_areas()[:, None] * trule.weights
+        w = 2.0 * mesh.areas[:, None] * trule.weights
         coeffs = np.concatenate([coeffs, _cell_moments(w, vals[:, :, None]).ravel()])
     return DiscreteField(space, coeffs)
 
@@ -94,7 +94,7 @@ def grad_inclusion_check(edge_space: EdgeSpace, nodal_space: NodalSpace) -> floa
     nf, k = phi.shape[:2]
     diff[np.arange(nf)[:, None, None], np.arange(k)[:, None],
          nodal_space.cell_dofs[:, None, :]] -= gq
-    w = 2.0 * edge_space.mesh.signed_areas()[:, None] * rule.weights
+    w = 2.0 * edge_space.mesh.areas[:, None] * rule.weights
     return float(np.sqrt(np.einsum("fk,fkjd->j", w, diff ** 2).max()))
 
 
@@ -122,7 +122,7 @@ def gradient_coefficients(edge_space: EdgeSpace, nodal_space: NodalSpace) -> csr
     _, grads = _tabulate_nodal(nodal_space, bary, tri)                  # (E, k, 6, 2)
     trace = np.matmul(grads, tang[:, None, :, None])[..., 0]           # (E, k, 6)
     _, cell_grads = _tabulate_nodal(nodal_space, trule.points)         # (F, k, 6, 2)
-    w = 2.0 * mesh.signed_areas()[:, None] * trule.weights
+    w = 2.0 * mesh.areas[:, None] * trule.weights
     # one block per edge and per triangle: 2 moment rows by 6 nodal columns
     vals = np.concatenate([_edge_moments(erule, length, trace),
                            _cell_moments(w, cell_grads)])               # (E + F, 2, 6)

@@ -264,8 +264,8 @@ def test_criterion_6_structure_invariants():
     mesh = generate_unit_square(4)
     _, u_h, p_h = solve_fields(mesh, 1, case, 10.0)
     e = compute_errors(u_h, p_h, case)
-    recomposed = (e.err_u_hcurl ** 2 + e.err_gpar_boundary ** 2 / mesh.h_max
-                  + mesh.h_max * e.err_gcurl_boundary ** 2)
+    recomposed = (e.err_u_hcurl ** 2 + e.err_gpar ** 2 / mesh.h_max
+                  + mesh.h_max * e.err_gcurl ** 2)
     if abs(e.err_u_hash ** 2 - recomposed) > 1e-12 * recomposed:
         violations.append("#-norm identity violated")
     elapsed = time.time() - t0

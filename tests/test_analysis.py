@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -85,12 +86,12 @@ def test_errors_vanish_for_reproduced_solution():
     p_h = interpolate_nodal(Q, case.p)
     e = compute_errors(u_h, p_h, case)
     assert e.err_u_l2 <= 1e-10
-    assert e.err_u_curl_seminorm <= 1e-10
+    assert e.err_u_curl <= 1e-10
     assert e.err_u_hash <= 1e-9
-    assert e.err_gpar_boundary <= 1e-10
-    assert e.err_gcurl_boundary <= 1e-10
+    assert e.err_gpar <= 1e-10
+    assert e.err_gcurl <= 1e-10
     assert e.err_p_l2 <= 1e-12
-    assert e.err_p_h1_seminorm <= 1e-12
+    assert e.err_p_h1 <= 1e-12
 
 
 def test_hash_norm_identity():
@@ -99,12 +100,12 @@ def test_hash_norm_identity():
     _, u_h, p_h = solve_fields(mesh, 1, case, 10.0)
     e = compute_errors(u_h, p_h, case)
     h = mesh.h_max
-    recomposed = (e.err_u_hcurl ** 2 + e.err_gpar_boundary ** 2 / h
-                  + h * e.err_gcurl_boundary ** 2)
+    recomposed = (e.err_u_hcurl ** 2 + e.err_gpar ** 2 / h
+                  + h * e.err_gcurl ** 2)
     assert e.err_u_hash ** 2 == pytest.approx(recomposed, rel=1e-12)
     assert e.err_u_hash ** 2 >= e.err_u_hcurl ** 2 - 1e-12
     assert e.err_u_hcurl ** 2 == pytest.approx(
-        e.err_u_l2 ** 2 + e.err_u_curl_seminorm ** 2, rel=1e-12)
+        e.err_u_l2 ** 2 + e.err_u_curl ** 2, rel=1e-12)
 
 
 def _zero_case():
@@ -129,8 +130,8 @@ def test_hash_norm_oracle_rotation_field():
     rot = lambda x, y: np.column_stack([-np.asarray(y, float), np.asarray(x, float)])
     e = compute_errors(interpolate_edge(V, rot), _zero_pressure(V), _zero_case())
     h = m.h_max
-    assert e.err_gpar_boundary ** 2 == pytest.approx(2.0, rel=1e-12)
-    assert e.err_gcurl_boundary ** 2 == pytest.approx(16.0, rel=1e-12)
+    assert e.err_gpar ** 2 == pytest.approx(2.0, rel=1e-12)
+    assert e.err_gcurl ** 2 == pytest.approx(16.0, rel=1e-12)
     assert e.norm_u_hash ** 2 == pytest.approx(2 / 3 + 4.0 + 2.0 / h + 16.0 * h, rel=1e-12)
     assert e.norm_u_hash == pytest.approx(e.err_u_hash, rel=1e-14)
     zero = compute_errors(DiscreteField(V, np.zeros(V.dof_count)), _zero_pressure(V),
@@ -177,6 +178,10 @@ def test_least_squares_rates():
     bundles = [_bundle(2.0 * 0.5 ** (2 * k), 0.5 ** k) for k in range(4)]
     rates = least_squares_rates(bundles)
     assert rates["err_u_l2"] == pytest.approx(2.0, abs=1e-12)
+    # each norm has one name: an ErrorBundle field and the key of every rate
+    assert set(analysis.NORMS) <= {f.name for f in fields(analysis.ErrorBundle)}
+    assert tuple(rates) == analysis.NORMS
+    assert tuple(compute_eoc(bundles)) == analysis.NORMS
 
 
 def check_harmonic_complements_oracle(V, Q, M, basis):

@@ -59,14 +59,16 @@ def _mono_curls(xh, yh, scale):
     return c / scale
 
 
-def loop_coefficients(mesh, centroids, scales):
+def loop_coefficients(mesh):
     erule = edge_rule(4)
     trule = triangle_rule(3)
-    areas = mesh.signed_areas()
+    areas, scales = mesh.areas, mesh.diameters
     coeff = np.empty((mesh.triangle_count, 8, 8))
     s = erule.points
     leg = 2.0 * s - 1.0
     for t in range(mesh.triangle_count):
+        corners = mesh.vertices[mesh.triangles[t]]
+        centroid = corners.mean(axis=0)
         d = np.empty((8, 8))
         for k in range(3):
             a, b = mesh.edges[mesh.triangle_edges[t, k]]
@@ -74,14 +76,14 @@ def loop_coefficients(mesh, centroids, scales):
             length = float(np.hypot(*(xb - xa)))
             tang = (xb - xa) / length
             pts = xa[None, :] + s[:, None] * (xb - xa)[None, :]
-            mono = _mono((pts[:, 0] - centroids[t, 0]) / scales[t],
-                         (pts[:, 1] - centroids[t, 1]) / scales[t])
+            mono = _mono((pts[:, 0] - centroid[0]) / scales[t],
+                         (pts[:, 1] - centroid[1]) / scales[t])
             trace = mono @ tang
             d[2 * k] = length * (erule.weights @ trace)
             d[2 * k + 1] = length * ((erule.weights * leg) @ trace)
-        pts = trule.points @ mesh.vertices[mesh.triangles[t]]
-        mono = _mono((pts[:, 0] - centroids[t, 0]) / scales[t],
-                     (pts[:, 1] - centroids[t, 1]) / scales[t])
+        pts = trule.points @ corners
+        mono = _mono((pts[:, 0] - centroid[0]) / scales[t],
+                     (pts[:, 1] - centroid[1]) / scales[t])
         w = 2.0 * areas[t] * trule.weights
         d[6] = w @ mono[:, :, 0]
         d[7] = w @ mono[:, :, 1]
@@ -90,25 +92,28 @@ def loop_coefficients(mesh, centroids, scales):
 
 
 def loop_edge_basis(V, t, bary):
-    g = V.grads[t]
+    mesh = V.mesh
+    g = mesh.grads[t]
     if V.order == 1:
         vals = np.empty((bary.shape[0], 3, 2))
         curls = np.empty((bary.shape[0], 3))
         for slot, (p, q) in enumerate(_LOCAL_EDGES):
-            sgn = V.cell_signs[t, slot]
+            sgn = mesh.triangle_edge_signs[t, slot]
             vals[:, slot, :] = sgn * (bary[:, p, None] * g[q] - bary[:, q, None] * g[p])
             curls[:, slot] = sgn * 2.0 * (g[p, 0] * g[q, 1] - g[p, 1] * g[q, 0])
         return vals, curls
-    pts = bary @ V.mesh.vertices[V.mesh.triangles[t]]
-    xh = (pts[:, 0] - V.centroids[t, 0]) / V.scales[t]
-    yh = (pts[:, 1] - V.centroids[t, 1]) / V.scales[t]
+    corners = mesh.vertices[mesh.triangles[t]]
+    pts = bary @ corners
+    centroid, scale = corners.mean(axis=0), mesh.diameters[t]
+    xh = (pts[:, 0] - centroid[0]) / scale
+    yh = (pts[:, 1] - centroid[1]) / scale
     c = V.coeff[t]      # checked against loop_coefficients before use
     return (np.einsum("kjd,ji->kid", _mono(xh, yh), c),
-            _mono_curls(xh, yh, V.scales[t]) @ c)
+            _mono_curls(xh, yh, scale) @ c)
 
 
 def loop_nodal_basis(Q, t, bary):
-    g = Q.grads[t]
+    g = Q.mesh.grads[t]
     if Q.order == 1:
         return bary.copy(), np.broadcast_to(g, (bary.shape[0], 3, 2)).copy()
     vals = np.empty((bary.shape[0], 6))
@@ -154,7 +159,7 @@ def _block(row_dofs, col_dofs, local):
 
 def loop_cell_matrix(row_space, col_space, basis, rule, subscripts, shape):
     """One cell form: ``basis(t) -> (left, right)`` contracted by ``subscripts``."""
-    areas = row_space.mesh.signed_areas()
+    areas = row_space.mesh.areas
     blocks = []
     for t in range(row_space.mesh.triangle_count):
         left, right = basis(t)
@@ -194,7 +199,7 @@ def loop_boundary_grams(V):
 def loop_rhs(V, f, bd):
     mesh = V.mesh
     rule = triangle_rule(2 * V.order + 2)
-    areas = mesh.signed_areas()
+    areas = mesh.areas
     full = np.zeros(V.dof_count)
     for t in range(mesh.triangle_count):
         phi, _ = loop_edge_basis(V, t, rule.points)
@@ -234,7 +239,7 @@ def loop_divergence_rhs(Q, g):
 
 def loop_mean_vector(Q):
     rule = triangle_rule(2 * Q.order + 2)
-    areas = Q.mesh.signed_areas()
+    areas = Q.mesh.areas
     m = np.zeros(Q.dof_count)
     for t in range(Q.mesh.triangle_count):
         q, _ = loop_nodal_basis(Q, t, rule.points)
@@ -264,7 +269,7 @@ def test_batched_assembly_is_bit_identical_to_loops(mesh, seed):
         V = build_edge_space(mesh, order)
         Q = build_nodal_space(mesh, order)
         if order == 2:
-            assert np.array_equal(V.coeff, loop_coefficients(mesh, V.centroids, V.scales))
+            assert np.array_equal(V.coeff, loop_coefficients(mesh))
         nv, nq = V.dof_count, Q.dof_count
         rule = triangle_rule(2 * order + 2)
         edge = lambda t: loop_edge_basis(V, t, rule.points)

@@ -87,11 +87,11 @@ def test_b_constant_field_against_hats():
         [np.ones_like(x), np.zeros_like(x)])).coefficients
     got = B.T @ c
     # independent oracle: (1, grad q) = sum over triangles of area * dq/dx
-    areas = m.signed_areas()
+    areas = m.areas
     expected = np.zeros(Q.dof_count)
     for t in range(m.triangle_count):
         for slot, dof in enumerate(Q.cell_dofs[t]):
-            expected[dof] += areas[t] * Q.grads[t, slot, 0]
+            expected[dof] += areas[t] * m.grads[t, slot, 0]
     assert np.abs(got - expected).max() <= 1e-13
 
 

@@ -17,7 +17,7 @@ UNIT_TOL = 1e-12
 
 def validate_mesh(mesh: Mesh) -> None:
     """Check every structural invariant; raise MeshError on the first failure."""
-    if (mesh.signed_areas() <= 0).any():
+    if (mesh.areas <= 0).any():
         raise MeshOrientationError("non-positive triangle area")
     counts = np.bincount(mesh.triangle_edges.ravel(), minlength=mesh.edge_count)
     if not np.isin(counts, (1, 2)).all():
@@ -98,7 +98,7 @@ def test_hole_requires_multiple_of_three():
         with pytest.raises(ValueError):
             generate_square_with_hole(n)
     m = generate_square_with_hole(6)
-    assert (m.signed_areas() > 0).all()
+    assert (m.areas > 0).all()
 
 
 def test_l_shape():
@@ -116,7 +116,7 @@ def test_two_triangle_square():
     interior = [e for e in range(m.edge_count) if e not in m.boundary_edges]
     assert len(interior) == 1
     assert tuple(m.edges[interior[0]]) == (1, 3)
-    assert np.allclose(m.signed_areas(), 0.5)
+    assert np.allclose(m.areas, 0.5)
     # outward normal of the bottom edge
     for k, e in enumerate(m.boundary_edges):
         if tuple(m.edges[e]) == (0, 1):
@@ -223,11 +223,15 @@ def test_mesh_arrays_immutable():
         m.vertices[0, 0] = 5.0
     with pytest.raises(ValueError):
         m.triangles[0, 0] = 0
+    for name in ("areas", "grads", "diameters"):
+        with pytest.raises(ValueError):
+            getattr(m, name)[0] = 1.0
 
 
 # -- loop reference for the array operations in mesh.py ----------------------
 #
-# build_mesh's edge adjacency and boundary normals, refine_uniform and
+# build_mesh's per-triangle geometry, edge adjacency and boundary normals,
+# refine_uniform and
 # validate_mesh's normal and cycle checks were per-triangle / per-edge loops.
 # The loops below are that reference; every Mesh array must stay
 # np.array_equal to them, and validate_mesh must reject what they reject.
@@ -253,6 +257,23 @@ def loop_adjacency(m):
         normals[k] = n
         tangents[k] = [-n[1], n[0]]
     return edge_triangles, normals, tangents
+
+
+def loop_geometry(m):
+    """Per triangle: signed area, barycentric gradients (with their own
+    determinant) and longest edge."""
+    areas = np.empty(m.triangle_count)
+    grads = np.empty((m.triangle_count, 3, 2))
+    diameters = np.empty(m.triangle_count)
+    for t in range(m.triangle_count):
+        a, b, c = m.vertices[m.triangles[t]]
+        areas[t] = 0.5 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+        det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        grads[t, 1] = [(c[1] - a[1]) / det, -(c[0] - a[0]) / det]
+        grads[t, 2] = [-(b[1] - a[1]) / det, (b[0] - a[0]) / det]
+        grads[t, 0] = -grads[t, 1] - grads[t, 2]
+        diameters[t] = max(np.sqrt(((q - p) ** 2).sum()) for p, q in ((a, b), (b, c), (c, a)))
+    return areas, grads, diameters
 
 
 def loop_refined_triangles(m):
@@ -335,6 +356,11 @@ def test_mesh_arrays_equal_loop_reference(mesh, seed, refine):
         mesh = refined
     edge_triangles, normals, tangents = loop_adjacency(mesh)
     assert np.array_equal(mesh.edge_triangles, edge_triangles)
+    areas, grads, diameters = loop_geometry(mesh)
+    assert np.array_equal(mesh.areas, areas)
+    assert np.array_equal(mesh.grads, grads)
+    assert np.array_equal(mesh.diameters, diameters)
+    assert mesh.h_max == mesh.diameters.max()
     assert np.array_equal(mesh.boundary_normals, normals)
     assert np.array_equal(mesh.boundary_tangents, tangents)
     assert _validate_message(mesh) is None and loop_first_fault(mesh) is None

@@ -58,7 +58,7 @@ def loop_interpolate(space, eval_on_triangle):
             full[2 * e + 1] = length * ((erule.weights * leg) @ trace)
     if space.order == 2:
         trule = triangle_rule(degree)
-        areas = mesh.signed_areas()
+        areas = mesh.areas
         for t in range(mesh.triangle_count):
             vals = eval_on_triangle(t, trule.points)
             w = 2.0 * areas[t] * trule.weights
