@@ -55,17 +55,6 @@ class ErrorBundle:
     norm_u_hash: float      # |||u_h|||, the stability monitor
 
 
-@dataclass(frozen=True)
-class TraceConstants:
-    c_n: float
-    c_par: float
-
-    @property
-    def recommended_cw(self) -> float:
-        """Twice the coercivity threshold C_n^2 of the velocity block."""
-        return 2.0 * self.c_n ** 2
-
-
 def compute_errors(u_h: DiscreteField, p_h: DiscreteField, case) -> ErrorBundle:
     """Volume and boundary errors of a discrete pair against the case data,
     and the #-norm of u_h from the same tabulation (both rules are exact for
@@ -251,16 +240,10 @@ def betti_number(mesh: Mesh) -> int:
     return 1 - mesh.euler_characteristic()
 
 
-def estimate_trace_constants(V: EdgeSpace, M, t_par) -> TraceConstants:
-    """Constants of the discrete trace inequalities; M is the assembled
-    velocity mass matrix and t_par the tangential boundary Gram T_par of
-    ``_boundary_gram``.
-
-    C_par^2, the top eigenvalue of the pencil (h T_par, M), bounds
-    h ||v . t||^2_Gamma by ||v||^2. C_n^2 bounds h ||curl v||^2_Gamma by
-    ||curl v||^2; the curl maps onto broken P_{r-1}, so C_n^2 is h times the
-    top eigenvalue of (boundary mass, cell mass) of P_{r-1} on a triangle.
-    """
+def trace_constant_n(V: EdgeSpace) -> float:
+    """C_n^2 bounds h ||curl v||^2_Gamma by ||curl v||^2; the curl maps onto
+    broken P_{r-1}, so C_n^2 is h times the top eigenvalue of (boundary
+    mass, cell mass) of P_{r-1} on a boundary triangle."""
     mesh, h = V.mesh, V.mesh.h_max
     basis = np.eye(3) if V.order == 2 else np.ones((3, 1))   # P_{r-1} from barycentrics
     rule = _boundary_rule(V)
@@ -272,10 +255,17 @@ def estimate_trace_constants(V: EdgeSpace, M, t_par) -> TraceConstants:
     cell = np.einsum("fk,ki,kj->fij", _cell_weights(mesh, rule)[tri],
                      rule.points @ basis, rule.points @ basis)
     c_n_sq = h * np.linalg.eigvals(np.linalg.solve(cell, bnd[tri])).real.max()
-    c_par_sq = eigsh(h * t_par, k=1, M=M, which="LA",
+    return float(np.sqrt(c_n_sq))
+
+
+def trace_constant_par(V: EdgeSpace, M, t_par) -> float:
+    """C_par^2, the top eigenvalue of the pencil (h T_par, M), bounds
+    h ||v . t||^2_Gamma by ||v||^2; M is the assembled velocity mass matrix
+    and t_par the tangential boundary Gram T_par of ``_boundary_gram``."""
+    c_par_sq = eigsh(V.mesh.h_max * t_par, k=1, M=M, which="LA",
                      v0=np.random.default_rng(0).standard_normal(V.dof_count),
                      return_eigenvectors=False)[0]
-    return TraceConstants(c_n=float(np.sqrt(c_n_sq)), c_par=float(np.sqrt(c_par_sq)))
+    return float(np.sqrt(c_par_sq))
 
 
 def estimate_infsup(V: EdgeSpace, Q: NodalSpace, M, t_par, t_curl) -> float:

@@ -1,10 +1,10 @@
 """Manufactured and special-purpose problem setups with analytic data.
 
 Every case bundles the analytic velocity, pressure, their derivatives and
-the matching volume/boundary data, together with a domain builder. The
-boundary velocity g always equals the analytic velocity restricted to the
-boundary. The divergence constraint and the identity f = curl(curl u) + grad p
-are checked by finite differences in ``tests/test_cases.py``.
+the volume forcing, together with a domain builder. The boundary data is u
+itself, which the assembly samples on the boundary. The divergence
+constraint and the identity f = curl(curl u) + grad p are checked by finite
+differences in ``tests/test_cases.py``.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ class ManufacturedCase:
     curl_u: Callable
     grad_p: Callable
     f: Callable
-
-    @property
-    def g(self) -> Callable:
-        """Boundary velocity: the analytic velocity restricted to the boundary."""
-        return self.u
 
     def build_mesh(self, n: int | None = None) -> Mesh:
         return self.mesh_builder(self.default_n if n is None else n)

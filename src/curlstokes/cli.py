@@ -18,12 +18,11 @@ from pathlib import Path
 
 from .analysis import NORMS, compute_eoc, least_squares_rates
 from .cases import CASES
-from .experiments import (ConvergenceRun, SingularLevelError, run_convergence,
-                          run_counterexample, run_harmonic, run_probe)
+from .experiments import (SCHEMA_VERSION, ConvergenceRun, SingularLevelError,
+                          run_convergence, run_counterexample, run_harmonic,
+                          run_probe)
 from .forms import DEFAULT_C_W
 from .svgplot import loglog_chart
-
-SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

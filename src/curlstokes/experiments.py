@@ -15,10 +15,10 @@ import numpy as np
 
 from . import mesh as meshmod
 from .analysis import (ErrorBundle, betti_number, compute_errors,
-                       estimate_infsup, estimate_trace_constants,
-                       hodge_decompose, _boundary_gram, _check_hodge_memory)
+                       estimate_infsup, hodge_decompose, trace_constant_n,
+                       trace_constant_par, _boundary_gram, _check_hodge_memory)
 from .cases import ManufacturedCase, get_case
-from .forms import (DEFAULT_C_W, BoundaryData, assemble_b, assemble_curl_curl,
+from .forms import (DEFAULT_C_W, assemble_b, assemble_curl_curl,
                     assemble_divergence_rhs, assemble_mass,
                     assemble_mean_vector, assemble_rhs,
                     assemble_velocity_block)
@@ -27,14 +27,18 @@ from .solver import SaddleSystem, kernel_probe, solve
 from .spaces import (DiscreteField, EdgeSpace, NodalSpace, _edge_field,
                      build_edge_space, build_nodal_space)
 
+#: the ``schema_version`` of every JSON document the commands write
+SCHEMA_VERSION = 1
+
 
 def build_saddle_system(V: EdgeSpace, Q: NodalSpace, case: ManufacturedCase,
                         C_w: float = DEFAULT_C_W) -> SaddleSystem:
-    """Assemble the Nitsche system of a case on the spaces V and Q: the
-    tangential data enter weakly through the boundary terms of ``forms``."""
-    bd = BoundaryData(g=case.g, C_w=C_w)
-    A = assemble_velocity_block(V, bd).matrix
-    rhs_u, rhs_q = assemble_rhs(V, case.f, bd), assemble_divergence_rhs(Q, case.g)
+    """Assemble the Nitsche system of a case on the spaces V and Q: the case
+    velocity enters weakly through the boundary terms of ``forms``."""
+    if not (np.isfinite(C_w) and C_w > 0):
+        raise ValueError("penalty constant must be positive and finite")
+    A = assemble_velocity_block(V, C_w).matrix
+    rhs_u, rhs_q = assemble_rhs(V, case.f, case.u, C_w), assemble_divergence_rhs(Q, case.u)
     return SaddleSystem(A, assemble_b(V, Q).matrix, rhs_u, rhs_q, assemble_mean_vector(Q))
 
 
@@ -77,6 +81,8 @@ def run_convergence(case_name: str, order: int, levels: int, C_w: float = DEFAUL
     """Solve a refinement sequence and collect errors and rates."""
     if levels < 2:
         raise ValueError("a convergence study needs at least two levels")
+    if jitter_seed is not None and jitter_seed < 0:
+        raise ValueError(f"the jitter seed must be non-negative, not {jitter_seed}")
     case = get_case(case_name)
     if base_n is None:
         base_n = case.default_n
@@ -133,7 +139,7 @@ def run_counterexample() -> dict:
 
     solve_report = solve(sys_ess)
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "essential": {
             "kernel_dimension": kernel.shape[1],
             "witness_pressure": witness_p.tolist(),
@@ -174,7 +180,7 @@ def run_harmonic(case_name: str = "hole", n: int | None = None, order: int = 1) 
         vals = _edge_field(DiscreteField(V, c), center)[0][:, 0]
         samples = np.hstack([pts, vals]).tolist()
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "case": case_name,
         "n": n if n is not None else case.default_n,
         "order": order,
@@ -199,19 +205,19 @@ def run_probe(case_name: str, levels: int = 3, order: int = 1) -> dict:
         V, Q = _spaces(mesh, order)
         M = assemble_mass(V).matrix
         t_par, t_curl = _boundary_gram(V)
-        tc = estimate_trace_constants(V, M, t_par)
+        c_n, c_par = trace_constant_n(V), trace_constant_par(V, M, t_par)
         beta = estimate_infsup(V, Q, M, t_par, t_curl)
         rows.append({
             "level": k,
             "h": mesh.h_max,
-            "C_n": tc.c_n,
-            "C_par": tc.c_par,
-            "recommended_C_w": tc.recommended_cw,
+            "C_n": c_n,
+            "C_par": c_par,
+            "recommended_C_w": 2.0 * c_n ** 2,   # twice the coercivity threshold
             "beta_h": beta,
             "beta_over_h": beta / mesh.h_max,
         })
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "case": case_name,
         "order": order,
         "levels": rows,

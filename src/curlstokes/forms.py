@@ -53,25 +53,6 @@ class SparseOperator:
     matrix: sparse.csr_array
 
 
-@dataclass
-class BoundaryData:
-    """Boundary velocity data and the penalty constant.
-
-    ``g(x, y)`` returns the full boundary velocity (both components); the
-    assembly pairs it against tangential traces, which selects the
-    tangential part automatically. The penalty is C_w/h with h the mesh's
-    ``h_max``, the scaling that ``analysis.estimate_trace_constants``
-    analyses.
-    """
-
-    g: Callable
-    C_w: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.C_w) and self.C_w > 0):
-            raise ValueError("penalty constant must be positive and finite")
-
-
 def merge_triplets(rows, cols, vals, shape) -> sparse.csr_array:
     """Sum duplicate triplets in a content-determined order."""
     rows = np.asarray(rows, dtype=np.int64)
@@ -140,13 +121,14 @@ def _boundary_edge_data(V: EdgeSpace, rule):
     return tri, length, pts, trace, curls
 
 
-def assemble_nitsche(V: EdgeSpace, bd: BoundaryData) -> SparseOperator:
-    """Boundary part of the velocity form: consistency, symmetry and penalty terms."""
+def assemble_nitsche(V: EdgeSpace, C_w: float) -> SparseOperator:
+    """Boundary part of the velocity form: consistency, symmetry and penalty
+    C_w/h, h the mesh's ``h_max`` (coercive for C_w > C_n^2, see README)."""
     rule = _boundary_rule(V)
     tri, length, _, trace, curls = _boundary_edge_data(V, rule)
     w = length[:, None] * rule.weights
     trace = trace[..., None]
-    pen = bd.C_w / V.mesh.h_max * _local_matrix(w, trace, trace)
+    pen = C_w / V.mesh.h_max * _local_matrix(w, trace, trace)
     cons = -_local_matrix(w, trace, curls[..., None])
     local = pen + cons + cons.transpose(0, 2, 1)
     dofs = V.cell_dofs[tri]
@@ -191,8 +173,9 @@ def assemble_mean_vector(Q: NodalSpace) -> np.ndarray:
     return m
 
 
-def assemble_rhs(V: EdgeSpace, f: Callable, bd: BoundaryData) -> np.ndarray:
-    """Load vector (f, v) + C_w/h <g, gamma_par(v)> + <g, gamma_curl(v)>."""
+def assemble_rhs(V: EdgeSpace, f: Callable, g: Callable, C_w: float) -> np.ndarray:
+    """Load vector (f, v) + C_w/h <g, gamma_par(v)> + <g, gamma_curl(v)>; g(x, y)
+    is the full boundary velocity, whose tangential part the traces select."""
     mesh = V.mesh
     rule = _volume_rule(V)
     phi, _ = _tabulate_edge(V, rule.points)
@@ -202,10 +185,10 @@ def assemble_rhs(V: EdgeSpace, f: Callable, bd: BoundaryData) -> np.ndarray:
               np.einsum("fk,fkd,fkid->fi", _cell_weights(mesh, rule), fv, phi))
     brule = _boundary_rule(V)
     tri, length, pts, trace, curls = _boundary_edge_data(V, brule)
-    gt = np.matmul(_sample(bd.g, pts), mesh.boundary_tangents[:, :, None])[..., 0]
+    gt = np.matmul(_sample(g, pts), mesh.boundary_tangents[:, :, None])[..., 0]
     w = length[:, None] * brule.weights
     np.add.at(out, V.cell_dofs[tri],
-              bd.C_w / V.mesh.h_max * np.einsum("ek,ek,eki->ei", w, gt, trace)
+              C_w / V.mesh.h_max * np.einsum("ek,ek,eki->ei", w, gt, trace)
               - np.einsum("ek,ek,eki->ei", w, gt, curls))
     return out
 
@@ -223,8 +206,8 @@ def assemble_divergence_rhs(Q: NodalSpace, g: Callable) -> np.ndarray:
     return out
 
 
-def assemble_velocity_block(V: EdgeSpace, bd: BoundaryData) -> SparseOperator:
+def assemble_velocity_block(V: EdgeSpace, C_w: float) -> SparseOperator:
     """Full velocity operator: curl-curl plus the boundary terms."""
     k = assemble_curl_curl(V)
-    n = assemble_nitsche(V, bd)
+    n = assemble_nitsche(V, C_w)
     return SparseOperator((k.matrix + n.matrix).tocsr())

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from curlstokes import analysis, experiments
 from curlstokes.analysis import (betti_number, compute_eoc, compute_errors,
-                                 estimate_infsup, estimate_trace_constants,
-                                 hodge_decompose, least_squares_rates, _boundary_gram)
+                                 estimate_infsup, hodge_decompose, least_squares_rates,
+                                 trace_constant_n, trace_constant_par, _boundary_gram)
 from curlstokes.cases import ManufacturedCase, get_case, linear_case
 from curlstokes.experiments import run_harmonic, run_probe
-from curlstokes.forms import (BoundaryData, _assemble_cells, _boundary_edge_data,
+from curlstokes.forms import (_assemble_cells, _boundary_edge_data,
                               _boundary_rule, assemble_b, assemble_curl_curl,
                               assemble_mass, assemble_mean_vector, assemble_stiffness,
                               assemble_velocity_block)
@@ -348,21 +348,20 @@ def test_trace_constants_stable_under_refinement():
     consts = []
     for n in (2, 4):
         V = build_edge_space(generate_unit_square(n), 1)
-        consts.append(estimate_trace_constants(V, assemble_mass(V).matrix, _boundary_gram(V)[0]))
-    for attr in ("c_n", "c_par"):
-        a, b = getattr(consts[0], attr), getattr(consts[1], attr)
+        consts.append((trace_constant_n(V),
+                       trace_constant_par(V, assemble_mass(V).matrix, _boundary_gram(V)[0])))
+    for a, b in zip(*consts):
         assert a > 0 and b > 0
         assert abs(a - b) / max(a, b) <= 0.25
-    assert consts[0].recommended_cw == pytest.approx(2 * consts[0].c_n ** 2)
+    level = run_probe("star", levels=1)["levels"][0]
+    assert level["recommended_C_w"] == pytest.approx(2 * level["C_n"] ** 2)
 
 
 def test_recommended_penalty_keeps_velocity_block_semidefinite():
     # coercivity needs C_w > C_n^2; on this order-2 mesh C_n^2 = 16.57 lies
     # above 4 C_n = 16.28, a penalty that leaves two negative eigenvalues
     V = build_edge_space(jitter(generate_unit_square(6), 0), 2)
-    cw = estimate_trace_constants(V, assemble_mass(V).matrix, _boundary_gram(V)[0]).recommended_cw
-    zero_g = lambda x, y: np.zeros((np.size(x), 2))
-    ev = np.linalg.eigvalsh(assemble_velocity_block(V, BoundaryData(zero_g, C_w=cw))
+    ev = np.linalg.eigvalsh(assemble_velocity_block(V, 2.0 * trace_constant_n(V) ** 2)
                             .matrix.toarray())
     assert ev.min() >= -1e-12 * ev.max()
 
@@ -380,10 +379,9 @@ def check_probes_match_dense_oracle(mesh, order):
     Q = build_nodal_space(mesh, order)
     M = assemble_mass(V).matrix
     t_par, t_curl = _boundary_gram(V)
-    consts = estimate_trace_constants(V, M, t_par)
     c_n, c_par = dense_trace_constants(V)
-    assert consts.c_n == pytest.approx(c_n, rel=1e-12, abs=0)
-    assert consts.c_par == pytest.approx(c_par, rel=1e-12, abs=0)
+    assert trace_constant_n(V) == pytest.approx(c_n, rel=1e-12, abs=0)
+    assert trace_constant_par(V, M, t_par) == pytest.approx(c_par, rel=1e-12, abs=0)
     assert estimate_infsup(V, Q, M, t_par, t_curl) == pytest.approx(dense_infsup(V, Q),
                                                                     rel=1e-9, abs=0)
 
@@ -407,9 +405,7 @@ def test_velocity_block_coercive_above_local_trace_threshold(mesh, order):
     # y = h^-1/2 ||v . t||_Gamma, which is nonnegative for C_w >= C_n^2. The
     # bound is not sharp, so nothing is asserted below the threshold.
     V = build_edge_space(mesh, order)
-    cw = 1.01 * estimate_trace_constants(V, assemble_mass(V).matrix, _boundary_gram(V)[0]).c_n ** 2
-    zero_g = lambda x, y: np.zeros((np.size(x), 2))
-    ev = np.linalg.eigvalsh(assemble_velocity_block(V, BoundaryData(zero_g, C_w=cw))
+    ev = np.linalg.eigvalsh(assemble_velocity_block(V, 1.01 * trace_constant_n(V) ** 2)
                             .matrix.toarray())
     assert ev.min() >= -1e-12 * ev.max()
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from curlstokes.analysis import _boundary_gram, hodge_decompose
 from curlstokes.cases import star_case
-from curlstokes.forms import (BoundaryData, assemble_b, assemble_divergence_rhs,
+from curlstokes.forms import (assemble_b, assemble_divergence_rhs,
                               assemble_mass, assemble_mass_nodal,
                               assemble_mean_vector, assemble_rhs,
                               assemble_stiffness, assemble_velocity_block,
@@ -169,7 +169,7 @@ def loop_cell_matrix(row_space, col_space, basis, rule, subscripts, shape):
     return _merge(blocks, shape)
 
 
-def loop_velocity_block(V, bd):
+def loop_velocity_block(V, C_w):
     rule = triangle_rule(2 * V.order + 2)
     n = V.dof_count
     curl = lambda t: (loop_edge_basis(V, t, rule.points)[1],) * 2
@@ -178,7 +178,7 @@ def loop_velocity_block(V, bd):
     blocks = []
     for _, _, t, length, trace, curls in loop_boundary(V, brule):
         w = length * brule.weights
-        pen = (bd.C_w / V.mesh.h_max) * np.einsum("k,ki,kj->ij", w, trace, trace)
+        pen = (C_w / V.mesh.h_max) * np.einsum("k,ki,kj->ij", w, trace, trace)
         cons = -np.einsum("k,ki,kj->ij", w, trace, curls)
         blocks.append(_block(V.cell_dofs[t], V.cell_dofs[t], pen + cons + cons.T))
     return (k + _merge(blocks, (n, n))).tocsr()
@@ -196,7 +196,7 @@ def loop_boundary_grams(V):
     return _merge(t_par, (V.dof_count,) * 2), _merge(t_curl, (V.dof_count,) * 2)
 
 
-def loop_rhs(V, f, bd):
+def loop_rhs(V, f, g, C_w):
     mesh = V.mesh
     rule = triangle_rule(2 * V.order + 2)
     areas = mesh.areas
@@ -212,10 +212,10 @@ def loop_rhs(V, f, bd):
         a, b = mesh.edges[e]
         pts = mesh.vertices[a][None, :] + brule.points[:, None] * (
             mesh.vertices[b] - mesh.vertices[a])[None, :]
-        gt = np.asarray(bd.g(pts[:, 0], pts[:, 1]), dtype=float) @ mesh.boundary_tangents[k]
+        gt = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float) @ mesh.boundary_tangents[k]
         w = length * brule.weights
         np.add.at(full, V.cell_dofs[t],
-                  (bd.C_w / V.mesh.h_max) * np.einsum("k,k,ki->i", w, gt, trace)
+                  (C_w / V.mesh.h_max) * np.einsum("k,k,ki->i", w, gt, trace)
                   - np.einsum("k,k,ki->i", w, gt, curls))
     return full
 
@@ -264,7 +264,6 @@ def test_batched_assembly_is_bit_identical_to_loops(mesh, seed):
     if seed is not None:
         mesh = jitter(mesh, seed)
     case = star_case()
-    bd = BoundaryData(g=case.g, C_w=10.0)
     for order in (1, 2):
         V = build_edge_space(mesh, order)
         Q = build_nodal_space(mesh, order)
@@ -275,7 +274,7 @@ def test_batched_assembly_is_bit_identical_to_loops(mesh, seed):
         edge = lambda t: loop_edge_basis(V, t, rule.points)
         nodal = lambda t: loop_nodal_basis(Q, t, rule.points)
 
-        assert _same(assemble_velocity_block(V, bd).matrix, loop_velocity_block(V, bd))
+        assert _same(assemble_velocity_block(V, 10.0).matrix, loop_velocity_block(V, 10.0))
         for batched, loop in zip(_boundary_gram(V), loop_boundary_grams(V)):
             assert _same(batched, loop)
         assert _same(assemble_b(V, Q).matrix, loop_cell_matrix(
@@ -286,9 +285,10 @@ def test_batched_assembly_is_bit_identical_to_loops(mesh, seed):
             Q, Q, lambda t: (nodal(t)[0],) * 2, rule, "k,ki,kj->ij", (nq, nq)))
         assert _same(assemble_stiffness(Q).matrix, loop_cell_matrix(
             Q, Q, lambda t: (nodal(t)[1],) * 2, rule, "k,kid,kjd->ij", (nq, nq)))
-        assert np.array_equal(assemble_rhs(V, case.f, bd), loop_rhs(V, case.f, bd))
-        assert np.array_equal(assemble_divergence_rhs(Q, case.g),
-                              loop_divergence_rhs(Q, case.g))
+        assert np.array_equal(assemble_rhs(V, case.f, case.u, 10.0),
+                              loop_rhs(V, case.f, case.u, 10.0))
+        assert np.array_equal(assemble_divergence_rhs(Q, case.u),
+                              loop_divergence_rhs(Q, case.u))
         assert np.array_equal(assemble_mean_vector(Q), loop_mean_vector(Q))
 
 

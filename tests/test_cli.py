@@ -74,13 +74,22 @@ def test_convergence_rejects_non_finite_penalty(tmp_path, capsys, cw):
     assert "penalty constant" in capsys.readouterr().err
 
 
+def test_convergence_rejects_negative_jitter_seed(tmp_path, capsys):
+    code = main(["convergence", "--case", "star", "--levels", "2", "--jitter", "-1",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "jitter seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["convergence", "--case", "star", "--levels", "1"],
     ["convergence", "--case", "star", "--levels", "2", "--cw", "nan"],
     ["convergence", "--case", "star", "--levels", "2", "--base-n", "0"],
     ["probe", "--case", "star", "--levels", "0"],
     ["harmonic", "--case", "hole", "--n", "4"],
-], ids=["single-level", "nan-penalty", "base-n-0", "probe-no-level", "hole-n-4"])
+    ["convergence", "--case", "star", "--levels", "2", "--jitter", "-1"],
+], ids=["single-level", "nan-penalty", "base-n-0", "probe-no-level", "hole-n-4",
+        "negative-jitter"])
 def test_rejected_configuration_leaves_no_output_directory(tmp_path, argv):
     out = tmp_path / "rejected"
     assert main(argv + ["--out", str(out)]) == 2

@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curlstokes.analysis import _boundary_gram, estimate_trace_constants
+from curlstokes.analysis import trace_constant_n
 from curlstokes.cases import linear_case, star_case
-from curlstokes.experiments import _spaces, build_essential_system
-from curlstokes.forms import (BoundaryData, assemble_b, assemble_curl_curl,
+from curlstokes.experiments import _spaces, build_essential_system, build_saddle_system
+from curlstokes.forms import (assemble_b, assemble_curl_curl,
                               assemble_divergence_rhs, assemble_mass,
                               assemble_mean_vector, assemble_nitsche,
                               assemble_rhs, assemble_stiffness,
                               assemble_velocity_block, merge_triplets)
 from curlstokes.mesh import (generate_unit_square, jitter, refine_uniform,
                              two_triangle_square)
-from curlstokes.spaces import DiscreteField, build_edge_space, build_nodal_space
+from curlstokes.spaces import build_edge_space, build_nodal_space
 from mesh_strategies import jittered_meshes
 from oracles import (gradient_coefficients, interpolate_edge, interpolate_nodal,
                      solve_fields)
@@ -101,9 +101,9 @@ def test_nitsche_penalty_block_by_linearity():
     tt = two_triangle_square()
     V = build_edge_space(tt, 1)
     h = tt.h_max
-    n1 = assemble_nitsche(V, BoundaryData(zero_g, C_w=1.0)).matrix.toarray()
-    n2 = assemble_nitsche(V, BoundaryData(zero_g, C_w=2.0)).matrix.toarray()
-    n3 = assemble_nitsche(V, BoundaryData(zero_g, C_w=3.0)).matrix.toarray()
+    n1 = assemble_nitsche(V, 1.0).matrix.toarray()
+    n2 = assemble_nitsche(V, 2.0).matrix.toarray()
+    n3 = assemble_nitsche(V, 3.0).matrix.toarray()
     penalty = n2 - n1
     assert np.allclose(n3 - n2, penalty, atol=1e-13)           # linear in C_w
     consistency = n1 - penalty
@@ -119,7 +119,7 @@ def test_nitsche_vanishes_on_interior_bubble_gradient():
     m = generate_unit_square(2)
     V = build_edge_space(m, 1)
     Q = build_nodal_space(m, 1)
-    N = assemble_nitsche(V, BoundaryData(zero_g, C_w=10.0)).matrix
+    N = assemble_nitsche(V, 10.0).matrix
     G = gradient_coefficients(V, Q).toarray()
     center = int(np.nonzero((m.vertices == [0.5, 0.5]).all(axis=1))[0][0])
     g = G[:, center]
@@ -134,7 +134,7 @@ meshes = jittered_meshes(12, [3, 6])
 @given(mesh=meshes, cw=st.floats(1.0, 100.0))
 def test_velocity_block_symmetric(order, mesh, cw):
     V = build_edge_space(mesh, order)
-    A = assemble_velocity_block(V, BoundaryData(star_case().g, C_w=cw)).matrix
+    A = assemble_velocity_block(V, cw).matrix
     assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
     M = assemble_mass(V).matrix.toarray()
     assert np.linalg.eigvalsh(M).min() > 0
@@ -159,17 +159,15 @@ def test_linear_case_reproduced_on_jittered_meshes(mesh):
 def test_rhs_zero_data():
     m = generate_unit_square(2)
     V = build_edge_space(m, 1)
-    bd = BoundaryData(zero_g, C_w=10.0)
-    rhs = assemble_rhs(V, lambda x, y: np.zeros((np.size(x), 2)), bd)
+    rhs = assemble_rhs(V, lambda x, y: np.zeros((np.size(x), 2)), zero_g, 10.0)
     assert np.abs(rhs).max() == 0.0
 
 
 def test_rhs_constant_forcing_oracle():
     m = generate_unit_square(2)
     V = build_edge_space(m, 1)
-    bd = BoundaryData(zero_g, C_w=10.0)
     rhs = assemble_rhs(V, lambda x, y: np.column_stack(
-        [np.ones_like(x), np.zeros_like(x)]), bd)
+        [np.ones_like(x), np.zeros_like(x)]), zero_g, 10.0)
     # independent oracle: (e_x, w_i) through the mass matrix applied to the
     # interpolated constant field
     M = assemble_mass(V).matrix
@@ -183,9 +181,9 @@ def test_rhs_linear_in_penalty():
     m = generate_unit_square(2)
     V = build_edge_space(m, 1)
     f0 = lambda x, y: np.zeros((np.size(x), 2))
-    r1 = assemble_rhs(V, f0, BoundaryData(case.g, C_w=1.0))
-    r2 = assemble_rhs(V, f0, BoundaryData(case.g, C_w=2.0))
-    r3 = assemble_rhs(V, f0, BoundaryData(case.g, C_w=3.0))
+    r1 = assemble_rhs(V, f0, case.u, 1.0)
+    r2 = assemble_rhs(V, f0, case.u, 2.0)
+    r3 = assemble_rhs(V, f0, case.u, 3.0)
     assert np.allclose(r3 - r2, r2 - r1, atol=1e-13)
 
 
@@ -202,7 +200,7 @@ def test_divergence_rhs():
     assert float(rhs.sum()) == pytest.approx(0.0, abs=1e-14)
     # star data has nonzero normal trace
     star = star_case()
-    assert np.abs(assemble_divergence_rhs(Q, star.g)).max() > 1e-3
+    assert np.abs(assemble_divergence_rhs(Q, star.u)).max() > 1e-3
 
 
 @pytest.mark.parametrize("seed", [None, 13])
@@ -216,11 +214,10 @@ def test_exact_consistency_residual(seed, cw):
         m = jitter(m, seed)
     V = build_edge_space(m, 1)
     Q = build_nodal_space(m, 1)
-    bd = BoundaryData(case.g, C_w=cw)
-    A = assemble_velocity_block(V, bd).matrix
+    A = assemble_velocity_block(V, cw).matrix
     B = assemble_b(V, Q).matrix
-    l = assemble_rhs(V, case.f, bd)
-    rq = assemble_divergence_rhs(Q, case.g)
+    l = assemble_rhs(V, case.f, case.u, cw)
+    rq = assemble_divergence_rhs(Q, case.u)
     u = interpolate_edge(V, case.u).coefficients
     p = interpolate_nodal(Q, case.p).coefficients
     assert np.abs(l - A @ u - B @ p).max() <= 1e-10
@@ -232,10 +229,8 @@ def test_coercivity_on_divergence_free_complement():
     V = build_edge_space(m, 1)
     Q = build_nodal_space(m, 1)
     # the default penalty, or just above the coercivity threshold C_n^2
-    consts = estimate_trace_constants(V, assemble_mass(V).matrix, _boundary_gram(V)[0])
-    cw = max(10.0, 1.01 * consts.c_n ** 2)
-    bd = BoundaryData(zero_g, C_w=cw)
-    A = assemble_velocity_block(V, bd).matrix.toarray()
+    cw = max(10.0, 1.01 * trace_constant_n(V) ** 2)
+    A = assemble_velocity_block(V, cw).matrix.toarray()
     B = assemble_b(V, Q).matrix.toarray()
     _, s, vt = np.linalg.svd(B.T)
     rank = int((s > 1e-10 * s.max()).sum())
@@ -255,10 +250,11 @@ def test_mean_vector():
     assert float(mvec @ p) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_boundary_data_validation():
+def test_saddle_system_rejects_bad_penalty():
+    V, Q = _spaces(generate_unit_square(2), 1)
     for bad in (-1.0, 0.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            BoundaryData(zero_g, C_w=bad)
+        with pytest.raises(ValueError, match="penalty constant"):
+            build_saddle_system(V, Q, star_case(), bad)
 
 
 def test_mismatched_meshes_rejected():

@@ -6,6 +6,10 @@ and module constants of ``src/curlstokes/*.py`` and fails on any whose name
 is never loaded (as a name or as an attribute) in ``src/``, ``bench/`` or
 ``studies/``. ``__init__.py`` is skipped on both sides, so a re-export is
 not a caller.
+
+A second check reads every module of ``src/``, ``tests/`` and ``studies/``
+on its own: each name its imports bind (``__future__`` aside) must be loaded
+somewhere in that module.
 """
 import ast
 from pathlib import Path
@@ -44,3 +48,25 @@ def test_every_public_src_name_has_a_caller_outside_the_tests():
                       for name in _public_names(ast.parse(path.read_text()))
                       if name not in loaded)
     assert not uncalled, f"public names that only the tests read: {uncalled}"
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """Names bound by the module's imports that it never loads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in loaded]
+
+
+def test_every_imported_name_is_read():
+    unread = {str(path.relative_to(ROOT)): names
+              for directory in ("src", "tests", "studies")
+              for path in sorted((ROOT / directory).rglob("*.py"))
+              if (names := _unread_imports(ast.parse(path.read_text())))}
+    assert not unread, f"imported names that their module never reads: {unread}"
