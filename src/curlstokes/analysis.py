@@ -64,7 +64,7 @@ def compute_errors(u_h: DiscreteField, p_h: DiscreteField, case) -> ErrorBundle:
     that both representatives have zero mean.
     """
     mesh, order, h = u_h.space.mesh, u_h.space.order, u_h.space.mesh.h_max
-    rule = triangle_rule(min(2 * order + 4, 10))
+    rule = triangle_rule(2 * order + 4)
     w = _cell_weights(mesh, rule)
     pts = np.matmul(rule.points, mesh.vertices[mesh.triangles])
     p_exact = _sample(case.p, pts)
@@ -78,7 +78,7 @@ def compute_errors(u_h: DiscreteField, p_h: DiscreteField, case) -> ErrorBundle:
     gp_sq = float((w * ((_sample(case.grad_p, pts) - gph) ** 2).sum(axis=-1)).sum())
     norm_sq = float((w * ((uh ** 2).sum(axis=-1) + ch ** 2)).sum())
 
-    erule = edge_rule(min(2 * order + 4, 12))
+    erule = edge_rule(2 * order + 4)
     tri, length, bary, pts = _edge_points(mesh, mesh.boundary_edges, erule.points)
     w = length[:, None] * erule.weights
     uh, ch = _edge_field(u_h, bary, tri)

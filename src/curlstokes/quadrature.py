@@ -1,7 +1,7 @@
 """Fixed quadrature rules on the reference triangle and the reference edge.
 
-Triangle rules are collapsed (conical) products of Gauss-Legendre and
-Gauss-Jacobi rules built from hard-coded 1D tables: all weights positive,
+Triangle rules are collapsed (conical) products of the Gauss-Legendre and
+Gauss-Jacobi rules that ``scipy.special`` computes: all weights positive,
 all points strictly inside the element, exact for polynomials up to the
 advertised total degree. Edge rules are plain Gauss-Legendre on [0, 1].
 """
@@ -14,55 +14,6 @@ import numpy as np
 
 TRIANGLE_MAX_DEGREE = 10
 EDGE_MAX_DEGREE = 12
-
-# Gauss-Legendre nodes/weights on [0, 1]; weights sum to 1.
-_GAUSS_LEGENDRE_01 = {
-    1: ((0.5,),
-        (1.0,)),
-    2: ((0.21132486540518713, 0.78867513459481287),
-        (0.5, 0.5)),
-    3: ((0.1127016653792583, 0.5, 0.8872983346207417),
-        (0.2777777777777779, 0.44444444444444414, 0.2777777777777779)),
-    4: ((0.069431844202973714, 0.33000947820757187, 0.66999052179242813,
-         0.93056815579702623),
-        (0.1739274225687269, 0.3260725774312731, 0.3260725774312731,
-         0.1739274225687269)),
-    5: ((0.046910077030668018, 0.23076534494715845, 0.5,
-         0.7692346550528415, 0.95308992296933193),
-        (0.11846344252809449, 0.23931433524968326, 0.2844444444444445,
-         0.23931433524968326, 0.11846344252809449)),
-    6: ((0.033765242898423975, 0.16939530676686776, 0.38069040695840151,
-         0.61930959304159849, 0.83060469323313224, 0.96623475710157603),
-        (0.085662246189585081, 0.18038078652406928, 0.2339569672863456,
-         0.2339569672863456, 0.18038078652406928, 0.085662246189585081)),
-    7: ((0.025446043828620812, 0.12923440720030277, 0.29707742431130141,
-         0.5, 0.70292257568869854, 0.87076559279969723, 0.97455395617137919),
-        (0.064742483084434962, 0.13985269574463829, 0.19091502525255938,
-         0.20897959183673456, 0.19091502525255938, 0.13985269574463829,
-         0.064742483084434962)),
-}
-
-# Gauss-Jacobi nodes/weights for the weight (1 - t) on [0, 1]; weights sum to 1/2.
-_GAUSS_JACOBI_10_01 = {
-    1: ((0.33333333333333337,),
-        (0.5,)),
-    2: ((0.15505102572168217, 0.64494897427831788),
-        (0.31804138174397717, 0.18195861825602283)),
-    3: ((0.088587959512703929, 0.40946686444073477, 0.787659461760847),
-        (0.20093191373895961, 0.22924110635958619, 0.069826979901454173)),
-    4: ((0.057104196114517725, 0.2768430136381238, 0.58359043236891683,
-         0.86024013565621948),
-        (0.13550691343148852, 0.2034645680102711, 0.12984754760823233,
-         0.031180970950008085)),
-    5: ((0.039809857051468722, 0.19801341787360821, 0.43797481024738616,
-         0.69546427335363614, 0.90146491420117358),
-        (0.096781590226651476, 0.16717463809436969, 0.14638698708466985,
-         0.073908870072616678, 0.015747914521692299)),
-    6: ((0.029316427159784941, 0.1480785996684843, 0.3369846902811543,
-         0.55867151877155019, 0.7692338620300545, 0.92694567131974104),
-        (0.072310330725508895, 0.13554249723151868, 0.14079255378819883,
-         0.098661150890655205, 0.043955165550508962, 0.0087383018136095291)),
-}
 
 
 @dataclass(frozen=True)
@@ -80,13 +31,15 @@ class QuadRule:
 
 def triangle_rule(degree: int) -> QuadRule:
     """Rule on the reference triangle, exact for total degree <= ``degree``."""
+    # imported here: scipy.special adds about 70 ms to the CLI's import time
+    from scipy.special import roots_jacobi, roots_sh_legendre
     if not 1 <= degree <= TRIANGLE_MAX_DEGREE:
         raise ValueError(f"triangle rule degree must be in [1, {TRIANGLE_MAX_DEGREE}], got {degree}")
     m = (degree + 2) // 2
-    s, ws = (np.asarray(v) for v in _GAUSS_LEGENDRE_01[m])
-    t, wt = (np.asarray(v) for v in _GAUSS_JACOBI_10_01[m])
-    # collapsed map (s, t) -> (x, y) = (s (1 - t), t); the (1 - t) Jacobian
-    # is the Jacobi weight
+    s, ws = roots_sh_legendre(m)
+    # Gauss-Jacobi for the (1 - t) Jacobian of the collapsed map, mapped to [0, 1]
+    t, wt = roots_jacobi(m, 1.0, 0.0)
+    t, wt = (t + 1) / 2, wt / 4
     S, T = np.meshgrid(s, t, indexing="ij")
     x = (S * (1.0 - T)).ravel()
     y = T.ravel()
@@ -99,10 +52,11 @@ def triangle_rule(degree: int) -> QuadRule:
 
 def edge_rule(degree: int) -> QuadRule:
     """Rule on [0, 1], exact for polynomials of degree <= ``degree``."""
+    # imported here: scipy.special adds about 70 ms to the CLI's import time
+    from scipy.special import roots_sh_legendre
     if not 1 <= degree <= EDGE_MAX_DEGREE:
         raise ValueError(f"edge rule degree must be in [1, {EDGE_MAX_DEGREE}], got {degree}")
-    m = (degree + 2) // 2
-    t, w = (np.array(v) for v in _GAUSS_LEGENDRE_01[m])
+    t, w = roots_sh_legendre((degree + 2) // 2)
     t.flags.writeable = False
     w.flags.writeable = False
     return QuadRule(points=t, weights=w)

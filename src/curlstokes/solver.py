@@ -136,14 +136,20 @@ def kernel_probe(system: SaddleSystem) -> np.ndarray:
     matrix restricted to zero-mean pressures.
 
     Dense symmetric eigensolve of the augmented matrix with threshold
-    1e-10 * max|lambda|. Because B maps constants to zero and the mean
-    vector has a positive sum, every kernel vector of the augmented matrix
-    has a zero multiplier and a zero-mean pressure, so the two kernels
-    coincide. Each witness column stacks the velocity coefficients over the
-    pressure coefficients in the full pressure coordinates.
+    1e-10 * max|lambda|; a RuntimeError when the smallest dropped |lambda|
+    is below 1e6 times the largest kept one, as no exact kernel leaves so
+    small a gap. Because B maps constants to zero and the mean vector has a
+    positive sum, every kernel vector of the augmented matrix has a zero
+    multiplier and a zero-mean pressure, so the two kernels coincide. Each
+    witness column stacks the velocity coefficients over the pressure
+    coefficients in the full pressure coordinates.
     """
     lam, vecs = np.linalg.eigh(_augmented(system.A, system.B, system.mean_vector).toarray())
-    null_mask = np.abs(lam) <= KERNEL_RANK_RTOL * np.abs(lam).max(initial=0.0)
+    size = np.abs(lam)
+    null_mask = size <= KERNEL_RANK_RTOL * size.max(initial=0.0)
+    kept, dropped = size[null_mask].max(initial=0.0), size[~null_mask].min(initial=np.inf)
+    if dropped < 1e6 * kept:
+        raise RuntimeError(f"kernel_probe: no clear spectral gap: {kept:.3g} kept, {dropped:.3g} dropped")
     # row-major: counterexample.json's in-span residual is roundoff whose
     # bits follow the layout of the products that read these columns
     return np.ascontiguousarray(vecs[:system.n_u + system.n_q, null_mask])

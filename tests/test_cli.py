@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curlstokes
 from curlstokes import analysis, experiments, solver
 from curlstokes.cli import EXIT_MEMORY, main
 
@@ -189,3 +193,13 @@ def test_oversized_hodge_split_exits_before_allocating(tmp_path, monkeypatch, ca
     assert main(["harmonic", "--case", "hole", "--n", "6", "--out", str(out)]) == EXIT_MEMORY
     assert capsys.readouterr().err.startswith("error: out of memory")
     assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_special_out():
+    # scipy.special, which the quadrature rules call, adds about 70 ms to
+    # every command's start; only building a rule may import it
+    src = Path(curlstokes.__file__).parents[1]
+    probe = "import sys, curlstokes.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,9 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+import scipy
 
-from curlstokes.quadrature import edge_rule, triangle_rule
+from curlstokes.quadrature import (EDGE_MAX_DEGREE, TRIANGLE_MAX_DEGREE, edge_rule,
+                                   triangle_rule)
+
+# sha256 over the points and weights of every rule, triangles then edges,
+# on scipy 1.17.1 and numpy 2.4.6
+RULES_SHA256 = "1de107eae36130ba633865340d3098b6ce1a2ad09696675cddf4988f05b7f5fd"
 
 
 def tri_monomial_integral(a: int, b: int) -> float:
@@ -75,3 +82,17 @@ def test_triangle_degree_range(degree):
 def test_edge_degree_range(degree):
     with pytest.raises(ValueError):
         edge_rule(degree)
+
+
+def test_rule_bits_are_pinned():
+    # every output reads these bits: a scipy release that moved the roots
+    # would move them all, as a LAPACK change would
+    rules = ([triangle_rule(d) for d in range(1, TRIANGLE_MAX_DEGREE + 1)]
+             + [edge_rule(d) for d in range(1, EDGE_MAX_DEGREE + 1)])
+    digest = hashlib.sha256()
+    for rule in rules:
+        digest.update(rule.points.tobytes())
+        digest.update(rule.weights.tobytes())
+    assert digest.hexdigest() == RULES_SHA256, (
+        f"the quadrature rules changed bits under scipy {scipy.__version__} "
+        f"(checked on scipy 1.17.1)")

@@ -119,6 +119,15 @@ def test_solve_matches_dense_svd_reference(order_mesh):
         assert diff <= 1e-10 * size, f"order {order}: {name} differs by {diff / size:.2e} relative"
 
 
+def test_kernel_probe_refuses_a_spectrum_without_a_gap():
+    # order 1 keeps an exact kernel; the order-2 strong pair keeps two
+    # eigenvalues at 1.7e-11 max|lambda|, only 82 times below the next one
+    mesh = generate_unit_square(6)
+    assert kernel_probe(build_essential_system(*_spaces(mesh, 1))).shape[1] == 2
+    with pytest.raises(RuntimeError, match="no clear spectral gap"):
+        kernel_probe(build_essential_system(*_spaces(mesh, 2)))
+
+
 def test_singular_verdict_computes_no_kernel(monkeypatch):
     # the verdict costs one LU factor; the dense kernel SVD is left to callers
     def refuse(_):
