@@ -1,13 +1,12 @@
-"""Error norms, convergence rates, discrete harmonic fields and stability probes.
+"""Error norms, convergence rates, discrete harmonic fields and trace constants.
 
 The velocity error is measured in the mesh-dependent norm
 
     |||v|||^2 = ||v||^2 + ||curl v||^2 + (1/h) ||v . t||^2_Gamma + h ||curl v||^2_Gamma,
 
 whose boundary contributions make weak tangential data controllable. The
-trace and inf-sup probes are local or sparse eigensolves, so they serve every
-mesh the solver factors; dual boundary norms are replaced by computable L2
-surrogates throughout.
+trace probes are local or sparse eigensolves (the inf-sup probe is
+``solver.estimate_infsup``); L2 norms stand in for dual boundary norms.
 """
 
 from __future__ import annotations
@@ -18,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import eigsh
 
-from .forms import (assemble_b, assemble_curl_curl, assemble_mean_vector,
-                    assemble_stiffness, _assemble_cells, _boundary_edge_data,
+from .forms import (assemble_b, _assemble_cells, _boundary_edge_data,
                     _boundary_rule, _cell_weights, _local_matrix, _volume_rule)
 from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
-from .solver import KERNEL_RANK_RTOL, _augmented, _factor
+from .solver import KERNEL_RANK_RTOL
 from .spaces import (DiscreteField, EdgeSpace, NodalSpace, _edge_field,
                      _edge_points, _nodal_field, _sample, _tabulate_edge)
 
@@ -266,32 +264,3 @@ def trace_constant_par(V: EdgeSpace, M, t_par) -> float:
                      v0=np.random.default_rng(0).standard_normal(V.dof_count),
                      return_eigenvectors=False)[0]
     return float(np.sqrt(c_par_sq))
-
-
-def estimate_infsup(V: EdgeSpace, Q: NodalSpace, M, t_par, t_curl) -> float:
-    """Smallest scaled singular value of the coupling form; M is the
-    assembled velocity mass matrix, t_par and t_curl the boundary Grams of
-    ``_boundary_gram``.
-
-    beta_h = min over zero-mean q of max over v of b(v, q) / (|q|_1 |||v|||);
-    the theory predicts beta_h ~ h. beta_h^2 is the bottom eigenvalue of the
-    pencil (B^T H^-1 B, S), H the #-norm Gram matrix and S the pressure
-    stiffness, with the first pressure dof pinned (both vanish on constants),
-    by shift-invert Lanczos through an LU factor of the solver's augmented
-    matrix with H in place of A.
-    """
-    h = V.mesh.h_max
-    hash_gram = M + assemble_curl_curl(V).matrix + t_par / h + h * t_curl
-    n_u, n_q = V.dof_count, Q.dof_count
-    lu = _factor(_augmented(hash_gram, assemble_b(V, Q).matrix, assemble_mean_vector(Q)))
-
-    def pinned_inverse(r):   # zero-sum data: zero multiplier, zero-mean y
-        y = lu.solve(np.concatenate([np.zeros(n_u), [-r.sum()], r, [0.0]]))[n_u:n_u + n_q]
-        return y[0] - y[1:]
-
-    # in shift-invert mode eigsh reads only the shape of A; OPinv applies A^-1
-    op = LinearOperator((n_q - 1,) * 2, matvec=pinned_inverse, dtype=float)
-    theta = eigsh(op, k=1, M=assemble_stiffness(Q).matrix[1:, 1:], sigma=0.0, OPinv=op,
-                  v0=np.random.default_rng(0).standard_normal(n_q - 1),
-                  return_eigenvectors=False)[0]
-    return float(np.sqrt(max(theta, 0.0)))

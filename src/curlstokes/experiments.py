@@ -15,15 +15,15 @@ import numpy as np
 
 from . import mesh as meshmod
 from .analysis import (ErrorBundle, betti_number, compute_errors,
-                       estimate_infsup, hodge_decompose, trace_constant_n,
-                       trace_constant_par, _boundary_gram, _check_hodge_memory)
+                       hodge_decompose, trace_constant_n, trace_constant_par,
+                       _boundary_gram, _check_hodge_memory)
 from .cases import ManufacturedCase, get_case
 from .forms import (DEFAULT_C_W, assemble_b, assemble_curl_curl,
                     assemble_divergence_rhs, assemble_mass,
-                    assemble_mean_vector, assemble_rhs,
+                    assemble_mean_vector, assemble_rhs, assemble_stiffness,
                     assemble_velocity_block)
 from .mesh import Mesh
-from .solver import SaddleSystem, kernel_probe, solve
+from .solver import SaddleSystem, estimate_infsup, kernel_probe, solve
 from .spaces import (DiscreteField, EdgeSpace, NodalSpace, _edge_field,
                      build_edge_space, build_nodal_space)
 
@@ -43,10 +43,12 @@ def build_saddle_system(V: EdgeSpace, Q: NodalSpace, case: ManufacturedCase,
 
 
 def build_essential_system(V: EdgeSpace, Q: NodalSpace) -> SaddleSystem:
-    """The ill-posed strong-imposition variant on V and Q: no boundary terms,
-    the rows and columns of the tangential boundary dofs (both moments of
-    every boundary edge at order 2) deleted from the curl-curl and coupling
-    blocks, and zero data."""
+    """The strong-imposition variant on V and Q: no boundary terms, the rows
+    and columns of the tangential boundary dofs (both moments of every
+    boundary edge at order 2) deleted from the curl-curl and coupling blocks,
+    and zero data. Ill-posed at order 1: a kernel of dimension 2 on 2 and 8
+    triangles, which ``solve`` flags singular. At order 2 ``solve`` does not;
+    ROADMAP item 11 finds no kernel past 2 triangles, inf-sup constant ~0.058."""
     be = V.mesh.boundary_edges
     keep = np.ones(V.dof_count, dtype=bool)
     keep[be if V.order == 1 else np.concatenate([2 * be, 2 * be + 1])] = False
@@ -206,15 +208,18 @@ def run_probe(case_name: str, levels: int = 3, order: int = 1) -> dict:
         M = assemble_mass(V).matrix
         t_par, t_curl = _boundary_gram(V)
         c_n, c_par = trace_constant_n(V), trace_constant_par(V, M, t_par)
-        beta = estimate_infsup(V, Q, M, t_par, t_curl)
+        h = mesh.h_max
+        hash_gram = M + assemble_curl_curl(V).matrix + t_par / h + h * t_curl
+        beta = estimate_infsup(hash_gram, assemble_b(V, Q).matrix, assemble_stiffness(Q).matrix,
+                               assemble_mean_vector(Q))
         rows.append({
             "level": k,
-            "h": mesh.h_max,
+            "h": h,
             "C_n": c_n,
             "C_par": c_par,
             "recommended_C_w": 2.0 * c_n ** 2,   # twice the coercivity threshold
             "beta_h": beta,
-            "beta_over_h": beta / mesh.h_max,
+            "beta_over_h": beta / h,
         })
     return {
         "schema_version": SCHEMA_VERSION,

@@ -8,6 +8,7 @@ advertised total degree. Edge rules are plain Gauss-Legendre on [0, 1].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ class QuadRule:
     weights: np.ndarray
 
 
+@functools.cache
 def triangle_rule(degree: int) -> QuadRule:
     """Rule on the reference triangle, exact for total degree <= ``degree``."""
     # imported here: scipy.special adds about 70 ms to the CLI's import time
@@ -50,6 +52,7 @@ def triangle_rule(degree: int) -> QuadRule:
     return QuadRule(points=bary, weights=w)
 
 
+@functools.cache
 def edge_rule(degree: int) -> QuadRule:
     """Rule on [0, 1], exact for polynomials of degree <= ``degree``."""
     # imported here: scipy.special adds about 70 ms to the CLI's import time

@@ -1,4 +1,4 @@
-"""Saddle-point solver with zero-mean pressure and a dense kernel probe.
+"""Saddle-point solver with zero-mean pressure, kernel and inf-sup probes.
 
 The discrete system couples the velocity operator A with the pressure
 gradient B; the pressure mean is pinned through a scalar Lagrange
@@ -12,8 +12,8 @@ true relative residual of 1e-10 that the solution must reach. A singular
 system is reported, not raised, at the cost of the solve itself: ``solve``
 has no iterative fallback and never computes a kernel. Kernel dimensions and
 witnesses come only from ``kernel_probe``, a dense symmetric eigensolve of
-the same augmented matrix, which the ill-posedness counterexample runs on its
-fixed meshes of 2 and 8 triangles.
+the same augmented matrix on the counterexample's meshes of 2 and 8
+triangles; ``estimate_infsup`` factors it with a Gram matrix in place of A.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 KERNEL_RANK_RTOL = 1e-10
 #: relative residual of the seeded probe solve above which a factored system
@@ -153,3 +153,25 @@ def kernel_probe(system: SaddleSystem) -> np.ndarray:
     # row-major: counterexample.json's in-span residual is roundoff whose
     # bits follow the layout of the products that read these columns
     return np.ascontiguousarray(vecs[:system.n_u + system.n_q, null_mask])
+
+
+def estimate_infsup(H, B, S, mean: np.ndarray) -> float:
+    """beta_h = min over zero-mean q of max over v of v.Bq / (|v|_H |q|_S),
+    H and S the Gram matrices of a velocity norm and a pressure seminorm.
+    beta_h^2 is the bottom eigenvalue of the pencil (B^T H^-1 B, S), by
+    shift-invert Lanczos through an LU factor of the augmented matrix with H
+    in place of A. The pencil pins the first pressure dof, which is sound only
+    because both of its forms vanish on constants: B^T H^-1 B does, S must."""
+    n_u, n_q = B.shape
+    lu = _factor(_augmented(H, B, mean))
+
+    def pinned_inverse(r):   # zero-sum data: zero multiplier, zero-mean y
+        y = lu.solve(np.concatenate([np.zeros(n_u), [-r.sum()], r, [0.0]]))[n_u:n_u + n_q]
+        return y[0] - y[1:]
+
+    # in shift-invert mode eigsh reads only the shape of A; OPinv applies A^-1
+    op = LinearOperator((n_q - 1,) * 2, matvec=pinned_inverse, dtype=float)
+    theta = eigsh(op, k=1, M=S[1:, 1:], sigma=0.0, OPinv=op,
+                  v0=np.random.default_rng(0).standard_normal(n_q - 1),
+                  return_eigenvectors=False)[0]
+    return float(np.sqrt(max(theta, 0.0)))

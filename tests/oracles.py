@@ -7,7 +7,8 @@ sits at roundoff when it holds), and the three-block Hodge decomposition by
 full SVDs, whose harmonic block ``analysis.hodge_decompose`` reproduces bit
 for bit. ``solve_fields`` runs the Nitsche solve of a case on one mesh and
 binds the solver's coefficient arrays to their spaces, as
-``experiments.run_convergence`` does.
+``experiments.run_convergence`` does, and ``probe_infsup`` measures beta_h
+from the blocks that ``experiments.run_probe`` assembles.
 """
 from __future__ import annotations
 
@@ -18,11 +19,12 @@ import scipy.linalg
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import splu
 
-from curlstokes.analysis import _curl_factor
+from curlstokes.analysis import _boundary_gram, _curl_factor
 from curlstokes.experiments import _spaces, build_saddle_system
-from curlstokes.forms import DEFAULT_C_W, assemble_b, assemble_mass
+from curlstokes.forms import (DEFAULT_C_W, assemble_b, assemble_curl_curl, assemble_mass,
+                              assemble_mean_vector, assemble_stiffness)
 from curlstokes.quadrature import edge_rule, triangle_rule
-from curlstokes.solver import KERNEL_RANK_RTOL, SolveReport, solve
+from curlstokes.solver import KERNEL_RANK_RTOL, SolveReport, estimate_infsup, solve
 from curlstokes.spaces import (_ALL, DiscreteField, EdgeSpace, NodalSpace,
                                _cell_moments, _edge_field, _edge_moments,
                                _edge_points, _sample, _tabulate_edge,
@@ -162,3 +164,13 @@ def solve_fields(mesh, order: int, case, C_w: float = DEFAULT_C_W
     V, Q = _spaces(mesh, order)
     report = solve(build_saddle_system(V, Q, case, C_w))
     return report, DiscreteField(V, report.u), DiscreteField(Q, report.p)
+
+
+def probe_infsup(V: EdgeSpace, Q: NodalSpace) -> float:
+    """beta_h as ``run_probe`` measures it: the #-norm Gram
+    H = M + K + T_par / h + h T_curl against the pressure stiffness."""
+    h = V.mesh.h_max
+    t_par, t_curl = _boundary_gram(V)
+    hash_gram = assemble_mass(V).matrix + assemble_curl_curl(V).matrix + t_par / h + h * t_curl
+    return estimate_infsup(hash_gram, assemble_b(V, Q).matrix, assemble_stiffness(Q).matrix,
+                           assemble_mean_vector(Q))

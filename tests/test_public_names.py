@@ -10,6 +10,10 @@ not a caller.
 A second check reads every module of ``src/``, ``tests/`` and ``studies/``
 on its own: each name its imports bind (``__future__`` aside) must be loaded
 somewhere in that module.
+
+A third keeps the saddle factor in one module: no module of ``src/`` but
+``solver.py`` names ``_augmented`` or ``_factor``, as an import, a name or an
+attribute.
 """
 import ast
 from pathlib import Path
@@ -70,3 +74,18 @@ def test_every_imported_name_is_read():
               for path in sorted((ROOT / directory).rglob("*.py"))
               if (names := _unread_imports(ast.parse(path.read_text())))}
     assert not unread, f"imported names that their module never reads: {unread}"
+
+
+def test_only_the_solver_names_the_saddle_factor():
+    private = {"_augmented", "_factor"}
+    named = {}
+    for path in _modules(ROOT / "src" / "curlstokes"):
+        if path.name == "solver.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+                 | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+                 | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names})
+        if names & private:
+            named[path.name] = sorted(names & private)
+    assert not named, f"modules besides solver.py that name the saddle factor: {named}"

@@ -96,3 +96,11 @@ def test_rule_bits_are_pinned():
     assert digest.hexdigest() == RULES_SHA256, (
         f"the quadrature rules changed bits under scipy {scipy.__version__} "
         f"(checked on scipy 1.17.1)")
+
+
+def test_each_rule_is_built_once():
+    # callers share one rule per degree; its arrays are read-only
+    rule = triangle_rule(4)
+    assert triangle_rule(4) is rule and edge_rule(6) is edge_rule(6)
+    with pytest.raises(ValueError):
+        rule.points[0, 0] = 0.0
