@@ -24,8 +24,8 @@ from .forms import (assemble_b, _assemble_cells, _boundary_edge_data,
 from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
 from .solver import KERNEL_RANK_RTOL
-from .spaces import (DiscreteField, EdgeSpace, NodalSpace, _edge_field,
-                     _edge_points, _nodal_field, _sample, _tabulate_edge)
+from .spaces import (EdgeSpace, NodalSpace, _edge_field, _edge_points, _nodal_field,
+                     _sample, _tabulate_edge)
 
 #: the error norms of the reports, rates and CSV columns, each an
 #: ``ErrorBundle`` field
@@ -53,23 +53,23 @@ class ErrorBundle:
     norm_u_hash: float      # |||u_h|||, the stability monitor
 
 
-def compute_errors(u_h: DiscreteField, p_h: DiscreteField, case) -> ErrorBundle:
-    """Volume and boundary errors of a discrete pair against the case data,
-    and the #-norm of u_h from the same tabulation (both rules are exact for
-    its polynomial integrands).
+def compute_errors(V: EdgeSpace, u: np.ndarray, Q: NodalSpace, p: np.ndarray, case) -> ErrorBundle:
+    """Volume and boundary errors of the discrete pair (u, p), coefficient
+    arrays in V and Q, against the case data, and the #-norm of u from the
+    same tabulation (both rules are exact for its polynomial integrands).
 
     The analytic pressure is shifted by its quadrature mean over the mesh so
     that both representatives have zero mean.
     """
-    mesh, order, h = u_h.space.mesh, u_h.space.order, u_h.space.mesh.h_max
+    mesh, order, h = V.mesh, V.order, V.mesh.h_max
     rule = triangle_rule(2 * order + 4)
     w = _cell_weights(mesh, rule)
     pts = np.matmul(rule.points, mesh.vertices[mesh.triangles])
     p_exact = _sample(case.p, pts)
     p_mean = float((w * p_exact).sum()) / float(mesh.areas.sum())
 
-    uh, ch = _edge_field(u_h, rule.points)
-    ph, gph = _nodal_field(p_h, rule.points)
+    uh, ch = _edge_field(V, u, rule.points)
+    ph, gph = _nodal_field(Q, p, rule.points)
     u_sq = float((w * ((_sample(case.u, pts) - uh) ** 2).sum(axis=-1)).sum())
     curl_sq = float((w * (_sample(case.curl_u, pts) - ch) ** 2).sum())
     p_sq = float((w * (p_exact - p_mean - ph) ** 2).sum())
@@ -79,7 +79,7 @@ def compute_errors(u_h: DiscreteField, p_h: DiscreteField, case) -> ErrorBundle:
     erule = edge_rule(2 * order + 4)
     tri, length, bary, pts = _edge_points(mesh, mesh.boundary_edges, erule.points)
     w = length[:, None] * erule.weights
-    uh, ch = _edge_field(u_h, bary, tri)
+    uh, ch = _edge_field(V, u, bary, tri)
     du_t = np.einsum("ekd,ed->ek", _sample(case.u, pts) - uh, mesh.boundary_tangents)
     gpar_sq = float((w * du_t ** 2).sum())
     gcurl_sq = float((w * (_sample(case.curl_u, pts) - ch) ** 2).sum())
@@ -98,8 +98,8 @@ def compute_errors(u_h: DiscreteField, p_h: DiscreteField, case) -> ErrorBundle:
         err_p_l2=float(np.sqrt(p_sq)),
         err_p_h1=float(np.sqrt(gp_sq)),
         h=h,
-        dofs_u=u_h.space.dof_count,
-        dofs_p=p_h.space.dof_count,
+        dofs_u=V.dof_count,
+        dofs_p=Q.dof_count,
         norm_u_hash=float(np.sqrt(norm_sq)),
     )
 

@@ -1,7 +1,9 @@
 """Command-line interface: convergence studies, the ill-posedness
 counterexample, harmonic-field extraction, and stability probes.
 
-Outputs are deterministic: identical configuration (and jitter seed) yields
+Each command writes the JSON document that its driver in ``experiments``
+returns, and reads its CSV and SVG files off that document. Outputs are
+deterministic: identical configuration (and jitter seed) yields
 byte-identical CSV and JSON files at a fixed BLAS thread count. Exit codes:
 0 success, 2 configuration error, 3 solver singularity (outside the
 counterexample command), 5 out of memory (including a dense Hodge
@@ -16,11 +18,10 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import NORMS, compute_eoc, least_squares_rates
+from .analysis import NORMS
 from .cases import CASES
-from .experiments import (SCHEMA_VERSION, ConvergenceRun, SingularLevelError,
-                          run_convergence, run_counterexample, run_harmonic,
-                          run_probe)
+from .experiments import (SingularLevelError, run_convergence, run_counterexample,
+                          run_harmonic, run_probe)
 from .forms import DEFAULT_C_W
 from .svgplot import loglog_chart
 
@@ -38,68 +39,46 @@ def _json_dump(data, path: Path) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _write_errors_csv(run: ConvergenceRun, eoc: dict, path: Path) -> None:
+def _write_errors_csv(report: dict, path: Path) -> None:
+    eoc = report["eoc"]
     lines = [",".join(CSV_COLUMNS + EOC_COLUMNS)]
-    for k, b in enumerate(run.bundles):
-        row = [str(k), repr(b.h), str(b.dofs_u), str(b.dofs_p)]
-        row += [repr(getattr(b, norm)) for norm in NORMS]
+    for k, level in enumerate(report["levels"]):
+        row = [str(k), repr(level["h"]), str(level["dofs_u"]), str(level["dofs_p"])]
+        row += [repr(level["errors"][norm]) for norm in NORMS]
         row += ["" if k == 0 else repr(eoc[norm][k - 1]) for norm in NORMS]
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_report_json(run: ConvergenceRun, eoc: dict, path: Path) -> None:
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "config": run.config,
-        "levels": [
-            {
-                "level": k,
-                "h": b.h,
-                "dofs_u": b.dofs_u,
-                "dofs_p": b.dofs_p,
-                "errors": {norm: getattr(b, norm) for norm in NORMS},
-                "err_u_hcurl": b.err_u_hcurl,
-                "norm_u_hash": b.norm_u_hash,
-            }
-            for k, b in enumerate(run.bundles)
-        ],
-        "eoc": eoc,
-        "eoc_least_squares_last3": least_squares_rates(run.bundles),
-    }
-    _json_dump(data, path)
-
-
-def _write_svgs(run: ConvergenceRun, outdir: Path) -> None:
-    bundles = run.bundles
-    hs = [b.h for b in bundles]
-    r = run.config["order"]
+def _write_svgs(report: dict, outdir: Path) -> None:
+    levels = report["levels"]
+    hs = [level["h"] for level in levels]
+    r = report["config"]["order"]
     groups = {
         "convergence_velocity.svg": ("velocity errors", "err_u_", (float(r), r - 0.5)),
         "convergence_boundary.svg": ("boundary trace errors", "err_g", (float(r),)),
         "convergence_pressure.svg": ("pressure errors", "err_p_", (r - 0.5,)),
     }
     for fname, (title, prefix, slopes) in groups.items():
-        series = {norm: [getattr(b, norm) for b in bundles]
+        series = {norm: [level["errors"][norm] for level in levels]
                   for norm in NORMS if norm.startswith(prefix)}
         (outdir / fname).write_text(loglog_chart(
-            f"{run.config['case']} order {r}: {title}", hs, series, slopes))
+            f"{report['config']['case']} order {r}: {title}", hs, series, slopes))
 
 
 def _cmd_convergence(args) -> int:
     outdir = Path(args.out)
     try:
-        run = run_convergence(args.case, args.order, args.levels, C_w=args.cw,
-                              base_n=args.base_n, jitter_seed=args.jitter)
+        report = run_convergence(args.case, args.order, args.levels, C_w=args.cw,
+                                 base_n=args.base_n, jitter_seed=args.jitter)
     except SingularLevelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     outdir.mkdir(parents=True, exist_ok=True)
-    eoc = compute_eoc(run.bundles)
-    _write_errors_csv(run, eoc, outdir / "errors.csv")
-    _write_report_json(run, eoc, outdir / "report.json")
-    _write_svgs(run, outdir)
-    final = {k: v[-1] for k, v in eoc.items()}
+    _write_errors_csv(report, outdir / "errors.csv")
+    _json_dump(report, outdir / "report.json")
+    _write_svgs(report, outdir)
+    final = {k: v[-1] for k, v in report["eoc"].items()}
     print(f"convergence {args.case} order {args.order}: final EOC "
           + " ".join(f"{k}={v:.3f}" for k, v in final.items()))
     return EXIT_OK

@@ -1,21 +1,20 @@
 """Experiment drivers shared by the command-line interface and the test suite.
 
 The drivers build the finite-element spaces, assemble a system on them and
-bind the solver's coefficient arrays back to those spaces. Two systems come
-out of the same spaces: ``build_saddle_system``, the Nitsche formulation with
-weak tangential data, and ``build_essential_system``, the strongly imposed
-variant whose singularity ``run_counterexample`` exhibits.
+measure the solver's coefficient arrays on those spaces; each returns the
+JSON document its command writes. Two systems come out of the same spaces:
+``build_saddle_system``, the Nitsche formulation with weak tangential data,
+and ``build_essential_system``, the strongly imposed variant whose
+singularity ``run_counterexample`` exhibits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import mesh as meshmod
-from .analysis import (ErrorBundle, betti_number, compute_errors,
-                       hodge_decompose, trace_constant_n, trace_constant_par,
+from .analysis import (NORMS, betti_number, compute_eoc, compute_errors, hodge_decompose,
+                       least_squares_rates, trace_constant_n, trace_constant_par,
                        _boundary_gram, _check_hodge_memory)
 from .cases import ManufacturedCase, get_case
 from .forms import (DEFAULT_C_W, assemble_b, assemble_curl_curl,
@@ -24,8 +23,8 @@ from .forms import (DEFAULT_C_W, assemble_b, assemble_curl_curl,
                     assemble_velocity_block)
 from .mesh import Mesh
 from .solver import SaddleSystem, estimate_infsup, kernel_probe, solve
-from .spaces import (DiscreteField, EdgeSpace, NodalSpace, _edge_field,
-                     build_edge_space, build_nodal_space)
+from .spaces import (EdgeSpace, NodalSpace, _edge_field, build_edge_space,
+                     build_nodal_space)
 
 #: the ``schema_version`` of every JSON document the commands write
 SCHEMA_VERSION = 1
@@ -72,15 +71,10 @@ def level_mesh(case: ManufacturedCase, base_n: int, level: int,
     return mesh
 
 
-@dataclass
-class ConvergenceRun:
-    bundles: list[ErrorBundle]
-    config: dict
-
-
 def run_convergence(case_name: str, order: int, levels: int, C_w: float = DEFAULT_C_W,
-                    base_n: int | None = None, jitter_seed: int | None = None) -> ConvergenceRun:
-    """Solve a refinement sequence and collect errors and rates."""
+                    base_n: int | None = None, jitter_seed: int | None = None) -> dict:
+    """Solve a refinement sequence and return the ``report.json`` document:
+    the configuration, each level's errors and sizes, and the rates."""
     if levels < 2:
         raise ValueError("a convergence study needs at least two levels")
     if jitter_seed is not None and jitter_seed < 0:
@@ -95,13 +89,18 @@ def run_convergence(case_name: str, order: int, levels: int, C_w: float = DEFAUL
         rep = solve(build_saddle_system(V, Q, case, C_w))
         if rep.singular:
             raise SingularLevelError(k)
-        bundles.append(compute_errors(DiscreteField(V, rep.u), DiscreteField(Q, rep.p), case))
-    config = {
-        "command": "convergence", "case": case_name, "order": order,
-        "levels": levels, "C_w": C_w, "base_n": base_n,
-        "jitter_seed": jitter_seed,
+        bundles.append(compute_errors(V, rep.u, Q, rep.p, case))
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "config": {"command": "convergence", "case": case_name, "order": order,
+                   "levels": levels, "C_w": C_w, "base_n": base_n, "jitter_seed": jitter_seed},
+        "levels": [{"level": k, "h": b.h, "dofs_u": b.dofs_u, "dofs_p": b.dofs_p,
+                    "errors": {norm: getattr(b, norm) for norm in NORMS},
+                    "err_u_hcurl": b.err_u_hcurl, "norm_u_hash": b.norm_u_hash}
+                   for k, b in enumerate(bundles)],
+        "eoc": compute_eoc(bundles),
+        "eoc_least_squares_last3": least_squares_rates(bundles),
     }
-    return ConvergenceRun(bundles=bundles, config=config)
 
 
 class SingularLevelError(Exception):
@@ -179,7 +178,7 @@ def run_harmonic(case_name: str = "hole", n: int | None = None, order: int = 1) 
         ratio = float(np.sqrt(mc + kc) / np.sqrt(tc))
         center = np.array([[1.0, 1.0, 1.0]]) / 3.0
         pts = np.matmul(center, mesh.vertices[mesh.triangles])[:, 0]
-        vals = _edge_field(DiscreteField(V, c), center)[0][:, 0]
+        vals = _edge_field(V, c, center)[0][:, 0]
         samples = np.hstack([pts, vals]).tolist()
     return {
         "schema_version": SCHEMA_VERSION,

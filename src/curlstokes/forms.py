@@ -137,9 +137,9 @@ def assemble_nitsche(V: EdgeSpace, C_w: float) -> SparseOperator:
 
 def assemble_b(V: EdgeSpace, Q: NodalSpace) -> SparseOperator:
     """Coupling matrix B[i, j] = (v_i, grad q_j)."""
-    if V.mesh is not Q.mesh:
-        raise ValueError("velocity and pressure spaces must share a mesh")
-    rule = triangle_rule(2 * max(V.order, Q.order) + 2)
+    if V.mesh is not Q.mesh or V.order != Q.order:
+        raise ValueError("velocity and pressure spaces must share a mesh and an order")
+    rule = _volume_rule(V)
     phi, _ = _tabulate_edge(V, rule.points)
     _, gq = _tabulate_nodal(Q, rule.points)
     local = _local_matrix(_cell_weights(V.mesh, rule), phi, gq)

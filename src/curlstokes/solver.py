@@ -4,7 +4,7 @@ The discrete system couples the velocity operator A with the pressure
 gradient B; the pressure mean is pinned through a scalar Lagrange
 multiplier rather than by eliminating a degree of freedom, which would
 perturb the inf-sup structure. The module is linear algebra only: blocks go
-in, coefficient arrays come out, and the caller binds them to its spaces.
+in, coefficient arrays come out, and the caller reads them on its spaces.
 
 ``solve`` has one path at every size: a sparse LU factor of the augmented
 matrix, whose singularity a seeded random right-hand side exposes, and a

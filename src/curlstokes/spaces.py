@@ -11,7 +11,7 @@ property everything downstream relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -67,21 +67,6 @@ class NodalSpace:
     order: int
     dof_count: int
     cell_dofs: np.ndarray
-
-
-@dataclass
-class DiscreteField:
-    """Coefficient vector bound to a space."""
-
-    space: Union[EdgeSpace, NodalSpace]
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.shape != (self.space.dof_count,):
-            raise ValueError(
-                f"coefficient length {self.coefficients.shape} does not match "
-                f"space dof count {self.space.dof_count}")
 
 
 def build_edge_space(mesh: Mesh, order: int) -> EdgeSpace:
@@ -219,19 +204,19 @@ def _tabulate_nodal(Q: NodalSpace, bary: np.ndarray, cells=_ALL) -> tuple[np.nda
     return vals, grads
 
 
-def _edge_field(field: DiscreteField, bary: np.ndarray, cells=_ALL) -> tuple[np.ndarray, np.ndarray]:
-    """Values (F', k, 2) and curls (F', k) of a velocity field."""
-    space: EdgeSpace = field.space
-    local = field.coefficients[space.cell_dofs[cells]]
-    vals, curls = _tabulate_edge(space, bary, cells)
+def _edge_field(V: EdgeSpace, u: np.ndarray, bary: np.ndarray,
+                cells=_ALL) -> tuple[np.ndarray, np.ndarray]:
+    """Values (F', k, 2) and curls (F', k) of the velocity u, coefficients in V."""
+    local = u[V.cell_dofs[cells]]
+    vals, curls = _tabulate_edge(V, bary, cells)
     return np.einsum("fkid,fi->fkd", vals, local), np.matmul(curls, local[..., None])[..., 0]
 
 
-def _nodal_field(field: DiscreteField, bary: np.ndarray, cells=_ALL) -> tuple[np.ndarray, np.ndarray]:
-    """Values (F', k) and gradients (F', k, 2) of a pressure field."""
-    space: NodalSpace = field.space
-    local = field.coefficients[space.cell_dofs[cells]]
-    vals, grads = _tabulate_nodal(space, bary, cells)
+def _nodal_field(Q: NodalSpace, p: np.ndarray, bary: np.ndarray,
+                 cells=_ALL) -> tuple[np.ndarray, np.ndarray]:
+    """Values (F', k) and gradients (F', k, 2) of the pressure p, coefficients in Q."""
+    local = p[Q.cell_dofs[cells]]
+    vals, grads = _tabulate_nodal(Q, bary, cells)
     return np.matmul(vals, local[..., None])[..., 0], np.einsum("fkid,fi->fkd", grads, local)
 
 

@@ -33,7 +33,7 @@ from curlstokes.cases import get_case
 from curlstokes.experiments import build_saddle_system, level_mesh
 from curlstokes.forms import DEFAULT_C_W, assemble_mass_nodal
 from curlstokes.solver import _RESIDUAL_RTOL, solve
-from curlstokes.spaces import DiscreteField, build_edge_space, build_nodal_space
+from curlstokes.spaces import build_edge_space, build_nodal_space
 
 GAMMA = 1e3   # augmentation weight relative to the two blocks' mean diagonals
 #: largest difference from ``solver.solve``, relative to the largest direct-solve
@@ -111,7 +111,7 @@ def main():
         V, Q = build_edge_space(mesh, args.order), build_nodal_space(mesh, args.order)
         system = build_saddle_system(V, Q, case)
         u, p, iters, fill, res = augmented_solve(system, assemble_mass_nodal(Q).matrix)
-        b = compute_errors(DiscreteField(V, u), DiscreteField(Q, p), case)
+        b = compute_errors(V, u, Q, p, case)
         bundles.append(b)
         print(f"n={args.base_n * 2 ** k} dofs={b.dofs_u}+{b.dofs_p} u_l2={b.err_u_l2:.6e} "
               f"curl={b.err_u_curl:.6e} hash={b.err_u_hash:.6e} "

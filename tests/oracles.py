@@ -5,10 +5,10 @@ the exact edge-space coefficients of the nodal basis gradients, the L2
 distance of those gradients to the edge space (the gradient inclusion, which
 sits at roundoff when it holds), and the three-block Hodge decomposition by
 full SVDs, whose harmonic block ``analysis.hodge_decompose`` reproduces bit
-for bit. ``solve_fields`` runs the Nitsche solve of a case on one mesh and
-binds the solver's coefficient arrays to their spaces, as
-``experiments.run_convergence`` does, and ``probe_infsup`` measures beta_h
-from the blocks that ``experiments.run_probe`` assembles.
+for bit. ``solve_fields`` runs the Nitsche solve of a case on one mesh, as
+``experiments.run_convergence`` solves a level, and returns the report with
+the spaces its coefficient arrays belong to; ``probe_infsup`` measures
+beta_h from the blocks that ``experiments.run_probe`` assembles.
 """
 from __future__ import annotations
 
@@ -25,27 +25,28 @@ from curlstokes.forms import (DEFAULT_C_W, assemble_b, assemble_curl_curl, assem
                               assemble_mean_vector, assemble_stiffness)
 from curlstokes.quadrature import edge_rule, triangle_rule
 from curlstokes.solver import KERNEL_RANK_RTOL, SolveReport, estimate_infsup, solve
-from curlstokes.spaces import (_ALL, DiscreteField, EdgeSpace, NodalSpace,
-                               _cell_moments, _edge_field, _edge_moments,
-                               _edge_points, _sample, _tabulate_edge,
+from curlstokes.spaces import (_ALL, EdgeSpace, NodalSpace, _cell_moments, _edge_field,
+                               _edge_moments, _edge_points, _sample, _tabulate_edge,
                                _tabulate_nodal)
 
 
-def interpolate_edge(space: EdgeSpace, field: Callable | DiscreteField) -> DiscreteField:
-    """Interpolate a vector field by its edge (and, at order 2, interior) moments.
+def interpolate_edge(space: EdgeSpace, field: Callable | np.ndarray) -> np.ndarray:
+    """Coefficients in ``space`` of the interpolant of a vector field by its
+    edge (and, at order 2, interior) moments.
 
     ``field`` is either a callable ``field(x, y) -> (k, 2)`` or a
-    DiscreteField on an edge space over the same mesh. Edge moments are
-    taken from the first adjacent triangle; this is well defined for
-    tangentially continuous fields.
+    coefficient array of ``space``. Edge moments are taken from the first
+    adjacent triangle; this is well defined for tangentially continuous
+    fields.
     """
     mesh = space.mesh
-    discrete = isinstance(field, DiscreteField)
-    if discrete and (field.space.mesh is not mesh or not isinstance(field.space, EdgeSpace)):
-        raise ValueError("field must be an edge field on the same mesh")
+    discrete = not callable(field)
+    if discrete and np.shape(field) != (space.dof_count,):
+        raise ValueError(f"coefficient shape {np.shape(field)} does not match "
+                         f"the {space.dof_count} dofs of the edge space")
 
     def values(bary, cells, pts):
-        return _edge_field(field, bary, cells)[0] if discrete else _sample(field, pts)
+        return _edge_field(space, field, bary, cells)[0] if discrete else _sample(field, pts)
 
     degree = 2 * space.order + 2
     erule = edge_rule(degree)
@@ -60,18 +61,19 @@ def interpolate_edge(space: EdgeSpace, field: Callable | DiscreteField) -> Discr
         vals = values(trule.points, _ALL, np.matmul(trule.points, mesh.vertices[mesh.triangles]))
         w = 2.0 * mesh.areas[:, None] * trule.weights
         coeffs = np.concatenate([coeffs, _cell_moments(w, vals[:, :, None]).ravel()])
-    return DiscreteField(space, coeffs)
+    return coeffs
 
 
-def interpolate_nodal(space: NodalSpace, f: Callable) -> DiscreteField:
-    """Pointwise Lagrange interpolation of a scalar field ``f(x, y) -> (k,)``."""
+def interpolate_nodal(space: NodalSpace, f: Callable) -> np.ndarray:
+    """Coefficients in ``space`` of the pointwise Lagrange interpolant of a
+    scalar field ``f(x, y) -> (k,)``."""
     mesh = space.mesh
     coeffs = np.empty(space.dof_count)
     coeffs[:mesh.vertex_count] = f(mesh.vertices[:, 0], mesh.vertices[:, 1])
     if space.order == 2:
         mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
         coeffs[mesh.vertex_count:] = f(mids[:, 0], mids[:, 1])
-    return DiscreteField(space, coeffs)
+    return coeffs
 
 
 def grad_inclusion_check(edge_space: EdgeSpace, nodal_space: NodalSpace) -> float:
@@ -158,12 +160,12 @@ def full_svd_hodge(V: EdgeSpace, Q: NodalSpace):
 
 
 def solve_fields(mesh, order: int, case, C_w: float = DEFAULT_C_W
-                 ) -> tuple[SolveReport, DiscreteField, DiscreteField]:
-    """The solve report of a case's Nitsche system on one mesh, and its
-    velocity and pressure bound to the spaces the system was assembled on."""
+                 ) -> tuple[SolveReport, EdgeSpace, NodalSpace]:
+    """The solve report of a case's Nitsche system on one mesh, and the
+    spaces the system was assembled on, which ``report.u`` and ``report.p``
+    are coefficient arrays of."""
     V, Q = _spaces(mesh, order)
-    report = solve(build_saddle_system(V, Q, case, C_w))
-    return report, DiscreteField(V, report.u), DiscreteField(Q, report.p)
+    return solve(build_saddle_system(V, Q, case, C_w)), V, Q
 
 
 def probe_infsup(V: EdgeSpace, Q: NodalSpace) -> float:

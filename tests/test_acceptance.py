@@ -49,9 +49,9 @@ def _study(case_name: str, order: int, base_n: int, levels: int,
     meshes = []
     for k in range(levels):
         mesh = level_mesh(case, base_n, k, jitter_seed)
-        rep, u_h, p_h = solve_fields(mesh, order, case, cw)
+        rep, V, Q = solve_fields(mesh, order, case, cw)
         assert not rep.singular, f"level {k} unexpectedly singular"
-        bundles.append(compute_errors(u_h, p_h, case))
+        bundles.append(compute_errors(V, rep.u, Q, rep.p, case))
         meshes.append(mesh)
     eoc = compute_eoc(bundles)
     return bundles, {k: v[-1] for k, v in eoc.items()}, meshes
@@ -91,8 +91,8 @@ def test_criterion_2_exact_reproduction():
     for level in range(4):
         case = get_case("linear")
         mesh = level_mesh(case, 2, level, None)
-        _, u_h, p_h = solve_fields(mesh, 1, case, 10.0)
-        e = compute_errors(u_h, p_h, case)
+        rep, V, Q = solve_fields(mesh, 1, case, 10.0)
+        e = compute_errors(V, rep.u, Q, rep.p, case)
         worst_u = max(worst_u, e.err_u_l2)
         worst_p = max(worst_p, e.err_p_l2)
     if worst_u > 1e-8:
@@ -149,8 +149,8 @@ def test_curl_band_rejects_unscaled_penalty():
     bundles = []
     for k in range(5):
         mesh = level_mesh(case, 8, k, JITTER_SEED)
-        _, u_h, p_h = solve_fields(mesh, 1, case, 10.0 * mesh.h_max)
-        bundles.append(compute_errors(u_h, p_h, case))
+        rep, V, Q = solve_fields(mesh, 1, case, 10.0 * mesh.h_max)
+        bundles.append(compute_errors(V, rep.u, Q, rep.p, case))
     curl_eoc = compute_eoc(bundles)["err_u_curl"][-1]
     violations = []
     _check_band(violations, "r=1 curl", curl_eoc, 0.5 - TOL, 1.0 + TOL)
@@ -261,8 +261,8 @@ def test_criterion_6_structure_invariants():
     # mesh-dependent norm identity
     case = get_case("star")
     mesh = generate_unit_square(4)
-    _, u_h, p_h = solve_fields(mesh, 1, case, 10.0)
-    e = compute_errors(u_h, p_h, case)
+    rep, V, Q = solve_fields(mesh, 1, case, 10.0)
+    e = compute_errors(V, rep.u, Q, rep.p, case)
     recomposed = (e.err_u_hcurl ** 2 + e.err_gpar ** 2 / mesh.h_max
                   + mesh.h_max * e.err_gcurl ** 2)
     if abs(e.err_u_hash ** 2 - recomposed) > 1e-12 * recomposed:

@@ -23,7 +23,7 @@ from curlstokes.forms import (_assemble_cells, _boundary_edge_data,
                               assemble_velocity_block)
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
                              generate_unit_square, jitter, two_triangle_square)
-from curlstokes.spaces import DiscreteField, build_edge_space, build_nodal_space
+from curlstokes.spaces import build_edge_space, build_nodal_space
 
 from mesh_strategies import jittered_meshes
 from oracles import (full_svd_hodge, interpolate_edge, interpolate_nodal, probe_infsup,
@@ -83,9 +83,7 @@ def test_errors_vanish_for_reproduced_solution():
     mesh = generate_unit_square(2)
     V = build_edge_space(mesh, 1)
     Q = build_nodal_space(mesh, 1)
-    u_h = interpolate_edge(V, case.u)
-    p_h = interpolate_nodal(Q, case.p)
-    e = compute_errors(u_h, p_h, case)
+    e = compute_errors(V, interpolate_edge(V, case.u), Q, interpolate_nodal(Q, case.p), case)
     assert e.err_u_l2 <= 1e-10
     assert e.err_u_curl <= 1e-10
     assert e.err_u_hash <= 1e-9
@@ -98,8 +96,8 @@ def test_errors_vanish_for_reproduced_solution():
 def test_hash_norm_identity():
     case = get_case("star")
     mesh = generate_unit_square(4)
-    _, u_h, p_h = solve_fields(mesh, 1, case, 10.0)
-    e = compute_errors(u_h, p_h, case)
+    rep, V, Q = solve_fields(mesh, 1, case, 10.0)
+    e = compute_errors(V, rep.u, Q, rep.p, case)
     h = mesh.h_max
     recomposed = (e.err_u_hcurl ** 2 + e.err_gpar ** 2 / h
                   + h * e.err_gcurl ** 2)
@@ -110,16 +108,17 @@ def test_hash_norm_identity():
 
 
 def _zero_case():
-    """Zero analytic data: every error of compute_errors is a norm of u_h, p_h."""
+    """Zero analytic data: every error of compute_errors is a norm of u, p."""
     vec = lambda x, y: np.zeros((np.size(x), 2))
     scalar = lambda x, y: np.zeros(np.size(x))
     return ManufacturedCase(name="zero", mesh_builder=generate_unit_square, default_n=2,
                             u=vec, p=scalar, curl_u=scalar, grad_p=vec, f=vec)
 
 
-def _zero_pressure(V):
+def _velocity_errors(V, u):
+    """``compute_errors`` of the velocity u in V, with zero pressure and data."""
     Q = build_nodal_space(V.mesh, V.order)
-    return DiscreteField(Q, np.zeros(Q.dof_count))
+    return compute_errors(V, u, Q, np.zeros(Q.dof_count), _zero_case())
 
 
 def test_hash_norm_oracle_rotation_field():
@@ -129,14 +128,13 @@ def test_hash_norm_oracle_rotation_field():
     m = generate_unit_square(2)
     V = build_edge_space(m, 1)
     rot = lambda x, y: np.column_stack([-np.asarray(y, float), np.asarray(x, float)])
-    e = compute_errors(interpolate_edge(V, rot), _zero_pressure(V), _zero_case())
+    e = _velocity_errors(V, interpolate_edge(V, rot))
     h = m.h_max
     assert e.err_gpar ** 2 == pytest.approx(2.0, rel=1e-12)
     assert e.err_gcurl ** 2 == pytest.approx(16.0, rel=1e-12)
     assert e.norm_u_hash ** 2 == pytest.approx(2 / 3 + 4.0 + 2.0 / h + 16.0 * h, rel=1e-12)
     assert e.norm_u_hash == pytest.approx(e.err_u_hash, rel=1e-14)
-    zero = compute_errors(DiscreteField(V, np.zeros(V.dof_count)), _zero_pressure(V),
-                          _zero_case())
+    zero = _velocity_errors(V, np.zeros(V.dof_count))
     assert zero.norm_u_hash == 0.0 and zero.err_u_hash == 0.0
 
 
@@ -151,7 +149,7 @@ def test_hash_norm_matches_gram_of_infsup_probe(mesh, order, seed):
     h = mesh.h_max
     t_par, t_curl = _boundary_gram(V)
     gram = assemble_mass(V).matrix + assemble_curl_curl(V).matrix + t_par / h + h * t_curl
-    e = compute_errors(DiscreteField(V, c), _zero_pressure(V), _zero_case())
+    e = _velocity_errors(V, c)
     assert e.norm_u_hash == pytest.approx(np.sqrt(c @ (gram @ c)), rel=1e-12)
 
 
@@ -426,8 +424,8 @@ def test_hash_norm_monitor():
     norms = []
     for n in (4, 8, 16):
         mesh = generate_unit_square(n)
-        _, u_h, p_h = solve_fields(mesh, 1, case, 10.0)
-        norms.append(compute_errors(u_h, p_h, case).norm_u_hash)
+        rep, V, Q = solve_fields(mesh, 1, case, 10.0)
+        norms.append(compute_errors(V, rep.u, Q, rep.p, case).norm_u_hash)
     # stability: no blow-up under refinement
     assert max(norms) / min(norms) <= 2.0
 
@@ -437,6 +435,6 @@ def test_star_errors_decrease_under_refinement():
     errs = []
     for n in (4, 8, 16):
         mesh = generate_unit_square(n)
-        _, u_h, p_h = solve_fields(mesh, 1, case, 10.0)
-        errs.append(compute_errors(u_h, p_h, case).err_u_l2)
+        rep, V, Q = solve_fields(mesh, 1, case, 10.0)
+        errs.append(compute_errors(V, rep.u, Q, rep.p, case).err_u_l2)
     assert errs[0] > errs[1] > errs[2]

@@ -8,7 +8,7 @@ import pytest
 
 import curlstokes
 from curlstokes import analysis, experiments, solver
-from curlstokes.cli import EXIT_MEMORY, main
+from curlstokes.cli import EXIT_BETTI_MISMATCH, EXIT_MEMORY, EXIT_SINGULAR, main
 
 CSV_HEADER = ("level,h,dofs_u,dofs_p,err_u_l2,err_u_curl,err_u_hash,err_gpar,"
               "err_gcurl,err_p_l2,err_p_h1,eoc_u_l2,eoc_u_curl,eoc_u_hash,"
@@ -193,6 +193,53 @@ def test_oversized_hodge_split_exits_before_allocating(tmp_path, monkeypatch, ca
     assert main(["harmonic", "--case", "hole", "--n", "6", "--out", str(out)]) == EXIT_MEMORY
     assert capsys.readouterr().err.startswith("error: out of memory")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,driver,name", [
+    (["convergence", "--case", "star", "--levels", "2", "--base-n", "2"],
+     lambda: experiments.run_convergence("star", 1, 2, base_n=2), "report.json"),
+    (["probe", "--case", "star", "--levels", "2"],
+     lambda: experiments.run_probe("star", 2), "probe.json"),
+    (["counterexample"], experiments.run_counterexample, "counterexample.json"),
+    (["harmonic", "--case", "hole", "--n", "6"],
+     lambda: experiments.run_harmonic("hole", 6), "harmonic.json"),
+], ids=["convergence", "probe", "counterexample", "harmonic"])
+def test_each_driver_returns_the_document_its_command_writes(tmp_path, argv, driver, name):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    doc = driver()
+    doc.pop("samples", None)     # harmonic writes its samples to harmonic.csv
+    assert json.loads((tmp_path / name).read_text()) == json.loads(json.dumps(doc))
+
+
+def test_singular_level_exits_3_without_output(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def solve(system):
+        calls.append(system)
+        if len(calls) == 2:
+            nan_u, nan_p = np.full(system.n_u, np.nan), np.full(system.n_q, np.nan)
+            return solver.SolveReport(nan_u, nan_p, np.inf, True)
+        return solver.solve(system)
+
+    monkeypatch.setattr(experiments, "solve", solve)
+    out = tmp_path / "singular"
+    code = main(["convergence", "--case", "star", "--levels", "3", "--base-n", "2",
+                 "--out", str(out)])
+    assert code == EXIT_SINGULAR
+    assert capsys.readouterr().err == "error: singular system at refinement level 1\n"
+    assert len(calls) == 2
+    assert not out.exists()
+
+
+def test_betti_mismatch_exits_6_after_writing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "betti_number", lambda mesh: 2)
+    out = tmp_path / "h"
+    code = main(["harmonic", "--case", "hole", "--n", "6", "--out", str(out)])
+    assert code == EXIT_BETTI_MISMATCH
+    assert capsys.readouterr().err.startswith("error: harmonic dimension")
+    data = json.loads((out / "harmonic.json").read_text())
+    assert (data["dimension"], data["betti_number"]) == (1, 2)
+    assert (out / "harmonic.csv").read_text().startswith("x,y,hx,hy\n")
 
 
 def test_cli_import_leaves_scipy_special_out():

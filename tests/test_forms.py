@@ -53,7 +53,7 @@ def test_curl_curl_quadratic_form_of_rotation():
     m = generate_unit_square(2)
     V = build_edge_space(m, 1)
     K = assemble_curl_curl(V).matrix
-    c = interpolate_edge(V, rot_field).coefficients
+    c = interpolate_edge(V, rot_field)
     assert float(c @ (K @ c)) == pytest.approx(4.0, abs=1e-12)
 
 
@@ -84,7 +84,7 @@ def test_b_constant_field_against_hats():
     Q = build_nodal_space(m, 1)
     B = assemble_b(V, Q).matrix
     c = interpolate_edge(V, lambda x, y: np.column_stack(
-        [np.ones_like(x), np.zeros_like(x)])).coefficients
+        [np.ones_like(x), np.zeros_like(x)]))
     got = B.T @ c
     # independent oracle: (1, grad q) = sum over triangles of area * dq/dx
     areas = m.areas
@@ -145,11 +145,10 @@ def test_velocity_block_symmetric(order, mesh, cw):
 def test_linear_case_reproduced_on_jittered_meshes(mesh):
     # the order-1 spaces contain the linear solution, so the solve returns it
     case = linear_case()
-    report, u_h, p_h = solve_fields(mesh, 1, case)
+    report, V, Q = solve_fields(mesh, 1, case)
     assert not report.singular
-    u = interpolate_edge(u_h.space, case.u).coefficients
-    Q = p_h.space
-    p = interpolate_nodal(Q, case.p).coefficients
+    u = interpolate_edge(V, case.u)
+    p = interpolate_nodal(Q, case.p)
     mean = assemble_mean_vector(Q)
     p -= (mean @ p) / mean.sum()
     assert np.abs(report.u - u).max() <= 1e-10
@@ -172,7 +171,7 @@ def test_rhs_constant_forcing_oracle():
     # interpolated constant field
     M = assemble_mass(V).matrix
     c = interpolate_edge(V, lambda x, y: np.column_stack(
-        [np.ones_like(x), np.zeros_like(x)])).coefficients
+        [np.ones_like(x), np.zeros_like(x)]))
     assert np.abs(rhs - M @ c).max() <= 1e-13
 
 
@@ -218,8 +217,8 @@ def test_exact_consistency_residual(seed, cw):
     B = assemble_b(V, Q).matrix
     l = assemble_rhs(V, case.f, case.u, cw)
     rq = assemble_divergence_rhs(Q, case.u)
-    u = interpolate_edge(V, case.u).coefficients
-    p = interpolate_nodal(Q, case.p).coefficients
+    u = interpolate_edge(V, case.u)
+    p = interpolate_nodal(Q, case.p)
     assert np.abs(l - A @ u - B @ p).max() <= 1e-10
     assert np.abs(B.T @ u - rq).max() <= 1e-10
 
@@ -246,7 +245,7 @@ def test_mean_vector():
     Q = build_nodal_space(m, 1)
     mvec = assemble_mean_vector(Q)
     assert float(mvec.sum()) == pytest.approx(1.0, abs=1e-13)  # (1, 1) = area
-    p = interpolate_nodal(Q, lambda x, y: x - 0.5).coefficients
+    p = interpolate_nodal(Q, lambda x, y: x - 0.5)
     assert float(mvec @ p) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -258,8 +257,9 @@ def test_saddle_system_rejects_bad_penalty():
 
 
 def test_mismatched_meshes_rejected():
-    V = build_edge_space(generate_unit_square(2), 1)
-    Q = build_nodal_space(generate_unit_square(3), 1)
-    with pytest.raises(ValueError):
-        assemble_b(V, Q)
+    mesh = generate_unit_square(2)
+    V = build_edge_space(mesh, 1)
+    for Q in (build_nodal_space(generate_unit_square(3), 1), build_nodal_space(mesh, 2)):
+        with pytest.raises(ValueError, match="share a mesh and an order"):
+            assemble_b(V, Q)
 

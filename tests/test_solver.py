@@ -169,10 +169,10 @@ def test_nitsche_system_nonsingular(nitsche_system):
 
 def test_exact_reproduction_linear_case():
     case = linear_case()
-    report, u_h, p_h = solve_fields(generate_unit_square(2), 1, case, C_w=10.0)
+    report, V, Q = solve_fields(generate_unit_square(2), 1, case, C_w=10.0)
     assert not report.singular
     assert report.residual <= 1e-10
-    errors = compute_errors(u_h, p_h, case)
+    errors = compute_errors(V, report.u, Q, report.p, case)
     assert errors.err_u_l2 <= 1e-9
     assert errors.err_p_l2 <= 1e-9
 
@@ -196,9 +196,9 @@ def test_solve_is_deterministic():
 
 def test_sparse_path_matches_dense():
     case = linear_case()
-    report, u_h, p_h = solve_fields(generate_unit_square(12), 1, case, C_w=10.0)
+    report, V, Q = solve_fields(generate_unit_square(12), 1, case, C_w=10.0)
     assert report.residual <= 1e-10
-    errors = compute_errors(u_h, p_h, case)
+    errors = compute_errors(V, report.u, Q, report.p, case)
     assert errors.err_u_l2 <= 1e-8
 
 

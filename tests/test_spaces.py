@@ -8,8 +8,7 @@ from curlstokes.forms import assemble_b
 from curlstokes.mesh import (generate_square_with_hole, generate_unit_square,
                              jitter, two_triangle_square)
 from curlstokes.quadrature import edge_rule, triangle_rule
-from curlstokes.spaces import (DiscreteField, _edge_field, _nodal_field,
-                               _tabulate_edge, _tabulate_nodal,
+from curlstokes.spaces import (_edge_field, _nodal_field, _tabulate_edge, _tabulate_nodal,
                                build_edge_space, build_nodal_space)
 from mesh_strategies import jittered_meshes
 from oracles import (grad_inclusion_check, gradient_coefficients,
@@ -27,10 +26,12 @@ def smooth_field(x, y):
 meshes = jittered_meshes(4, [3])
 
 
-def on_cell(kernel, obj, t, bary):
-    """A batched kernel of ``spaces`` on triangle ``t`` alone, at barycentric
-    points (k, 3): its outputs without the cell axis."""
-    return tuple(out[0] for out in kernel(obj, np.asarray(bary, dtype=float), [t]))
+def on_cell(kernel, *args):
+    """A batched kernel of ``spaces``, ``on_cell(kernel, *kernel_args, t, bary)``,
+    on triangle ``t`` alone at barycentric points (k, 3): its outputs without
+    the cell axis."""
+    *objs, t, bary = args
+    return tuple(out[0] for out in kernel(*objs, np.asarray(bary, dtype=float), [t]))
 
 
 def loop_interpolate(space, eval_on_triangle):
@@ -150,7 +151,6 @@ def test_tangential_continuity(order):
     V = build_edge_space(m, order)
     rng = np.random.default_rng(0)
     coeffs = rng.standard_normal(V.dof_count)
-    field = DiscreteField(V, coeffs)
     rule = edge_rule(2 * order + 2)
     for e in range(m.edge_count):
         t0, t1 = m.edge_triangles[e]
@@ -167,7 +167,7 @@ def test_tangential_continuity(order):
             bary = np.zeros((rule.points.size, 3))
             bary[:, la] = 1 - rule.points
             bary[:, lb] = rule.points
-            vals, _ = on_cell(_edge_field, field, int(t), bary)
+            vals, _ = on_cell(_edge_field, V, coeffs, int(t), bary)
             traces.append(vals @ tang)
         assert np.abs(traces[0] - traces[1]).max() <= 1e-12
 
@@ -202,8 +202,8 @@ def test_interpolation_reproduces_constants_and_rotation():
     pts = np.random.default_rng(3).dirichlet([1, 1, 1], size=10)
     for t in range(m.triangle_count):
         phys = pts @ m.vertices[m.triangles[t]]
-        cv, _ = on_cell(_edge_field, const, t, pts)
-        rv, rc = on_cell(_edge_field, rot, t, pts)
+        cv, _ = on_cell(_edge_field, V, const, t, pts)
+        rv, rc = on_cell(_edge_field, V, rot, t, pts)
         assert np.abs(cv - [1.0, 0.0]).max() <= 1e-12
         assert np.abs(rv - rot_field(phys[:, 0], phys[:, 1])).max() <= 1e-12
         assert np.abs(rc - 2.0).max() <= 1e-12
@@ -219,14 +219,14 @@ def test_gradient_field_not_in_whitney_space():
     pts = np.random.default_rng(4).dirichlet([1, 1, 1], size=8)
     for t in range(m.triangle_count):
         phys = pts @ m.vertices[m.triangles[t]]
-        vals, _ = on_cell(_edge_field, f1, t, pts)
+        vals, _ = on_cell(_edge_field, V1, f1, t, pts)
         worst = max(worst, np.abs(vals - field(phys[:, 0], phys[:, 1])).max())
     assert worst > 1e-3
     V2 = build_edge_space(m, 2)
     f2 = interpolate_edge(V2, field)
     for t in range(m.triangle_count):
         phys = pts @ m.vertices[m.triangles[t]]
-        vals, _ = on_cell(_edge_field, f2, t, pts)
+        vals, _ = on_cell(_edge_field, V2, f2, t, pts)
         assert np.abs(vals - field(phys[:, 0], phys[:, 1])).max() <= 1e-12
 
 
@@ -236,19 +236,16 @@ def test_gradient_field_not_in_whitney_space():
 def test_interpolation_projection_property(order, mesh, seed):
     V = build_edge_space(mesh, order)
     coeffs = np.random.default_rng(seed).standard_normal(V.dof_count)
-    again = interpolate_edge(V, DiscreteField(V, coeffs))
-    assert np.abs(again.coefficients - coeffs).max() <= 1e-12 * max(1, np.abs(coeffs).max())
+    again = interpolate_edge(V, coeffs)
+    assert np.abs(again - coeffs).max() <= 1e-12 * max(1, np.abs(coeffs).max())
 
 
 def test_interpolation_rejects_foreign_fields():
     m = generate_unit_square(2)
     V = build_edge_space(m, 1)
-    other = build_edge_space(generate_unit_square(2), 1)
-    with pytest.raises(ValueError):
-        interpolate_edge(V, DiscreteField(other, np.zeros(other.dof_count)))
     Q = build_nodal_space(m, 1)
     with pytest.raises(ValueError):
-        interpolate_edge(V, DiscreteField(Q, np.zeros(Q.dof_count)))
+        interpolate_edge(V, np.zeros(Q.dof_count))
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -256,7 +253,7 @@ def test_interpolation_rejects_foreign_fields():
 @given(mesh=meshes, seed=st.integers(0, 2 ** 16))
 def test_interpolation_matches_loop_reference(order, mesh, seed):
     V = build_edge_space(mesh, order)
-    field = DiscreteField(V, np.random.default_rng(seed).standard_normal(V.dof_count))
+    field = np.random.default_rng(seed).standard_normal(V.dof_count)
 
     def on_triangle(t, bary):
         pts = bary @ mesh.vertices[mesh.triangles[t]]
@@ -265,8 +262,8 @@ def test_interpolation_matches_loop_reference(order, mesh, seed):
     for got, ref in [
             (interpolate_edge(V, smooth_field), loop_interpolate(V, on_triangle)),
             (interpolate_edge(V, field),
-             loop_interpolate(V, lambda t, bary: on_cell(_edge_field, field, t, bary)[0]))]:
-        assert np.abs(got.coefficients - ref).max() <= 1e-14 * np.abs(ref).max()
+             loop_interpolate(V, lambda t, bary: on_cell(_edge_field, V, field, t, bary)[0]))]:
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -282,8 +279,8 @@ def test_interpolated_gradient_is_gradient_coefficients(order, mesh, seed):
                                            c[2] + c[4] * x + 2 * c[5] * y])
     V = build_edge_space(mesh, order)
     Q = build_nodal_space(mesh, order)
-    got = interpolate_edge(V, grad_p).coefficients
-    ref = gradient_coefficients(V, Q) @ interpolate_nodal(Q, p).coefficients
+    got = interpolate_edge(V, grad_p)
+    ref = gradient_coefficients(V, Q) @ interpolate_nodal(Q, p)
     assert np.abs(got - ref).max() <= 1e-12 * max(1, np.abs(ref).max())
 
 
@@ -307,12 +304,10 @@ def test_gradient_coefficients_exact(order):
     G = gradient_coefficients(V, Q).toarray()
     rng = np.random.default_rng(6)
     qc = rng.standard_normal(Q.dof_count)
-    grad_field = DiscreteField(V, G @ qc)
-    p_field = DiscreteField(Q, qc)
     pts = rng.dirichlet([1, 1, 1], size=6)
     for t in range(m.triangle_count):
-        gv, gc = on_cell(_edge_field, grad_field, t, pts)
-        _, pg = on_cell(_nodal_field, p_field, t, pts)
+        gv, gc = on_cell(_edge_field, V, G @ qc, t, pts)
+        _, pg = on_cell(_nodal_field, Q, qc, t, pts)
         assert np.abs(gv - pg).max() <= 1e-11
         assert np.abs(gc).max() <= 1e-11     # gradients are curl-free
 
@@ -326,11 +321,5 @@ def test_interpolate_nodal():
     pts = np.random.default_rng(7).dirichlet([1, 1, 1], size=5)
     for t in range(m.triangle_count):
         phys = pts @ m.vertices[m.triangles[t]]
-        vals, _ = on_cell(_nodal_field, field, t, pts)
+        vals, _ = on_cell(_nodal_field, Q, field, t, pts)
         assert np.abs(vals - f(phys[:, 0], phys[:, 1])).max() <= 1e-12
-
-
-def test_discrete_field_length_check():
-    V = build_edge_space(two_triangle_square(), 1)
-    with pytest.raises(ValueError):
-        DiscreteField(V, np.zeros(3))
