@@ -12,7 +12,6 @@ trace probes are local or sparse eigensolves (the inf-sup probe is
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -27,36 +26,22 @@ from .solver import KERNEL_RANK_RTOL
 from .spaces import (EdgeSpace, NodalSpace, _edge_field, _edge_points, _nodal_field,
                      _sample, _tabulate_edge)
 
-#: the error norms of the reports, rates and CSV columns, each an
-#: ``ErrorBundle`` field
+#: the error norms of the reports, rates and CSV columns, each a key of a
+#: level record's ``errors``: u in L2, curl seminorm and #-norm; the L2 errors
+#: of the tangential and the curl trace on the boundary; p in L2 and H1 seminorm
 NORMS = ("err_u_l2", "err_u_curl", "err_u_hash", "err_gpar", "err_gcurl",
          "err_p_l2", "err_p_h1")
 
 RATE_WINDOW = 3
 
 
-@dataclass(frozen=True)
-class ErrorBundle:
-    """Errors of one solve against the analytic solution."""
-
-    err_u_l2: float
-    err_u_curl: float         # curl seminorm
-    err_u_hcurl: float
-    err_u_hash: float
-    err_gpar: float           # tangential trace on the boundary, L2
-    err_gcurl: float          # curl trace on the boundary, L2
-    err_p_l2: float
-    err_p_h1: float           # H1 seminorm
-    h: float
-    dofs_u: int
-    dofs_p: int
-    norm_u_hash: float      # |||u_h|||, the stability monitor
-
-
-def compute_errors(V: EdgeSpace, u: np.ndarray, Q: NodalSpace, p: np.ndarray, case) -> ErrorBundle:
-    """Volume and boundary errors of the discrete pair (u, p), coefficient
-    arrays in V and Q, against the case data, and the #-norm of u from the
-    same tabulation (both rules are exact for its polynomial integrands).
+def compute_errors(V: EdgeSpace, u: np.ndarray, Q: NodalSpace, p: np.ndarray, case) -> dict:
+    """The level record of ``report.json``: volume and boundary errors of the
+    discrete pair (u, p), coefficient arrays in V and Q, against the case
+    data, keyed by ``NORMS`` under ``errors``; the H(curl) error
+    ``err_u_hcurl``; and the #-norm ``norm_u_hash`` of u, the stability
+    monitor, from the same tabulation (both rules are exact for its
+    polynomial integrands).
 
     The analytic pressure is shifted by its quadrature mean over the mesh so
     that both representatives have zero mean.
@@ -88,46 +73,38 @@ def compute_errors(V: EdgeSpace, u: np.ndarray, Q: NodalSpace, p: np.ndarray, ca
 
     hcurl_sq = u_sq + curl_sq
     hash_sq = hcurl_sq + gpar_sq / h + h * gcurl_sq
-    return ErrorBundle(
-        err_u_l2=float(np.sqrt(u_sq)),
-        err_u_curl=float(np.sqrt(curl_sq)),
-        err_u_hcurl=float(np.sqrt(hcurl_sq)),
-        err_u_hash=float(np.sqrt(hash_sq)),
-        err_gpar=float(np.sqrt(gpar_sq)),
-        err_gcurl=float(np.sqrt(gcurl_sq)),
-        err_p_l2=float(np.sqrt(p_sq)),
-        err_p_h1=float(np.sqrt(gp_sq)),
-        h=h,
-        dofs_u=V.dof_count,
-        dofs_p=Q.dof_count,
-        norm_u_hash=float(np.sqrt(norm_sq)),
-    )
+    squares = {"err_u_l2": u_sq, "err_u_curl": curl_sq, "err_u_hash": hash_sq,
+               "err_gpar": gpar_sq, "err_gcurl": gcurl_sq, "err_p_l2": p_sq, "err_p_h1": gp_sq}
+    return {"h": h, "dofs_u": V.dof_count, "dofs_p": Q.dof_count,
+            "errors": {norm: float(np.sqrt(sq)) for norm, sq in squares.items()},
+            "err_u_hcurl": float(np.sqrt(hcurl_sq)), "norm_u_hash": float(np.sqrt(norm_sq))}
 
 
-def compute_eoc(bundles: list[ErrorBundle]) -> dict[str, list[float]]:
-    """Pairwise EOCs: log(e_k / e_{k+1}) / log(h_k / h_{k+1}) per norm."""
-    if len(bundles) < 2:
+def compute_eoc(records: list[dict]) -> dict[str, list[float]]:
+    """Pairwise EOCs of level records: log(e_k / e_{k+1}) / log(h_k / h_{k+1})
+    per norm."""
+    if len(records) < 2:
         raise ValueError("EOC requires at least two refinement levels")
     out: dict[str, list[float]] = {}
     for norm in NORMS:
         seq = []
-        for k in range(len(bundles) - 1):
-            e0, e1 = getattr(bundles[k], norm), getattr(bundles[k + 1], norm)
-            h0, h1 = bundles[k].h, bundles[k + 1].h
-            seq.append(float(np.log(e0 / e1) / np.log(h0 / h1)))
+        for r0, r1 in zip(records, records[1:]):
+            e0, e1 = r0["errors"][norm], r1["errors"][norm]
+            seq.append(float(np.log(e0 / e1) / np.log(r0["h"] / r1["h"])))
         out[norm] = seq
     return out
 
 
-def least_squares_rates(bundles: list[ErrorBundle]) -> dict[str, float]:
-    """Log-log least-squares slope over the last ``RATE_WINDOW`` levels per norm."""
-    bundles = bundles[-RATE_WINDOW:]
-    if len(bundles) < 2:
+def least_squares_rates(records: list[dict]) -> dict[str, float]:
+    """Log-log least-squares slope over the last ``RATE_WINDOW`` level records
+    per norm."""
+    records = records[-RATE_WINDOW:]
+    if len(records) < 2:
         raise ValueError("rate fit requires at least two levels")
-    hs = np.log([b.h for b in bundles])
+    hs = np.log([r["h"] for r in records])
     out = {}
     for norm in NORMS:
-        es = np.log([getattr(b, norm) for b in bundles])
+        es = np.log([r["errors"][norm] for r in records])
         out[norm] = float(np.polyfit(hs, es, 1)[0])
     return out
 

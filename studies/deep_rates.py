@@ -105,17 +105,18 @@ def main():
     case = get_case(args.case)
     print(f"case={args.case} order={args.order} base_n={args.base_n} "
           f"jitter={args.jitter} C_w={DEFAULT_C_W}", flush=True)
-    bundles = []
+    records = []
     for k in range(args.levels):
         mesh = level_mesh(case, args.base_n, k, args.jitter)
         V, Q = build_edge_space(mesh, args.order), build_nodal_space(mesh, args.order)
         system = build_saddle_system(V, Q, case)
         u, p, iters, fill, res = augmented_solve(system, assemble_mass_nodal(Q).matrix)
-        b = compute_errors(V, u, Q, p, case)
-        bundles.append(b)
-        print(f"n={args.base_n * 2 ** k} dofs={b.dofs_u}+{b.dofs_p} u_l2={b.err_u_l2:.6e} "
-              f"curl={b.err_u_curl:.6e} hash={b.err_u_hash:.6e} "
-              f"p_l2={b.err_p_l2:.6e} p_h1={b.err_p_h1:.6e} "
+        rec = compute_errors(V, u, Q, p, case)
+        records.append(rec)
+        e = rec["errors"]
+        print(f"n={args.base_n * 2 ** k} dofs={rec['dofs_u']}+{rec['dofs_p']} "
+              f"u_l2={e['err_u_l2']:.6e} curl={e['err_u_curl']:.6e} hash={e['err_u_hash']:.6e} "
+              f"p_l2={e['err_p_l2']:.6e} p_h1={e['err_p_h1']:.6e} "
               f"cg={iters} nnz_lu={fill} residual={res:.1e}", flush=True)
         where = f"level {k} (n={args.base_n * 2 ** k})"
         if not res <= _RESIDUAL_RTOL:
@@ -123,7 +124,7 @@ def main():
         if system.n_u + system.n_q < args.check_below:
             check_against_solve(system, u, p, where)
     print("pairwise EOCs, each at the finer level of its pair:")
-    for key, vals in compute_eoc(bundles).items():
+    for key, vals in compute_eoc(records).items():
         print(f"  {key:11s}" + "".join(f" {v:+.3f}" for v in vals))
 
 

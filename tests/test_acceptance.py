@@ -45,16 +45,16 @@ def _report(num: int, violations: list[str], detail: str, elapsed: float) -> Non
 def _study(case_name: str, order: int, base_n: int, levels: int,
            jitter_seed=None, cw: float = 10.0):
     case = get_case(case_name)
-    bundles = []
+    records = []
     meshes = []
     for k in range(levels):
         mesh = level_mesh(case, base_n, k, jitter_seed)
         rep, V, Q = solve_fields(mesh, order, case, cw)
         assert not rep.singular, f"level {k} unexpectedly singular"
-        bundles.append(compute_errors(V, rep.u, Q, rep.p, case))
+        records.append(compute_errors(V, rep.u, Q, rep.p, case))
         meshes.append(mesh)
-    eoc = compute_eoc(bundles)
-    return bundles, {k: v[-1] for k, v in eoc.items()}, meshes
+    eoc = compute_eoc(records)
+    return records, {k: v[-1] for k, v in eoc.items()}, meshes
 
 
 def _check_band(violations, label, value, low, high):
@@ -92,9 +92,9 @@ def test_criterion_2_exact_reproduction():
         case = get_case("linear")
         mesh = level_mesh(case, 2, level, None)
         rep, V, Q = solve_fields(mesh, 1, case, 10.0)
-        e = compute_errors(V, rep.u, Q, rep.p, case)
-        worst_u = max(worst_u, e.err_u_l2)
-        worst_p = max(worst_p, e.err_p_l2)
+        e = compute_errors(V, rep.u, Q, rep.p, case)["errors"]
+        worst_u = max(worst_u, e["err_u_l2"])
+        worst_p = max(worst_p, e["err_p_l2"])
     if worst_u > 1e-8:
         violations.append(f"velocity error {worst_u:.2e} > 1e-8")
     if worst_p > 1e-8:
@@ -146,12 +146,12 @@ def test_curl_band_rejects_unscaled_penalty():
     rate falls to about -0.7, below the band's lower edge r - 1/2 - 0.15.
     """
     case = get_case("star")
-    bundles = []
+    records = []
     for k in range(5):
         mesh = level_mesh(case, 8, k, JITTER_SEED)
         rep, V, Q = solve_fields(mesh, 1, case, 10.0 * mesh.h_max)
-        bundles.append(compute_errors(V, rep.u, Q, rep.p, case))
-    curl_eoc = compute_eoc(bundles)["err_u_curl"][-1]
+        records.append(compute_errors(V, rep.u, Q, rep.p, case))
+    curl_eoc = compute_eoc(records)["err_u_curl"][-1]
     violations = []
     _check_band(violations, "r=1 curl", curl_eoc, 0.5 - TOL, 1.0 + TOL)
     assert curl_eoc < 0.5 - TOL and violations, f"curl EOC {curl_eoc:+.3f} passed"
@@ -163,7 +163,7 @@ def test_criterion_4_hole_rates():
     # n = 3, 6, ..., 192; the pressure L2 EOC reaches r - 1/2 on the last
     # pair (0.505). n = 384 needs about 5 GB even in the deep study, whose
     # n = 9 * 2^k family ends 0.69, 0.57 at n = 144, 288 (studies/deep_rates.txt)
-    bundles, eoc, meshes = _study("hole", 1, 3, 7, jitter_seed=JITTER_SEED)
+    records, eoc, meshes = _study("hole", 1, 3, 7, jitter_seed=JITTER_SEED)
     _check_band(violations, "u L2", eoc["err_u_l2"], 1.0 - TOL, 1.0 + TOL)
     _check_band(violations, "curl", eoc["err_u_curl"], 0.5 - TOL, 1.0 + TOL)
     _check_band(violations, "p L2", eoc["err_p_l2"], 0.5 - TOL, 0.5 + TOL)
@@ -195,9 +195,9 @@ def test_criterion_4_hole_rates():
 def test_criterion_5_lshape_qualitative():
     t0 = time.time()
     violations = []
-    bundles, eoc, _ = _study("lshape", 1, 2, 4)
-    u_errors = [b.err_u_l2 for b in bundles]
-    p_errors = [b.err_p_l2 for b in bundles]
+    records, eoc, _ = _study("lshape", 1, 2, 4)
+    u_errors = [r["errors"]["err_u_l2"] for r in records]
+    p_errors = [r["errors"]["err_p_l2"] for r in records]
     if not all(a > b for a, b in zip(u_errors, u_errors[1:])):
         violations.append(f"velocity errors not monotone: {u_errors}")
     if not all(a > b for a, b in zip(p_errors, p_errors[1:])):
@@ -262,10 +262,11 @@ def test_criterion_6_structure_invariants():
     case = get_case("star")
     mesh = generate_unit_square(4)
     rep, V, Q = solve_fields(mesh, 1, case, 10.0)
-    e = compute_errors(V, rep.u, Q, rep.p, case)
-    recomposed = (e.err_u_hcurl ** 2 + e.err_gpar ** 2 / mesh.h_max
-                  + mesh.h_max * e.err_gcurl ** 2)
-    if abs(e.err_u_hash ** 2 - recomposed) > 1e-12 * recomposed:
+    rec = compute_errors(V, rep.u, Q, rep.p, case)
+    e = rec["errors"]
+    recomposed = (rec["err_u_hcurl"] ** 2 + e["err_gpar"] ** 2 / mesh.h_max
+                  + mesh.h_max * e["err_gcurl"] ** 2)
+    if abs(e["err_u_hash"] ** 2 - recomposed) > 1e-12 * recomposed:
         violations.append("#-norm identity violated")
     elapsed = time.time() - t0
     if elapsed >= 30.0:

@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -83,28 +82,30 @@ def test_errors_vanish_for_reproduced_solution():
     mesh = generate_unit_square(2)
     V = build_edge_space(mesh, 1)
     Q = build_nodal_space(mesh, 1)
-    e = compute_errors(V, interpolate_edge(V, case.u), Q, interpolate_nodal(Q, case.p), case)
-    assert e.err_u_l2 <= 1e-10
-    assert e.err_u_curl <= 1e-10
-    assert e.err_u_hash <= 1e-9
-    assert e.err_gpar <= 1e-10
-    assert e.err_gcurl <= 1e-10
-    assert e.err_p_l2 <= 1e-12
-    assert e.err_p_h1 <= 1e-12
+    rec = compute_errors(V, interpolate_edge(V, case.u), Q, interpolate_nodal(Q, case.p), case)
+    e = rec["errors"]
+    assert e["err_u_l2"] <= 1e-10
+    assert e["err_u_curl"] <= 1e-10
+    assert e["err_u_hash"] <= 1e-9
+    assert e["err_gpar"] <= 1e-10
+    assert e["err_gcurl"] <= 1e-10
+    assert e["err_p_l2"] <= 1e-12
+    assert e["err_p_h1"] <= 1e-12
 
 
 def test_hash_norm_identity():
     case = get_case("star")
     mesh = generate_unit_square(4)
     rep, V, Q = solve_fields(mesh, 1, case, 10.0)
-    e = compute_errors(V, rep.u, Q, rep.p, case)
+    rec = compute_errors(V, rep.u, Q, rep.p, case)
+    e, hcurl = rec["errors"], rec["err_u_hcurl"]
     h = mesh.h_max
-    recomposed = (e.err_u_hcurl ** 2 + e.err_gpar ** 2 / h
-                  + h * e.err_gcurl ** 2)
-    assert e.err_u_hash ** 2 == pytest.approx(recomposed, rel=1e-12)
-    assert e.err_u_hash ** 2 >= e.err_u_hcurl ** 2 - 1e-12
-    assert e.err_u_hcurl ** 2 == pytest.approx(
-        e.err_u_l2 ** 2 + e.err_u_curl ** 2, rel=1e-12)
+    recomposed = (hcurl ** 2 + e["err_gpar"] ** 2 / h
+                  + h * e["err_gcurl"] ** 2)
+    assert e["err_u_hash"] ** 2 == pytest.approx(recomposed, rel=1e-12)
+    assert e["err_u_hash"] ** 2 >= hcurl ** 2 - 1e-12
+    assert hcurl ** 2 == pytest.approx(
+        e["err_u_l2"] ** 2 + e["err_u_curl"] ** 2, rel=1e-12)
 
 
 def _zero_case():
@@ -128,14 +129,15 @@ def test_hash_norm_oracle_rotation_field():
     m = generate_unit_square(2)
     V = build_edge_space(m, 1)
     rot = lambda x, y: np.column_stack([-np.asarray(y, float), np.asarray(x, float)])
-    e = _velocity_errors(V, interpolate_edge(V, rot))
+    rec = _velocity_errors(V, interpolate_edge(V, rot))
+    e = rec["errors"]
     h = m.h_max
-    assert e.err_gpar ** 2 == pytest.approx(2.0, rel=1e-12)
-    assert e.err_gcurl ** 2 == pytest.approx(16.0, rel=1e-12)
-    assert e.norm_u_hash ** 2 == pytest.approx(2 / 3 + 4.0 + 2.0 / h + 16.0 * h, rel=1e-12)
-    assert e.norm_u_hash == pytest.approx(e.err_u_hash, rel=1e-14)
+    assert e["err_gpar"] ** 2 == pytest.approx(2.0, rel=1e-12)
+    assert e["err_gcurl"] ** 2 == pytest.approx(16.0, rel=1e-12)
+    assert rec["norm_u_hash"] ** 2 == pytest.approx(2 / 3 + 4.0 + 2.0 / h + 16.0 * h, rel=1e-12)
+    assert rec["norm_u_hash"] == pytest.approx(e["err_u_hash"], rel=1e-14)
     zero = _velocity_errors(V, np.zeros(V.dof_count))
-    assert zero.norm_u_hash == 0.0 and zero.err_u_hash == 0.0
+    assert zero["norm_u_hash"] == 0.0 and zero["errors"]["err_u_hash"] == 0.0
 
 
 @settings(max_examples=10, deadline=None)
@@ -149,38 +151,57 @@ def test_hash_norm_matches_gram_of_infsup_probe(mesh, order, seed):
     h = mesh.h_max
     t_par, t_curl = _boundary_gram(V)
     gram = assemble_mass(V).matrix + assemble_curl_curl(V).matrix + t_par / h + h * t_curl
-    e = _velocity_errors(V, c)
-    assert e.norm_u_hash == pytest.approx(np.sqrt(c @ (gram @ c)), rel=1e-12)
+    rec = _velocity_errors(V, c)
+    assert rec["norm_u_hash"] == pytest.approx(np.sqrt(c @ (gram @ c)), rel=1e-12)
 
 
-def _bundle(err, h):
-    from curlstokes.analysis import ErrorBundle
-
-    return ErrorBundle(err, err, err, err, err, err, err, err, h, 1, 1, 1.0)
+def _record(err, h):
+    """A level record of ``compute_errors`` with every norm equal to err."""
+    return {"h": h, "dofs_u": 1, "dofs_p": 1, "errors": dict.fromkeys(analysis.NORMS, err),
+            "err_u_hcurl": err, "norm_u_hash": 1.0}
 
 
 def test_eoc_formula():
-    rep = [_bundle(1.0, 1.0), _bundle(0.5, 0.5)]
+    rep = [_record(1.0, 1.0), _record(0.5, 0.5)]
     assert compute_eoc(rep)["err_u_l2"] == [pytest.approx(1.0)]
-    rep = [_bundle(1.0, 1.0), _bundle(0.25, 0.5)]
+    rep = [_record(1.0, 1.0), _record(0.25, 0.5)]
     assert compute_eoc(rep)["err_u_l2"] == [pytest.approx(2.0)]
-    rep = [_bundle(1.0, 1.0), _bundle(np.sqrt(2) / 2, 0.5)]
+    rep = [_record(1.0, 1.0), _record(np.sqrt(2) / 2, 0.5)]
     assert compute_eoc(rep)["err_u_l2"] == [pytest.approx(0.5)]
 
 
 def test_eoc_requires_two_levels():
     with pytest.raises(ValueError):
-        compute_eoc([_bundle(1.0, 1.0)])
+        compute_eoc([_record(1.0, 1.0)])
 
 
 def test_least_squares_rates():
-    bundles = [_bundle(2.0 * 0.5 ** (2 * k), 0.5 ** k) for k in range(4)]
-    rates = least_squares_rates(bundles)
+    records = [_record(2.0 * 0.5 ** (2 * k), 0.5 ** k) for k in range(4)]
+    rates = least_squares_rates(records)
     assert rates["err_u_l2"] == pytest.approx(2.0, abs=1e-12)
-    # each norm has one name: an ErrorBundle field and the key of every rate
-    assert set(analysis.NORMS) <= {f.name for f in fields(analysis.ErrorBundle)}
+    # each norm has one name, in one order: the key of a level record's
+    # errors and of every rate
+    mesh = generate_unit_square(2)
+    V, Q = build_edge_space(mesh, 1), build_nodal_space(mesh, 1)
+    rec = compute_errors(V, np.zeros(V.dof_count), Q, np.zeros(Q.dof_count), get_case("star"))
+    assert tuple(rec["errors"]) == analysis.NORMS
     assert tuple(rates) == analysis.NORMS
-    assert tuple(compute_eoc(bundles)) == analysis.NORMS
+    assert tuple(compute_eoc(records)) == analysis.NORMS
+
+
+@pytest.mark.parametrize("order,jitter_seed", [(1, 7), (2, None)])
+def test_report_levels_are_compute_errors_records(order, jitter_seed):
+    # each report.json level is compute_errors' record of that level's solve,
+    # plus the penalty over the coercivity threshold, C_w / C_n^2, recomputed
+    # here from trace_constant_n
+    case, C_w = get_case("star"), 10.0
+    report = experiments.run_convergence("star", order, 2, C_w=C_w, base_n=4,
+                                         jitter_seed=jitter_seed)
+    assert len(report["levels"]) == 2
+    for k, level in enumerate(report["levels"]):
+        rep, V, Q = solve_fields(experiments.level_mesh(case, 4, k, jitter_seed), order, case, C_w)
+        assert level == {"level": k, **compute_errors(V, rep.u, Q, rep.p, case),
+                         "cw_over_cn2": C_w / trace_constant_n(V) ** 2}
 
 
 def check_harmonic_complements_oracle(V, Q, M, basis):
@@ -425,7 +446,7 @@ def test_hash_norm_monitor():
     for n in (4, 8, 16):
         mesh = generate_unit_square(n)
         rep, V, Q = solve_fields(mesh, 1, case, 10.0)
-        norms.append(compute_errors(V, rep.u, Q, rep.p, case).norm_u_hash)
+        norms.append(compute_errors(V, rep.u, Q, rep.p, case)["norm_u_hash"])
     # stability: no blow-up under refinement
     assert max(norms) / min(norms) <= 2.0
 
@@ -436,5 +457,5 @@ def test_star_errors_decrease_under_refinement():
     for n in (4, 8, 16):
         mesh = generate_unit_square(n)
         rep, V, Q = solve_fields(mesh, 1, case, 10.0)
-        errs.append(compute_errors(V, rep.u, Q, rep.p, case).err_u_l2)
+        errs.append(compute_errors(V, rep.u, Q, rep.p, case)["errors"]["err_u_l2"])
     assert errs[0] > errs[1] > errs[2]

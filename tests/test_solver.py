@@ -172,9 +172,9 @@ def test_exact_reproduction_linear_case():
     report, V, Q = solve_fields(generate_unit_square(2), 1, case, C_w=10.0)
     assert not report.singular
     assert report.residual <= 1e-10
-    errors = compute_errors(V, report.u, Q, report.p, case)
-    assert errors.err_u_l2 <= 1e-9
-    assert errors.err_p_l2 <= 1e-9
+    errors = compute_errors(V, report.u, Q, report.p, case)["errors"]
+    assert errors["err_u_l2"] <= 1e-9
+    assert errors["err_p_l2"] <= 1e-9
 
 
 def test_pressure_mean_is_zero():
@@ -198,8 +198,8 @@ def test_sparse_path_matches_dense():
     case = linear_case()
     report, V, Q = solve_fields(generate_unit_square(12), 1, case, C_w=10.0)
     assert report.residual <= 1e-10
-    errors = compute_errors(V, report.u, Q, report.p, case)
-    assert errors.err_u_l2 <= 1e-8
+    errors = compute_errors(V, report.u, Q, report.p, case)["errors"]
+    assert errors["err_u_l2"] <= 1e-8
 
 
 def test_dimension_validation():
