@@ -150,9 +150,7 @@ def kernel_probe(system: SaddleSystem) -> np.ndarray:
     kept, dropped = size[null_mask].max(initial=0.0), size[~null_mask].min(initial=np.inf)
     if dropped < 1e6 * kept:
         raise RuntimeError(f"kernel_probe: no clear spectral gap: {kept:.3g} kept, {dropped:.3g} dropped")
-    # row-major: counterexample.json's in-span residual is roundoff whose
-    # bits follow the layout of the products that read these columns
-    return np.ascontiguousarray(vecs[:system.n_u + system.n_q, null_mask])
+    return vecs[:system.n_u + system.n_q, null_mask]
 
 
 def estimate_infsup(H, B, S, mean: np.ndarray) -> float:

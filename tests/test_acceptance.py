@@ -22,7 +22,7 @@ from curlstokes.analysis import (_boundary_gram, betti_number, compute_eoc,
                                  compute_errors, hodge_decompose,
                                  trace_constant_n, trace_constant_par)
 from curlstokes.cases import get_case
-from curlstokes.experiments import level_mesh, run_counterexample
+from curlstokes.experiments import level_mesh, run_convergence, run_counterexample
 from curlstokes.forms import assemble_mass
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
                              generate_unit_square)
@@ -42,19 +42,11 @@ def _report(num: int, violations: list[str], detail: str, elapsed: float) -> Non
     assert not violations, f"criterion {num}: " + "; ".join(violations)
 
 
-def _study(case_name: str, order: int, base_n: int, levels: int,
-           jitter_seed=None, cw: float = 10.0):
-    case = get_case(case_name)
-    records = []
-    meshes = []
-    for k in range(levels):
-        mesh = level_mesh(case, base_n, k, jitter_seed)
-        rep, V, Q = solve_fields(mesh, order, case, cw)
-        assert not rep.singular, f"level {k} unexpectedly singular"
-        records.append(compute_errors(V, rep.u, Q, rep.p, case))
-        meshes.append(mesh)
-    eoc = compute_eoc(records)
-    return records, {k: v[-1] for k, v in eoc.items()}, meshes
+def _study(case_name: str, order: int, base_n: int, levels: int, jitter_seed=None):
+    """The level records of a ``run_convergence`` study at C_w = 10 and its final EOCs."""
+    doc = run_convergence(case_name, order, levels, C_w=10.0, base_n=base_n,
+                          jitter_seed=jitter_seed)
+    return doc["levels"], {k: v[-1] for k, v in doc["eoc"].items()}
 
 
 def _check_band(violations, label, value, low, high):
@@ -112,7 +104,7 @@ def test_criterion_3_star_rates():
     # order 1 on seeded-jitter meshes (n = 8, 16, 32, 64, 128); the pressure
     # L2 EOC reaches r - 1/2 on the last pair (0.63) and keeps it on the next
     # one (0.58 at n = 256, studies/deep_rates.txt)
-    _, eoc1, _ = _study("star", 1, 8, 5, jitter_seed=JITTER_SEED)
+    _, eoc1 = _study("star", 1, 8, 5, jitter_seed=JITTER_SEED)
     _check_band(violations, "r=1 u L2", eoc1["err_u_l2"], 1.0 - TOL, 1.0 + TOL)
     # curl: from the #-norm bound r - 1/2 up to best approximation r
     _check_band(violations, "r=1 curl", eoc1["err_u_curl"], 0.5 - TOL, 1.0 + TOL)
@@ -124,7 +116,7 @@ def test_criterion_3_star_rates():
     # lies below the coercivity threshold C_n^2 (13.38 structured, up to 16.9
     # jittered), and the jittered rates are artefacts of that indefinite
     # velocity block (ROADMAP item 1)
-    _, eoc2, _ = _study("star", 2, 8, 4, jitter_seed=None)
+    _, eoc2 = _study("star", 2, 8, 4, jitter_seed=None)
     _check_band(violations, "r=2 u L2", eoc2["err_u_l2"], 2.0 - TOL, 2.0 + TOL)
     _check_band(violations, "r=2 curl", eoc2["err_u_curl"], 1.5 - TOL, 2.0 + TOL)
     _check_band(violations, "r=2 p L2", eoc2["err_p_l2"], 1.5 - TOL, 1.5 + TOL)
@@ -163,7 +155,7 @@ def test_criterion_4_hole_rates():
     # n = 3, 6, ..., 192; the pressure L2 EOC reaches r - 1/2 on the last
     # pair (0.505). n = 384 needs about 5 GB even in the deep study, whose
     # n = 9 * 2^k family ends 0.69, 0.57 at n = 144, 288 (studies/deep_rates.txt)
-    records, eoc, meshes = _study("hole", 1, 3, 7, jitter_seed=JITTER_SEED)
+    _, eoc = _study("hole", 1, 3, 7, jitter_seed=JITTER_SEED)
     _check_band(violations, "u L2", eoc["err_u_l2"], 1.0 - TOL, 1.0 + TOL)
     _check_band(violations, "curl", eoc["err_u_curl"], 0.5 - TOL, 1.0 + TOL)
     _check_band(violations, "p L2", eoc["err_p_l2"], 0.5 - TOL, 0.5 + TOL)
@@ -178,7 +170,8 @@ def test_criterion_4_hole_rates():
     # edge dofs) would take about 64x as long as n = 24, past the runtime
     # guard below
     dims = []
-    for mesh in meshes[:4]:
+    for k in range(4):
+        mesh = level_mesh(get_case("hole"), 3, k, JITTER_SEED)
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
         dims.append(hodge_decompose(V, Q, assemble_mass(V).matrix).shape[1])
@@ -195,7 +188,7 @@ def test_criterion_4_hole_rates():
 def test_criterion_5_lshape_qualitative():
     t0 = time.time()
     violations = []
-    records, eoc, _ = _study("lshape", 1, 2, 4)
+    records, eoc = _study("lshape", 1, 2, 4)
     u_errors = [r["errors"]["err_u_l2"] for r in records]
     p_errors = [r["errors"]["err_p_l2"] for r in records]
     if not all(a > b for a, b in zip(u_errors, u_errors[1:])):

@@ -14,7 +14,7 @@ from curlstokes import analysis, experiments
 from curlstokes.analysis import (betti_number, compute_eoc, compute_errors,
                                  hodge_decompose, least_squares_rates,
                                  trace_constant_n, trace_constant_par, _boundary_gram)
-from curlstokes.cases import ManufacturedCase, get_case, linear_case
+from curlstokes.cases import ManufacturedCase, get_case
 from curlstokes.experiments import run_harmonic, run_probe
 from curlstokes.forms import (_assemble_cells, _boundary_edge_data,
                               _boundary_rule, assemble_b, assemble_curl_curl,
@@ -78,7 +78,7 @@ def dense_infsup(V, Q):
 
 
 def test_errors_vanish_for_reproduced_solution():
-    case = linear_case()
+    case = get_case("linear")
     mesh = generate_unit_square(2)
     V = build_edge_space(mesh, 1)
     Q = build_nodal_space(mesh, 1)
@@ -112,7 +112,7 @@ def _zero_case():
     """Zero analytic data: every error of compute_errors is a norm of u, p."""
     vec = lambda x, y: np.zeros((np.size(x), 2))
     scalar = lambda x, y: np.zeros(np.size(x))
-    return ManufacturedCase(name="zero", mesh_builder=generate_unit_square, default_n=2,
+    return ManufacturedCase(mesh_builder=generate_unit_square, default_n=2,
                             u=vec, p=scalar, curl_u=scalar, grad_p=vec, f=vec)
 
 

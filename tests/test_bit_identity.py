@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curlstokes.analysis import _boundary_gram, hodge_decompose
-from curlstokes.cases import star_case
+from curlstokes.cases import get_case
 from curlstokes.forms import (assemble_b, assemble_divergence_rhs,
                               assemble_mass, assemble_mass_nodal,
                               assemble_mean_vector, assemble_rhs,
@@ -263,7 +263,7 @@ meshes = st.one_of(
 def test_batched_assembly_is_bit_identical_to_loops(mesh, seed):
     if seed is not None:
         mesh = jitter(mesh, seed)
-    case = star_case()
+    case = get_case("star")
     for order in (1, 2):
         V = build_edge_space(mesh, order)
         Q = build_nodal_space(mesh, order)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from curlstokes.cases import (LSHAPE_LAMBDA, ManufacturedCase,
-                              SingularPointError, get_case, hole_case,
-                              linear_case, lshape_case, star_case)
+from curlstokes.cases import (CASES, LSHAPE_LAMBDA, ManufacturedCase,
+                              SingularPointError, get_case)
 
 # validate_case: sample points, their seed, and the largest finite-difference
 # residuals of the divergence and of the momentum identity
@@ -13,24 +12,25 @@ DIV_TOL = 1e-6
 MOMENTUM_TOL = 1e-8
 
 
-def _sample_points(case: ManufacturedCase, count: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_points(name: str, case: ManufacturedCase, count: int,
+                   rng: np.random.Generator) -> np.ndarray:
     """Random interior points of the case domain, away from any singularity."""
-    m = case.build_mesh()
+    m = case.mesh_builder(case.default_n)
     pts = np.empty((0, 2))
     while pts.shape[0] < count:
         tris = rng.integers(0, m.triangle_count, size=2 * count)
         bary = rng.dirichlet([1.0, 1.0, 1.0], size=2 * count)
         cand = np.einsum("kj,kjd->kd", bary, m.vertices[m.triangles[tris]])
-        if case.name == "lshape":
+        if name == "lshape":
             cand = cand[np.hypot(cand[:, 0], cand[:, 1]) >= 0.2]
         pts = np.vstack([pts, cand])
     return pts[:count]
 
 
-def validate_case(case: ManufacturedCase) -> None:
+def validate_case(name: str, case: ManufacturedCase) -> None:
     """Finite-difference checks of the case invariants; raises on failure."""
     rng = np.random.default_rng(VALIDATE_SEED)
-    pts = _sample_points(case, VALIDATE_POINTS, rng)
+    pts = _sample_points(name, case, VALIDATE_POINTS, rng)
     x, y = pts[:, 0], pts[:, 1]
     d = 1e-6
 
@@ -38,7 +38,7 @@ def validate_case(case: ManufacturedCase) -> None:
            + (case.u(x, y + d)[:, 1] - case.u(x, y - d)[:, 1])) / (2 * d)
     worst = float(np.abs(div).max())
     if worst > DIV_TOL:
-        raise AssertionError(f"case {case.name}: divergence residual {worst:.3e}")
+        raise AssertionError(f"case {name}: divergence residual {worst:.3e}")
 
     curl_curl = np.column_stack([
         (case.curl_u(x, y + d) - case.curl_u(x, y - d)) / (2 * d),
@@ -47,12 +47,12 @@ def validate_case(case: ManufacturedCase) -> None:
     res = case.f(x, y) - curl_curl - case.grad_p(x, y)
     worst = float(np.abs(res).max())
     if worst > MOMENTUM_TOL:
-        raise AssertionError(f"case {case.name}: momentum residual {worst:.3e}")
+        raise AssertionError(f"case {name}: momentum residual {worst:.3e}")
 
 
 @pytest.mark.parametrize("name", ["star", "hole", "lshape", "linear"])
 def test_case_invariants(name):
-    validate_case(get_case(name))
+    validate_case(name, get_case(name))
 
 
 def test_unknown_case():
@@ -60,8 +60,16 @@ def test_unknown_case():
         get_case("vortex")
 
 
+def test_get_case_returns_one_shared_value():
+    for name in CASES:
+        assert get_case(name) is get_case(name)
+    star, hole = get_case("star"), get_case("hole")
+    for field in ("u", "p", "curl_u", "grad_p", "f"):
+        assert getattr(hole, field) is getattr(star, field)
+
+
 def test_star_values():
-    case = star_case()
+    case = get_case("star")
     u = case.u(np.array([np.pi / 8]), np.array([0.0]))
     assert np.allclose(u, [[-1.0, 0.0]], atol=1e-14)
     x = np.array([0.3])
@@ -74,7 +82,7 @@ def test_star_values():
 
 
 def test_star_divergence_free_closed_form():
-    case = star_case()
+    case = get_case("star")
     rng = np.random.default_rng(0)
     x, y = rng.uniform(0, 1, 50), rng.uniform(0, 1, 50)
     d = 1e-6
@@ -84,18 +92,18 @@ def test_star_divergence_free_closed_form():
 
 
 def test_hole_case_shares_star_fields():
-    star = star_case()
-    hole = hole_case()
+    star = get_case("star")
+    hole = get_case("hole")
     x, y = np.array([0.11, 0.84]), np.array([0.21, 0.9])
     assert np.array_equal(star.u(x, y), hole.u(x, y))
     assert np.array_equal(star.p(x, y), hole.p(x, y))
-    mesh = hole.build_mesh()
+    mesh = hole.mesh_builder(hole.default_n)
     assert mesh.euler_characteristic() == 0   # first Betti number 1
     assert isinstance(mesh.vertices, np.ndarray)
 
 
 def test_linear_case():
-    case = linear_case()
+    case = get_case("linear")
     x, y = np.array([0.25, 0.5]), np.array([0.0, 1.0])
     assert np.allclose(case.f(x, y), [[1.0, 0.0], [1.0, 0.0]])
     assert np.allclose(case.curl_u(x, y), 2.0)
@@ -113,7 +121,7 @@ def test_lshape_lambda_full_precision():
 
 def test_lshape_frozen_reference_values():
     # 50-digit mpmath oracle values
-    case = lshape_case()
+    case = get_case("lshape")
     x = np.array([0.5, -0.375])
     y = np.array([0.25, -0.8])
     u = case.u(x, y)
@@ -128,13 +136,13 @@ def test_lshape_frozen_reference_values():
 
 
 def test_lshape_forcing_is_zero():
-    case = lshape_case()
+    case = get_case("lshape")
     f = case.f(np.array([0.3, -0.5]), np.array([0.4, 0.9]))
     assert np.abs(f).max() == 0.0
 
 
 def test_lshape_velocity_vanishes_on_corner_legs():
-    case = lshape_case()
+    case = get_case("lshape")
     r = np.array([0.2, 0.5, 0.9])
     on_leg1 = case.u(r, np.zeros(3))            # positive x-axis
     on_leg2 = case.u(np.zeros(3), -r)           # negative y-axis
@@ -143,7 +151,7 @@ def test_lshape_velocity_vanishes_on_corner_legs():
 
 
 def test_lshape_singularity_handling():
-    case = lshape_case()
+    case = get_case("lshape")
     zero = np.array([0.0])
     u0 = case.u(zero, zero)
     assert np.array_equal(u0, [[0.0, 0.0]])
@@ -153,7 +161,7 @@ def test_lshape_singularity_handling():
 
 
 def test_lshape_divergence_free_away_from_origin():
-    case = lshape_case()
+    case = get_case("lshape")
     rng = np.random.default_rng(1)
     pts = []
     while len(pts) < 50:
@@ -168,6 +176,7 @@ def test_lshape_divergence_free_away_from_origin():
 
 
 def test_default_meshes():
-    assert star_case().build_mesh(4).triangle_count == 32
-    assert hole_case().build_mesh().euler_characteristic() == 0
-    assert lshape_case().build_mesh(1).triangle_count == 6
+    assert get_case("star").mesh_builder(4).triangle_count == 32
+    hole = get_case("hole")
+    assert hole.mesh_builder(hole.default_n).euler_characteristic() == 0
+    assert get_case("lshape").mesh_builder(1).triangle_count == 6

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curlstokes.analysis import trace_constant_n
-from curlstokes.cases import linear_case, star_case
+from curlstokes.cases import get_case
 from curlstokes.experiments import _spaces, build_essential_system, build_saddle_system
 from curlstokes.forms import (assemble_b, assemble_curl_curl,
                               assemble_divergence_rhs, assemble_mass,
@@ -144,7 +144,7 @@ def test_velocity_block_symmetric(order, mesh, cw):
 @given(mesh=meshes)
 def test_linear_case_reproduced_on_jittered_meshes(mesh):
     # the order-1 spaces contain the linear solution, so the solve returns it
-    case = linear_case()
+    case = get_case("linear")
     report, V, Q = solve_fields(mesh, 1, case)
     assert not report.singular
     u = interpolate_edge(V, case.u)
@@ -176,7 +176,7 @@ def test_rhs_constant_forcing_oracle():
 
 
 def test_rhs_linear_in_penalty():
-    case = linear_case()
+    case = get_case("linear")
     m = generate_unit_square(2)
     V = build_edge_space(m, 1)
     f0 = lambda x, y: np.zeros((np.size(x), 2))
@@ -198,7 +198,7 @@ def test_divergence_rhs():
     rhs = assemble_divergence_rhs(Q, const)
     assert float(rhs.sum()) == pytest.approx(0.0, abs=1e-14)
     # star data has nonzero normal trace
-    star = star_case()
+    star = get_case("star")
     assert np.abs(assemble_divergence_rhs(Q, star.u)).max() > 1e-3
 
 
@@ -206,7 +206,7 @@ def test_divergence_rhs():
 @pytest.mark.parametrize("cw", [10.0, 100.0])
 def test_exact_consistency_residual(seed, cw):
     # interpolating an exactly representable solution must close the system
-    case = linear_case()
+    case = get_case("linear")
     m = generate_unit_square(2)
     m = refine_uniform(m)
     if seed is not None:
@@ -253,7 +253,7 @@ def test_saddle_system_rejects_bad_penalty():
     V, Q = _spaces(generate_unit_square(2), 1)
     for bad in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="penalty constant"):
-            build_saddle_system(V, Q, star_case(), bad)
+            build_saddle_system(V, Q, get_case("star"), bad)
 
 
 def test_mismatched_meshes_rejected():

@@ -6,7 +6,7 @@ from scipy import sparse
 
 from curlstokes import experiments
 from curlstokes.analysis import compute_errors
-from curlstokes.cases import linear_case, star_case
+from curlstokes.cases import get_case
 from curlstokes.experiments import (_spaces, build_essential_system,
                                     build_saddle_system, run_counterexample)
 from curlstokes.mesh import (generate_unit_square, jitter, refine_uniform,
@@ -43,7 +43,7 @@ def essential_system():
 
 @pytest.fixture
 def nitsche_system():
-    return build_saddle_system(*_spaces(two_triangle_square(), 1), linear_case(), C_w=10.0)
+    return build_saddle_system(*_spaces(two_triangle_square(), 1), get_case("linear"), C_w=10.0)
 
 
 def test_essential_system_is_singular(essential_system):
@@ -109,7 +109,7 @@ REFERENCE_MESHES = {1: (9, (3, 6)), 2: (5, (3,))}
 @example(order_mesh=(2, jitter(generate_unit_square(4), 145)))
 def test_solve_matches_dense_svd_reference(order_mesh):
     order, mesh = order_mesh
-    system = build_saddle_system(*_spaces(mesh, order), star_case(), C_w=10.0)
+    system = build_saddle_system(*_spaces(mesh, order), get_case("star"), C_w=10.0)
     assert system.n_u + system.n_q + 1 <= 400
     reference = dense_svd_solve(system)
     report = solve(system)
@@ -168,7 +168,7 @@ def test_nitsche_system_nonsingular(nitsche_system):
 
 
 def test_exact_reproduction_linear_case():
-    case = linear_case()
+    case = get_case("linear")
     report, V, Q = solve_fields(generate_unit_square(2), 1, case, C_w=10.0)
     assert not report.singular
     assert report.residual <= 1e-10
@@ -178,7 +178,7 @@ def test_exact_reproduction_linear_case():
 
 
 def test_pressure_mean_is_zero():
-    case = linear_case()
+    case = get_case("linear")
     mesh = generate_unit_square(4)
     system = build_saddle_system(*_spaces(mesh, 1), case, C_w=10.0)
     report = solve(system)
@@ -186,7 +186,7 @@ def test_pressure_mean_is_zero():
 
 
 def test_solve_is_deterministic():
-    case = linear_case()
+    case = get_case("linear")
     mesh = generate_unit_square(3)
     a = solve(build_saddle_system(*_spaces(mesh, 1), case, C_w=10.0))
     b = solve(build_saddle_system(*_spaces(mesh, 1), case, C_w=10.0))
@@ -195,7 +195,7 @@ def test_solve_is_deterministic():
 
 
 def test_sparse_path_matches_dense():
-    case = linear_case()
+    case = get_case("linear")
     report, V, Q = solve_fields(generate_unit_square(12), 1, case, C_w=10.0)
     assert report.residual <= 1e-10
     errors = compute_errors(V, report.u, Q, report.p, case)["errors"]
