@@ -41,8 +41,8 @@ from .quadrature import edge_rule, triangle_rule
 from .spaces import (EdgeSpace, NodalSpace, _edge_points, _sample, _tabulate_edge,
                      _tabulate_nodal)
 
-#: the Nitsche penalty C_w of every command and study unless one is given;
-#: above the order-1 coercivity threshold C_n^2 (at most 7.6, see README)
+#: the Nitsche penalty C_w unless one is given; above the order-1 coercivity
+#: threshold C_n^2 (at most 7.71 at n = 64), below the order-2 one (see README)
 DEFAULT_C_W = 10.0
 
 

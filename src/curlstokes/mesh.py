@@ -17,7 +17,7 @@ import numpy as np
 JITTER_MAGNITUDE = 0.2
 
 
-class MeshError(Exception):
+class MeshError(ValueError):
     """Base class for mesh construction errors."""
 
 

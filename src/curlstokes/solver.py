@@ -7,13 +7,14 @@ perturb the inf-sup structure. The module is linear algebra only: blocks go
 in, coefficient arrays come out, and the caller reads them on its spaces.
 
 ``solve`` has one path at every size: a sparse LU factor of the augmented
-matrix, whose singularity a seeded random right-hand side exposes, and a
-true relative residual of 1e-10 that the solution must reach. A singular
-system is reported, not raised, at the cost of the solve itself: ``solve``
-has no iterative fallback and never computes a kernel. Kernel dimensions and
-witnesses come only from ``kernel_probe``, a dense symmetric eigensolve of
-the same augmented matrix on the counterexample's meshes of 2 and 8
-triangles; ``estimate_infsup`` factors it with a Gram matrix in place of A.
+matrix, whose singularity a seeded, row-scaled random right-hand side
+exposes, and a true relative residual of 1e-10 that the solution must
+reach. A singular system is reported, not raised, at the cost of the solve
+itself: ``solve`` has no iterative fallback and never computes a kernel.
+Kernel dimensions and witnesses come only from ``kernel_probe``, a dense
+symmetric eigensolve of the same augmented matrix on the counterexample's
+meshes of 2 and 8 triangles; ``estimate_infsup`` factors it with a Gram
+matrix in place of A.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 KERNEL_RANK_RTOL = 1e-10
-#: relative residual of the seeded probe solve above which a factored system
-#: counts as singular; well-posed systems reach about 1e-10, singular ones 1e3
-#: to 1e16
+#: row-scaled relative residual of the seeded probe solve above which a
+#: factored system counts as singular; well-posed systems, graded meshes
+#: included, read at most about 4e-8, singular ones at least 2
 _PROBE_RTOL = 1e-6
 #: relative residual of the solution above which a solve counts as singular
 _RESIDUAL_RTOL = 1e-10
@@ -98,9 +99,12 @@ def solve(system: SaddleSystem) -> SolveReport:
         z = lu.solve(rhs)
         # a singular operator can still factor and, with zero data, return the
         # zero "solution"; a seeded random right-hand side solved with the same
-        # factor exposes it
-        probe = np.random.default_rng(0).standard_normal(k.shape[0])
-        probe_res = np.linalg.norm(k @ lu.solve(probe) - probe) / np.linalg.norm(probe)
+        # factor exposes it. Data and residual carry the row scaling
+        # d = 1 / sqrt(max_j |K_ij|) (K is symmetric: its column maxima), so a
+        # wide spread of element sizes does not read as singularity
+        d = 1.0 / np.sqrt(abs(k).max(axis=0).toarray())
+        xi = np.random.default_rng(0).standard_normal(k.shape[0])
+        probe_res = np.linalg.norm(d * (k @ lu.solve(xi / d)) - xi) / np.linalg.norm(xi)
         singular = not probe_res <= _PROBE_RTOL
     except RuntimeError:    # SuperLU: factor is exactly singular
         singular = True

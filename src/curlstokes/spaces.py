@@ -56,6 +56,7 @@ class EdgeSpace:
     order: int
     dof_count: int
     cell_dofs: np.ndarray     # (F, nloc) global dof indices
+    edge_dofs: np.ndarray     # (E, order) the dofs each edge owns
     coeff: np.ndarray | None  # (F, 8, 8) order-2 nodal-basis coefficients
 
 
@@ -69,27 +70,29 @@ class NodalSpace:
     cell_dofs: np.ndarray
 
 
+def _layout(mesh: Mesh, per_vertex: int, per_edge: int, per_triangle: int):
+    """The dof numbering of every space: vertex dofs first, then edge dofs,
+    then triangle dofs, each entity's dofs consecutive. Returns the dof
+    count, the read-only cell dofs (a triangle's vertices' dofs, its edges'
+    in local edge order, then its own) and the read-only (E, per_edge) dofs
+    each edge owns."""
+    owned, start = [], 0
+    for count, per in ((mesh.vertex_count, per_vertex), (mesh.edge_count, per_edge),
+                       (mesh.triangle_count, per_triangle)):
+        owned.append(start + np.arange(count * per, dtype=np.int64).reshape(count, per))
+        start += count * per
+    nf = mesh.triangle_count
+    cell_dofs = np.hstack([owned[0][mesh.triangles].reshape(nf, -1),
+                           owned[1][mesh.triangle_edges].reshape(nf, -1), owned[2]])
+    cell_dofs.flags.writeable = owned[1].flags.writeable = False
+    return start, cell_dofs, owned[1]
+
+
 def build_edge_space(mesh: Mesh, order: int) -> EdgeSpace:
     if order not in (1, 2):
         raise ValueError(f"unsupported edge-element order {order}")
-    ne = mesh.edge_count
-    nf = mesh.triangle_count
-    if order == 1:
-        dof = ne
-        cell_dofs = mesh.triangle_edges.copy()
-        coeff = None
-    else:
-        dof = 2 * ne + 2 * nf
-        cell_dofs = np.empty((nf, 8), dtype=np.int64)
-        for k in range(3):
-            cell_dofs[:, 2 * k] = 2 * mesh.triangle_edges[:, k]
-            cell_dofs[:, 2 * k + 1] = 2 * mesh.triangle_edges[:, k] + 1
-        cell_dofs[:, 6] = 2 * ne + 2 * np.arange(nf)
-        cell_dofs[:, 7] = 2 * ne + 2 * np.arange(nf) + 1
-        coeff = _build_n2_coefficients(mesh)
-
-    cell_dofs.flags.writeable = False
-    return EdgeSpace(mesh, order, dof, cell_dofs, coeff)
+    coeff = _build_n2_coefficients(mesh) if order == 2 else None
+    return EdgeSpace(mesh, order, *_layout(mesh, 0, order, 2 * order - 2), coeff)
 
 
 def _edge_moments(rule, length: np.ndarray, trace: np.ndarray) -> np.ndarray:
@@ -138,15 +141,7 @@ def _build_n2_coefficients(mesh: Mesh):
 def build_nodal_space(mesh: Mesh, order: int) -> NodalSpace:
     if order not in (1, 2):
         raise ValueError(f"unsupported Lagrange order {order}")
-    if order == 1:
-        dof = mesh.vertex_count
-        cell_dofs = mesh.triangles.copy()
-    else:
-        dof = mesh.vertex_count + mesh.edge_count
-        cell_dofs = np.hstack([mesh.triangles,
-                               mesh.vertex_count + mesh.triangle_edges])
-    cell_dofs.flags.writeable = False
-    return NodalSpace(mesh, order, dof, cell_dofs)
+    return NodalSpace(mesh, order, *_layout(mesh, 1, order - 1, 0)[:2])
 
 
 # Batched kernels. ``bary`` holds barycentric points shared by every cell,

@@ -53,14 +53,13 @@ def interpolate_edge(space: EdgeSpace, field: Callable | np.ndarray) -> np.ndarr
     tri, length, bary, pts = _edge_points(mesh, np.arange(mesh.edge_count), erule.points)
     tang = np.diff(mesh.vertices[mesh.edges], axis=1)[:, 0] / length[:, None]
     trace = np.matmul(values(bary, tri, pts), tang[:, :, None])          # (E, k, 1)
-    coeffs = _edge_moments(erule, length, trace).ravel()
-    if space.order == 1:
-        coeffs = coeffs[0::2]
-    else:
+    coeffs = np.empty(space.dof_count)
+    coeffs[space.edge_dofs] = _edge_moments(erule, length, trace)[:, :space.order, 0]
+    if space.order == 2:
         trule = triangle_rule(degree)
         vals = values(trule.points, _ALL, np.matmul(trule.points, mesh.vertices[mesh.triangles]))
         w = 2.0 * mesh.areas[:, None] * trule.weights
-        coeffs = np.concatenate([coeffs, _cell_moments(w, vals[:, :, None]).ravel()])
+        coeffs[space.cell_dofs[:, 6:]] = _cell_moments(w, vals[:, :, None])[..., 0]
     return coeffs
 
 
@@ -130,8 +129,7 @@ def gradient_coefficients(edge_space: EdgeSpace, nodal_space: NodalSpace) -> csr
     # one block per edge and per triangle: 2 moment rows by 6 nodal columns
     vals = np.concatenate([_edge_moments(erule, length, trace),
                            _cell_moments(w, cell_grads)])               # (E + F, 2, 6)
-    row_dofs = np.concatenate([2 * np.arange(mesh.edge_count)[:, None] + [0, 1],
-                               edge_space.cell_dofs[:, 6:]])
+    row_dofs = np.concatenate([edge_space.edge_dofs, edge_space.cell_dofs[:, 6:]])
     col_dofs = np.concatenate([nodal_space.cell_dofs[tri], nodal_space.cell_dofs])
     rows = np.broadcast_to(row_dofs[:, :, None], vals.shape)
     cols = np.broadcast_to(col_dofs[:, None, :], vals.shape)

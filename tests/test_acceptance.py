@@ -21,11 +21,11 @@ import numpy as np
 from curlstokes.analysis import (_boundary_gram, betti_number, compute_eoc,
                                  compute_errors, hodge_decompose,
                                  trace_constant_n, trace_constant_par)
-from curlstokes.cases import get_case
+from curlstokes.cases import ManufacturedCase, get_case
 from curlstokes.experiments import level_mesh, run_convergence, run_counterexample
 from curlstokes.forms import assemble_mass
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
-                             generate_unit_square)
+                             generate_unit_square, jitter)
 from curlstokes.quadrature import edge_rule, triangle_rule
 from curlstokes.spaces import build_edge_space, build_nodal_space
 from oracles import full_svd_hodge, grad_inclusion_check, probe_infsup, solve_fields
@@ -96,6 +96,56 @@ def test_criterion_2_exact_reproduction():
         violations.append(f"runtime {elapsed:.1f}s exceeds 10s")
     _report(2, violations,
             f"worst errors over 4 levels: u {worst_u:.2e}, p {worst_p:.2e}", elapsed)
+
+
+def _affine_case() -> ManufacturedCase:
+    """u = (x + 2y, -y), p = x^2 - y^2: curl u = -2 and curl curl u = 0, so
+    f = grad p. u lies in the order-2 edge space but not in Whitney's, and p
+    in P2 but not in P1."""
+    def u(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return np.column_stack([x + 2 * y, -y])
+
+    def grad_p(x, y):
+        return np.column_stack([2 * np.asarray(x, dtype=float), -2 * np.asarray(y, dtype=float)])
+
+    return ManufacturedCase(mesh_builder=generate_unit_square, default_n=2, u=u,
+                            p=lambda x, y: np.asarray(x) ** 2 - np.asarray(y) ** 2,
+                            curl_u=lambda x, y: np.full(np.shape(x), -2.0),
+                            grad_p=grad_p, f=grad_p)
+
+
+AFFINE_MESHES = [generate_unit_square(2), jitter(generate_unit_square(4), 3),
+                 jitter(generate_unit_square(8), 3), jitter(generate_unit_square(16), 7)]
+
+
+def _affine_errors(order: int) -> np.ndarray:
+    """The u and p L2 errors (runs, 2) of the affine case on AFFINE_MESHES
+    at C_w = 10 and 35."""
+    case = _affine_case()
+    errors = []
+    for mesh in AFFINE_MESHES:
+        for C_w in (10.0, 35.0):
+            rep, V, Q = solve_fields(mesh, order, case, C_w)
+            e = compute_errors(V, rep.u, Q, rep.p, case)["errors"]
+            errors.append((e["err_u_l2"], e["err_p_l2"]))
+    return np.array(errors)
+
+
+def test_criterion_2_exact_reproduction_order_2():
+    # the order-2-only parts (second edge moments, interior dofs, P2
+    # pressure, order-2 boundary terms) reproduce what they can represent
+    t0 = time.time()
+    worst_u, worst_p = _affine_errors(2).max(axis=0)
+    violations = [f"{name} error {err:.2e} > 1e-8"
+                  for name, err in (("velocity", worst_u), ("pressure", worst_p)) if err > 1e-8]
+    _report(2, violations, f"order 2, affine case: worst errors u {worst_u:.2e}, "
+            f"p {worst_p:.2e}", time.time() - t0)
+
+
+def test_affine_case_is_not_in_the_order_1_spaces():
+    # negative control: the order-2 oracle above is not vacuous
+    assert _affine_errors(1).min() > 1e-2
 
 
 def test_criterion_3_star_rates():

@@ -191,6 +191,12 @@ def test_load_clockwise_triangle():
         build_mesh([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]])
 
 
+def test_mesh_errors_are_value_errors():
+    # the input-error family the command line maps to exit code 2
+    with pytest.raises(ValueError):
+        build_mesh([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]])
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_vertex_rejected(bad):
     # a non-finite area is not <= 0, so the orientation check lets it through

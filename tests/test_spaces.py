@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from curlstokes.experiments import _spaces, build_essential_system
 from curlstokes.forms import assemble_b
-from curlstokes.mesh import (generate_square_with_hole, generate_unit_square,
-                             jitter, two_triangle_square)
+from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
+                             generate_unit_square, jitter, two_triangle_square)
 from curlstokes.quadrature import edge_rule, triangle_rule
 from curlstokes.spaces import (_edge_field, _nodal_field, _tabulate_edge, _tabulate_nodal,
                                build_edge_space, build_nodal_space)
@@ -91,6 +91,38 @@ def test_essential_space_keeps_the_interior_edge():
     interior = [e for e in range(tt.edge_count) if tuple(tt.edges[e]) == (1, 3)]
     assert len(interior) == 1
     assert np.array_equal(kept_b, full_b[interior])
+
+
+LAYOUT_MESHES = {"structured": generate_unit_square(3),
+                 "jittered": jitter(generate_unit_square(4), 3),
+                 "punctured": generate_square_with_hole(3), "lshape": generate_l_shape(2)}
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", sorted(LAYOUT_MESHES))
+def test_dof_layout(name, order):
+    # vertex dofs, then edge dofs, then triangle dofs, each entity's consecutive
+    mesh = LAYOUT_MESHES[name]
+    V, Q = build_edge_space(mesh, order), build_nodal_space(mesh, order)
+    ne, nf = mesh.edge_count, mesh.triangle_count
+    for space in (V, Q):
+        assert np.array_equal(np.unique(space.cell_dofs), np.arange(space.dof_count))
+        assert space.cell_dofs.dtype == np.int64
+    if order == 1:
+        assert np.array_equal(V.cell_dofs, mesh.triangle_edges)
+        assert np.array_equal(Q.cell_dofs, mesh.triangles)
+    else:
+        assert np.array_equal(V.edge_dofs, np.arange(2 * ne).reshape(ne, 2))
+        assert np.array_equal(V.cell_dofs[:, 6:], 2 * ne + np.arange(2 * nf).reshape(nf, 2))
+        assert np.array_equal(Q.cell_dofs, np.hstack([mesh.triangles,
+                                                      mesh.vertex_count + mesh.triangle_edges]))
+    assert V.edge_dofs.shape == (ne, order)
+    for k in range(3):
+        assert np.array_equal(V.cell_dofs[:, k * order:(k + 1) * order],
+                              V.edge_dofs[mesh.triangle_edges[:, k]])
+    removed = V.edge_dofs[mesh.boundary_edges].size
+    assert build_essential_system(V, Q).n_u == V.dof_count - removed
+    assert not V.edge_dofs.flags.writeable
 
 
 def test_nodal_space_dof_counts():
