@@ -11,20 +11,16 @@ trace probes are local or sparse eigensolves (the inf-sup probe is
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
+from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from .forms import (assemble_b, _assemble_cells, _boundary_edge_data,
+from .forms import (assemble_b, assemble_stiffness, _assemble_cells, _boundary_edge_data,
                     _boundary_rule, _cell_weights, _local_matrix, _volume_rule)
 from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
-from .solver import KERNEL_RANK_RTOL
-from .spaces import (EdgeSpace, NodalSpace, _edge_field, _edge_points, _nodal_field,
-                     _sample, _tabulate_edge)
+from .solver import KERNEL_RANK_RTOL, project_off_gradients
+from .spaces import EdgeSpace, NodalSpace, _edge_field, _edge_points, _nodal_field, _sample
 
 #: the error norms of the reports, rates and CSV columns, each a key of a
 #: level record's ``errors``: u in L2, curl seminorm and #-norm; the L2 errors
@@ -121,94 +117,64 @@ def _boundary_gram(V: EdgeSpace):
                  for f in (trace, curls))
 
 
-def _curl_factor(V: EdgeSpace) -> np.ndarray:
-    """Dense square-root factor C of the curl-curl matrix: C^T C = K.
+def _cut_cochains(mesh: Mesh) -> np.ndarray:
+    """Closed, non-exact edge cochains (E, k), one per inner boundary loop (a
+    component of the boundary edges; the outer one holds the lexicographically
+    smallest vertex): the signed indicator of the edges that a dual path, a
+    chain of triangles, crosses from that loop to the outer loop. c = 1 on the
+    inner edge, and c[e_out] = -s_in s_out c[e_in] zeroes each triangle's sum."""
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-    Rows are sqrt-weighted curl evaluations at the assembly quadrature
-    points; kernel vectors of C are curl-free to full precision, unlike
-    eigenvectors of the squared operator.
-    """
-    rule = _volume_rule(V)
-    _, curls = _tabulate_edge(V, rule.points)                   # (F, k, nloc)
-    nf, npts = curls.shape[:2]
-    w = np.sqrt(_cell_weights(V.mesh, rule))
-    out = np.zeros((nf * npts, V.dof_count))
-    out[np.arange(nf * npts).reshape(nf, npts, 1), V.cell_dofs[:, None, :]] = w[..., None] * curls
-    return out
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory of this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _mass_orthonormal_kernel(V: EdgeSpace, Q: NodalSpace, M) -> np.ndarray:
-    """Mass-orthonormal basis of X_h, the kernel of the divergence constraint
-    B^T v = 0. B's kernel is the constants on a connected mesh, so B^T has
-    rank Q.dof_count - 1; any other rank raises RuntimeError. The dense mass
-    and coupling factors end with this call, before the curl factor is built."""
-    m = M.toarray()
-    _, s, vt = np.linalg.svd(assemble_b(V, Q).matrix.toarray().T, full_matrices=True)
-    rank = int((s > KERNEL_RANK_RTOL * s.max()).sum())
-    if rank != Q.dof_count - 1:
-        raise RuntimeError(f"the coupling block has rank {rank}, "
-                           f"not {Q.dof_count - 1} = pressure dofs - 1")
-    x = vt[rank:].T
-    chol = np.linalg.cholesky(x.T @ m @ x)
-    return scipy.linalg.solve_triangular(chol, x.T, lower=True).T
-
-
-def _curl_r(V: EdgeSpace, x: np.ndarray) -> np.ndarray:
-    """The triangular factor R of a QR of the curl product C x; dgemm returns
-    (C x)^T in column-major order, and dgeqrf overwrites one Fortran copy."""
-    a = np.asfortranarray(scipy.linalg.blas.dgemm(1.0, x.T, _curl_factor(V).T).T)
-    return scipy.linalg.qr(a, overwrite_a=True, mode="raw", check_finite=False)[1]
+    bnd, nv, nf = mesh.boundary_edges, mesh.vertex_count, mesh.triangle_count
+    a, b = mesh.edges[bnd].T
+    labels = connected_components(sparse.coo_array((np.ones(bnd.size), (a, b)), shape=(nv, nv)))[1]
+    loop, outer = labels[a], labels[np.lexsort(mesh.vertices.T[::-1])[0]]
+    tri = mesh.edge_triangles[bnd, 0]
+    on_outer = np.isin(np.arange(nf), tri[loop == outer])
+    pairs = mesh.edge_triangles[mesh.edge_triangles[:, 1] >= 0].T
+    dual = sparse.coo_array((np.ones(pairs.shape[1]), tuple(pairs)), shape=(nf, nf))
+    cochains = np.zeros((mesh.edge_count, 0))
+    for label in np.unique(loop[loop != outer]):
+        start = np.argmax(loop == label)
+        order, pred = breadth_first_order(dual, tri[start], directed=False)
+        if not on_outer[order].any():
+            raise ValueError("the mesh is not connected")
+        path = [order[on_outer[order]][0]]
+        while path[-1] != tri[start]:
+            path.append(pred[path[-1]])
+        te, sgn = mesh.triangle_edges[path[::-1]], mesh.triangle_edge_signs[path[::-1]]
+        shared = te[:-1][(te[:-1, :, None] == te[1:, None, :]).any(axis=2)]
+        crossed = np.concatenate([bnd[[start]], shared,
+                                  bnd[[np.argmax((loop == outer) & (tri == path[0]))]]])
+        c = np.zeros(mesh.edge_count)
+        s_in, s_out = sgn[te == crossed[:-1, None]], sgn[te == crossed[1:, None]]
+        c[crossed] = np.cumprod(np.concatenate([[1.0], -s_in * s_out]))
+        cochains = np.column_stack([cochains, c])
+    return cochains
 
 
-def _check_hodge_memory(V: EdgeSpace, Q: NodalSpace) -> None:
-    """Refuse a Hodge decomposition whose dense working set (curl factor,
-    product and its copy, the E x E mass and coupling factors), computed
-    from the shapes alone, exceeds the physical memory: MemoryError before
-    anything is assembled or allocated. This is the only limit on the size
-    of ``hodge_decompose``'s input."""
-    n, k = V.dof_count, V.dof_count - Q.dof_count + 1     # k = dim X_h
-    rows = V.mesh.triangle_count * len(_volume_rule(V).weights)
-    need, have = 8 * (rows * n + 2 * rows * k + 2 * n * n), _physical_memory()
-    if need > have:
-        raise MemoryError(f"the dense Hodge decomposition needs {need / 2 ** 30:.1f} GiB, "
-                          f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
-
-
-def hodge_decompose(V: EdgeSpace, Q: NodalSpace, M) -> np.ndarray:
-    """Basis (n, dim) of the discrete harmonic fields: the fields of X_h, the
-    L2-orthogonal complement of the discrete gradients, whose curl vanishes.
-    M is the assembled velocity mass matrix, which defines that inner product,
-    and the basis is M-orthonormal. The harmonic fields are the null right
-    singular vectors of the curl factor on X_h; that factor is tall, so its
-    thin SVD has them all.
-
-    The curl factor has m >= 11n/6 rows for its n columns (about 9 per column
-    at order 1, 5 at order 2), and for such a matrix LAPACK's gesdd runs
-    dgeqrf and then the SVD of the triangular factor R. Taking the SVD of the
-    R of dgeqrf runs that same arithmetic, so the basis is bit-identical to
-    the whole factor's SVD, but never builds the m x n left factor that
-    nothing reads.
-
-    The product and the QR run in scipy's BLAS and LAPACK. For C-contiguous
-    C and x, numpy's C @ x is a row-major GEMM that OpenBLAS runs as the
-    column-major dgemm of x^T and C^T, so dgemm(1, x.T, C.T) makes that same
-    call and returns the same bits. np.linalg.qr(..., mode="r") copies its
-    operand twice (astype, then its Fortran buffer) and calls dgeqrf after a
-    workspace query; scipy's qr makes the same dgeqrf call in place on one
-    Fortran copy, so the product is held twice at most, not three times.
-
-    ``_check_hodge_memory`` bounds the dense working set that this call
-    allocates; callers run it before they assemble M."""
-    x = _mass_orthonormal_kernel(V, Q, M)
-    _, s, vt = np.linalg.svd(_curl_r(V, x), full_matrices=False)
-    smax = s.max(initial=0.0)
-    ranks = int((s > KERNEL_RANK_RTOL * smax).sum()) if smax > 0 else 0
-    return x @ vt[ranks:].T
+def harmonic_fields(V: EdgeSpace, Q: NodalSpace, M) -> np.ndarray:
+    """M-orthonormal basis (n, dim) of the discrete harmonic fields, the curl-free
+    fields of V M-orthogonal to the discrete gradients (M the velocity mass):
+    the cut cochains' Whitney fields projected off the gradients, orthonormalized
+    by a Cholesky factor of their Gram; a Gram rank (relative to the cochains'
+    M-norms) below full raises RuntimeError. Numpy sums, not BLAS dots, form it."""
+    mesh, cut = V.mesh, _cut_cochains(V.mesh)
+    c = np.zeros((V.dof_count, cut.shape[1]))
+    c[V.edge_dofs[:, 0]] = cut                      # edge moments (c_e, 0)
+    if V.order == 2:
+        # interior moments: l_p grad l_q - l_q grad l_p integrates to |T| (grad l_q - grad l_p) / 3
+        c[V.cell_dofs[:, -2:]] = np.einsum(
+            "f,fs,fsk,fsd->fdk", mesh.areas / 3.0, mesh.triangle_edge_signs,
+            cut[mesh.triangle_edges], mesh.grads[:, [1, 2, 0]] - mesh.grads)
+    if not cut.shape[1]:
+        return c
+    h = project_off_gradients(M, assemble_b(V, Q).matrix, assemble_stiffness(Q).matrix, c)
+    gram = (h[:, :, None] * (M @ h)[:, None, :]).sum(axis=0)
+    s = np.sqrt(np.abs(np.linalg.eigvalsh(gram)))
+    if (s <= KERNEL_RANK_RTOL * np.sqrt((c * (M @ c)).sum(axis=0).max())).any():
+        raise RuntimeError("the cut cochains' harmonic fields are linearly dependent")
+    return (h[:, None, :] * np.linalg.inv(np.linalg.cholesky(gram))).sum(axis=-1)
 
 
 def betti_number(mesh: Mesh) -> int:

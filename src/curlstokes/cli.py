@@ -4,11 +4,10 @@ counterexample, harmonic-field extraction, and stability probes.
 Each command writes the JSON document that its driver in ``experiments``
 returns, and reads its CSV and SVG files off that document. Outputs are
 deterministic: identical configuration (and jitter seed) yields
-byte-identical CSV and JSON files at a fixed BLAS thread count. Exit codes:
+byte-identical CSV and JSON files, at any BLAS thread count. Exit codes:
 0 success, 2 configuration error, 3 solver singularity (outside the
-counterexample command), 5 out of memory (including a dense Hodge
-decomposition larger than the physical memory), 6 harmonic dimension differs
-from the Betti number. Code 4 is unused.
+counterexample command), 5 out of memory, 6 harmonic dimension differs from
+the Betti number. Code 4 is unused.
 """
 
 from __future__ import annotations
@@ -104,8 +103,7 @@ def _cmd_harmonic(args) -> int:
     lines = ["x,y,hx,hy"] + [",".join(repr(v) for v in row) for row in samples]
     (outdir / "harmonic.csv").write_text("\n".join(lines) + "\n")
     if data["dimension"] != data["betti_number"]:
-        print("error: harmonic dimension does not equal the Betti number",
-              file=sys.stderr)
+        print("error: harmonic dimension does not equal the Betti number", file=sys.stderr)
         return EXIT_BETTI_MISMATCH
     print(f"harmonic dimension {data['dimension']} (Betti {data['betti_number']})")
     return EXIT_OK

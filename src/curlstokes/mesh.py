@@ -30,7 +30,8 @@ class MeshConnectivityError(MeshError):
 
 
 class MeshOrientationError(MeshError):
-    """A triangle with non-positive signed area."""
+    """A triangle with non-positive signed area, or two triangles that
+    traverse their shared edge in the same direction."""
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,11 @@ def build_mesh(vertices, triangles) -> Mesh:
         bad = int(np.argmax(counts > 2))
         raise MeshConnectivityError(
             f"edge {tuple(edges[bad])} is shared by {counts[bad]} triangles")
+    # counterclockwise neighbours traverse their shared edge in opposite directions
+    folded = (counts == 2) & (np.bincount(triangle_edges.ravel(), triangle_edge_signs.ravel()) != 0)
+    if folded.any():
+        raise MeshOrientationError(f"edge {tuple(edges[np.argmax(folded)].tolist())} is traversed "
+                                   "in the same direction by both its triangles")
 
     # adjacent triangles of each edge in increasing triangle order
     order = np.argsort(triangle_edges.ravel(), kind="stable")

@@ -135,6 +135,16 @@ def _factor(matrix: sparse.csc_array):
         raise MemoryError(f"sparse LU factorization: {exc}") from exc
 
 
+def project_off_gradients(M, B, S, c: np.ndarray) -> np.ndarray:
+    """h = c - M^-1 B phi, S phi = B^T c: the fields c (columns) less their
+    M-projection G phi onto the discrete gradients, as B = M G and S = G^T M G
+    for mass M, coupling B, pressure stiffness S and gradient coefficients G.
+    S and B^T c vanish on constants, so phi's first dof is pinned to zero."""
+    phi = np.zeros((S.shape[0], c.shape[1]))
+    phi[1:] = _factor(S[1:, 1:].tocsc()).solve((B.T @ c)[1:])
+    return c - _factor(M.tocsc()).solve(B @ phi)
+
+
 def kernel_probe(system: SaddleSystem) -> np.ndarray:
     """Orthonormal basis (n_u + n_q, dim) of the nullspace of the saddle
     matrix restricted to zero-mean pressures.

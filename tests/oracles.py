@@ -4,8 +4,8 @@ Moment interpolation into the edge space, pointwise Lagrange interpolation,
 the exact edge-space coefficients of the nodal basis gradients, the L2
 distance of those gradients to the edge space (the gradient inclusion, which
 sits at roundoff when it holds), and the three-block Hodge decomposition by
-full SVDs, whose harmonic block ``analysis.hodge_decompose`` reproduces bit
-for bit. ``solve_fields`` runs the Nitsche solve of a case on one mesh, as
+full SVDs of the coupling and of the dense curl factor, whose harmonic block
+spans what ``analysis.harmonic_fields`` computes. ``solve_fields`` runs the Nitsche solve of a case on one mesh, as
 ``experiments.run_convergence`` solves a level, and returns the report with
 the spaces its coefficient arrays belong to; ``probe_infsup`` measures
 beta_h from the blocks that ``experiments.run_probe`` assembles.
@@ -19,10 +19,11 @@ import scipy.linalg
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import splu
 
-from curlstokes.analysis import _boundary_gram, _curl_factor
+from curlstokes.analysis import _boundary_gram
 from curlstokes.experiments import _spaces, build_saddle_system
-from curlstokes.forms import (DEFAULT_C_W, assemble_b, assemble_curl_curl, assemble_mass,
-                              assemble_mean_vector, assemble_stiffness)
+from curlstokes.forms import (DEFAULT_C_W, _cell_weights, _volume_rule, assemble_b,
+                              assemble_curl_curl, assemble_mass, assemble_mean_vector,
+                              assemble_stiffness)
 from curlstokes.quadrature import edge_rule, triangle_rule
 from curlstokes.solver import KERNEL_RANK_RTOL, SolveReport, estimate_infsup, solve
 from curlstokes.spaces import (_ALL, EdgeSpace, NodalSpace, _cell_moments, _edge_field,
@@ -135,6 +136,22 @@ def gradient_coefficients(edge_space: EdgeSpace, nodal_space: NodalSpace) -> csr
     cols = np.broadcast_to(col_dofs[:, None, :], vals.shape)
     return csr_array((vals.ravel(), (rows.ravel(), cols.ravel())),
                      shape=(edge_space.dof_count, nodal_space.dof_count))
+
+
+def _curl_factor(V: EdgeSpace) -> np.ndarray:
+    """Dense square-root factor C of the curl-curl matrix: C^T C = K.
+
+    Rows are sqrt-weighted curl evaluations at the assembly quadrature
+    points; kernel vectors of C are curl-free to full precision, unlike
+    eigenvectors of the squared operator.
+    """
+    rule = _volume_rule(V)
+    _, curls = _tabulate_edge(V, rule.points)                   # (F, k, nloc)
+    nf, npts = curls.shape[:2]
+    w = np.sqrt(_cell_weights(V.mesh, rule))
+    out = np.zeros((nf * npts, V.dof_count))
+    out[np.arange(nf * npts).reshape(nf, npts, 1), V.cell_dofs[:, None, :]] = w[..., None] * curls
+    return out
 
 
 def full_svd_hodge(V: EdgeSpace, Q: NodalSpace):

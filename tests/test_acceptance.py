@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from curlstokes.analysis import (_boundary_gram, betti_number, compute_eoc,
-                                 compute_errors, hodge_decompose,
+                                 compute_errors, harmonic_fields,
                                  trace_constant_n, trace_constant_par)
 from curlstokes.cases import ManufacturedCase, get_case
 from curlstokes.experiments import level_mesh, run_convergence, run_counterexample
@@ -212,21 +212,17 @@ def test_criterion_4_hole_rates():
     if eoc["err_p_h1"] > 0.1:
         violations.append(
             f"p H1: final EOC {eoc['err_p_h1']:+.3f} > 0.1 (no convergence expected)")
-    # the harmonic dimension comes from the dense Hodge decomposition: check
-    # it on n = 3, 6, 12, 24. n = 96 and 192 would need a dense working set
-    # of 72 GiB and 1.1 TiB, which hodge_decompose refuses above the physical
-    # memory. The four decompositions take about 3 s on a 2-core box, 2.6 s
-    # of it at n = 24 (1600 edge dofs, 273 MiB traced peak); n = 48 (6272
-    # edge dofs) would take about 64x as long as n = 24, past the runtime
-    # guard below
-    dims = []
-    for k in range(4):
+    # harmonic dimension = Betti number on every level of the study, n = 3
+    # to 192 (about 3 s together on a 2-core box)
+    dims, bettis = [], []
+    for k in range(7):
         mesh = level_mesh(get_case("hole"), 3, k, JITTER_SEED)
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
-        dims.append(hodge_decompose(V, Q, assemble_mass(V).matrix).shape[1])
-    if dims != [1] * len(dims):
-        violations.append(f"harmonic dimensions {dims} != 1 at every level")
+        dims.append(harmonic_fields(V, Q, assemble_mass(V).matrix).shape[1])
+        bettis.append(betti_number(mesh))
+    if dims != bettis or bettis != [1] * 7:
+        violations.append(f"harmonic dimensions {dims} != Betti numbers {bettis}")
     elapsed = time.time() - t0
     if elapsed >= 300.0:
         violations.append(f"runtime {elapsed:.0f}s exceeds 5min")
@@ -275,7 +271,7 @@ def test_criterion_6_structure_invariants():
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
         M = assemble_mass(V).matrix
-        harmonic_basis = hodge_decompose(V, Q, M)
+        harmonic_basis = harmonic_fields(V, Q, M)
         grad_basis, z_basis, _ = full_svd_hodge(V, Q)
         if grad_basis.shape[1] + z_basis.shape[1] + harmonic_basis.shape[1] != V.dof_count:
             violations.append("Hodge dimensions do not sum to dof count")

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from curlstokes import analysis, experiments
 from curlstokes.analysis import (betti_number, compute_eoc, compute_errors,
-                                 hodge_decompose, least_squares_rates,
+                                 harmonic_fields, least_squares_rates,
                                  trace_constant_n, trace_constant_par, _boundary_gram)
 from curlstokes.cases import ManufacturedCase, get_case
 from curlstokes.experiments import run_harmonic, run_probe
@@ -20,7 +19,7 @@ from curlstokes.forms import (_assemble_cells, _boundary_edge_data,
                               _boundary_rule, assemble_b, assemble_curl_curl,
                               assemble_mass, assemble_mean_vector, assemble_stiffness,
                               assemble_velocity_block)
-from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
+from curlstokes.mesh import (_grid_mesh, generate_l_shape, generate_square_with_hole,
                              generate_unit_square, jitter, two_triangle_square)
 from curlstokes.spaces import build_edge_space, build_nodal_space
 
@@ -220,7 +219,7 @@ def test_hodge_square(order):
     V = build_edge_space(mesh, order)
     Q = build_nodal_space(mesh, order)
     M = assemble_mass(V).matrix
-    basis = hodge_decompose(V, Q, M)
+    basis = harmonic_fields(V, Q, M)
     assert basis.shape[1] == 0
     check_harmonic_complements_oracle(V, Q, M, basis)
 
@@ -230,50 +229,63 @@ def test_hodge_orthogonality_and_hole_dimension():
     V = build_edge_space(mesh, 1)
     Q = build_nodal_space(mesh, 1)
     M = assemble_mass(V).matrix
-    basis = hodge_decompose(V, Q, M)
+    basis = harmonic_fields(V, Q, M)
     assert basis.shape[1] == 1
     check_harmonic_complements_oracle(V, Q, M, basis)
 
 
-def test_hodge_decompose_checks_the_coupling_rank(monkeypatch):
-    # a rank tolerance of 1 leaves B^T rank 0, so X_h would be the whole space;
-    # a dimension sum over the three blocks still closes (0 + 0 + n = n), the
-    # rank check (Q.dof_count - 1 on a connected mesh) does not
+def test_harmonic_fields_check_the_gram_rank(monkeypatch):
+    # a rank tolerance of 1 counts the projected cochain, shorter in the
+    # M-norm than the cochain itself, as numerically zero
     mesh = generate_square_with_hole(3)
     V = build_edge_space(mesh, 1)
     Q = build_nodal_space(mesh, 1)
     monkeypatch.setattr(analysis, "KERNEL_RANK_RTOL", 1.0)
-    with pytest.raises(RuntimeError, match="rank 0"):
-        hodge_decompose(V, Q, assemble_mass(V).matrix)
+    with pytest.raises(RuntimeError, match="linearly dependent"):
+        harmonic_fields(V, Q, assemble_mass(V).matrix)
 
 
-def test_hodge_decompose_memory_peak():
-    # tracemalloc sees numpy arrays, not the operand copies and workspace that
-    # numpy's and scipy's linalg take with malloc, so this bounds the dense
-    # arrays only. On hole n = 18 its peak is 65 MiB, set while dgemm forms
-    # the curl product from the curl factor; it was 88 MiB with the dense mass
-    # and coupling factors still alive at the split, and 259 MiB with the full
-    # SVD's unread 5184 x 5184 left factor.
-    # test_harmonic_peak_rss bounds what only peak RSS shows.
-    mesh = generate_square_with_hole(18)
-    V = build_edge_space(mesh, 1)
-    Q = build_nodal_space(mesh, 1)
+def _mass_projector(M, basis):
+    """The M-orthogonal projector onto the span of an M-orthonormal basis."""
+    return basis @ (M @ basis).T
+
+
+@pytest.mark.parametrize("order, n", [(1, 3), (1, 6), (1, 18), (2, 3), (2, 6), (2, 12)])
+def test_harmonic_span_matches_full_svd_oracle(order, n):
+    # the cut-cochain fields and the oracle's null curl vectors may differ by
+    # sign (and, past one hole, by rotation): their projectors must agree
+    mesh = generate_square_with_hole(n)
+    V = build_edge_space(mesh, order)
+    Q = build_nodal_space(mesh, order)
     M = assemble_mass(V).matrix
-    tracemalloc.start()
-    try:
-        hodge_decompose(V, Q, M)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 150 * 2 ** 20
+    basis, oracle = harmonic_fields(V, Q, M), full_svd_hodge(V, Q)[2]
+    assert basis.shape[1] == oracle.shape[1] == 1
+    assert np.abs(_mass_projector(M, basis) - _mass_projector(M, oracle)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_two_holes_carry_two_harmonic_fields(order):
+    # two separated square holes in a 9 x 9 grid; no case has more than one
+    coords = np.arange(10) / 9
+    keep = np.ones((9, 9), dtype=bool)
+    keep[2:4, 2:4] = keep[5:7, 5:7] = False
+    mesh = _grid_mesh(coords, coords, keep)
+    V = build_edge_space(mesh, order)
+    Q = build_nodal_space(mesh, order)
+    M = assemble_mass(V).matrix
+    basis = harmonic_fields(V, Q, M)
+    assert basis.shape[1] == betti_number(mesh) == 2
+    assert np.abs(basis.T @ (M @ basis) - np.eye(2)).max() <= 1e-12
+    check_harmonic_complements_oracle(V, Q, M, basis)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM")
 def test_harmonic_peak_rss(tmp_path):
     # a fresh interpreter's peak RSS above its post-import RSS during
-    # harmonic --n 18: 123.8 MiB when the dense mass and coupling factors lived
-    # through the curl split and np.linalg.qr held the product three times,
-    # 96.7 MiB with one in-place dgeqrf copy (2-core box, OpenBLAS 0.3.30/31).
+    # harmonic --n 18: 123.8 MiB when a dense Hodge split held its mass and
+    # coupling factors and np.linalg.qr held the curl product three times,
+    # 96.7 MiB with one in-place dgeqrf copy, about 10 MiB with the sparse
+    # projection of the cut cochain (2-core box, OpenBLAS 0.3.30/31).
     # The peak is the process's VmHWM, not ru_maxrss, which a child started
     # by subprocess inherits from this (larger) test process.
     script = ("import re, sys\n"
@@ -299,7 +311,7 @@ def test_harmonic_basis_size_equals_betti():
         assert betti_number(mesh) == betti
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
-        assert hodge_decompose(V, Q, assemble_mass(V).matrix).shape[1] == betti
+        assert harmonic_fields(V, Q, assemble_mass(V).matrix).shape[1] == betti
 
 
 def test_harmonic_curl_over_trace_bounded_across_levels():
@@ -315,10 +327,10 @@ def test_harmonic_run_decomposes_once(monkeypatch):
 
     def counted(V, Q, M):
         calls.append(V)
-        return hodge_decompose(V, Q, M)
+        return harmonic_fields(V, Q, M)
 
     for module in (analysis, experiments):
-        monkeypatch.setattr(module, "hodge_decompose", counted)
+        monkeypatch.setattr(module, "harmonic_fields", counted)
     data = run_harmonic("hole", 3)
     assert data["dimension"] == 1 and data["curl_norm_over_boundary_trace"] > 0
     assert len(calls) == 1
@@ -358,7 +370,7 @@ def test_probe_tabulates_boundary_traces_once_per_level(monkeypatch):
 
 
 def test_harmonic_assembles_mass_once(monkeypatch):
-    # the Hodge split and c.M.c read the same matrix
+    # the gradient projection and c.M.c read the same matrix
     calls = _count_mass_assemblies(monkeypatch)
     run_harmonic("hole", 6)
     assert len(calls) == 1

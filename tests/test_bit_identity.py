@@ -1,34 +1,26 @@
-"""The batched assembly must reproduce a per-triangle loop bit for bit, and
-the thin-SVD harmonic basis the full-SVD one.
+"""The batched assembly must reproduce a per-triangle loop bit for bit.
 
 The loop reference below is the element-by-element formulation the batched
 kernels replaced: one basis tabulation, one contraction and one scatter per
 triangle or boundary edge. The reported errors react to a single ulp in the
 assembled system (see the ``forms`` module docstring), so every comparison
-is ``np.array_equal``, not a tolerance. The Hodge reference
-(``oracles.full_svd_hodge``) forms the full left singular factor of the curl
-split; ``hodge_decompose`` forms none, it takes the SVD of the R of a QR.
-``harmonic.json`` is checked to 1e-10 against a roundoff-sized ratio, so its
-basis must not move by a bit either.
+is ``np.array_equal``, not a tolerance.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curlstokes.analysis import _boundary_gram, hodge_decompose
+from curlstokes.analysis import _boundary_gram
 from curlstokes.cases import get_case
 from curlstokes.forms import (assemble_b, assemble_divergence_rhs,
                               assemble_mass, assemble_mass_nodal,
                               assemble_mean_vector, assemble_rhs,
                               assemble_stiffness, assemble_velocity_block,
                               merge_triplets)
-from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
-                             generate_unit_square, jitter)
+from curlstokes.mesh import generate_square_with_hole, generate_unit_square, jitter
 from curlstokes.quadrature import edge_rule, triangle_rule
 from curlstokes.spaces import build_edge_space, build_nodal_space
-from oracles import full_svd_hodge
 
 _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
@@ -290,26 +282,3 @@ def test_batched_assembly_is_bit_identical_to_loops(mesh, seed):
         assert np.array_equal(assemble_divergence_rhs(Q, case.u),
                               loop_divergence_rhs(Q, case.u))
         assert np.array_equal(assemble_mean_vector(Q), loop_mean_vector(Q))
-
-
-@pytest.mark.parametrize("make, order", [
-    (lambda: generate_unit_square(2), 1),
-    (lambda: generate_unit_square(2), 2),
-    (lambda: generate_l_shape(1), 1),
-    (lambda: generate_square_with_hole(3), 1),
-    (lambda: generate_square_with_hole(3), 2),
-    (lambda: generate_square_with_hole(6), 1),
-    (lambda: generate_square_with_hole(6), 2),
-    (lambda: jitter(generate_square_with_hole(6), 7), 1),
-    # harmonic --n 18's input: 577 columns, most of them through dgeqrf's
-    # blocked code (the cases above reach 193); the full-SVD reference here
-    # takes about 4 s and 600 MB
-    (lambda: generate_square_with_hole(18), 1),
-], ids=["square2-o1", "square2-o2", "lshape1-o1", "hole3-o1", "hole3-o2",
-        "hole6-o1", "hole6-o2", "hole6-jitter7-o1", "hole18-o1"])
-def test_hodge_decomposition_is_bit_identical_to_full_svd(make, order):
-    mesh = make()
-    V = build_edge_space(mesh, order)
-    Q = build_nodal_space(mesh, order)
-    harmonic_basis = hodge_decompose(V, Q, assemble_mass(V).matrix)
-    assert np.array_equal(harmonic_basis, full_svd_hodge(V, Q)[2])

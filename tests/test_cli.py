@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import curlstokes
-from curlstokes import analysis, experiments, solver
+from curlstokes import experiments, solver
 from curlstokes.cli import EXIT_BETTI_MISMATCH, EXIT_MEMORY, EXIT_SINGULAR, main
 
 CSV_HEADER = ("level,h,dofs_u,dofs_p,err_u_l2,err_u_curl,err_u_hash,err_gpar,"
@@ -181,17 +181,17 @@ def test_out_of_memory_exits_cleanly(tmp_path, monkeypatch, capsys, error):
     assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
-def test_oversized_hodge_split_exits_before_allocating(tmp_path, monkeypatch, capsys):
-    # the split's dense working set is computed from the shapes and compared
-    # with physical memory before any assembly; hole n = 6 needs about 1.3 MiB
-    monkeypatch.setattr(analysis, "_physical_memory", lambda: 2 ** 16)
-    monkeypatch.setattr(experiments, "assemble_mass",
-                        lambda V: pytest.fail("harmonic assembled the mass matrix"))
-    monkeypatch.setattr(analysis, "_mass_orthonormal_kernel",
-                        lambda V, Q, M: pytest.fail("the split allocated its dense factors"))
+def test_harmonic_out_of_memory_exits_5(tmp_path, monkeypatch, capsys):
+    # the gradient projection factors through the solver's LU, so SuperLU
+    # running out of memory ends as exit code 5 there too
+    def splu(matrix):
+        raise SystemError("Can't expand MemType 1: jcol 1320")
+
+    monkeypatch.setattr(solver, "splu", splu)
     out = tmp_path / "h"
     assert main(["harmonic", "--case", "hole", "--n", "6", "--out", str(out)]) == EXIT_MEMORY
-    assert capsys.readouterr().err.startswith("error: out of memory")
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
     assert not out.exists()
 
 

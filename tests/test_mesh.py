@@ -204,6 +204,17 @@ def test_non_finite_vertex_rejected(bad):
         build_mesh([[0, 0], [1, 0], [bad, 1]], [[0, 1, 2]])
 
 
+@pytest.mark.parametrize("vertices, triangles", [
+    ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2], [0, 1, 2]]),                # no boundary edge
+    ([[0, 0], [1, 0], [0, 1], [0.5, 0.5]], [[0, 1, 2], [0, 1, 3]]),    # folded pair
+], ids=["duplicate", "folded"])
+def test_shared_edge_traversed_twice_in_one_direction_rejected(vertices, triangles):
+    # each triangle is counterclockwise, but both run along edge (0, 1) from 0
+    # to 1, so they overlap; the duplicate would read Betti number -1
+    with pytest.raises(MeshOrientationError, match=r"edge \(0, 1\)"):
+        build_mesh(vertices, triangles)
+
+
 def test_nonconforming_edge_rejected():
     vertices = [[0, 0], [1, 0], [0, 1], [1, 1], [-1, 1]]
     triangles = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]  # edge (0,1) shared by three triangles
