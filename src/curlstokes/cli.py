@@ -1,19 +1,21 @@
 """Command-line interface: convergence studies, the ill-posedness
 counterexample, harmonic-field extraction, and stability probes.
 
-Each command writes the JSON document that its driver in ``experiments``
-returns, and reads its CSV and SVG files off that document. Outputs are
-deterministic: identical configuration (and jitter seed) yields
-byte-identical CSV and JSON files, at any BLAS thread count. Exit codes:
-0 success, 2 configuration error, 3 solver singularity (outside the
-counterexample command), 5 out of memory, 6 harmonic dimension differs from
-the Betti number. Code 4 is unused.
+Each command runs its driver in ``experiments`` and returns the files it
+writes (name -> text, read off the driver's document), its summary line and
+its exit code; ``main`` alone checks ``--out``, before any driver runs, and
+writes. Outputs are deterministic: identical configuration (and jitter seed)
+yields byte-identical CSV and JSON files, at any BLAS thread count. Exit
+codes: 0 success, 2 configuration error or unusable ``--out``, 3 solver
+singularity (outside the counterexample command), 5 out of memory, 6
+harmonic dimension differs from the Betti number. Code 4 is unused.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -34,11 +36,11 @@ CSV_COLUMNS = ["level", "h", "dofs_u", "dofs_p", *NORMS]
 EOC_COLUMNS = [norm.replace("err_", "eoc_", 1) for norm in NORMS]
 
 
-def _json_dump(data, path: Path) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _json_text(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _write_errors_csv(report: dict, path: Path) -> None:
+def _errors_csv(report: dict) -> str:
     eoc = report["eoc"]
     lines = [",".join(CSV_COLUMNS + EOC_COLUMNS)]
     for k, level in enumerate(report["levels"]):
@@ -46,10 +48,10 @@ def _write_errors_csv(report: dict, path: Path) -> None:
         row += [repr(level["errors"][norm]) for norm in NORMS]
         row += ["" if k == 0 else repr(eoc[norm][k - 1]) for norm in NORMS]
         lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_svgs(report: dict, outdir: Path) -> None:
+def _svgs(report: dict) -> dict[str, str]:
     levels = report["levels"]
     hs = [level["h"] for level in levels]
     r = report["config"]["order"]
@@ -58,67 +60,45 @@ def _write_svgs(report: dict, outdir: Path) -> None:
         "convergence_boundary.svg": ("boundary trace errors", "err_g", (float(r),)),
         "convergence_pressure.svg": ("pressure errors", "err_p_", (r - 0.5,)),
     }
-    for fname, (title, prefix, slopes) in groups.items():
-        series = {norm: [level["errors"][norm] for level in levels]
-                  for norm in NORMS if norm.startswith(prefix)}
-        (outdir / fname).write_text(loglog_chart(
-            f"{report['config']['case']} order {r}: {title}", hs, series, slopes))
+    return {fname: loglog_chart(f"{report['config']['case']} order {r}: {title}", hs,
+                                {norm: [level["errors"][norm] for level in levels]
+                                 for norm in NORMS if norm.startswith(prefix)}, slopes)
+            for fname, (title, prefix, slopes) in groups.items()}
 
 
-def _cmd_convergence(args) -> int:
-    outdir = Path(args.out)
-    try:
-        report = run_convergence(args.case, args.order, args.levels, C_w=args.cw,
-                                 base_n=args.base_n, jitter_seed=args.jitter)
-    except SingularLevelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_errors_csv(report, outdir / "errors.csv")
-    _json_dump(report, outdir / "report.json")
-    _write_svgs(report, outdir)
-    final = {k: v[-1] for k, v in report["eoc"].items()}
-    print(f"convergence {args.case} order {args.order}: final EOC "
-          + " ".join(f"{k}={v:.3f}" for k, v in final.items()))
-    return EXIT_OK
+def _cmd_convergence(args):
+    report = run_convergence(args.case, args.order, args.levels, C_w=args.cw,
+                             base_n=args.base_n, jitter_seed=args.jitter)
+    final = " ".join(f"{k}={v[-1]:.3f}" for k, v in report["eoc"].items())
+    files = {"errors.csv": _errors_csv(report), "report.json": _json_text(report),
+             **_svgs(report)}
+    return files, f"convergence {args.case} order {args.order}: final EOC {final}", EXIT_OK
 
 
-def _cmd_counterexample(args) -> int:
-    outdir = Path(args.out)
+def _cmd_counterexample(args):
     data = run_counterexample()
-    outdir.mkdir(parents=True, exist_ok=True)
-    _json_dump(data, outdir / "counterexample.json")
-    print(f"essential kernel dimension {data['essential']['kernel_dimension']} "
-          f"(refined: {data['essential_refined']['kernel_dimension']}), "
-          f"weak-form kernel dimension {data['nitsche']['kernel_dimension']}")
-    return EXIT_OK
+    summary = (f"essential kernel dimension {data['essential']['kernel_dimension']} "
+               f"(refined: {data['essential_refined']['kernel_dimension']}), "
+               f"weak-form kernel dimension {data['nitsche']['kernel_dimension']}")
+    return {"counterexample.json": _json_text(data)}, summary, EXIT_OK
 
 
-def _cmd_harmonic(args) -> int:
-    outdir = Path(args.out)
+def _cmd_harmonic(args):
     data = run_harmonic(args.case, args.n, args.order)
-    outdir.mkdir(parents=True, exist_ok=True)
-    samples = data.pop("samples")
-    _json_dump(data, outdir / "harmonic.json")
-    lines = ["x,y,hx,hy"] + [",".join(repr(v) for v in row) for row in samples]
-    (outdir / "harmonic.csv").write_text("\n".join(lines) + "\n")
+    lines = ["x,y,hx,hy"] + [",".join(repr(v) for v in row) for row in data.pop("samples")]
+    files = {"harmonic.json": _json_text(data), "harmonic.csv": "\n".join(lines) + "\n"}
     if data["dimension"] != data["betti_number"]:
-        print("error: harmonic dimension does not equal the Betti number", file=sys.stderr)
-        return EXIT_BETTI_MISMATCH
-    print(f"harmonic dimension {data['dimension']} (Betti {data['betti_number']})")
-    return EXIT_OK
+        return files, "harmonic dimension does not equal the Betti number", EXIT_BETTI_MISMATCH
+    return files, f"harmonic dimension {data['dimension']} (Betti {data['betti_number']})", EXIT_OK
 
 
-def _cmd_probe(args) -> int:
-    outdir = Path(args.out)
+def _cmd_probe(args):
     data = run_probe(args.case, args.levels, args.order)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _json_dump(data, outdir / "probe.json")
     last = data["levels"][-1]
-    print(f"probe {args.case}: C_n={last['C_n']:.4f} C_par={last['C_par']:.4f} "
-          f"recommended C_w={last['recommended_C_w']:.4f} "
-          f"beta_h={last['beta_h']:.6f} beta/h={last['beta_over_h']:.4f}")
-    return EXIT_OK
+    summary = (f"probe {args.case}: C_n={last['C_n']:.4f} C_par={last['C_par']:.4f} "
+               f"recommended C_w={last['recommended_C_w']:.4f} "
+               f"beta_h={last['beta_h']:.6f} beta/h={last['beta_over_h']:.4f}")
+    return {"probe.json": _json_text(data)}, summary, EXIT_OK
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -137,41 +117,58 @@ def make_parser() -> argparse.ArgumentParser:
                       help="base subdivision (default: per-case)")
     conv.add_argument("--jitter", type=int, default=None, metavar="SEED",
                       help="perturb interior vertices with this seed")
-    conv.add_argument("--out", required=True)
     conv.set_defaults(func=_cmd_convergence)
 
     ce = sub.add_parser("counterexample",
                         help="reproduce the strong-imposition ill-posedness")
-    ce.add_argument("--out", required=True)
     ce.set_defaults(func=_cmd_counterexample)
 
     har = sub.add_parser("harmonic", help="extract discrete harmonic fields")
     har.add_argument("--case", choices=sorted(CASES), default="hole")
     har.add_argument("--n", type=int, default=None)
     har.add_argument("--order", type=int, choices=(1, 2), default=1)
-    har.add_argument("--out", required=True)
     har.set_defaults(func=_cmd_harmonic)
 
     pr = sub.add_parser("probe", help="trace-constant and inf-sup probes")
     pr.add_argument("--case", choices=sorted(CASES), default="star")
     pr.add_argument("--levels", type=int, default=3)
     pr.add_argument("--order", type=int, choices=(1, 2), default=1)
-    pr.add_argument("--out", required=True)
     pr.set_defaults(func=_cmd_probe)
+    for command in (conv, ce, har, pr):
+        command.add_argument("--out", required=True)
     return parser
 
 
+def _finish(message: str, code: int) -> int:
+    """Print a command's one line, as ``error: ...`` on stderr unless it succeeded."""
+    print(message if code == EXIT_OK else f"error: {message}",
+          file=sys.stdout if code == EXIT_OK else sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
+    outdir = Path(args.out)
+    existing = next((p for p in (outdir, *outdir.parents) if os.path.exists(p)), Path("."))
+    if not os.path.isdir(existing):
+        return _finish(f"--out {outdir}: {existing} is not a directory", EXIT_CONFIG)
     try:
-        return args.func(args)
+        files, summary, code = args.func(args)
+    except SingularLevelError as exc:
+        return _finish(str(exc), EXIT_SINGULAR)
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_MEMORY
+        return _finish(f"out of memory: {exc}", EXIT_MEMORY)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _finish(str(exc), EXIT_CONFIG)
+    path = outdir
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            path = outdir / name
+            path.write_text(text)
+    except OSError as exc:
+        return _finish(f"cannot write {path}: {exc.strerror or exc}", EXIT_CONFIG)
+    return _finish(summary, code)
 
 
 if __name__ == "__main__":

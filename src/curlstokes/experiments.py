@@ -10,6 +10,8 @@ singularity ``run_counterexample`` exhibits.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from . import mesh as meshmod
@@ -59,15 +61,15 @@ def _spaces(mesh: Mesh, order: int) -> tuple[EdgeSpace, NodalSpace]:
     return build_edge_space(mesh, order), build_nodal_space(mesh, order)
 
 
-def level_mesh(case: ManufacturedCase, base_n: int, level: int,
-               jitter_seed: int | None) -> Mesh:
-    """Uniformly refined mesh for one level, optionally jittered at its own scale."""
+def level_meshes(case: ManufacturedCase, base_n: int, levels: int,
+                 jitter_seed: int | None) -> Iterator[Mesh]:
+    """The meshes of a refinement study: each level refines the previous
+    unjittered mesh once and is then, optionally, jittered at its own scale."""
     mesh = case.mesh_builder(base_n)
-    for _ in range(level):
-        mesh = meshmod.refine_uniform(mesh)
-    if jitter_seed is not None:
-        mesh = meshmod.jitter(mesh, jitter_seed)
-    return mesh
+    for k in range(levels):
+        if k:
+            mesh = meshmod.refine_uniform(mesh)
+        yield mesh if jitter_seed is None else meshmod.jitter(mesh, jitter_seed)
 
 
 def run_convergence(case_name: str, order: int, levels: int, C_w: float = DEFAULT_C_W,
@@ -85,8 +87,8 @@ def run_convergence(case_name: str, order: int, levels: int, C_w: float = DEFAUL
         base_n = case.default_n
 
     records = []
-    for k in range(levels):
-        V, Q = _spaces(level_mesh(case, base_n, k, jitter_seed), order)
+    for k, mesh in enumerate(level_meshes(case, base_n, levels, jitter_seed)):
+        V, Q = _spaces(mesh, order)
         rep = solve(build_saddle_system(V, Q, case, C_w))
         if rep.singular:
             raise SingularLevelError(f"singular system at refinement level {k}")
@@ -190,8 +192,7 @@ def run_probe(case_name: str, levels: int = 3, order: int = 1) -> dict:
     case = get_case(case_name)
     base_n = 3 if case_name == "hole" else 2
     rows = []
-    for k in range(levels):
-        mesh = level_mesh(case, base_n, k, None)
+    for k, mesh in enumerate(level_meshes(case, base_n, levels, None)):
         V, Q = _spaces(mesh, order)
         M = assemble_mass(V).matrix
         t_par, t_curl = _boundary_gram(V)

@@ -30,7 +30,7 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from curlstokes.analysis import compute_eoc, compute_errors
 from curlstokes.cases import get_case
-from curlstokes.experiments import build_saddle_system, level_mesh
+from curlstokes.experiments import build_saddle_system, level_meshes
 from curlstokes.forms import DEFAULT_C_W, assemble_mass_nodal
 from curlstokes.solver import _RESIDUAL_RTOL, solve
 from curlstokes.spaces import build_edge_space, build_nodal_space
@@ -106,8 +106,7 @@ def main():
     print(f"case={args.case} order={args.order} base_n={args.base_n} "
           f"jitter={args.jitter} C_w={DEFAULT_C_W}", flush=True)
     records = []
-    for k in range(args.levels):
-        mesh = level_mesh(case, args.base_n, k, args.jitter)
+    for k, mesh in enumerate(level_meshes(case, args.base_n, args.levels, args.jitter)):
         V, Q = build_edge_space(mesh, args.order), build_nodal_space(mesh, args.order)
         system = build_saddle_system(V, Q, case)
         u, p, iters, fill, res = augmented_solve(system, assemble_mass_nodal(Q).matrix)

@@ -22,7 +22,7 @@ from curlstokes.analysis import (_boundary_gram, betti_number, compute_eoc,
                                  compute_errors, harmonic_fields,
                                  trace_constant_n, trace_constant_par)
 from curlstokes.cases import ManufacturedCase, get_case
-from curlstokes.experiments import level_mesh, run_convergence, run_counterexample
+from curlstokes.experiments import level_meshes, run_convergence, run_counterexample
 from curlstokes.forms import assemble_mass
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
                              generate_unit_square, jitter)
@@ -80,9 +80,8 @@ def test_criterion_2_exact_reproduction():
     t0 = time.time()
     violations = []
     worst_u = worst_p = 0.0
-    for level in range(4):
-        case = get_case("linear")
-        mesh = level_mesh(case, 2, level, None)
+    case = get_case("linear")
+    for mesh in level_meshes(case, 2, 4, None):
         rep, V, Q = solve_fields(mesh, 1, case, 10.0)
         e = compute_errors(V, rep.u, Q, rep.p, case)["errors"]
         worst_u = max(worst_u, e["err_u_l2"])
@@ -189,8 +188,7 @@ def test_curl_band_rejects_unscaled_penalty():
     """
     case = get_case("star")
     records = []
-    for k in range(5):
-        mesh = level_mesh(case, 8, k, JITTER_SEED)
+    for mesh in level_meshes(case, 8, 5, JITTER_SEED):
         rep, V, Q = solve_fields(mesh, 1, case, 10.0 * mesh.h_max)
         records.append(compute_errors(V, rep.u, Q, rep.p, case))
     curl_eoc = compute_eoc(records)["err_u_curl"][-1]
@@ -215,8 +213,7 @@ def test_criterion_4_hole_rates():
     # harmonic dimension = Betti number on every level of the study, n = 3
     # to 192 (about 3 s together on a 2-core box)
     dims, bettis = [], []
-    for k in range(7):
-        mesh = level_mesh(get_case("hole"), 3, k, JITTER_SEED)
+    for mesh in level_meshes(get_case("hole"), 3, 7, JITTER_SEED):
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
         dims.append(harmonic_fields(V, Q, assemble_mass(V).matrix).shape[1])

@@ -197,8 +197,9 @@ def test_report_levels_are_compute_errors_records(order, jitter_seed):
     report = experiments.run_convergence("star", order, 2, C_w=C_w, base_n=4,
                                          jitter_seed=jitter_seed)
     assert len(report["levels"]) == 2
-    for k, level in enumerate(report["levels"]):
-        rep, V, Q = solve_fields(experiments.level_mesh(case, 4, k, jitter_seed), order, case, C_w)
+    meshes = experiments.level_meshes(case, 4, 2, jitter_seed)
+    for k, (level, mesh) in enumerate(zip(report["levels"], meshes)):
+        rep, V, Q = solve_fields(mesh, order, case, C_w)
         assert level == {"level": k, **compute_errors(V, rep.u, Q, rep.p, case),
                          "cw_over_cn2": C_w / trace_constant_n(V) ** 2}
 

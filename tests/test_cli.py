@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import curlstokes
-from curlstokes import experiments, solver
-from curlstokes.cli import EXIT_BETTI_MISMATCH, EXIT_MEMORY, EXIT_SINGULAR, main
+from curlstokes import cli, experiments, solver
+from curlstokes.cli import EXIT_BETTI_MISMATCH, EXIT_CONFIG, EXIT_MEMORY, EXIT_SINGULAR, main
 
 CSV_HEADER = ("level,h,dofs_u,dofs_p,err_u_l2,err_u_curl,err_u_hash,err_gpar,"
               "err_gcurl,err_p_l2,err_p_h1,eoc_u_l2,eoc_u_curl,eoc_u_hash,"
@@ -98,6 +98,37 @@ def test_rejected_configuration_leaves_no_output_directory(tmp_path, argv):
     out = tmp_path / "rejected"
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_that_cannot_be_a_directory_exits_2_before_the_driver(tmp_path, monkeypatch,
+                                                                  capsys, under):
+    blocker = tmp_path / "taken"
+    blocker.write_bytes(b"not a directory\n")
+
+    def run_convergence(*args, **kwargs):
+        raise AssertionError("the driver ran")
+
+    monkeypatch.setattr(cli, "run_convergence", run_convergence)
+    out = blocker / "sub" if under else blocker
+    code = main(["convergence", "--case", "star", "--levels", "4", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: --out {out}: {blocker} is not a directory\n"
+    assert blocker.read_bytes() == b"not a directory\n"
+
+
+def test_failed_write_exits_2_naming_the_path(tmp_path, monkeypatch, capsys):
+    # chmod denies nothing to root, so the write itself is made to fail
+    def write_text(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    out = tmp_path / "ce"
+    assert main(["counterexample", "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out / 'counterexample.json'}: Permission denied\n"
 
 
 def test_unknown_case_exits_with_config_error(tmp_path):

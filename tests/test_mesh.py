@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curlstokes.cases import get_case
+from curlstokes.experiments import level_meshes
 from curlstokes.mesh import (Mesh, MeshConnectivityError, MeshError,
                              MeshFormatError, MeshOrientationError,
                              build_mesh, generate_l_shape,
@@ -179,6 +181,25 @@ def test_jitter_preserves_topology_under_refinement():
     m = jitter(generate_square_with_hole(3), seed=3)
     assert m.euler_characteristic() == 0
     validate_mesh(refine_uniform(m))
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("case_name", ["star", "hole"])
+def test_level_meshes_refine_once_per_level(case_name, seed):
+    # level k is jitter(refine_uniform^k(base), seed), array for array, with
+    # the base rebuilt and refined k times here; the generator refines the
+    # previous unjittered mesh once per level
+    case = get_case(case_name)
+    meshes = list(level_meshes(case, case.default_n, 4, seed))
+    assert len(meshes) == 4
+    for k, got in enumerate(meshes):
+        ref = case.mesh_builder(case.default_n)
+        for _ in range(k):
+            ref = refine_uniform(ref)
+        if seed is not None:
+            ref = jitter(ref, seed)
+        for f in fields(Mesh):
+            assert np.array_equal(getattr(got, f.name), getattr(ref, f.name)), (k, f.name)
 
 
 def test_load_bad_vertex_index():
