@@ -7,6 +7,8 @@ The velocity error is measured in the mesh-dependent norm
 whose boundary contributions make weak tangential data controllable. The
 trace probes are local or sparse eigensolves (the inf-sup probe is
 ``solver.estimate_infsup``); L2 norms stand in for dual boundary norms.
+It assembles nothing: the quadrature comes from ``spaces``, the operators
+(the boundary Grams among them) from ``forms``.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from .forms import (assemble_b, assemble_stiffness, _assemble_cells, _boundary_edge_data,
-                    _boundary_rule, _cell_weights, _local_matrix, _volume_rule)
+from .forms import assemble_b, assemble_stiffness, _boundary_rule, _volume_rule
 from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
 from .solver import KERNEL_RANK_RTOL, project_off_gradients
-from .spaces import EdgeSpace, NodalSpace, _edge_field, _edge_points, _nodal_field, _sample
+from .spaces import (EdgeSpace, NodalSpace, _boundary_points, _cell_weights, _edge_field,
+                     _nodal_field, _sample)
 
 #: the error norms of the reports, rates and CSV columns, each a key of a
 #: level record's ``errors``: u in L2, curl seminorm and #-norm; the L2 errors
@@ -57,9 +59,7 @@ def compute_errors(V: EdgeSpace, u: np.ndarray, Q: NodalSpace, p: np.ndarray, ca
     gp_sq = float((w * ((_sample(case.grad_p, pts) - gph) ** 2).sum(axis=-1)).sum())
     norm_sq = float((w * ((uh ** 2).sum(axis=-1) + ch ** 2)).sum())
 
-    erule = edge_rule(2 * order + 4)
-    tri, length, bary, pts = _edge_points(mesh, mesh.boundary_edges, erule.points)
-    w = length[:, None] * erule.weights
+    tri, w, bary, pts = _boundary_points(mesh, edge_rule(2 * order + 4))
     uh, ch = _edge_field(V, u, bary, tri)
     du_t = np.einsum("ekd,ed->ek", _sample(case.u, pts) - uh, mesh.boundary_tangents)
     gpar_sq = float((w * du_t ** 2).sum())
@@ -103,18 +103,6 @@ def least_squares_rates(records: list[dict]) -> dict[str, float]:
         es = np.log([r["errors"][norm] for r in records])
         out[norm] = float(np.polyfit(hs, es, 1)[0])
     return out
-
-
-def _boundary_gram(V: EdgeSpace):
-    """Sparse boundary Grams <v . t, w . t>_Gamma and <curl v, curl w>_Gamma,
-    from one tabulation of the boundary traces."""
-    rule = _boundary_rule(V)
-    tri, length, _, trace, curls = _boundary_edge_data(V, rule)
-    w = length[:, None] * rule.weights
-    trace, curls = trace[..., None], curls[..., None]
-    dofs = V.cell_dofs[tri]
-    return tuple(_assemble_cells(dofs, dofs, _local_matrix(w, f, f), (V.dof_count,) * 2)
-                 for f in (trace, curls))
 
 
 def _cut_cochains(mesh: Mesh) -> np.ndarray:
@@ -187,11 +175,9 @@ def trace_constant_n(V: EdgeSpace) -> float:
     mass, cell mass) of P_{r-1} on a boundary triangle."""
     mesh, h = V.mesh, V.mesh.h_max
     basis = np.eye(3) if V.order == 2 else np.ones((3, 1))   # P_{r-1} from barycentrics
-    rule = _boundary_rule(V)
-    tri, length, bary, _ = _edge_points(mesh, mesh.boundary_edges, rule.points)
+    tri, w, bary, _ = _boundary_points(mesh, _boundary_rule(V))
     bnd = np.zeros((mesh.triangle_count,) + (basis.shape[1],) * 2)
-    np.add.at(bnd, tri, np.einsum("ek,eki,ekj->eij", length[:, None] * rule.weights,
-                                  bary @ basis, bary @ basis))
+    np.add.at(bnd, tri, np.einsum("ek,eki,ekj->eij", w, bary @ basis, bary @ basis))
     tri, rule = np.unique(tri), _volume_rule(V)
     cell = np.einsum("fk,ki,kj->fij", _cell_weights(mesh, rule)[tri],
                      rule.points @ basis, rule.points @ basis)
@@ -202,7 +188,7 @@ def trace_constant_n(V: EdgeSpace) -> float:
 def trace_constant_par(V: EdgeSpace, M, t_par) -> float:
     """C_par^2, the top eigenvalue of the pencil (h T_par, M), bounds
     h ||v . t||^2_Gamma by ||v||^2; M is the assembled velocity mass matrix
-    and t_par the tangential boundary Gram T_par of ``_boundary_gram``."""
+    and t_par the tangential boundary Gram T_par of ``forms._boundary_gram``."""
     c_par_sq = eigsh(V.mesh.h_max * t_par, k=1, M=M, which="LA",
                      v0=np.random.default_rng(0).standard_normal(V.dof_count),
                      return_eigenvectors=False)[0]

@@ -11,11 +11,13 @@ with t = rotate90(n) counterclockwise; the sign is pinned by requiring the
 integration-by-parts identity (and hence exact consistency) to close.
 
 Every form takes three steps on all cells (or boundary edges) at once:
-tabulate the basis with the batched kernels of ``spaces``, contract with one
-``einsum``/``matmul``, and scatter. Matrices are scattered through
-``merge_triplets``, whose fixed (row, col, value) sort makes them independent
-of element processing order; vectors are scattered with ``np.add.at`` in
-triangle order, volume terms before boundary terms.
+tabulate the basis with the batched kernels of ``spaces`` at the points of
+its quadrature, contract with one ``einsum``/``matmul``, and scatter. The
+boundary terms (the Nitsche form, the boundary Grams, both load vectors of
+``assemble_rhs``) share one tabulation, ``_boundary_edge_data``. Matrices
+are scattered through ``merge_triplets``, whose fixed (row, col, value) sort
+makes them independent of element processing order; vectors are scattered
+with ``np.add.at`` in triangle order, volume terms before boundary terms.
 
 The assembled system is bit-identical to a per-triangle loop, and it has to
 be: one ulp of noise in A, the load vectors or the mean vector moves the
@@ -38,8 +40,8 @@ import numpy as np
 from scipy import sparse
 
 from .quadrature import edge_rule, triangle_rule
-from .spaces import (EdgeSpace, NodalSpace, _edge_points, _sample, _tabulate_edge,
-                     _tabulate_nodal)
+from .spaces import (EdgeSpace, NodalSpace, _boundary_points, _cell_weights, _sample,
+                     _tabulate_edge, _tabulate_nodal)
 
 #: the Nitsche penalty C_w unless one is given; above the order-1 coercivity
 #: threshold C_n^2 (at most 7.71 at n = 64), below the order-2 one (see README)
@@ -84,11 +86,6 @@ def _boundary_rule(space: EdgeSpace | NodalSpace):
     return edge_rule(2 * space.order + 2)
 
 
-def _cell_weights(mesh, rule) -> np.ndarray:
-    """Physical quadrature weights per triangle, (F, k)."""
-    return 2.0 * mesh.areas[:, None] * rule.weights
-
-
 def _local_matrix(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Local matrices sum_k w[f, k] a[f, k, i, :] . b[f, k, j, :], (F', m, n),
     of cells or boundary edges; scalar fields carry a unit trailing axis."""
@@ -111,28 +108,35 @@ def assemble_curl_curl(V: EdgeSpace) -> SparseOperator:
     return SparseOperator(_assemble_cells(V.cell_dofs, V.cell_dofs, local, (V.dof_count,) * 2))
 
 
-def _boundary_edge_data(V: EdgeSpace, rule):
-    """Per boundary edge: adjacent triangle, length, physical points, and the
-    tangential traces (Bn, k, nloc) and curls (Bn, k, nloc) of the basis."""
-    mesh = V.mesh
-    tri, length, bary, pts = _edge_points(mesh, mesh.boundary_edges, rule.points)
+def _boundary_edge_data(V: EdgeSpace):
+    """``_boundary_points`` of ``_boundary_rule(V)`` (triangle, weights,
+    barycentric and physical points), then the tangential traces (Bn, k, nloc)
+    and curls (Bn, k, nloc) of the basis there."""
+    tri, w, bary, pts = _boundary_points(V.mesh, _boundary_rule(V))
     phi, curls = _tabulate_edge(V, bary, tri)
-    trace = np.matmul(phi, mesh.boundary_tangents[:, None, :, None])[..., 0]
-    return tri, length, pts, trace, curls
+    trace = np.matmul(phi, V.mesh.boundary_tangents[:, None, :, None])[..., 0]
+    return tri, w, bary, pts, trace, curls
 
 
 def assemble_nitsche(V: EdgeSpace, C_w: float) -> SparseOperator:
     """Boundary part of the velocity form: consistency, symmetry and penalty
     C_w/h, h the mesh's ``h_max`` (coercive for C_w > C_n^2, see README)."""
-    rule = _boundary_rule(V)
-    tri, length, _, trace, curls = _boundary_edge_data(V, rule)
-    w = length[:, None] * rule.weights
+    tri, w, _, _, trace, curls = _boundary_edge_data(V)
     trace = trace[..., None]
     pen = C_w / V.mesh.h_max * _local_matrix(w, trace, trace)
     cons = -_local_matrix(w, trace, curls[..., None])
     local = pen + cons + cons.transpose(0, 2, 1)
     dofs = V.cell_dofs[tri]
     return SparseOperator(_assemble_cells(dofs, dofs, local, (V.dof_count,) * 2))
+
+
+def _boundary_gram(V: EdgeSpace):
+    """Sparse boundary Grams <v . t, w . t>_Gamma and <curl v, curl w>_Gamma,
+    from one tabulation of the boundary traces."""
+    tri, w, _, _, trace, curls = _boundary_edge_data(V)
+    dofs = V.cell_dofs[tri]
+    return tuple(_assemble_cells(dofs, dofs, _local_matrix(w, f, f), (V.dof_count,) * 2)
+                 for f in (trace[..., None], curls[..., None]))
 
 
 def assemble_b(V: EdgeSpace, Q: NodalSpace) -> SparseOperator:
@@ -173,37 +177,31 @@ def assemble_mean_vector(Q: NodalSpace) -> np.ndarray:
     return m
 
 
-def assemble_rhs(V: EdgeSpace, f: Callable, g: Callable, C_w: float) -> np.ndarray:
-    """Load vector (f, v) + C_w/h <g, gamma_par(v)> + <g, gamma_curl(v)>; g(x, y)
-    is the full boundary velocity, whose tangential part the traces select."""
+def assemble_rhs(V: EdgeSpace, Q: NodalSpace, f: Callable, g: Callable,
+                 C_w: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both load vectors, (f, v) + C_w/h <g, gamma_par(v)> + <g, gamma_curl(v)>
+    and <g . n, q>, from one sampling of the boundary velocity g(x, y), whose
+    tangential part the traces select."""
+    if V.mesh is not Q.mesh or V.order != Q.order:
+        raise ValueError("velocity and pressure spaces must share a mesh and an order")
     mesh = V.mesh
     rule = _volume_rule(V)
     phi, _ = _tabulate_edge(V, rule.points)
     fv = _sample(f, np.matmul(rule.points, mesh.vertices[mesh.triangles]))
-    out = np.zeros(V.dof_count)
-    np.add.at(out, V.cell_dofs,
+    rhs_u = np.zeros(V.dof_count)
+    np.add.at(rhs_u, V.cell_dofs,
               np.einsum("fk,fkd,fkid->fi", _cell_weights(mesh, rule), fv, phi))
-    brule = _boundary_rule(V)
-    tri, length, pts, trace, curls = _boundary_edge_data(V, brule)
-    gt = np.matmul(_sample(g, pts), mesh.boundary_tangents[:, :, None])[..., 0]
-    w = length[:, None] * brule.weights
-    np.add.at(out, V.cell_dofs[tri],
-              C_w / V.mesh.h_max * np.einsum("ek,ek,eki->ei", w, gt, trace)
+    tri, w, bary, pts, trace, curls = _boundary_edge_data(V)
+    gv = _sample(g, pts)
+    gt = np.matmul(gv, mesh.boundary_tangents[:, :, None])[..., 0]
+    np.add.at(rhs_u, V.cell_dofs[tri],
+              C_w / mesh.h_max * np.einsum("ek,ek,eki->ei", w, gt, trace)
               - np.einsum("ek,ek,eki->ei", w, gt, curls))
-    return out
-
-
-def assemble_divergence_rhs(Q: NodalSpace, g: Callable) -> np.ndarray:
-    """Boundary consistency term <g . n, q_j> for nonzero normal data."""
-    mesh = Q.mesh
-    rule = _boundary_rule(Q)
-    tri, length, bary, pts = _edge_points(mesh, mesh.boundary_edges, rule.points)
-    gn = np.matmul(_sample(g, pts), mesh.boundary_normals[:, :, None])[..., 0]
+    gn = np.matmul(gv, mesh.boundary_normals[:, :, None])[..., 0]
     q, _ = _tabulate_nodal(Q, bary, tri)
-    w = length[:, None] * rule.weights
-    out = np.zeros(Q.dof_count)
-    np.add.at(out, Q.cell_dofs[tri], np.einsum("ek,ek,eki->ei", w, gn, q))
-    return out
+    rhs_q = np.zeros(Q.dof_count)
+    np.add.at(rhs_q, Q.cell_dofs[tri], np.einsum("ek,ek,eki->ei", w, gn, q))
+    return rhs_u, rhs_q
 
 
 def assemble_velocity_block(V: EdgeSpace, C_w: float) -> SparseOperator:

@@ -133,7 +133,7 @@ def _build_n2_coefficients(mesh: Mesh):
     trace = np.matmul(monomials(pts), tang[:, :, None, :, None])[..., 0]   # (F, 3, k, 8)
     moments = np.empty((mesh.triangle_count, 8, 8))
     moments[:, :6] = _edge_moments(erule, length, trace).reshape(-1, 6, 8)
-    w = 2.0 * mesh.areas[:, None] * trule.weights
+    w = _cell_weights(mesh, trule)
     moments[:, 6:] = _cell_moments(w, monomials(np.matmul(trule.points, verts)))
     return np.linalg.inv(moments)
 
@@ -234,6 +234,19 @@ def _edge_points(mesh: Mesh, edges: np.ndarray, s: np.ndarray):
     bary[rows, :, np.argmax(corners == b[:, None], axis=1)] = s
     pts = xa[:, None, :] + s[:, None] * d[:, None, :]
     return tri, length, bary, pts
+
+
+def _cell_weights(mesh: Mesh, rule) -> np.ndarray:
+    """Physical weights of a triangle rule on every triangle, (F, k)."""
+    return 2.0 * mesh.areas[:, None] * rule.weights
+
+
+def _boundary_points(mesh: Mesh, rule):
+    """An edge rule on every boundary edge: the adjacent triangle (B,), the
+    physical weights (B, k), the barycentric points in that triangle
+    (B, k, 3) and the physical points (B, k, 2)."""
+    tri, length, bary, pts = _edge_points(mesh, mesh.boundary_edges, rule.points)
+    return tri, length[:, None] * rule.weights, bary, pts
 
 
 def _sample(fn: Callable, pts: np.ndarray) -> np.ndarray:

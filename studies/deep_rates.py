@@ -108,7 +108,7 @@ def main():
     records = []
     for k, mesh in enumerate(level_meshes(case, args.base_n, args.levels, args.jitter)):
         V, Q = build_edge_space(mesh, args.order), build_nodal_space(mesh, args.order)
-        system = build_saddle_system(V, Q, case)
+        system = build_saddle_system(V, Q, case, DEFAULT_C_W)
         u, p, iters, fill, res = augmented_solve(system, assemble_mass_nodal(Q).matrix)
         rec = compute_errors(V, u, Q, p, case)
         records.append(rec)

@@ -19,16 +19,15 @@ import scipy.linalg
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import splu
 
-from curlstokes.analysis import _boundary_gram
 from curlstokes.experiments import _spaces, build_saddle_system
-from curlstokes.forms import (DEFAULT_C_W, _cell_weights, _volume_rule, assemble_b,
+from curlstokes.forms import (DEFAULT_C_W, _boundary_gram, _volume_rule, assemble_b,
                               assemble_curl_curl, assemble_mass, assemble_mean_vector,
                               assemble_stiffness)
 from curlstokes.quadrature import edge_rule, triangle_rule
 from curlstokes.solver import KERNEL_RANK_RTOL, SolveReport, estimate_infsup, solve
-from curlstokes.spaces import (_ALL, EdgeSpace, NodalSpace, _cell_moments, _edge_field,
-                               _edge_moments, _edge_points, _sample, _tabulate_edge,
-                               _tabulate_nodal)
+from curlstokes.spaces import (_ALL, EdgeSpace, NodalSpace, _cell_moments, _cell_weights,
+                               _edge_field, _edge_moments, _edge_points, _sample,
+                               _tabulate_edge, _tabulate_nodal)
 
 
 def interpolate_edge(space: EdgeSpace, field: Callable | np.ndarray) -> np.ndarray:

@@ -18,12 +18,11 @@ import time
 
 import numpy as np
 
-from curlstokes.analysis import (_boundary_gram, betti_number, compute_eoc,
-                                 compute_errors, harmonic_fields,
-                                 trace_constant_n, trace_constant_par)
+from curlstokes.analysis import (betti_number, compute_eoc, compute_errors,
+                                 harmonic_fields, trace_constant_n, trace_constant_par)
 from curlstokes.cases import ManufacturedCase, get_case
 from curlstokes.experiments import level_meshes, run_convergence, run_counterexample
-from curlstokes.forms import assemble_mass
+from curlstokes.forms import _boundary_gram, assemble_mass
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
                              generate_unit_square, jitter)
 from curlstokes.quadrature import edge_rule, triangle_rule

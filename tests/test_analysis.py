@@ -9,15 +9,15 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curlstokes import analysis, experiments
+from curlstokes import analysis, experiments, forms
 from curlstokes.analysis import (betti_number, compute_eoc, compute_errors,
                                  harmonic_fields, least_squares_rates,
-                                 trace_constant_n, trace_constant_par, _boundary_gram)
+                                 trace_constant_n, trace_constant_par)
 from curlstokes.cases import ManufacturedCase, get_case
 from curlstokes.experiments import run_harmonic, run_probe
-from curlstokes.forms import (_assemble_cells, _boundary_edge_data,
-                              _boundary_rule, assemble_b, assemble_curl_curl,
-                              assemble_mass, assemble_mean_vector, assemble_stiffness,
+from curlstokes.forms import (_assemble_cells, _boundary_edge_data, _boundary_gram,
+                              assemble_b, assemble_curl_curl, assemble_mass,
+                              assemble_mean_vector, assemble_stiffness,
                               assemble_velocity_block)
 from curlstokes.mesh import (_grid_mesh, generate_l_shape, generate_square_with_hole,
                              generate_unit_square, jitter, two_triangle_square)
@@ -34,10 +34,8 @@ from oracles import (full_svd_hodge, interpolate_edge, interpolate_nodal, probe_
 
 def dense_boundary_grams(V):
     """Dense boundary Gram matrices of tangential traces and curl traces."""
-    rule = _boundary_rule(V)
     n = V.dof_count
-    tri, length, _, trace, curls = _boundary_edge_data(V, rule)
-    w = length[:, None] * rule.weights
+    tri, w, _, _, trace, curls = _boundary_edge_data(V)
     dofs = V.cell_dofs[tri]
     t_par = _assemble_cells(dofs, dofs, np.einsum("ek,eki,ekj->eij", w, trace, trace),
                             (n, n)).toarray()
@@ -361,11 +359,11 @@ def test_probe_tabulates_boundary_traces_once_per_level(monkeypatch):
     # both probes scale the same two boundary Grams
     calls = []
 
-    def counted(V, rule):
+    def counted(V):
         calls.append(V)
-        return _boundary_edge_data(V, rule)
+        return _boundary_edge_data(V)
 
-    monkeypatch.setattr(analysis, "_boundary_edge_data", counted)
+    monkeypatch.setattr(forms, "_boundary_edge_data", counted)
     run_probe("star", levels=2, order=2)
     assert len(calls) == 2
 

@@ -11,11 +11,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curlstokes.analysis import _boundary_gram
 from curlstokes.cases import get_case
-from curlstokes.forms import (assemble_b, assemble_divergence_rhs,
-                              assemble_mass, assemble_mass_nodal,
-                              assemble_mean_vector, assemble_rhs,
+from curlstokes.forms import (_boundary_gram, assemble_b, assemble_mass,
+                              assemble_mass_nodal, assemble_mean_vector, assemble_rhs,
                               assemble_stiffness, assemble_velocity_block,
                               merge_triplets)
 from curlstokes.mesh import generate_square_with_hole, generate_unit_square, jitter
@@ -277,8 +275,8 @@ def test_batched_assembly_is_bit_identical_to_loops(mesh, seed):
             Q, Q, lambda t: (nodal(t)[0],) * 2, rule, "k,ki,kj->ij", (nq, nq)))
         assert _same(assemble_stiffness(Q).matrix, loop_cell_matrix(
             Q, Q, lambda t: (nodal(t)[1],) * 2, rule, "k,kid,kjd->ij", (nq, nq)))
-        assert np.array_equal(assemble_rhs(V, case.f, case.u, 10.0),
+        assert np.array_equal(assemble_rhs(V, Q, case.f, case.u, 10.0)[0],
                               loop_rhs(V, case.f, case.u, 10.0))
-        assert np.array_equal(assemble_divergence_rhs(Q, case.u),
+        assert np.array_equal(assemble_rhs(V, Q, case.f, case.u, 10.0)[1],
                               loop_divergence_rhs(Q, case.u))
         assert np.array_equal(assemble_mean_vector(Q), loop_mean_vector(Q))

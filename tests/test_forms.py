@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,7 @@ from hypothesis import strategies as st
 from curlstokes.analysis import trace_constant_n
 from curlstokes.cases import get_case
 from curlstokes.experiments import _spaces, build_essential_system, build_saddle_system
-from curlstokes.forms import (assemble_b, assemble_curl_curl,
-                              assemble_divergence_rhs, assemble_mass,
+from curlstokes.forms import (assemble_b, assemble_curl_curl, assemble_mass,
                               assemble_mean_vector, assemble_nitsche,
                               assemble_rhs, assemble_stiffness,
                               assemble_velocity_block, merge_triplets)
@@ -156,16 +157,14 @@ def test_linear_case_reproduced_on_jittered_meshes(mesh):
 
 
 def test_rhs_zero_data():
-    m = generate_unit_square(2)
-    V = build_edge_space(m, 1)
-    rhs = assemble_rhs(V, lambda x, y: np.zeros((np.size(x), 2)), zero_g, 10.0)
-    assert np.abs(rhs).max() == 0.0
+    V, Q = _spaces(generate_unit_square(2), 1)
+    for rhs in assemble_rhs(V, Q, lambda x, y: np.zeros((np.size(x), 2)), zero_g, 10.0):
+        assert np.abs(rhs).max() == 0.0
 
 
 def test_rhs_constant_forcing_oracle():
-    m = generate_unit_square(2)
-    V = build_edge_space(m, 1)
-    rhs = assemble_rhs(V, lambda x, y: np.column_stack(
+    V, Q = _spaces(generate_unit_square(2), 1)
+    rhs, _ = assemble_rhs(V, Q, lambda x, y: np.column_stack(
         [np.ones_like(x), np.zeros_like(x)]), zero_g, 10.0)
     # independent oracle: (e_x, w_i) through the mass matrix applied to the
     # interpolated constant field
@@ -177,29 +176,28 @@ def test_rhs_constant_forcing_oracle():
 
 def test_rhs_linear_in_penalty():
     case = get_case("linear")
-    m = generate_unit_square(2)
-    V = build_edge_space(m, 1)
+    V, Q = _spaces(generate_unit_square(2), 1)
     f0 = lambda x, y: np.zeros((np.size(x), 2))
-    r1 = assemble_rhs(V, f0, case.u, 1.0)
-    r2 = assemble_rhs(V, f0, case.u, 2.0)
-    r3 = assemble_rhs(V, f0, case.u, 3.0)
+    r1 = assemble_rhs(V, Q, f0, case.u, 1.0)[0]
+    r2 = assemble_rhs(V, Q, f0, case.u, 2.0)[0]
+    r3 = assemble_rhs(V, Q, f0, case.u, 3.0)[0]
     assert np.allclose(r3 - r2, r2 - r1, atol=1e-13)
 
 
 def test_divergence_rhs():
-    m = generate_unit_square(2)
-    Q = build_nodal_space(m, 1)
+    V, Q = _spaces(generate_unit_square(2), 1)
+    f0 = lambda x, y: np.zeros((np.size(x), 2))
     # tangential stream-function field: g . n = 0 on the whole boundary
     tangential = lambda x, y: np.column_stack(
         [x * (1 - x) * (1 - 2 * y), -(1 - 2 * x) * y * (1 - y)])
-    assert np.abs(assemble_divergence_rhs(Q, tangential)).max() <= 1e-15
+    assert np.abs(assemble_rhs(V, Q, f0, tangential, 10.0)[1]).max() <= 1e-15
     # constant field against the constant pressure: divergence theorem
     const = lambda x, y: np.column_stack([np.ones_like(x), np.zeros_like(x)])
-    rhs = assemble_divergence_rhs(Q, const)
+    rhs = assemble_rhs(V, Q, f0, const, 10.0)[1]
     assert float(rhs.sum()) == pytest.approx(0.0, abs=1e-14)
     # star data has nonzero normal trace
     star = get_case("star")
-    assert np.abs(assemble_divergence_rhs(Q, star.u)).max() > 1e-3
+    assert np.abs(assemble_rhs(V, Q, f0, star.u, 10.0)[1]).max() > 1e-3
 
 
 @pytest.mark.parametrize("seed", [None, 13])
@@ -215,8 +213,7 @@ def test_exact_consistency_residual(seed, cw):
     Q = build_nodal_space(m, 1)
     A = assemble_velocity_block(V, cw).matrix
     B = assemble_b(V, Q).matrix
-    l = assemble_rhs(V, case.f, case.u, cw)
-    rq = assemble_divergence_rhs(Q, case.u)
+    l, rq = assemble_rhs(V, Q, case.f, case.u, cw)
     u = interpolate_edge(V, case.u)
     p = interpolate_nodal(Q, case.p)
     assert np.abs(l - A @ u - B @ p).max() <= 1e-10
@@ -251,9 +248,22 @@ def test_mean_vector():
 
 def test_saddle_system_rejects_bad_penalty():
     V, Q = _spaces(generate_unit_square(2), 1)
-    for bad in (-1.0, 0.0, np.nan, np.inf):
+    for bad in (-1.0, 0.0, np.nan, np.inf, 1e308):
         with pytest.raises(ValueError, match="penalty constant"):
             build_saddle_system(V, Q, get_case("star"), bad)
+
+
+def test_saddle_system_samples_the_case_velocity_once():
+    calls = []
+    case = get_case("star")
+
+    def counted(x, y):
+        calls.append(np.size(x))
+        return case.u(x, y)
+
+    V, Q = _spaces(generate_unit_square(2), 2)
+    build_saddle_system(V, Q, dataclasses.replace(case, u=counted), 10.0)
+    assert len(calls) == 1
 
 
 def test_mismatched_meshes_rejected():
@@ -262,4 +272,6 @@ def test_mismatched_meshes_rejected():
     for Q in (build_nodal_space(generate_unit_square(3), 1), build_nodal_space(mesh, 2)):
         with pytest.raises(ValueError, match="share a mesh and an order"):
             assemble_b(V, Q)
+        with pytest.raises(ValueError, match="share a mesh and an order"):
+            assemble_rhs(V, Q, zero_g, zero_g, 10.0)
 

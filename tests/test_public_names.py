@@ -11,9 +11,11 @@ A second check reads every module of ``src/``, ``tests/`` and ``studies/``
 on its own: each name its imports bind (``__future__`` aside) must be loaded
 somewhere in that module.
 
-A third keeps the saddle factor in one module: no module of ``src/`` but
-``solver.py`` names ``_augmented`` or ``_factor``, as an import, a name or an
-attribute.
+The last ones keep a private helper in its module: no module of ``src/``
+but ``solver.py`` names the saddle factor (``_augmented``, ``_factor``), none
+but ``forms.py`` the assembler (``_assemble_cells``, ``_local_matrix``), and
+none but ``spaces.py`` the edge parametrization (``_edge_points``), as an
+import, a name or an attribute.
 """
 import ast
 from pathlib import Path
@@ -76,11 +78,11 @@ def test_every_imported_name_is_read():
     assert not unread, f"imported names that their module never reads: {unread}"
 
 
-def test_only_the_solver_names_the_saddle_factor():
-    private = {"_augmented", "_factor"}
+def _modules_naming(private: set[str], owner: str) -> dict[str, list[str]]:
+    """The modules of ``src/`` other than ``owner`` that name any of ``private``."""
     named = {}
     for path in _modules(ROOT / "src" / "curlstokes"):
-        if path.name == "solver.py":
+        if path.name == owner:
             continue
         tree = ast.parse(path.read_text())
         names = ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
@@ -88,4 +90,16 @@ def test_only_the_solver_names_the_saddle_factor():
                  | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names})
         if names & private:
             named[path.name] = sorted(names & private)
+    return named
+
+
+def test_only_the_solver_names_the_saddle_factor():
+    named = _modules_naming({"_augmented", "_factor"}, "solver.py")
     assert not named, f"modules besides solver.py that name the saddle factor: {named}"
+
+
+def test_only_forms_assembles_and_only_spaces_walks_edges():
+    named = _modules_naming({"_assemble_cells", "_local_matrix"}, "forms.py")
+    assert not named, f"modules besides forms.py that name the assembler: {named}"
+    named = _modules_naming({"_edge_points"}, "spaces.py")
+    assert not named, f"modules besides spaces.py that name _edge_points: {named}"

@@ -9,9 +9,9 @@ from curlstokes.analysis import compute_errors
 from curlstokes.cases import get_case
 from curlstokes.experiments import (_spaces, build_essential_system,
                                     build_saddle_system, run_counterexample)
-from curlstokes.forms import (_assemble_cells, _boundary_edge_data, _boundary_rule,
-                              _local_matrix, assemble_b, assemble_curl_curl,
-                              assemble_mean_vector, assemble_rhs)
+from curlstokes.forms import (_assemble_cells, _boundary_edge_data, _local_matrix,
+                              assemble_b, assemble_curl_curl, assemble_mean_vector,
+                              assemble_rhs)
 from curlstokes.mesh import (build_mesh, generate_l_shape, generate_unit_square, jitter,
                              refine_uniform, two_triangle_square)
 from curlstokes.solver import KERNEL_RANK_RTOL, SaddleSystem, kernel_probe, solve
@@ -97,9 +97,7 @@ def graded_lshape_system(n: int, mu: float, C_w: float) -> SaddleSystem:
     x = base.vertices
     V, Q = _spaces(build_mesh(x * np.abs(x).max(axis=1, keepdims=True) ** (1 / mu - 1),
                               base.triangles), 2)
-    rule = _boundary_rule(V)
-    tri, length, _, trace, curls = _boundary_edge_data(V, rule)
-    w = length[:, None] * rule.weights
+    tri, w, _, _, trace, curls = _boundary_edge_data(V)
     trace = trace[..., None]
     pen = (C_w / V.mesh.diameters[tri])[:, None, None] * _local_matrix(w, trace, trace)
     cons = -_local_matrix(w, trace, curls[..., None])
@@ -108,8 +106,9 @@ def graded_lshape_system(n: int, mu: float, C_w: float) -> SaddleSystem:
         dofs, dofs, pen + cons + cons.transpose(0, 2, 1), (V.dof_count,) * 2)
     load = lambda x, y: np.column_stack([np.sin(y), np.cos(x)])
     zero = lambda x, y: np.zeros((np.size(x), 2))
-    return SaddleSystem(A.tocsr(), assemble_b(V, Q).matrix, assemble_rhs(V, load, zero, C_w),
-                        np.zeros(Q.dof_count), assemble_mean_vector(Q))
+    return SaddleSystem(A.tocsr(), assemble_b(V, Q).matrix,
+                        assemble_rhs(V, Q, load, zero, C_w)[0], np.zeros(Q.dof_count),
+                        assemble_mean_vector(Q))
 
 
 def test_graded_system_is_not_flagged_singular():
