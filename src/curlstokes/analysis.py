@@ -1,14 +1,13 @@
-"""Error norms, convergence rates, discrete harmonic fields and trace constants.
+"""Error norms, convergence rates, discrete harmonic fields and stability probes.
 
 The velocity error is measured in the mesh-dependent norm
 
     |||v|||^2 = ||v||^2 + ||curl v||^2 + (1/h) ||v . t||^2_Gamma + h ||curl v||^2_Gamma,
 
-whose boundary contributions make weak tangential data controllable. The
-trace probes are local or sparse eigensolves (the inf-sup probe is
-``solver.estimate_infsup``); L2 norms stand in for dual boundary norms.
-It assembles nothing: the quadrature comes from ``spaces``, the operators
-(the boundary Grams among them) from ``forms``.
+whose boundary contributions make weak tangential data controllable.
+``stability_probes`` measures the trace and inf-sup constants by local or
+sparse eigensolves; L2 norms stand in for dual boundary norms. It assembles
+nothing: the quadrature comes from ``spaces``, the operators from ``forms``.
 """
 
 from __future__ import annotations
@@ -17,10 +16,11 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from .forms import assemble_b, assemble_stiffness, _boundary_rule, _volume_rule
+from .forms import (assemble_b, assemble_curl_curl, assemble_mass, assemble_mean_vector,
+                    assemble_stiffness, _boundary_gram, _boundary_rule, _volume_rule)
 from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
-from .solver import KERNEL_RANK_RTOL, project_off_gradients
+from .solver import KERNEL_RANK_RTOL, estimate_infsup, project_off_gradients
 from .spaces import (EdgeSpace, NodalSpace, _boundary_points, _cell_weights, _edge_field,
                      _nodal_field, _sample)
 
@@ -185,11 +185,20 @@ def trace_constant_n(V: EdgeSpace) -> float:
     return float(np.sqrt(c_n_sq))
 
 
-def trace_constant_par(V: EdgeSpace, M, t_par) -> float:
-    """C_par^2, the top eigenvalue of the pencil (h T_par, M), bounds
-    h ||v . t||^2_Gamma by ||v||^2; M is the assembled velocity mass matrix
-    and t_par the tangential boundary Gram T_par of ``forms._boundary_gram``."""
-    c_par_sq = eigsh(V.mesh.h_max * t_par, k=1, M=M, which="LA",
+def stability_probes(V: EdgeSpace, Q: NodalSpace) -> dict:
+    """One ``probe.json`` row, less its level: C_n; C_par, whose square, the
+    top eigenvalue of the pencil (h T_par, M), bounds h ||v . t||^2_Gamma by
+    ||v||^2; the penalty 2 C_n^2, twice the coercivity threshold; and beta_h
+    of B against the #-norm Gram H = M + K + T_par / h + h T_curl."""
+    h = V.mesh.h_max
+    M = assemble_mass(V).matrix
+    t_par, t_curl = _boundary_gram(V)
+    c_n = trace_constant_n(V)
+    c_par_sq = eigsh(h * t_par, k=1, M=M, which="LA",
                      v0=np.random.default_rng(0).standard_normal(V.dof_count),
                      return_eigenvectors=False)[0]
-    return float(np.sqrt(c_par_sq))
+    hash_gram = M + assemble_curl_curl(V).matrix + t_par / h + h * t_curl
+    beta = estimate_infsup(hash_gram, assemble_b(V, Q).matrix, assemble_stiffness(Q).matrix,
+                           assemble_mean_vector(Q))
+    return {"h": h, "C_n": c_n, "C_par": float(np.sqrt(c_par_sq)),
+            "recommended_C_w": 2.0 * c_n ** 2, "beta_h": beta, "beta_over_h": beta / h}

@@ -148,6 +148,8 @@ def _finish(message: str, code: int) -> int:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    if not args.out:    # Path("") is the current directory
+        return _finish("--out is empty", EXIT_CONFIG)
     outdir = Path(args.out)
     existing = next((p for p in (outdir, *outdir.parents) if os.path.exists(p)), Path("."))
     if not os.path.isdir(existing):

@@ -1,11 +1,12 @@
 """Experiment drivers shared by the command-line interface and the test suite.
 
 The drivers build the finite-element spaces, assemble a system on them and
-measure the solver's coefficient arrays on those spaces; each returns the
-JSON document its command writes. Two systems come out of the same spaces:
-``build_saddle_system``, the Nitsche formulation with weak tangential data,
-and ``build_essential_system``, the strongly imposed variant whose
-singularity ``run_counterexample`` exhibits.
+measure the solver's coefficient arrays (``run_probe`` maps
+``analysis.stability_probes``); each returns the JSON document its command
+writes, and only the parser holds defaults. Two systems come out of the
+same spaces: ``build_saddle_system``, the Nitsche formulation with weak
+tangential data, and ``build_essential_system``, the strongly imposed
+variant whose singularity ``run_counterexample`` exhibits.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import numpy as np
 
 from . import mesh as meshmod
 from .analysis import (betti_number, compute_eoc, compute_errors, harmonic_fields,
-                       least_squares_rates, trace_constant_n, trace_constant_par)
+                       least_squares_rates, stability_probes, trace_constant_n)
 from .cases import ManufacturedCase, get_case
 from .forms import (DEFAULT_C_W, assemble_b, assemble_curl_curl, assemble_mass,
-                    assemble_mean_vector, assemble_rhs, assemble_stiffness,
-                    assemble_velocity_block, _boundary_gram)
+                    assemble_mean_vector, assemble_rhs, assemble_velocity_block,
+                    _boundary_gram)
 from .mesh import Mesh
-from .solver import SaddleSystem, estimate_infsup, kernel_probe, solve
+from .solver import SaddleSystem, kernel_probe, solve
 from .spaces import (EdgeSpace, NodalSpace, _edge_field, build_edge_space,
                      build_nodal_space)
 
@@ -73,7 +74,7 @@ def level_meshes(case: ManufacturedCase, base_n: int, levels: int,
         yield mesh if jitter_seed is None else meshmod.jitter(mesh, jitter_seed)
 
 
-def run_convergence(case_name: str, order: int, levels: int, C_w: float = DEFAULT_C_W,
+def run_convergence(case_name: str, order: int, levels: int, C_w: float,
                     base_n: int | None = None, jitter_seed: int | None = None) -> dict:
     """Solve a refinement sequence and return the ``report.json`` document:
     the configuration, each level's ``compute_errors`` record with its
@@ -149,8 +150,9 @@ def run_counterexample() -> dict:
     }
 
 
-def run_harmonic(case_name: str = "hole", n: int | None = None, order: int = 1) -> dict:
-    """Extract the discrete harmonic field basis and its diagnostics."""
+def run_harmonic(case_name: str, n: int | None, order: int) -> dict:
+    """Extract the discrete harmonic field basis and its diagnostics; n of
+    None is the case's default size."""
     case = get_case(case_name)
     n = case.default_n if n is None else n
     mesh = case.mesh_builder(n)
@@ -185,35 +187,17 @@ def run_harmonic(case_name: str = "hole", n: int | None = None, order: int = 1) 
     }
 
 
-def run_probe(case_name: str, levels: int = 3, order: int = 1) -> dict:
-    """Trace-constant and inf-sup probes across a refinement sequence from
-    the coarsest mesh of the case (n = 3 for ``hole``, 2 otherwise)."""
+def run_probe(case_name: str, levels: int, order: int) -> dict:
+    """``analysis.stability_probes`` on each level of a refinement sequence
+    from the coarsest mesh of the case (n = 3 for ``hole``, 2 otherwise)."""
     if levels < 1:
         raise ValueError("a probe needs at least one level")
-    case = get_case(case_name)
     base_n = 3 if case_name == "hole" else 2
-    rows = []
-    for k, mesh in enumerate(level_meshes(case, base_n, levels, None)):
-        V, Q = _spaces(mesh, order)
-        M = assemble_mass(V).matrix
-        t_par, t_curl = _boundary_gram(V)
-        c_n, c_par = trace_constant_n(V), trace_constant_par(V, M, t_par)
-        h = mesh.h_max
-        hash_gram = M + assemble_curl_curl(V).matrix + t_par / h + h * t_curl
-        beta = estimate_infsup(hash_gram, assemble_b(V, Q).matrix, assemble_stiffness(Q).matrix,
-                               assemble_mean_vector(Q))
-        rows.append({
-            "level": k,
-            "h": h,
-            "C_n": c_n,
-            "C_par": c_par,
-            "recommended_C_w": 2.0 * c_n ** 2,   # twice the coercivity threshold
-            "beta_h": beta,
-            "beta_over_h": beta / h,
-        })
+    meshes = level_meshes(get_case(case_name), base_n, levels, None)
     return {
         "schema_version": SCHEMA_VERSION,
         "case": case_name,
         "order": order,
-        "levels": rows,
+        "levels": [{"level": k, **stability_probes(*_spaces(mesh, order))}
+                   for k, mesh in enumerate(meshes)],
     }

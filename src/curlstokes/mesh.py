@@ -26,7 +26,7 @@ class MeshFormatError(MeshError):
 
 
 class MeshConnectivityError(MeshError):
-    """Out-of-range vertex indices or non-conforming edge sharing."""
+    """Out-of-range or unused vertices, or non-conforming edge sharing."""
 
 
 class MeshOrientationError(MeshError):
@@ -100,16 +100,19 @@ def build_mesh(vertices, triangles) -> Mesh:
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshFormatError("vertices must be an array of 2D coordinates")
-    if triangles.ndim != 2 or triangles.shape[1] != 3:
-        raise MeshFormatError("triangles must be an array of vertex triples")
+    if triangles.ndim != 2 or triangles.shape[1] != 3 or not triangles.size:
+        raise MeshFormatError("triangles must be a non-empty array of vertex triples")
     finite = np.isfinite(vertices).all(axis=1)
     if not finite.all():
         raise MeshFormatError(f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
     nv = vertices.shape[0]
-    if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
+    if triangles.min() < 0 or triangles.max() >= nv:
         bad = int(np.argmax((triangles < 0) | (triangles >= nv)) // 3)
         raise MeshConnectivityError(
             f"triangle {bad} references a vertex outside [0, {nv})")
+    unused = np.bincount(triangles.ravel(), minlength=nv) == 0
+    if unused.any():
+        raise MeshConnectivityError(f"vertex {int(np.argmax(unused))} belongs to no triangle")
 
     # edge vectors v1 - v0, v2 - v1, v0 - v2 of each triangle
     edge_vec = vertices[triangles[:, [1, 2, 0]]] - vertices[triangles]

@@ -5,10 +5,10 @@ the exact edge-space coefficients of the nodal basis gradients, the L2
 distance of those gradients to the edge space (the gradient inclusion, which
 sits at roundoff when it holds), and the three-block Hodge decomposition by
 full SVDs of the coupling and of the dense curl factor, whose harmonic block
-spans what ``analysis.harmonic_fields`` computes. ``solve_fields`` runs the Nitsche solve of a case on one mesh, as
-``experiments.run_convergence`` solves a level, and returns the report with
-the spaces its coefficient arrays belong to; ``probe_infsup`` measures
-beta_h from the blocks that ``experiments.run_probe`` assembles.
+spans what ``analysis.harmonic_fields`` computes. ``solve_fields`` runs the
+Nitsche solve of a case on one mesh, as ``experiments.run_convergence``
+solves a level, and returns the report with the spaces its coefficient
+arrays belong to.
 """
 from __future__ import annotations
 
@@ -20,11 +20,9 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import splu
 
 from curlstokes.experiments import _spaces, build_saddle_system
-from curlstokes.forms import (DEFAULT_C_W, _boundary_gram, _volume_rule, assemble_b,
-                              assemble_curl_curl, assemble_mass, assemble_mean_vector,
-                              assemble_stiffness)
+from curlstokes.forms import _volume_rule, assemble_b, assemble_mass
 from curlstokes.quadrature import edge_rule, triangle_rule
-from curlstokes.solver import KERNEL_RANK_RTOL, SolveReport, estimate_infsup, solve
+from curlstokes.solver import KERNEL_RANK_RTOL, SolveReport, solve
 from curlstokes.spaces import (_ALL, EdgeSpace, NodalSpace, _cell_moments, _cell_weights,
                                _edge_field, _edge_moments, _edge_points, _sample,
                                _tabulate_edge, _tabulate_nodal)
@@ -173,20 +171,9 @@ def full_svd_hodge(V: EdgeSpace, Q: NodalSpace):
     return grad_basis, x @ vt[:ranks].T, x @ vt[ranks:].T
 
 
-def solve_fields(mesh, order: int, case, C_w: float = DEFAULT_C_W
-                 ) -> tuple[SolveReport, EdgeSpace, NodalSpace]:
+def solve_fields(mesh, order: int, case, C_w: float) -> tuple[SolveReport, EdgeSpace, NodalSpace]:
     """The solve report of a case's Nitsche system on one mesh, and the
     spaces the system was assembled on, which ``report.u`` and ``report.p``
     are coefficient arrays of."""
     V, Q = _spaces(mesh, order)
     return solve(build_saddle_system(V, Q, case, C_w)), V, Q
-
-
-def probe_infsup(V: EdgeSpace, Q: NodalSpace) -> float:
-    """beta_h as ``run_probe`` measures it: the #-norm Gram
-    H = M + K + T_par / h + h T_curl against the pressure stiffness."""
-    h = V.mesh.h_max
-    t_par, t_curl = _boundary_gram(V)
-    hash_gram = assemble_mass(V).matrix + assemble_curl_curl(V).matrix + t_par / h + h * t_curl
-    return estimate_infsup(hash_gram, assemble_b(V, Q).matrix, assemble_stiffness(Q).matrix,
-                           assemble_mean_vector(Q))

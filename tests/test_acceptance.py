@@ -17,17 +17,17 @@ their bands; see README, "Numerical behavior".
 import time
 
 import numpy as np
+import pytest
 
-from curlstokes.analysis import (betti_number, compute_eoc, compute_errors,
-                                 harmonic_fields, trace_constant_n, trace_constant_par)
+from curlstokes.analysis import betti_number, compute_eoc, compute_errors, harmonic_fields
 from curlstokes.cases import ManufacturedCase, get_case
-from curlstokes.experiments import level_meshes, run_convergence, run_counterexample
-from curlstokes.forms import _boundary_gram, assemble_mass
+from curlstokes.experiments import level_meshes, run_convergence, run_counterexample, run_probe
+from curlstokes.forms import assemble_mass
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
                              generate_unit_square, jitter)
 from curlstokes.quadrature import edge_rule, triangle_rule
 from curlstokes.spaces import build_edge_space, build_nodal_space
-from oracles import full_svd_hodge, grad_inclusion_check, probe_infsup, solve_fields
+from oracles import full_svd_hodge, grad_inclusion_check, solve_fields
 
 JITTER_SEED = 7   # fixed seed of the unstructuredness emulation (order 1 runs)
 TOL = 0.15        # half-width of a rate band around its target
@@ -313,24 +313,23 @@ def test_criterion_6_structure_invariants():
 def test_criterion_7_stability_probes():
     t0 = time.time()
     violations = []
-    betas = []
-    for n in (2, 4, 8):
-        mesh = generate_unit_square(n)
-        V = build_edge_space(mesh, 1)
-        Q = build_nodal_space(mesh, 1)
-        betas.append(probe_infsup(V, Q) / mesh.h_max)
-    if max(betas) / min(betas) > 3.0:
-        violations.append(f"beta_h/h varies by {max(betas) / min(betas):.2f}x > 3x")
-    spaces = [build_edge_space(generate_unit_square(n), 1) for n in (2, 4)]
-    c_n = [trace_constant_n(V) for V in spaces]
-    c_par = [trace_constant_par(V, assemble_mass(V).matrix, _boundary_gram(V)[0])
-             for V in spaces]
-    for name, (a, b) in (("C_n", c_n), ("C_par", c_par)):
-        if abs(a - b) / max(a, b) > 0.25:
-            violations.append(f"{name} varies by {abs(a - b) / max(a, b):.0%} > 25%")
+    rows = run_probe("star", 3, 1)["levels"]          # n = 2, 4, 8
+    for row in rows:
+        if min(row["beta_h"], row["C_n"], row["C_par"]) <= 0:
+            violations.append(f"level {row['level']}: beta_h, C_n or C_par is not positive")
+        if row["recommended_C_w"] != pytest.approx(2.0 * row["C_n"] ** 2):
+            violations.append(f"level {row['level']}: recommended C_w is not 2 C_n^2")
+    betas, c_n, c_par = ([row[key] for row in rows] for key in ("beta_over_h", "C_n", "C_par"))
+    if not violations:
+        if max(betas) / min(betas) > 3.0:
+            violations.append(f"beta_h/h varies by {max(betas) / min(betas):.2f}x > 3x")
+        for name, values in (("C_n", c_n), ("C_par", c_par)):
+            if 1.0 - min(values) / max(values) > 0.25:
+                violations.append(f"{name} varies by {1.0 - min(values) / max(values):.0%} > 25%")
     elapsed = time.time() - t0
     if elapsed >= 60.0:
         violations.append(f"runtime {elapsed:.0f}s exceeds 1min")
     _report(7, violations,
             f"beta_h/h = {[f'{b:.3f}' for b in betas]}, C_n = "
-            f"{c_n[0]:.3f}/{c_n[1]:.3f}, C_par = {c_par[0]:.3f}/{c_par[1]:.3f}", elapsed)
+            f"{'/'.join(f'{c:.3f}' for c in c_n)}, C_par = "
+            f"{'/'.join(f'{c:.3f}' for c in c_par)}", elapsed)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from curlstokes import analysis, experiments, forms
 from curlstokes.analysis import (betti_number, compute_eoc, compute_errors,
                                  harmonic_fields, least_squares_rates,
-                                 trace_constant_n, trace_constant_par)
+                                 stability_probes, trace_constant_n)
 from curlstokes.cases import ManufacturedCase, get_case
 from curlstokes.experiments import run_harmonic, run_probe
 from curlstokes.forms import (_assemble_cells, _boundary_edge_data, _boundary_gram,
@@ -24,8 +24,7 @@ from curlstokes.mesh import (_grid_mesh, generate_l_shape, generate_square_with_
 from curlstokes.spaces import build_edge_space, build_nodal_space
 
 from mesh_strategies import jittered_meshes
-from oracles import (full_svd_hodge, interpolate_edge, interpolate_nodal, probe_infsup,
-                     solve_fields)
+from oracles import full_svd_hodge, interpolate_edge, interpolate_nodal, solve_fields
 
 
 # Dense oracles for the trace-constant and inf-sup probes: full generalized
@@ -316,7 +315,7 @@ def test_harmonic_basis_size_equals_betti():
 def test_harmonic_curl_over_trace_bounded_across_levels():
     # computable surrogate with the L2 boundary norm in place of the dual norm;
     # n = 6 is the uniform refinement of n = 3
-    ratios = [run_harmonic("hole", n)["curl_norm_over_boundary_trace"] for n in (3, 6)]
+    ratios = [run_harmonic("hole", n, 1)["curl_norm_over_boundary_trace"] for n in (3, 6)]
     assert ratios[0] > 0 and ratios[1] > 0
     assert max(ratios) / min(ratios) <= 3.0
 
@@ -330,7 +329,7 @@ def test_harmonic_run_decomposes_once(monkeypatch):
 
     for module in (analysis, experiments):
         monkeypatch.setattr(module, "harmonic_fields", counted)
-    data = run_harmonic("hole", 3)
+    data = run_harmonic("hole", 3, 1)
     assert data["dimension"] == 1 and data["curl_norm_over_boundary_trace"] > 0
     assert len(calls) == 1
 
@@ -351,7 +350,7 @@ def _count_mass_assemblies(monkeypatch) -> list:
 
 def test_probe_assembles_mass_once_per_level(monkeypatch):
     calls = _count_mass_assemblies(monkeypatch)
-    run_probe("star", levels=2)
+    run_probe("star", 2, 1)
     assert len(calls) == 2
 
 
@@ -364,28 +363,15 @@ def test_probe_tabulates_boundary_traces_once_per_level(monkeypatch):
         return _boundary_edge_data(V)
 
     monkeypatch.setattr(forms, "_boundary_edge_data", counted)
-    run_probe("star", levels=2, order=2)
+    run_probe("star", 2, 2)
     assert len(calls) == 2
 
 
 def test_harmonic_assembles_mass_once(monkeypatch):
     # the gradient projection and c.M.c read the same matrix
     calls = _count_mass_assemblies(monkeypatch)
-    run_harmonic("hole", 6)
+    run_harmonic("hole", 6, 1)
     assert len(calls) == 1
-
-
-def test_trace_constants_stable_under_refinement():
-    consts = []
-    for n in (2, 4):
-        V = build_edge_space(generate_unit_square(n), 1)
-        consts.append((trace_constant_n(V),
-                       trace_constant_par(V, assemble_mass(V).matrix, _boundary_gram(V)[0])))
-    for a, b in zip(*consts):
-        assert a > 0 and b > 0
-        assert abs(a - b) / max(a, b) <= 0.25
-    level = run_probe("star", levels=1)["levels"][0]
-    assert level["recommended_C_w"] == pytest.approx(2 * level["C_n"] ** 2)
 
 
 def test_recommended_penalty_keeps_velocity_block_semidefinite():
@@ -408,11 +394,11 @@ ORACLE_MESHES = {"hole3": lambda: generate_square_with_hole(3),
 def check_probes_match_dense_oracle(mesh, order):
     V = build_edge_space(mesh, order)
     Q = build_nodal_space(mesh, order)
-    M, t_par = assemble_mass(V).matrix, _boundary_gram(V)[0]
+    row = stability_probes(V, Q)
     c_n, c_par = dense_trace_constants(V)
-    assert trace_constant_n(V) == pytest.approx(c_n, rel=1e-12, abs=0)
-    assert trace_constant_par(V, M, t_par) == pytest.approx(c_par, rel=1e-12, abs=0)
-    assert probe_infsup(V, Q) == pytest.approx(dense_infsup(V, Q), rel=1e-9, abs=0)
+    assert row["C_n"] == pytest.approx(c_n, rel=1e-12, abs=0)
+    assert row["C_par"] == pytest.approx(c_par, rel=1e-12, abs=0)
+    assert row["beta_h"] == pytest.approx(dense_infsup(V, Q), rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -437,18 +423,6 @@ def test_velocity_block_coercive_above_local_trace_threshold(mesh, order):
     ev = np.linalg.eigvalsh(assemble_velocity_block(V, 1.01 * trace_constant_n(V) ** 2)
                             .matrix.toarray())
     assert ev.min() >= -1e-12 * ev.max()
-
-
-def test_infsup_scales_linearly_in_h():
-    ratios = []
-    for n in (2, 4, 8):
-        mesh = generate_unit_square(n)
-        V = build_edge_space(mesh, 1)
-        Q = build_nodal_space(mesh, 1)
-        beta = probe_infsup(V, Q)
-        assert beta > 0
-        ratios.append(beta / mesh.h_max)
-    assert max(ratios) / min(ratios) <= 3.0
 
 
 def test_hash_norm_monitor():

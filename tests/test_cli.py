@@ -9,6 +9,7 @@ import pytest
 import curlstokes
 from curlstokes import cli, experiments, solver
 from curlstokes.cli import EXIT_BETTI_MISMATCH, EXIT_CONFIG, EXIT_MEMORY, EXIT_SINGULAR, main
+from curlstokes.forms import DEFAULT_C_W
 
 CSV_HEADER = ("level,h,dofs_u,dofs_p,err_u_l2,err_u_curl,err_u_hash,err_gpar,"
               "err_gcurl,err_p_l2,err_p_h1,eoc_u_l2,eoc_u_curl,eoc_u_hash,"
@@ -116,6 +117,15 @@ def test_out_that_cannot_be_a_directory_exits_2_before_the_driver(tmp_path, monk
     err = capsys.readouterr().err
     assert err == f"error: --out {out}: {blocker} is not a directory\n"
     assert blocker.read_bytes() == b"not a directory\n"
+
+
+def test_empty_out_exits_2_before_the_driver(tmp_path, monkeypatch, capsys):
+    # an unset $OUT in a script must not write into the current directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_probe", lambda *args: pytest.fail("the driver ran"))
+    assert main(["probe", "--case", "star", "--levels", "1", "--out", ""]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --out is empty\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_failed_write_exits_2_naming_the_path(tmp_path, monkeypatch, capsys):
@@ -228,12 +238,12 @@ def test_harmonic_out_of_memory_exits_5(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv,driver,name", [
     (["convergence", "--case", "star", "--levels", "2", "--base-n", "2"],
-     lambda: experiments.run_convergence("star", 1, 2, base_n=2), "report.json"),
+     lambda: experiments.run_convergence("star", 1, 2, DEFAULT_C_W, base_n=2), "report.json"),
     (["probe", "--case", "star", "--levels", "2"],
-     lambda: experiments.run_probe("star", 2), "probe.json"),
+     lambda: experiments.run_probe("star", 2, 1), "probe.json"),
     (["counterexample"], experiments.run_counterexample, "counterexample.json"),
     (["harmonic", "--case", "hole", "--n", "6"],
-     lambda: experiments.run_harmonic("hole", 6), "harmonic.json"),
+     lambda: experiments.run_harmonic("hole", 6, 1), "harmonic.json"),
 ], ids=["convergence", "probe", "counterexample", "harmonic"])
 def test_each_driver_returns_the_document_its_command_writes(tmp_path, argv, driver, name):
     assert main(argv + ["--out", str(tmp_path)]) == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from curlstokes.analysis import trace_constant_n
 from curlstokes.cases import get_case
 from curlstokes.experiments import _spaces, build_essential_system, build_saddle_system
-from curlstokes.forms import (assemble_b, assemble_curl_curl, assemble_mass,
+from curlstokes.forms import (DEFAULT_C_W, assemble_b, assemble_curl_curl, assemble_mass,
                               assemble_mean_vector, assemble_nitsche,
                               assemble_rhs, assemble_stiffness,
                               assemble_velocity_block, merge_triplets)
@@ -146,7 +146,7 @@ def test_velocity_block_symmetric(order, mesh, cw):
 def test_linear_case_reproduced_on_jittered_meshes(mesh):
     # the order-1 spaces contain the linear solution, so the solve returns it
     case = get_case("linear")
-    report, V, Q = solve_fields(mesh, 1, case)
+    report, V, Q = solve_fields(mesh, 1, case, DEFAULT_C_W)
     assert not report.singular
     u = interpolate_edge(V, case.u)
     p = interpolate_nodal(Q, case.p)

@@ -207,6 +207,18 @@ def test_load_bad_vertex_index():
         build_mesh([[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 1, 99]])
 
 
+def test_load_without_triangles():
+    with pytest.raises(MeshFormatError, match="non-empty"):
+        build_mesh([[0, 0], [1, 0], [0, 1]], np.zeros((0, 3), int))
+
+
+def test_load_unused_vertex():
+    # the two-triangle square plus a stray vertex: its hat function would
+    # leave the Nitsche system singular and read Betti number -1
+    with pytest.raises(MeshConnectivityError, match="vertex 4"):
+        build_mesh([[0, 0], [1, 0], [1, 1], [0, 1], [2, 2]], [[0, 1, 2], [0, 2, 3]])
+
+
 def test_load_clockwise_triangle():
     with pytest.raises(MeshOrientationError, match="triangle 0"):
         build_mesh([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]])

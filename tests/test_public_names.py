@@ -15,7 +15,9 @@ The last ones keep a private helper in its module: no module of ``src/``
 but ``solver.py`` names the saddle factor (``_augmented``, ``_factor``), none
 but ``forms.py`` the assembler (``_assemble_cells``, ``_local_matrix``), and
 none but ``spaces.py`` the edge parametrization (``_edge_points``), as an
-import, a name or an attribute.
+import, a name or an attribute. The inf-sup probe ``estimate_infsup`` is
+named only where it is defined and in ``analysis.py``, whose
+``stability_probes`` forms the #-norm Gram it takes.
 """
 import ast
 from pathlib import Path
@@ -103,3 +105,8 @@ def test_only_forms_assembles_and_only_spaces_walks_edges():
     assert not named, f"modules besides forms.py that name the assembler: {named}"
     named = _modules_naming({"_edge_points"}, "spaces.py")
     assert not named, f"modules besides spaces.py that name _edge_points: {named}"
+
+
+def test_only_the_stability_probes_call_the_infsup_probe():
+    named = _modules_naming({"estimate_infsup"}, "solver.py")
+    assert set(named) <= {"analysis.py"}, f"modules that form a #-norm Gram: {named}"
