@@ -374,6 +374,28 @@ def test_harmonic_assembles_mass_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _unit_square_probe(n: int) -> dict:
+    mesh = generate_unit_square(n)
+    return stability_probes(build_edge_space(mesh, 1), build_nodal_space(mesh, 1))
+
+
+def test_trace_constants_stable_under_refinement():
+    rows = [_unit_square_probe(n) for n in (2, 4)]
+    for key in ("C_n", "C_par"):
+        a, b = (row[key] for row in rows)
+        assert a > 0 and b > 0
+        assert abs(a - b) / max(a, b) <= 0.25
+    for row in rows:
+        assert row["recommended_C_w"] == pytest.approx(2 * row["C_n"] ** 2)
+
+
+def test_infsup_scales_linearly_in_h():
+    rows = [_unit_square_probe(n) for n in (2, 4, 8)]
+    assert all(row["beta_h"] > 0 for row in rows)
+    ratios = [row["beta_over_h"] for row in rows]
+    assert max(ratios) / min(ratios) <= 3.0
+
+
 def test_recommended_penalty_keeps_velocity_block_semidefinite():
     # coercivity needs C_w > C_n^2; on this order-2 mesh C_n^2 = 16.57 lies
     # above 4 C_n = 16.28, a penalty that leaves two negative eigenvalues
