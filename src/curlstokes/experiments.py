@@ -91,7 +91,10 @@ def run_convergence(case_name: str, order: int, levels: int, C_w: float,
     records = []
     for k, mesh in enumerate(level_meshes(case, base_n, levels, jitter_seed)):
         V, Q = _spaces(mesh, order)
-        rep = solve(build_saddle_system(V, Q, case, C_w))
+        try:
+            rep = solve(build_saddle_system(V, Q, case, C_w))
+        except MemoryError as exc:
+            raise MemoryError(f"level {k} (n={base_n * 2 ** k}): {exc}") from exc
         if rep.singular:
             raise SingularLevelError(f"singular system at refinement level {k}")
         records.append(compute_errors(V, rep.u, Q, rep.p, case)

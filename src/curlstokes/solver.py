@@ -6,11 +6,11 @@ multiplier rather than by eliminating a degree of freedom, which would
 perturb the inf-sup structure. The module is linear algebra only: blocks go
 in, coefficient arrays come out, and the caller reads them on its spaces.
 
-``solve`` has one path at every size: a sparse LU factor of the augmented
-matrix, whose singularity a seeded, row-scaled random right-hand side
-exposes, and a true relative residual of 1e-10 that the solution must
-reach. A singular system is reported, not raised, at the cost of the solve
-itself: ``solve`` has no iterative fallback and never computes a kernel.
+``solve`` factors the augmented matrix by a pivoting sparse LU at every size,
+``augmented_solve`` only the SPD augmented-Lagrangian velocity block. Both
+share ``_factor`` and one verdict: a seeded, row-scaled random right-hand side
+exposes a singular operator, and the solution must reach a true relative
+residual of 1e-10. A singular system is reported; no solve computes a kernel.
 Kernel dimensions and witnesses come only from ``kernel_probe``, a dense
 symmetric eigensolve of the same augmented matrix on the counterexample's
 meshes of 2 and 8 triangles; ``estimate_infsup`` factors it with a Gram
@@ -19,11 +19,11 @@ matrix in place of A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, cg, eigsh, splu
 
 KERNEL_RANK_RTOL = 1e-10
 #: row-scaled relative residual of the seeded probe solve above which a
@@ -32,6 +32,8 @@ KERNEL_RANK_RTOL = 1e-10
 _PROBE_RTOL = 1e-6
 #: relative residual of the solution above which a solve counts as singular
 _RESIDUAL_RTOL = 1e-10
+GAMMA = 1e3        # augmentation weight, relative to the blocks' mean diagonals
+_CG_RTOL = 1e-12   # relative tolerance of the augmented-Lagrangian Schur CG
 
 
 @dataclass
@@ -64,13 +66,16 @@ class SaddleSystem:
 
 @dataclass
 class SolveReport:
-    """Outcome of ``solve``. A singular system has ``singular=True``, NaN
-    fields and an infinite residual, and carries no kernel."""
+    """Outcome of a solve. A singular system has ``singular=True``, NaN fields,
+    an infinite residual and no kernel. ``fill`` counts SuperLU's stored factor
+    entries, padding included; ``iterations`` the data's Schur CG steps."""
 
     u: np.ndarray
     p: np.ndarray
     residual: float
     singular: bool
+    fill: int = 0
+    iterations: int = 0
 
 
 def _augmented(A, B, mean: np.ndarray) -> sparse.csc_array:
@@ -87,52 +92,86 @@ def _augmented(A, B, mean: np.ndarray) -> sparse.csc_array:
 
 
 def solve(system: SaddleSystem) -> SolveReport:
-    """Solve the augmented symmetric indefinite system.
-
-    Returns a report whose pressure has zero mean. A singular operator is
-    reported, not raised; its kernel is left to ``kernel_probe``.
-    """
+    """Solve the augmented symmetric indefinite system by a pivoting sparse
+    LU; the report's pressure has zero mean."""
     k = _augmented(system.A, system.B, system.mean_vector)
-    rhs = np.concatenate([system.rhs_u, system.rhs_q, [0.0]])
     try:
         lu = _factor(k)
-        z = lu.solve(rhs)
-        # a singular operator can still factor and, with zero data, return the
-        # zero "solution"; a seeded random right-hand side solved with the same
-        # factor exposes it. Data and residual carry the row scaling
-        # d = 1 / sqrt(max_j |K_ij|) (K is symmetric: its column maxima), so a
-        # wide spread of element sizes does not read as singularity
+    except RuntimeError:    # SuperLU: factor is exactly singular
+        return _verdict(system, k, None)
+    return _verdict(system, k, lu.solve, fill=lu.nnz)
+
+
+def augmented_solve(system: SaddleSystem, W) -> SolveReport:
+    """``solve``'s solution and verdict by the augmented Lagrangian (Fortin &
+    Glowinski 1983), W the pressure mass: factor A_g = A + g B W^-1 B^T unpivoted
+    and solve B^T A_g^-1 B p = B^T A_g^-1 (f + g B W^-1 q) - q, p zero-mean, by CG
+    preconditioned with g W^-1 (Benzi & Olshanskii 2006); CG failing is singular."""
+    A, B, m = system.A, system.B, system.mean_vector
+    w_inv = 1.0 / W.diagonal()
+    bwb = B @ sparse.diags(w_inv) @ B.T
+    gamma = GAMMA * A.diagonal().mean() / bwb.diagonal().mean()
+    k = _augmented(A, B, m)
+    try:
+        lu = _factor((A + gamma * bwb).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    except RuntimeError:
+        return _verdict(system, k, None)
+
+    def zero_mean(v):
+        return v - v.mean()       # B annihilates the constants
+
+    n_u, n_q = B.shape
+    schur = LinearOperator((n_q, n_q), dtype=float,
+                           matvec=lambda v: zero_mean(B.T @ lu.solve(B @ zero_mean(v))))
+    precond = LinearOperator((n_q, n_q), dtype=float,
+                             matvec=lambda v: zero_mean(gamma * w_inv * zero_mean(v)))
+    iterates, steps = [], []
+
+    def inverse(r):
+        lam = r[n_u:-1].sum() / m.sum()   # B^T u sums to zero
+        q = r[n_u:-1] - lam * m
+        load = r[:n_u] + gamma * (B @ (w_inv * q))
+        p, info = cg(schur, zero_mean(B.T @ lu.solve(load) - q), rtol=_CG_RTOL,
+                     maxiter=200, M=precond, callback=iterates.append)
+        steps.append(len(iterates))
+        z = np.concatenate([lu.solve(load - B @ p), p + (r[-1] - m @ p) / m.sum(), [lam]])
+        return np.full(len(r), np.nan) if info else z
+
+    # the data solve is inverse's first call, the probe its second
+    return replace(_verdict(system, k, inverse, fill=lu.nnz), iterations=steps[0])
+
+
+def _verdict(system: SaddleSystem, k: sparse.csc_array, inverse, fill: int = 0) -> SolveReport:
+    """Solve k z = (f, q, 0) with ``inverse`` (None: k did not factor) and judge
+    z. A singular k can factor and, with zero data, give z = 0; a seeded random
+    right-hand side exposes it. Its data and residual carry the row scaling
+    d = 1 / sqrt(max_j |K_ij|), so a spread of element sizes is not singularity."""
+    rhs = np.concatenate([system.rhs_u, system.rhs_q, [0.0]])
+    z = np.full(k.shape[0], np.nan) if inverse is None else inverse(rhs)
+    residual = float(np.linalg.norm(k @ z - rhs) / max(float(np.linalg.norm(rhs)), 1.0))
+    if np.isfinite(z).all() and residual <= _RESIDUAL_RTOL:
         d = 1.0 / np.sqrt(abs(k).max(axis=0).toarray())
         xi = np.random.default_rng(0).standard_normal(k.shape[0])
-        probe_res = np.linalg.norm(d * (k @ lu.solve(xi / d)) - xi) / np.linalg.norm(xi)
-        singular = not probe_res <= _PROBE_RTOL
-    except RuntimeError:    # SuperLU: factor is exactly singular
-        singular = True
-
-    if not singular:
-        scale = max(float(np.linalg.norm(rhs)), 1.0)
-        residual = float(np.linalg.norm(k @ z - rhs) / scale)
-        singular = not (np.isfinite(z).all() and residual <= _RESIDUAL_RTOL)
-    if singular:
-        return SolveReport(u=np.full(system.n_u, np.nan), p=np.full(system.n_q, np.nan),
-                           residual=np.inf, singular=True)
-
-    u = z[:system.n_u]
-    p = z[system.n_u:system.n_u + system.n_q]
-    total = float(system.mean_vector.sum())
-    if total > 0:
-        p = p - (system.mean_vector @ p) / total
-    return SolveReport(u=u, p=p, residual=residual, singular=False)
+        if np.linalg.norm(d * (k @ inverse(xi / d)) - xi) / np.linalg.norm(xi) <= _PROBE_RTOL:
+            p = z[system.n_u:system.n_u + system.n_q]
+            total = float(system.mean_vector.sum())
+            if total > 0:
+                p = p - (system.mean_vector @ p) / total
+            return SolveReport(z[:system.n_u], p, residual, False, fill)
+    return SolveReport(np.full(system.n_u, np.nan), np.full(system.n_q, np.nan), np.inf, True, fill)
 
 
-def _factor(matrix: sparse.csc_array):
-    """Sparse LU; SuperLU running out of memory is raised as MemoryError."""
+def _factor(matrix: sparse.csc_array, **options):
+    """Sparse LU with the caller's ``splu`` options; out of memory (a bare
+    MemoryError, or a SystemError naming a MemType) names what it factored."""
     try:
-        return splu(matrix)
-    except SystemError as exc:
-        if "MemType" not in str(exc):
+        return splu(matrix, **options)
+    except (MemoryError, SystemError) as exc:
+        if isinstance(exc, SystemError) and "MemType" not in str(exc):
             raise
-        raise MemoryError(f"sparse LU factorization: {exc}") from exc
+        raise MemoryError(f"sparse LU factor of {matrix.shape[0]} unknowns "
+                          f"and {matrix.nnz} nonzeros") from exc
 
 
 def project_off_gradients(M, B, S, c: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -233,6 +235,29 @@ def test_harmonic_out_of_memory_exits_5(tmp_path, monkeypatch, capsys):
     assert main(["harmonic", "--case", "hole", "--n", "6", "--out", str(out)]) == EXIT_MEMORY
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS to bound the address space")
+def test_real_out_of_memory_names_the_level(tmp_path):
+    # 512 MB of address space hold the imports (about 205 MB on one BLAS
+    # thread) and the order-2 levels n = 8 and 16, but not SuperLU's factor
+    # at n = 32 (about 2 s); there scipy raises a bare MemoryError, so the
+    # reason must come from the solver and the driver
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2 ** 20,) * 2)
+
+    out = tmp_path / "oom"
+    run = subprocess.run([sys.executable, "-m", "curlstokes.cli", "convergence", "--case", "star",
+                          "--order", "2", "--levels", "4", "--out", str(out)],
+                         cwd=Path(curlstokes.__file__).parents[1], preexec_fn=limit,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == EXIT_MEMORY, run.stderr
+    assert re.fullmatch(r"error: out of memory: level \d+ \(n=\d+\): sparse LU factor of \d+ "
+                        r"unknowns and \d+ nonzeros", run.stderr.splitlines()[-1]), run.stderr
     assert not out.exists()
 
 

@@ -11,11 +11,11 @@ A second check reads every module of ``src/``, ``tests/`` and ``studies/``
 on its own: each name its imports bind (``__future__`` aside) must be loaded
 somewhere in that module.
 
-The last ones keep a private helper in its module: no module of ``src/``
-but ``solver.py`` names the saddle factor (``_augmented``, ``_factor``), none
-but ``forms.py`` the assembler (``_assemble_cells``, ``_local_matrix``), and
-none but ``spaces.py`` the edge parametrization (``_edge_points``), as an
-import, a name or an attribute. The inf-sup probe ``estimate_infsup`` is
+The last ones keep a private helper in its module: no module of ``src/`` or
+``studies/`` but ``solver.py`` names the saddle factor (``_augmented``,
+``_factor``) or SuperLU (``splu``), none but ``forms.py`` the assembler
+(``_assemble_cells``, ``_local_matrix``), and none but ``spaces.py`` the edge
+parametrization (``_edge_points``), as an import, a name or an attribute. The inf-sup probe ``estimate_infsup`` is
 named only where it is defined and in ``analysis.py``, whose
 ``stability_probes`` forms the #-norm Gram it takes.
 """
@@ -81,9 +81,10 @@ def test_every_imported_name_is_read():
 
 
 def _modules_naming(private: set[str], owner: str) -> dict[str, list[str]]:
-    """The modules of ``src/`` other than ``owner`` that name any of ``private``."""
+    """The modules of ``src/`` and ``studies/`` other than ``owner`` that name
+    any of ``private``."""
     named = {}
-    for path in _modules(ROOT / "src" / "curlstokes"):
+    for path in _modules(ROOT / "src" / "curlstokes") + _modules(ROOT / "studies"):
         if path.name == owner:
             continue
         tree = ast.parse(path.read_text())
@@ -96,8 +97,8 @@ def _modules_naming(private: set[str], owner: str) -> dict[str, list[str]]:
 
 
 def test_only_the_solver_names_the_saddle_factor():
-    named = _modules_naming({"_augmented", "_factor"}, "solver.py")
-    assert not named, f"modules besides solver.py that name the saddle factor: {named}"
+    named = _modules_naming({"_augmented", "_factor", "splu"}, "solver.py")
+    assert not named, f"modules besides solver.py that name the saddle factor or splu: {named}"
 
 
 def test_only_forms_assembles_and_only_spaces_walks_edges():

@@ -10,11 +10,12 @@ from curlstokes.cases import get_case
 from curlstokes.experiments import (_spaces, build_essential_system,
                                     build_saddle_system, run_counterexample)
 from curlstokes.forms import (_assemble_cells, _boundary_edge_data, _local_matrix,
-                              assemble_b, assemble_curl_curl, assemble_mean_vector,
-                              assemble_rhs)
+                              assemble_b, assemble_curl_curl, assemble_mass_nodal,
+                              assemble_mean_vector, assemble_rhs)
 from curlstokes.mesh import (build_mesh, generate_l_shape, generate_unit_square, jitter,
                              refine_uniform, two_triangle_square)
-from curlstokes.solver import KERNEL_RANK_RTOL, SaddleSystem, kernel_probe, solve
+from curlstokes.solver import (KERNEL_RANK_RTOL, SaddleSystem, augmented_solve,
+                               kernel_probe, solve)
 from curlstokes.spaces import build_edge_space
 
 from mesh_strategies import jittered_meshes
@@ -74,9 +75,12 @@ def test_kernel_contains_hat_witness(essential_system):
 @pytest.mark.parametrize("n", [16, 32])
 def test_essential_system_flagged_on_sparse_path(n):
     # the LU factor of this singular system exists, and its zero data gives
-    # the zero "solution" with residual 0; only the seeded probe flags it
-    system = build_essential_system(*_spaces(generate_unit_square(n), 1))
+    # the zero "solution" with residual 0; only the seeded probe flags it, in
+    # the augmented-Lagrangian solve when the probe's Schur CG stops at 200 steps
+    V, Q = _spaces(generate_unit_square(n), 1)
+    system = build_essential_system(V, Q)
     assert solve(system).singular
+    assert augmented_solve(system, assemble_mass_nodal(Q).matrix).singular
     assert kernel_probe(system).shape[1] == 2
 
 
@@ -139,11 +143,20 @@ def test_kernel_witnesses_are_zero_mean_kernel_vectors(mesh):
 # meshes of at most 400 unknowns, the size the dense SVD used to solve:
 # order -> (largest unit-square n, square-with-hole n)
 REFERENCE_MESHES = {1: (9, (3, 6)), 2: (5, (3,))}
+ORDER_MESHES = st.sampled_from((1, 2)).flatmap(
+    lambda order: st.tuples(st.just(order), jittered_meshes(*REFERENCE_MESHES[order])))
+
+
+def assert_matches_dense_svd(system, report, order):
+    reference = dense_svd_solve(system)
+    assert not report.singular
+    for name, got, want in zip("up", (report.u, report.p), reference):
+        diff, size = np.linalg.norm(got - want), np.linalg.norm(want)
+        assert diff <= 1e-10 * size, f"order {order}: {name} differs by {diff / size:.2e} relative"
 
 
 @settings(max_examples=12, deadline=None)
-@given(order_mesh=st.sampled_from((1, 2)).flatmap(
-    lambda order: st.tuples(st.just(order), jittered_meshes(*REFERENCE_MESHES[order]))))
+@given(order_mesh=ORDER_MESHES)
 # Known failure, pinned so that it does not depend on the example database: on
 # this mesh the order-2 C_n^2 is 14.81, above the default C_w = 10, so the
 # velocity block has 10 eigenvalues below -1e-10 max|lambda|, and p differs
@@ -153,12 +166,21 @@ def test_solve_matches_dense_svd_reference(order_mesh):
     order, mesh = order_mesh
     system = build_saddle_system(*_spaces(mesh, order), get_case("star"), C_w=10.0)
     assert system.n_u + system.n_q + 1 <= 400
-    reference = dense_svd_solve(system)
-    report = solve(system)
-    assert not report.singular
-    for name, got, want in zip("up", (report.u, report.p), reference):
-        diff, size = np.linalg.norm(got - want), np.linalg.norm(want)
-        assert diff <= 1e-10 * size, f"order {order}: {name} differs by {diff / size:.2e} relative"
+    assert_matches_dense_svd(system, solve(system), order)
+
+
+@settings(max_examples=12, deadline=None)
+@given(order_mesh=ORDER_MESHES)
+@example(order_mesh=(2, jitter(generate_unit_square(4), 145)))
+def test_augmented_solve_matches_dense_svd_reference(order_mesh):
+    # at penalties above C_n^2, where the velocity block is coercive; the
+    # pinned mesh is the one on which solve() misses at C_w = 10
+    order, mesh = order_mesh
+    V, Q = _spaces(mesh, order)
+    system = build_saddle_system(V, Q, get_case("star"), C_w={1: 10.0, 2: 35.0}[order])
+    report = augmented_solve(system, assemble_mass_nodal(Q).matrix)
+    assert_matches_dense_svd(system, report, order)
+    assert report.iterations <= 10 and report.fill > 0
 
 
 def test_kernel_probe_refuses_a_spectrum_without_a_gap():
