@@ -141,9 +141,10 @@ def _cut_cochains(mesh: Mesh) -> np.ndarray:
     return cochains
 
 
-def harmonic_fields(V: EdgeSpace, Q: NodalSpace, M) -> np.ndarray:
+def harmonic_fields(V: EdgeSpace, Q: NodalSpace, M, B) -> np.ndarray:
     """M-orthonormal basis (n, dim) of the discrete harmonic fields, the curl-free
-    fields of V M-orthogonal to the discrete gradients (M the velocity mass):
+    fields of V M-orthogonal to the discrete gradients (M the velocity mass, B
+    the coupling):
     the cut cochains' Whitney fields projected off the gradients, orthonormalized
     by a Cholesky factor of their Gram; a Gram rank (relative to the cochains'
     M-norms) below full raises RuntimeError. Numpy sums, not BLAS dots, form it."""
@@ -157,7 +158,7 @@ def harmonic_fields(V: EdgeSpace, Q: NodalSpace, M) -> np.ndarray:
             cut[mesh.triangle_edges], mesh.grads[:, [1, 2, 0]] - mesh.grads)
     if not cut.shape[1]:
         return c
-    h = project_off_gradients(M, assemble_b(V, Q).matrix, assemble_stiffness(Q).matrix, c)
+    h = project_off_gradients(M, B, assemble_stiffness(Q).matrix, c)
     gram = (h[:, :, None] * (M @ h)[:, None, :]).sum(axis=0)
     s = np.sqrt(np.abs(np.linalg.eigvalsh(gram)))
     if (s <= KERNEL_RANK_RTOL * np.sqrt((c * (M @ c)).sum(axis=0).max())).any():

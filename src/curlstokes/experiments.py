@@ -21,7 +21,7 @@ from .analysis import (betti_number, compute_eoc, compute_errors, harmonic_field
 from .cases import ManufacturedCase, get_case
 from .forms import (DEFAULT_C_W, assemble_b, assemble_curl_curl, assemble_mass,
                     assemble_mean_vector, assemble_rhs, assemble_velocity_block,
-                    _boundary_gram)
+                    _boundary_edge_data, _boundary_gram, _volume_data)
 from .mesh import Mesh
 from .solver import SaddleSystem, kernel_probe, solve
 from .spaces import (EdgeSpace, NodalSpace, _edge_field, build_edge_space,
@@ -35,13 +35,19 @@ def build_saddle_system(V: EdgeSpace, Q: NodalSpace, case: ManufacturedCase,
                         C_w: float) -> SaddleSystem:
     """Assemble the Nitsche system of a case on the spaces V and Q: the case
     velocity enters weakly through the boundary terms of ``forms``. A C_w that
-    is not positive, or that overflows the velocity block, is rejected."""
+    is not positive, or that overflows the velocity block, is rejected. Each
+    basis is tabulated once per rule; the tabulations die with this call."""
+    v_data, q_data = _volume_data(V), _volume_data(Q)
+    B = assemble_b(V, Q, v_data=v_data, q_data=q_data).matrix
+    mean = assemble_mean_vector(Q, q_data=q_data)
+    del q_data      # dropped before the boundary tabulation, so fewer coexist
+    boundary = _boundary_edge_data(V)
     with np.errstate(over="ignore", invalid="ignore"):
-        A = assemble_velocity_block(V, C_w).matrix
+        A = assemble_velocity_block(V, C_w, v_data=v_data, boundary=boundary).matrix
     if not (C_w > 0 and np.isfinite(A.data).all()):
         raise ValueError("penalty constant must be positive and finite")
-    rhs_u, rhs_q = assemble_rhs(V, Q, case.f, case.u, C_w)
-    return SaddleSystem(A, assemble_b(V, Q).matrix, rhs_u, rhs_q, assemble_mean_vector(Q))
+    rhs_u, rhs_q = assemble_rhs(V, Q, case.f, case.u, C_w, v_data=v_data, boundary=boundary)
+    return SaddleSystem(A, B, rhs_u, rhs_q, mean)
 
 
 def build_essential_system(V: EdgeSpace, Q: NodalSpace) -> SaddleSystem:
@@ -160,8 +166,11 @@ def run_harmonic(case_name: str, n: int | None, order: int) -> dict:
     n = case.default_n if n is None else n
     mesh = case.mesh_builder(n)
     V, Q = _spaces(mesh, order)
-    M = assemble_mass(V).matrix
-    basis = harmonic_fields(V, Q, M)
+    v_data = _volume_data(V)
+    B = assemble_b(V, Q, v_data=v_data).matrix
+    M, K = assemble_mass(V, v_data=v_data).matrix, assemble_curl_curl(V, v_data=v_data).matrix
+    del v_data      # no tabulation is held while harmonic_fields factors
+    basis = harmonic_fields(V, Q, M, B)
     samples, curl_ratio, ratio = [], None, None
     if basis.shape[1]:
         # curl_norm_over_boundary_trace is a surrogate for the harmonic-field
@@ -169,7 +178,7 @@ def run_harmonic(case_name: str, n: int | None, order: int) -> dict:
         # norm in place of the dual norm; numpy sums keep it thread-independent
         c = basis[:, 0]
         mc = (c * (M @ c)).sum()
-        kc = (c * (assemble_curl_curl(V).matrix @ c)).sum()
+        kc = (c * (K @ c)).sum()
         tc = (c * (_boundary_gram(V)[0] @ c)).sum()
         curl_ratio = float(np.sqrt(max(kc, 0.0) / mc))
         ratio = float(np.sqrt(mc + kc) / np.sqrt(tc))

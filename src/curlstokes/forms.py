@@ -12,12 +12,21 @@ integration-by-parts identity (and hence exact consistency) to close.
 
 Every form takes three steps on all cells (or boundary edges) at once:
 tabulate the basis with the batched kernels of ``spaces`` at the points of
-its quadrature, contract with one ``einsum``/``matmul``, and scatter. The
-boundary terms (the Nitsche form, the boundary Grams, both load vectors of
-``assemble_rhs``) share one tabulation, ``_boundary_edge_data``. Matrices
-are scattered through ``merge_triplets``, whose fixed (row, col, value) sort
-makes them independent of element processing order; vectors are scattered
-with ``np.add.at`` in triangle order, volume terms before boundary terms.
+its quadrature, contract with one ``einsum``/``matmul``, and scatter. Two
+helpers tabulate: ``_volume_data`` at the volume rule and
+``_boundary_edge_data`` (the traces that the Nitsche form, the boundary
+Grams and both load vectors of ``assemble_rhs`` read) at the boundary rule.
+A form calls them itself unless its caller passes their results in, as
+``experiments.build_saddle_system`` and ``run_harmonic`` do, so that a level
+tabulates each basis once per rule; no tabulation outlives its caller.
+Matrices are scattered through ``merge_triplets``: one compressed-sparse
+conversion (a counting sort by row) groups the triplets and sums each
+(row, col) pair. The few pairs of more than two terms, whose sum depends on
+the order (the vertex diagonals of the pressure forms; in the boundary
+forms only on meshes as coarse as the two-triangle square), are summed
+again in ascending order of value, so no sum depends on element processing
+order. Vectors are scattered with ``np.add.at`` in triangle order, volume
+terms before boundary terms.
 
 The assembled system is bit-identical to a per-triangle loop, and it has to
 be: one ulp of noise in A, the load vectors or the mean vector moves the
@@ -56,18 +65,33 @@ class SparseOperator:
 
 
 def merge_triplets(rows, cols, vals, shape) -> sparse.csr_array:
-    """Sum duplicate triplets in a content-determined order."""
+    """Sum duplicate triplets in a content-determined order.
+
+    One compressed-sparse conversion groups the triplets by (row, col): the
+    real parts sum each pair's terms in whatever order, the imaginary parts
+    count them. A sum of one or two terms does not depend on the order, as
+    fl(a + b) = fl(b + a); the pairs of more terms are summed again with
+    their terms in ascending order of value."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=float)
-    order = np.lexsort((vals, cols, rows))
-    r, c, v = rows[order], cols[order], vals[order]
-    if r.size == 0:
-        return sparse.csr_array(shape)
-    new = np.nonzero((r[1:] != r[:-1]) | (c[1:] != c[:-1]))[0] + 1
-    starts = np.concatenate([[0], new])
-    sums = np.add.reduceat(v, starts)
-    return sparse.csr_array((sums, (r[starts], c[starts])), shape=shape)
+    terms = vals.astype(complex)      # vals + 1j would turn -0.0 into 0.0
+    terms.imag = 1.0
+    merged = sparse.coo_array((terms, (rows, cols)), shape=shape).tocsr()
+    out = sparse.csr_array((merged.data.real.copy(), merged.indices, merged.indptr), shape=shape)
+    many = np.flatnonzero(merged.data.imag > 2)
+    if many.size:
+        # their triplets, found by the key row * ncols + col of each pair
+        keys = (np.repeat(np.arange(shape[0]), np.diff(out.indptr))[many] * shape[1]
+                + out.indices[many])
+        key = rows * shape[1] + cols
+        slot = np.minimum(np.searchsorted(keys, key), many.size - 1)
+        mine = keys[slot] == key
+        slot, values = slot[mine], vals[mine]
+        order = np.lexsort((values, slot))
+        starts = np.flatnonzero(np.diff(slot[order], prepend=-1))
+        out.data[many] = np.add.reduceat(values[order], starts)
+    return out
 
 
 def _assemble_cells(row_dofs: np.ndarray, col_dofs: np.ndarray, local: np.ndarray,
@@ -86,25 +110,32 @@ def _boundary_rule(space: EdgeSpace | NodalSpace):
     return edge_rule(2 * space.order + 2)
 
 
+def _volume_data(space: EdgeSpace | NodalSpace):
+    """The weights (F, k) of ``_volume_rule(space)`` on every cell and the
+    basis tabulated at its points: values and curls of an edge space
+    (``_tabulate_edge``), values and gradients of a nodal one."""
+    rule = _volume_rule(space)
+    tabulate = _tabulate_edge if isinstance(space, EdgeSpace) else _tabulate_nodal
+    return (_cell_weights(space.mesh, rule), *tabulate(space, rule.points))
+
+
 def _local_matrix(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Local matrices sum_k w[f, k] a[f, k, i, :] . b[f, k, j, :], (F', m, n),
     of cells or boundary edges; scalar fields carry a unit trailing axis."""
     return np.einsum("fk,fkid,fkjd->fij", w, a, b)
 
 
-def assemble_mass(V: EdgeSpace) -> SparseOperator:
-    """Velocity mass matrix (v_i, v_j)."""
-    rule = _volume_rule(V)
-    phi, _ = _tabulate_edge(V, rule.points)
-    local = _local_matrix(_cell_weights(V.mesh, rule), phi, phi)
+def assemble_mass(V: EdgeSpace, *, v_data=None) -> SparseOperator:
+    """Velocity mass matrix (v_i, v_j); ``v_data`` is ``_volume_data(V)``."""
+    w, phi, _ = _volume_data(V) if v_data is None else v_data
+    local = _local_matrix(w, phi, phi)
     return SparseOperator(_assemble_cells(V.cell_dofs, V.cell_dofs, local, (V.dof_count,) * 2))
 
 
-def assemble_curl_curl(V: EdgeSpace) -> SparseOperator:
+def assemble_curl_curl(V: EdgeSpace, *, v_data=None) -> SparseOperator:
     """Curl-curl matrix (curl v_i, curl v_j); discrete gradients lie in its kernel."""
-    rule = _volume_rule(V)
-    _, curls = _tabulate_edge(V, rule.points)
-    local = _local_matrix(_cell_weights(V.mesh, rule), curls[..., None], curls[..., None])
+    w, _, curls = _volume_data(V) if v_data is None else v_data
+    local = _local_matrix(w, curls[..., None], curls[..., None])
     return SparseOperator(_assemble_cells(V.cell_dofs, V.cell_dofs, local, (V.dof_count,) * 2))
 
 
@@ -118,10 +149,11 @@ def _boundary_edge_data(V: EdgeSpace):
     return tri, w, bary, pts, trace, curls
 
 
-def assemble_nitsche(V: EdgeSpace, C_w: float) -> SparseOperator:
+def assemble_nitsche(V: EdgeSpace, C_w: float, *, boundary=None) -> SparseOperator:
     """Boundary part of the velocity form: consistency, symmetry and penalty
-    C_w/h, h the mesh's ``h_max`` (coercive for C_w > C_n^2, see README)."""
-    tri, w, _, _, trace, curls = _boundary_edge_data(V)
+    C_w/h, h the mesh's ``h_max`` (coercive for C_w > C_n^2, see README);
+    ``boundary`` is ``_boundary_edge_data(V)``."""
+    tri, w, _, _, trace, curls = _boundary_edge_data(V) if boundary is None else boundary
     trace = trace[..., None]
     pen = C_w / V.mesh.h_max * _local_matrix(w, trace, trace)
     cons = -_local_matrix(w, trace, curls[..., None])
@@ -139,59 +171,55 @@ def _boundary_gram(V: EdgeSpace):
                  for f in (trace[..., None], curls[..., None]))
 
 
-def assemble_b(V: EdgeSpace, Q: NodalSpace) -> SparseOperator:
-    """Coupling matrix B[i, j] = (v_i, grad q_j)."""
+def assemble_b(V: EdgeSpace, Q: NodalSpace, *, v_data=None, q_data=None) -> SparseOperator:
+    """Coupling matrix B[i, j] = (v_i, grad q_j); ``v_data`` and ``q_data``
+    are ``_volume_data`` of V and Q."""
     if V.mesh is not Q.mesh or V.order != Q.order:
         raise ValueError("velocity and pressure spaces must share a mesh and an order")
-    rule = _volume_rule(V)
-    phi, _ = _tabulate_edge(V, rule.points)
-    _, gq = _tabulate_nodal(Q, rule.points)
-    local = _local_matrix(_cell_weights(V.mesh, rule), phi, gq)
+    w, phi, _ = _volume_data(V) if v_data is None else v_data
+    _, _, gq = _volume_data(Q) if q_data is None else q_data
+    local = _local_matrix(w, phi, gq)
     return SparseOperator(_assemble_cells(V.cell_dofs, Q.cell_dofs, local,
                                           (V.dof_count, Q.dof_count)))
 
 
 def assemble_mass_nodal(Q: NodalSpace) -> SparseOperator:
     """Pressure mass matrix (q_i, q_j)."""
-    rule = _volume_rule(Q)
-    q, _ = _tabulate_nodal(Q, rule.points)
-    local = _local_matrix(_cell_weights(Q.mesh, rule), q[..., None], q[..., None])
+    w, q, _ = _volume_data(Q)
+    local = _local_matrix(w, q[..., None], q[..., None])
     return SparseOperator(_assemble_cells(Q.cell_dofs, Q.cell_dofs, local, (Q.dof_count,) * 2))
 
 
 def assemble_stiffness(Q: NodalSpace) -> SparseOperator:
     """Pressure stiffness matrix (grad q_i, grad q_j)."""
-    rule = _volume_rule(Q)
-    _, gq = _tabulate_nodal(Q, rule.points)
-    local = _local_matrix(_cell_weights(Q.mesh, rule), gq, gq)
+    w, _, gq = _volume_data(Q)
+    local = _local_matrix(w, gq, gq)
     return SparseOperator(_assemble_cells(Q.cell_dofs, Q.cell_dofs, local, (Q.dof_count,) * 2))
 
 
-def assemble_mean_vector(Q: NodalSpace) -> np.ndarray:
-    """Vector of (q_j, 1), used to pin the pressure mean at solve time."""
-    rule = _volume_rule(Q)
-    q, _ = _tabulate_nodal(Q, rule.points)
-    w = _cell_weights(Q.mesh, rule)
+def assemble_mean_vector(Q: NodalSpace, *, q_data=None) -> np.ndarray:
+    """Vector of (q_j, 1), used to pin the pressure mean at solve time;
+    ``q_data`` is ``_volume_data(Q)``."""
+    w, q, _ = _volume_data(Q) if q_data is None else q_data
     m = np.zeros(Q.dof_count)
     np.add.at(m, Q.cell_dofs, np.matmul(w[:, None, :], q)[:, 0])
     return m
 
 
-def assemble_rhs(V: EdgeSpace, Q: NodalSpace, f: Callable, g: Callable,
-                 C_w: float) -> tuple[np.ndarray, np.ndarray]:
+def assemble_rhs(V: EdgeSpace, Q: NodalSpace, f: Callable, g: Callable, C_w: float,
+                 *, v_data=None, boundary=None) -> tuple[np.ndarray, np.ndarray]:
     """Both load vectors, (f, v) + C_w/h <g, gamma_par(v)> + <g, gamma_curl(v)>
     and <g . n, q>, from one sampling of the boundary velocity g(x, y), whose
-    tangential part the traces select."""
+    tangential part the traces select; ``v_data`` is ``_volume_data(V)``,
+    ``boundary`` is ``_boundary_edge_data(V)``."""
     if V.mesh is not Q.mesh or V.order != Q.order:
         raise ValueError("velocity and pressure spaces must share a mesh and an order")
     mesh = V.mesh
-    rule = _volume_rule(V)
-    phi, _ = _tabulate_edge(V, rule.points)
-    fv = _sample(f, np.matmul(rule.points, mesh.vertices[mesh.triangles]))
+    w, phi, _ = _volume_data(V) if v_data is None else v_data
+    fv = _sample(f, np.matmul(_volume_rule(V).points, mesh.vertices[mesh.triangles]))
     rhs_u = np.zeros(V.dof_count)
-    np.add.at(rhs_u, V.cell_dofs,
-              np.einsum("fk,fkd,fkid->fi", _cell_weights(mesh, rule), fv, phi))
-    tri, w, bary, pts, trace, curls = _boundary_edge_data(V)
+    np.add.at(rhs_u, V.cell_dofs, np.einsum("fk,fkd,fkid->fi", w, fv, phi))
+    tri, w, bary, pts, trace, curls = _boundary_edge_data(V) if boundary is None else boundary
     gv = _sample(g, pts)
     gt = np.matmul(gv, mesh.boundary_tangents[:, :, None])[..., 0]
     np.add.at(rhs_u, V.cell_dofs[tri],
@@ -204,8 +232,10 @@ def assemble_rhs(V: EdgeSpace, Q: NodalSpace, f: Callable, g: Callable,
     return rhs_u, rhs_q
 
 
-def assemble_velocity_block(V: EdgeSpace, C_w: float) -> SparseOperator:
-    """Full velocity operator: curl-curl plus the boundary terms."""
-    k = assemble_curl_curl(V)
-    n = assemble_nitsche(V, C_w)
+def assemble_velocity_block(V: EdgeSpace, C_w: float, *, v_data=None,
+                            boundary=None) -> SparseOperator:
+    """Full velocity operator: curl-curl plus the boundary terms; ``v_data``
+    is ``_volume_data(V)``, ``boundary`` is ``_boundary_edge_data(V)``."""
+    k = assemble_curl_curl(V, v_data=v_data)
+    n = assemble_nitsche(V, C_w, boundary=boundary)
     return SparseOperator((k.matrix + n.matrix).tocsr())

@@ -80,15 +80,24 @@ class SolveReport:
 
 def _augmented(A, B, mean: np.ndarray) -> sparse.csc_array:
     """The saddle matrix [[A, B, 0], [B^T, 0, m], [0, m^T, 0]], whose last
-    row and column pin the pressure mean through a Lagrange multiplier."""
-    n_q = B.shape[1]
-    m = sparse.csr_array((mean, (np.arange(n_q), np.zeros(n_q, dtype=np.int64))),
-                         shape=(n_q, 1))
-    return sparse.block_array([
-        [A, B, None],
-        [B.T, None, m],
-        [None, m.T, None],
-    ], format="csc")
+    row and column pin the pressure mean through a Lagrange multiplier, in
+    canonical CSC written straight from the canonical blocks' arrays: a
+    velocity column holds A's column, then B's row; a pressure column B's
+    column, then m's entry; the last column m."""
+    n_u, n_q = B.shape
+    blocks = (A.tocsc(), B.tocsr(), B.tocsc())
+    a, bt, b = sizes = [np.diff(block.indptr) for block in blocks]    # entries per column
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate([a + bt, b + 1, [n_q]]))])
+    indices, data = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1])
+    starts = (indptr[:n_u], indptr[:n_u] + a, indptr[n_u:-2])
+    for block, size, start, shift in zip(blocks, sizes, starts, (0, n_u, 0)):
+        # entry e of column j goes to start[j] + e - block.indptr[j]
+        at = np.repeat(start - block.indptr[:-1], size) + np.arange(block.nnz)
+        indices[at], data[at] = block.indices + shift, block.data
+    m_at = indptr[n_u + 1:-1] - 1       # the last entry of each pressure column
+    indices[m_at], data[m_at] = n_u + n_q, mean
+    indices[indptr[-2]:], data[indptr[-2]:] = np.arange(n_u, n_u + n_q), mean
+    return sparse.csc_array((data, indices, indptr), shape=(n_u + n_q + 1,) * 2)
 
 
 def solve(system: SaddleSystem) -> SolveReport:
@@ -151,7 +160,7 @@ def _verdict(system: SaddleSystem, k: sparse.csc_array, inverse, fill: int = 0) 
     z = np.full(k.shape[0], np.nan) if inverse is None else inverse(rhs)
     residual = float(np.linalg.norm(k @ z - rhs) / max(float(np.linalg.norm(rhs)), 1.0))
     if np.isfinite(z).all() and residual <= _RESIDUAL_RTOL:
-        d = 1.0 / np.sqrt(abs(k).max(axis=0).toarray())
+        d = 1.0 / np.sqrt(_column_max_abs(k))
         xi = np.random.default_rng(0).standard_normal(k.shape[0])
         if np.linalg.norm(d * (k @ inverse(xi / d)) - xi) / np.linalg.norm(xi) <= _PROBE_RTOL:
             p = z[system.n_u:system.n_u + system.n_q]
@@ -160,6 +169,14 @@ def _verdict(system: SaddleSystem, k: sparse.csc_array, inverse, fill: int = 0) 
                 p = p - (system.mean_vector @ p) / total
             return SolveReport(z[:system.n_u], p, residual, False, fill)
     return SolveReport(np.full(system.n_u, np.nan), np.full(system.n_q, np.nan), np.inf, True, fill)
+
+
+def _column_max_abs(k: sparse.csc_array) -> np.ndarray:
+    """max_i |K_ij| of every column j, 0 for an empty one; a max is exact."""
+    top = np.zeros(k.shape[1])
+    stored = np.diff(k.indptr) > 0
+    top[stored] = np.maximum.reduceat(np.abs(k.data), k.indptr[:-1][stored])
+    return top
 
 
 def _factor(matrix: sparse.csc_array, **options):

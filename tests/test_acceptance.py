@@ -22,7 +22,7 @@ import pytest
 from curlstokes.analysis import betti_number, compute_eoc, compute_errors, harmonic_fields
 from curlstokes.cases import ManufacturedCase, get_case
 from curlstokes.experiments import level_meshes, run_convergence, run_counterexample, run_probe
-from curlstokes.forms import assemble_mass
+from curlstokes.forms import assemble_b, assemble_mass
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
                              generate_unit_square, jitter)
 from curlstokes.quadrature import edge_rule, triangle_rule
@@ -215,7 +215,8 @@ def test_criterion_4_hole_rates():
     for mesh in level_meshes(get_case("hole"), 3, 7, JITTER_SEED):
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
-        dims.append(harmonic_fields(V, Q, assemble_mass(V).matrix).shape[1])
+        M, B = assemble_mass(V).matrix, assemble_b(V, Q).matrix
+        dims.append(harmonic_fields(V, Q, M, B).shape[1])
         bettis.append(betti_number(mesh))
     if dims != bettis or bettis != [1] * 7:
         violations.append(f"harmonic dimensions {dims} != Betti numbers {bettis}")
@@ -267,7 +268,7 @@ def test_criterion_6_structure_invariants():
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
         M = assemble_mass(V).matrix
-        harmonic_basis = harmonic_fields(V, Q, M)
+        harmonic_basis = harmonic_fields(V, Q, M, assemble_b(V, Q).matrix)
         grad_basis, z_basis, _ = full_svd_hodge(V, Q)
         if grad_basis.shape[1] + z_basis.shape[1] + harmonic_basis.shape[1] != V.dof_count:
             violations.append("Hodge dimensions do not sum to dof count")

@@ -217,7 +217,7 @@ def test_hodge_square(order):
     V = build_edge_space(mesh, order)
     Q = build_nodal_space(mesh, order)
     M = assemble_mass(V).matrix
-    basis = harmonic_fields(V, Q, M)
+    basis = harmonic_fields(V, Q, M, assemble_b(V, Q).matrix)
     assert basis.shape[1] == 0
     check_harmonic_complements_oracle(V, Q, M, basis)
 
@@ -227,7 +227,7 @@ def test_hodge_orthogonality_and_hole_dimension():
     V = build_edge_space(mesh, 1)
     Q = build_nodal_space(mesh, 1)
     M = assemble_mass(V).matrix
-    basis = harmonic_fields(V, Q, M)
+    basis = harmonic_fields(V, Q, M, assemble_b(V, Q).matrix)
     assert basis.shape[1] == 1
     check_harmonic_complements_oracle(V, Q, M, basis)
 
@@ -240,7 +240,7 @@ def test_harmonic_fields_check_the_gram_rank(monkeypatch):
     Q = build_nodal_space(mesh, 1)
     monkeypatch.setattr(analysis, "KERNEL_RANK_RTOL", 1.0)
     with pytest.raises(RuntimeError, match="linearly dependent"):
-        harmonic_fields(V, Q, assemble_mass(V).matrix)
+        harmonic_fields(V, Q, assemble_mass(V).matrix, assemble_b(V, Q).matrix)
 
 
 def _mass_projector(M, basis):
@@ -256,7 +256,7 @@ def test_harmonic_span_matches_full_svd_oracle(order, n):
     V = build_edge_space(mesh, order)
     Q = build_nodal_space(mesh, order)
     M = assemble_mass(V).matrix
-    basis, oracle = harmonic_fields(V, Q, M), full_svd_hodge(V, Q)[2]
+    basis, oracle = harmonic_fields(V, Q, M, assemble_b(V, Q).matrix), full_svd_hodge(V, Q)[2]
     assert basis.shape[1] == oracle.shape[1] == 1
     assert np.abs(_mass_projector(M, basis) - _mass_projector(M, oracle)).max() <= 1e-10
 
@@ -271,7 +271,7 @@ def test_two_holes_carry_two_harmonic_fields(order):
     V = build_edge_space(mesh, order)
     Q = build_nodal_space(mesh, order)
     M = assemble_mass(V).matrix
-    basis = harmonic_fields(V, Q, M)
+    basis = harmonic_fields(V, Q, M, assemble_b(V, Q).matrix)
     assert basis.shape[1] == betti_number(mesh) == 2
     assert np.abs(basis.T @ (M @ basis) - np.eye(2)).max() <= 1e-12
     check_harmonic_complements_oracle(V, Q, M, basis)
@@ -309,7 +309,8 @@ def test_harmonic_basis_size_equals_betti():
         assert betti_number(mesh) == betti
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
-        assert harmonic_fields(V, Q, assemble_mass(V).matrix).shape[1] == betti
+        M, B = assemble_mass(V).matrix, assemble_b(V, Q).matrix
+        assert harmonic_fields(V, Q, M, B).shape[1] == betti
 
 
 def test_harmonic_curl_over_trace_bounded_across_levels():
@@ -323,9 +324,9 @@ def test_harmonic_curl_over_trace_bounded_across_levels():
 def test_harmonic_run_decomposes_once(monkeypatch):
     calls = []
 
-    def counted(V, Q, M):
+    def counted(V, Q, M, B):
         calls.append(V)
-        return harmonic_fields(V, Q, M)
+        return harmonic_fields(V, Q, M, B)
 
     for module in (analysis, experiments):
         monkeypatch.setattr(module, "harmonic_fields", counted)
@@ -338,9 +339,9 @@ def _count_mass_assemblies(monkeypatch) -> list:
     """Record every assemble_mass call, in every curlstokes module that binds it."""
     calls = []
 
-    def counted(V):
+    def counted(V, **tabulation):
         calls.append(V)
-        return assemble_mass(V)
+        return assemble_mass(V, **tabulation)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("curlstokes.") and getattr(module, "assemble_mass", None) is assemble_mass:

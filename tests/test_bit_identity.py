@@ -2,14 +2,19 @@
 
 The loop reference below is the element-by-element formulation the batched
 kernels replaced: one basis tabulation, one contraction and one scatter per
-triangle or boundary edge. The reported errors react to a single ulp in the
-assembled system (see the ``forms`` module docstring), so every comparison
-is ``np.array_equal``, not a tolerance.
+triangle or boundary edge. It scatters through ``lexsort_merge``, its own
+copy of the original merge, which sums every (row, col) pair's terms in
+ascending order of value after a three-key sort; ``merge_triplets`` is
+checked against that copy too. The reported errors react to a single ulp in
+the assembled system (see the ``forms`` module docstring), so every
+comparison is exact: matrices by their canonical CSR arrays, explicit zeros
+and the bits of every value included.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from curlstokes.cases import get_case
 from curlstokes.forms import (_boundary_gram, assemble_b, assemble_mass,
@@ -136,9 +141,25 @@ def loop_boundary(V, rule):
         yield k, e, t, length, phi @ mesh.boundary_tangents[k], curls
 
 
+def lexsort_merge(rows, cols, vals, shape):
+    """The original ``merge_triplets``: a (row, col, value) lexsort, then one
+    ``np.add.reduceat`` over each pair's terms in ascending order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=float)
+    order = np.lexsort((vals, cols, rows))
+    r, c, v = rows[order], cols[order], vals[order]
+    if r.size == 0:
+        return sparse.csr_array(shape)
+    new = np.nonzero((r[1:] != r[:-1]) | (c[1:] != c[:-1]))[0] + 1
+    starts = np.concatenate([[0], new])
+    sums = np.add.reduceat(v, starts)
+    return sparse.csr_array((sums, (r[starts], c[starts])), shape=shape)
+
+
 def _merge(blocks, shape):
     rows, cols, vals = zip(*blocks)
-    return merge_triplets(np.concatenate(rows), np.concatenate(cols),
+    return lexsort_merge(np.concatenate(rows), np.concatenate(cols),
                           np.concatenate(vals), shape)
 
 
@@ -240,7 +261,43 @@ def loop_mean_vector(Q):
 # -- comparison -------------------------------------------------------------
 
 def _same(a, b) -> bool:
-    return a.shape == b.shape and np.array_equal(a.toarray(), b.toarray())
+    """Equal canonical CSR arrays: shape, indptr, indices and the bits of
+    data, explicit zeros included."""
+    return (a.format == b.format == "csr" and a.shape == b.shape
+            and a.has_canonical_format and b.has_canonical_format
+            and np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64)))
+
+
+@st.composite
+def triplets(draw):
+    """Triplets of 1 to 8 terms per (row, col) pair, in shuffled order, with
+    values drawn from a small pool and its negatives, so that values repeat
+    and sums cancel exactly; the pool spans 40 decades, so that the order of
+    a sum of three or more terms changes its bits."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    cells = st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
+    pairs = draw(st.lists(cells, unique=True, max_size=10))
+    pool = draw(st.lists(st.floats(-1e20, 1e20, allow_nan=False), min_size=1, max_size=4))
+    terms = st.sampled_from(pool + [-x for x in pool])
+    flat = [(r, c, v) for r, c in pairs for v in draw(st.lists(terms, min_size=1, max_size=8))]
+    flat = draw(st.permutations(flat))
+    return (np.array([t[0] for t in flat], dtype=np.int64),
+            np.array([t[1] for t in flat], dtype=np.int64),
+            np.array([t[2] for t in flat], dtype=float), shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(triplets())
+@example((np.array([0, 0, 1, 1, 1]), np.array([1, 1, 0, 0, 0]),
+          np.array([2.5, -2.5, 1e16, 1.0, -1e16]), (2, 2)))
+@example((np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), (3, 2)))
+def test_merge_triplets_matches_the_lexsort_merge(data):
+    rows, cols, vals, shape = data
+    merged = merge_triplets(rows, cols, vals, shape)
+    assert _same(merged, lexsort_merge(rows, cols, vals, shape))
+    # an exact cancellation stays an explicit zero
+    assert merged.nnz == len(set(zip(rows.tolist(), cols.tolist())))
 
 
 meshes = st.one_of(

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curlstokes import forms
 from curlstokes.analysis import trace_constant_n
 from curlstokes.cases import get_case
-from curlstokes.experiments import _spaces, build_essential_system, build_saddle_system
+from curlstokes.experiments import (_spaces, build_essential_system, build_saddle_system,
+                                    run_harmonic)
 from curlstokes.forms import (DEFAULT_C_W, assemble_b, assemble_curl_curl, assemble_mass,
                               assemble_mean_vector, assemble_nitsche,
                               assemble_rhs, assemble_stiffness,
@@ -37,6 +39,29 @@ def test_merge_triplets_is_order_independent():
     b = merge_triplets(rows[perm], cols[perm], vals[perm], (2, 2)).toarray()
     assert np.array_equal(a, b)
     assert np.array_equal(a, [[4.0, 5.0], [4.0, 2.0]])
+
+
+def _count_tabulations(monkeypatch) -> list:
+    """Record (kernel, rank of the points) of every tabulation that forms makes:
+    rank 2 at the volume rule, 3 at the boundary points."""
+    calls = []
+    for name in ("_tabulate_edge", "_tabulate_nodal"):
+        def counted(space, bary, *cells, _name=name, _kernel=getattr(forms, name)):
+            calls.append((_name, bary.ndim))
+            return _kernel(space, bary, *cells)
+        monkeypatch.setattr(forms, name, counted)
+    return calls
+
+
+def test_each_basis_is_tabulated_once_per_rule(monkeypatch):
+    calls = _count_tabulations(monkeypatch)
+    build_saddle_system(*_spaces(jitter(generate_unit_square(3), 1), 2), get_case("star"), 10.0)
+    assert sorted(calls) == [("_tabulate_edge", 2), ("_tabulate_edge", 3),
+                             ("_tabulate_nodal", 2), ("_tabulate_nodal", 3)]
+    calls.clear()
+    run_harmonic("hole", 3, 1)
+    assert sorted(c for c in calls if c[0] == "_tabulate_edge") == [("_tabulate_edge", 2),
+                                                                    ("_tabulate_edge", 3)]
 
 
 @pytest.mark.parametrize("order", [1, 2])

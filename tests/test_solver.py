@@ -12,10 +12,10 @@ from curlstokes.experiments import (_spaces, build_essential_system,
 from curlstokes.forms import (_assemble_cells, _boundary_edge_data, _local_matrix,
                               assemble_b, assemble_curl_curl, assemble_mass_nodal,
                               assemble_mean_vector, assemble_rhs)
-from curlstokes.mesh import (build_mesh, generate_l_shape, generate_unit_square, jitter,
-                             refine_uniform, two_triangle_square)
-from curlstokes.solver import (KERNEL_RANK_RTOL, SaddleSystem, augmented_solve,
-                               kernel_probe, solve)
+from curlstokes.mesh import (build_mesh, generate_l_shape, generate_square_with_hole,
+                             generate_unit_square, jitter, refine_uniform, two_triangle_square)
+from curlstokes.solver import (KERNEL_RANK_RTOL, SaddleSystem, _augmented, _column_max_abs,
+                               augmented_solve, kernel_probe, solve)
 from curlstokes.spaces import build_edge_space
 
 from mesh_strategies import jittered_meshes
@@ -181,6 +181,32 @@ def test_augmented_solve_matches_dense_svd_reference(order_mesh):
     report = augmented_solve(system, assemble_mass_nodal(Q).matrix)
     assert_matches_dense_svd(system, report, order)
     assert report.iterations <= 10 and report.fill > 0
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_augmented_matrix_matches_block_array(order):
+    # SuperLU's column ordering reads the structure, so the saddle matrix
+    # must hold block_array's canonical CSC arrays exactly, for the Nitsche
+    # system and for the strong one, whose blocks are sliced
+    V, Q = _spaces(jitter(generate_square_with_hole(6), 11), order)
+    for system in (build_saddle_system(V, Q, get_case("hole"), 10.0),
+                   build_essential_system(V, Q)):
+        A, B, m = system.A, system.B, system.mean_vector
+        n_q = B.shape[1]
+        col = sparse.csr_array((m, (np.arange(n_q), np.zeros(n_q, dtype=np.int64))),
+                               shape=(n_q, 1))
+        oracle = sparse.block_array([[A, B, None], [B.T, None, col], [None, col.T, None]],
+                                    format="csc")
+        k = _augmented(A, B, m)
+        assert k.format == "csc" and k.shape == oracle.shape and k.has_canonical_format
+        assert np.array_equal(k.indptr, oracle.indptr)
+        assert np.array_equal(k.indices, oracle.indices)
+        assert np.array_equal(k.data.view(np.uint64), oracle.data.view(np.uint64))
+        # the verdict's row scaling, read off the CSC data column by column
+        assert np.array_equal(_column_max_abs(k), abs(oracle).max(axis=0).toarray())
+    # an empty column, the last one included, reads 0
+    empty = sparse.csc_array(np.array([[0.0, -3.0, 0.0], [0.0, 2.0, 0.0]]))
+    assert np.array_equal(_column_max_abs(empty), [0.0, 3.0, 0.0])
 
 
 def test_kernel_probe_refuses_a_spectrum_without_a_gap():
