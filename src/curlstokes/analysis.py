@@ -16,8 +16,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from .forms import (assemble_b, assemble_curl_curl, assemble_mass, assemble_mean_vector,
-                    assemble_stiffness, _boundary_gram, _boundary_rule, _volume_rule)
+from .forms import (assemble_b, assemble_curl_curl, assemble_mass, assemble_stiffness,
+                    _boundary_gram, _boundary_rule, _volume_rule)
 from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
 from .solver import KERNEL_RANK_RTOL, estimate_infsup, project_off_gradients
@@ -199,7 +199,6 @@ def stability_probes(V: EdgeSpace, Q: NodalSpace) -> dict:
                      v0=np.random.default_rng(0).standard_normal(V.dof_count),
                      return_eigenvectors=False)[0]
     hash_gram = M + assemble_curl_curl(V).matrix + t_par / h + h * t_curl
-    beta = estimate_infsup(hash_gram, assemble_b(V, Q).matrix, assemble_stiffness(Q).matrix,
-                           assemble_mean_vector(Q))
+    beta = estimate_infsup(hash_gram, assemble_b(V, Q).matrix, assemble_stiffness(Q).matrix)
     return {"h": h, "C_n": c_n, "C_par": float(np.sqrt(c_par_sq)),
             "recommended_C_w": 2.0 * c_n ** 2, "beta_h": beta, "beta_over_h": beta / h}

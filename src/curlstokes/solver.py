@@ -1,10 +1,9 @@
 """Saddle-point solver with zero-mean pressure, kernel and inf-sup probes.
 
 The discrete system couples the velocity operator A with the pressure
-gradient B; the pressure mean is pinned through a scalar Lagrange
-multiplier rather than by eliminating a degree of freedom, which would
-perturb the inf-sup structure. The module is linear algebra only: blocks go
-in, coefficient arrays come out, and the caller reads them on its spaces.
+gradient B; the solves fix the pressure mean through a scalar Lagrange
+multiplier. The module is linear algebra only: blocks go in, coefficient
+arrays come out, and the caller reads them on its spaces.
 
 ``solve`` factors the augmented matrix by a pivoting sparse LU at every size,
 ``augmented_solve`` only the SPD augmented-Lagrangian velocity block. Both
@@ -13,8 +12,9 @@ exposes a singular operator, and the solution must reach a true relative
 residual of 1e-10. A singular system is reported; no solve computes a kernel.
 Kernel dimensions and witnesses come only from ``kernel_probe``, a dense
 symmetric eigensolve of the same augmented matrix on the counterexample's
-meshes of 2 and 8 triangles; ``estimate_infsup`` factors it with a Gram
-matrix in place of A.
+meshes of 2 and 8 triangles. ``estimate_infsup`` factors the saddle matrix
+with a Gram matrix in place of A and the first pressure dof pinned, as the
+multiplier's dense row and column would fill the factor.
 """
 
 from __future__ import annotations
@@ -223,22 +223,21 @@ def kernel_probe(system: SaddleSystem) -> np.ndarray:
     return vecs[:system.n_u + system.n_q, null_mask]
 
 
-def estimate_infsup(H, B, S, mean: np.ndarray) -> float:
+def estimate_infsup(H, B, S) -> float:
     """beta_h = min over zero-mean q of max over v of v.Bq / (|v|_H |q|_S),
     H and S the Gram matrices of a velocity norm and a pressure seminorm.
     beta_h^2 is the bottom eigenvalue of the pencil (B^T H^-1 B, S), by
-    shift-invert Lanczos through an LU factor of the augmented matrix with H
-    in place of A. The pencil pins the first pressure dof, which is sound only
-    because both of its forms vanish on constants: B^T H^-1 B does, S must."""
+    shift-invert Lanczos through an LU factor of [[H, B_1], [B_1^T, 0]], B_1
+    being B less its first column. Pinning the first pressure dof is sound only
+    because both forms of the pencil vanish on constants: B^T H^-1 B does, S must."""
     n_u, n_q = B.shape
-    lu = _factor(_augmented(H, B, mean))
+    b_1 = B.tocsc()[:, 1:]
+    lu = _factor(sparse.block_array([[H, b_1], [b_1.T, None]], format="csc"))
 
-    def pinned_inverse(r):   # zero-sum data: zero multiplier, zero-mean y
-        y = lu.solve(np.concatenate([np.zeros(n_u), [-r.sum()], r, [0.0]]))[n_u:n_u + n_q]
-        return y[0] - y[1:]
-
-    # in shift-invert mode eigsh reads only the shape of A; OPinv applies A^-1
-    op = LinearOperator((n_q - 1,) * 2, matvec=pinned_inverse, dtype=float)
+    # in shift-invert mode eigsh reads only the shape of A; OPinv applies A^-1,
+    # the negated pressure of the factor's solve with data (0, r)
+    op = LinearOperator((n_q - 1,) * 2, dtype=float,
+                        matvec=lambda r: -lu.solve(np.concatenate([np.zeros(n_u), r]))[n_u:])
     theta = eigsh(op, k=1, M=S[1:, 1:], sigma=0.0, OPinv=op,
                   v0=np.random.default_rng(0).standard_normal(n_q - 1),
                   return_eigenvectors=False)[0]

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curlstokes import analysis, experiments, forms
+from curlstokes import analysis, experiments, forms, solver
 from curlstokes.analysis import (betti_number, compute_eoc, compute_errors,
                                  harmonic_fields, least_squares_rates,
                                  stability_probes, trace_constant_n)
@@ -21,6 +21,7 @@ from curlstokes.forms import (_assemble_cells, _boundary_edge_data, _boundary_gr
                               assemble_velocity_block)
 from curlstokes.mesh import (_grid_mesh, generate_l_shape, generate_square_with_hole,
                              generate_unit_square, jitter, two_triangle_square)
+from curlstokes.solver import _factor
 from curlstokes.spaces import build_edge_space, build_nodal_space
 
 from mesh_strategies import jittered_meshes
@@ -335,24 +336,48 @@ def test_harmonic_run_decomposes_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _count_mass_assemblies(monkeypatch) -> list:
-    """Record every assemble_mass call, in every curlstokes module that binds it."""
+def _count_calls(monkeypatch, function) -> list:
+    """Record every call of ``function``, in every curlstokes module that binds it."""
     calls = []
 
-    def counted(V, **tabulation):
-        calls.append(V)
-        return assemble_mass(V, **tabulation)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("curlstokes.") and getattr(module, "assemble_mass", None) is assemble_mass:
-            monkeypatch.setattr(module, "assemble_mass", counted)
+        if name.startswith("curlstokes.") and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counted)
     return calls
 
 
 def test_probe_assembles_mass_once_per_level(monkeypatch):
-    calls = _count_mass_assemblies(monkeypatch)
+    calls = _count_calls(monkeypatch, assemble_mass)
     run_probe("star", 2, 1)
     assert len(calls) == 2
+
+
+def test_probe_assembles_no_mean_vector(monkeypatch):
+    # B and the pressure seminorm vanish on constants: the probe pins a dof
+    calls = _count_calls(monkeypatch, assemble_mean_vector)
+    run_probe("star", 2, 1)
+    assert not calls
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_infsup_probe_factors_no_dense_column(monkeypatch, order):
+    # a mean multiplier's column would hold every pressure dof (289 at order
+    # 1, 1089 at order 2) and fill the factor
+    factored = []
+
+    def recorded(matrix, **options):
+        factored.append(matrix)
+        return _factor(matrix, **options)
+
+    monkeypatch.setattr(solver, "_factor", recorded)
+    mesh = get_case("star").mesh_builder(16)
+    stability_probes(build_edge_space(mesh, order), build_nodal_space(mesh, order))
+    assert factored
+    assert max(np.diff(m.indptr).max() for m in factored) <= 48
 
 
 def test_probe_tabulates_boundary_traces_once_per_level(monkeypatch):
@@ -370,7 +395,7 @@ def test_probe_tabulates_boundary_traces_once_per_level(monkeypatch):
 
 def test_harmonic_assembles_mass_once(monkeypatch):
     # the gradient projection and c.M.c read the same matrix
-    calls = _count_mass_assemblies(monkeypatch)
+    calls = _count_calls(monkeypatch, assemble_mass)
     run_harmonic("hole", 6, 1)
     assert len(calls) == 1
 
