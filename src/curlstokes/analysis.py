@@ -17,7 +17,8 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from .forms import (assemble_b, assemble_curl_curl, assemble_mass, assemble_stiffness,
-                    _boundary_gram, _boundary_rule, _volume_rule)
+                    tabulate_boundary, tabulate_volume, _boundary_gram, _boundary_rule,
+                    _volume_rule)
 from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
 from .solver import KERNEL_RANK_RTOL, estimate_infsup, project_off_gradients
@@ -141,10 +142,10 @@ def _cut_cochains(mesh: Mesh) -> np.ndarray:
     return cochains
 
 
-def harmonic_fields(V: EdgeSpace, Q: NodalSpace, M, B) -> np.ndarray:
+def harmonic_fields(V: EdgeSpace, M, B, S) -> np.ndarray:
     """M-orthonormal basis (n, dim) of the discrete harmonic fields, the curl-free
     fields of V M-orthogonal to the discrete gradients (M the velocity mass, B
-    the coupling):
+    the coupling, S the pressure stiffness):
     the cut cochains' Whitney fields projected off the gradients, orthonormalized
     by a Cholesky factor of their Gram; a Gram rank (relative to the cochains'
     M-norms) below full raises RuntimeError. Numpy sums, not BLAS dots, form it."""
@@ -158,7 +159,7 @@ def harmonic_fields(V: EdgeSpace, Q: NodalSpace, M, B) -> np.ndarray:
             cut[mesh.triangle_edges], mesh.grads[:, [1, 2, 0]] - mesh.grads)
     if not cut.shape[1]:
         return c
-    h = project_off_gradients(M, B, assemble_stiffness(Q).matrix, c)
+    h = project_off_gradients(M, B, S, c)
     gram = (h[:, :, None] * (M @ h)[:, None, :]).sum(axis=0)
     s = np.sqrt(np.abs(np.linalg.eigvalsh(gram)))
     if (s <= KERNEL_RANK_RTOL * np.sqrt((c * (M @ c)).sum(axis=0).max())).any():
@@ -192,13 +193,16 @@ def stability_probes(V: EdgeSpace, Q: NodalSpace) -> dict:
     ||v||^2; the penalty 2 C_n^2, twice the coercivity threshold; and beta_h
     of B against the #-norm Gram H = M + K + T_par / h + h T_curl."""
     h = V.mesh.h_max
-    M = assemble_mass(V).matrix
-    t_par, t_curl = _boundary_gram(V)
+    v, q = tabulate_volume(V), tabulate_volume(Q)
+    M, K = assemble_mass(V, v).matrix, assemble_curl_curl(V, v).matrix
+    B, S = assemble_b(V, Q, v, q).matrix, assemble_stiffness(Q, q).matrix
+    del v, q
+    t_par, t_curl = _boundary_gram(V, tabulate_boundary(V))
     c_n = trace_constant_n(V)
     c_par_sq = eigsh(h * t_par, k=1, M=M, which="LA",
                      v0=np.random.default_rng(0).standard_normal(V.dof_count),
                      return_eigenvectors=False)[0]
-    hash_gram = M + assemble_curl_curl(V).matrix + t_par / h + h * t_curl
-    beta = estimate_infsup(hash_gram, assemble_b(V, Q).matrix, assemble_stiffness(Q).matrix)
+    hash_gram = M + K + t_par / h + h * t_curl
+    beta = estimate_infsup(hash_gram, B, S)
     return {"h": h, "C_n": c_n, "C_par": float(np.sqrt(c_par_sq)),
             "recommended_C_w": 2.0 * c_n ** 2, "beta_h": beta, "beta_over_h": beta / h}

@@ -11,14 +11,13 @@ with t = rotate90(n) counterclockwise; the sign is pinned by requiring the
 integration-by-parts identity (and hence exact consistency) to close.
 
 Every form takes three steps on all cells (or boundary edges) at once:
-tabulate the basis with the batched kernels of ``spaces`` at the points of
-its quadrature, contract with one ``einsum``/``matmul``, and scatter. Two
-helpers tabulate: ``_volume_data`` at the volume rule and
-``_boundary_edge_data`` (the traces that the Nitsche form, the boundary
-Grams and both load vectors of ``assemble_rhs`` read) at the boundary rule.
-A form calls them itself unless its caller passes their results in, as
-``experiments.build_saddle_system`` and ``run_harmonic`` do, so that a level
-tabulates each basis once per rule; no tabulation outlives its caller.
+read the basis tabulated by the batched kernels of ``spaces`` at the points
+of its quadrature, contract with one ``einsum``/``matmul``, and scatter. Two
+functions tabulate and their caller owns the result, so a driver tabulates
+each basis once per rule: ``tabulate_volume(space)`` at the volume rule (the
+argument ``v`` of the velocity forms, ``q`` of the pressure forms) and
+``tabulate_boundary(V)``, the velocity traces at the boundary rule (the
+argument ``boundary``; ``assemble_rhs`` tabulates Q at its points itself).
 Matrices are scattered through ``merge_triplets``: one compressed-sparse
 conversion (a counting sort by row) groups the triplets and sums each
 (row, col) pair. The few pairs of more than two terms, whose sum depends on
@@ -110,7 +109,7 @@ def _boundary_rule(space: EdgeSpace | NodalSpace):
     return edge_rule(2 * space.order + 2)
 
 
-def _volume_data(space: EdgeSpace | NodalSpace):
+def tabulate_volume(space: EdgeSpace | NodalSpace):
     """The weights (F, k) of ``_volume_rule(space)`` on every cell and the
     basis tabulated at its points: values and curls of an edge space
     (``_tabulate_edge``), values and gradients of a nodal one."""
@@ -125,21 +124,21 @@ def _local_matrix(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("fk,fkid,fkjd->fij", w, a, b)
 
 
-def assemble_mass(V: EdgeSpace, *, v_data=None) -> SparseOperator:
-    """Velocity mass matrix (v_i, v_j); ``v_data`` is ``_volume_data(V)``."""
-    w, phi, _ = _volume_data(V) if v_data is None else v_data
+def assemble_mass(V: EdgeSpace, v) -> SparseOperator:
+    """Velocity mass matrix (v_i, v_j)."""
+    w, phi, _ = v
     local = _local_matrix(w, phi, phi)
     return SparseOperator(_assemble_cells(V.cell_dofs, V.cell_dofs, local, (V.dof_count,) * 2))
 
 
-def assemble_curl_curl(V: EdgeSpace, *, v_data=None) -> SparseOperator:
+def assemble_curl_curl(V: EdgeSpace, v) -> SparseOperator:
     """Curl-curl matrix (curl v_i, curl v_j); discrete gradients lie in its kernel."""
-    w, _, curls = _volume_data(V) if v_data is None else v_data
+    w, _, curls = v
     local = _local_matrix(w, curls[..., None], curls[..., None])
     return SparseOperator(_assemble_cells(V.cell_dofs, V.cell_dofs, local, (V.dof_count,) * 2))
 
 
-def _boundary_edge_data(V: EdgeSpace):
+def tabulate_boundary(V: EdgeSpace):
     """``_boundary_points`` of ``_boundary_rule(V)`` (triangle, weights,
     barycentric and physical points), then the tangential traces (Bn, k, nloc)
     and curls (Bn, k, nloc) of the basis there."""
@@ -149,11 +148,10 @@ def _boundary_edge_data(V: EdgeSpace):
     return tri, w, bary, pts, trace, curls
 
 
-def assemble_nitsche(V: EdgeSpace, C_w: float, *, boundary=None) -> SparseOperator:
+def assemble_nitsche(V: EdgeSpace, C_w: float, boundary) -> SparseOperator:
     """Boundary part of the velocity form: consistency, symmetry and penalty
-    C_w/h, h the mesh's ``h_max`` (coercive for C_w > C_n^2, see README);
-    ``boundary`` is ``_boundary_edge_data(V)``."""
-    tri, w, _, _, trace, curls = _boundary_edge_data(V) if boundary is None else boundary
+    C_w/h, h the mesh's ``h_max`` (coercive for C_w > C_n^2, see README)."""
+    tri, w, _, _, trace, curls = boundary
     trace = trace[..., None]
     pen = C_w / V.mesh.h_max * _local_matrix(w, trace, trace)
     cons = -_local_matrix(w, trace, curls[..., None])
@@ -162,64 +160,61 @@ def assemble_nitsche(V: EdgeSpace, C_w: float, *, boundary=None) -> SparseOperat
     return SparseOperator(_assemble_cells(dofs, dofs, local, (V.dof_count,) * 2))
 
 
-def _boundary_gram(V: EdgeSpace):
+def _boundary_gram(V: EdgeSpace, boundary):
     """Sparse boundary Grams <v . t, w . t>_Gamma and <curl v, curl w>_Gamma,
     from one tabulation of the boundary traces."""
-    tri, w, _, _, trace, curls = _boundary_edge_data(V)
+    tri, w, _, _, trace, curls = boundary
     dofs = V.cell_dofs[tri]
     return tuple(_assemble_cells(dofs, dofs, _local_matrix(w, f, f), (V.dof_count,) * 2)
                  for f in (trace[..., None], curls[..., None]))
 
 
-def assemble_b(V: EdgeSpace, Q: NodalSpace, *, v_data=None, q_data=None) -> SparseOperator:
-    """Coupling matrix B[i, j] = (v_i, grad q_j); ``v_data`` and ``q_data``
-    are ``_volume_data`` of V and Q."""
+def assemble_b(V: EdgeSpace, Q: NodalSpace, v, q) -> SparseOperator:
+    """Coupling matrix B[i, j] = (v_i, grad q_j)."""
     if V.mesh is not Q.mesh or V.order != Q.order:
         raise ValueError("velocity and pressure spaces must share a mesh and an order")
-    w, phi, _ = _volume_data(V) if v_data is None else v_data
-    _, _, gq = _volume_data(Q) if q_data is None else q_data
+    w, phi, _ = v
+    _, _, gq = q
     local = _local_matrix(w, phi, gq)
     return SparseOperator(_assemble_cells(V.cell_dofs, Q.cell_dofs, local,
                                           (V.dof_count, Q.dof_count)))
 
 
-def assemble_mass_nodal(Q: NodalSpace) -> SparseOperator:
+def assemble_mass_nodal(Q: NodalSpace, q) -> SparseOperator:
     """Pressure mass matrix (q_i, q_j)."""
-    w, q, _ = _volume_data(Q)
-    local = _local_matrix(w, q[..., None], q[..., None])
+    w, vals, _ = q
+    local = _local_matrix(w, vals[..., None], vals[..., None])
     return SparseOperator(_assemble_cells(Q.cell_dofs, Q.cell_dofs, local, (Q.dof_count,) * 2))
 
 
-def assemble_stiffness(Q: NodalSpace) -> SparseOperator:
+def assemble_stiffness(Q: NodalSpace, q) -> SparseOperator:
     """Pressure stiffness matrix (grad q_i, grad q_j)."""
-    w, _, gq = _volume_data(Q)
+    w, _, gq = q
     local = _local_matrix(w, gq, gq)
     return SparseOperator(_assemble_cells(Q.cell_dofs, Q.cell_dofs, local, (Q.dof_count,) * 2))
 
 
-def assemble_mean_vector(Q: NodalSpace, *, q_data=None) -> np.ndarray:
-    """Vector of (q_j, 1), used to pin the pressure mean at solve time;
-    ``q_data`` is ``_volume_data(Q)``."""
-    w, q, _ = _volume_data(Q) if q_data is None else q_data
+def assemble_mean_vector(Q: NodalSpace, q) -> np.ndarray:
+    """Vector of (q_j, 1), used to pin the pressure mean at solve time."""
+    w, vals, _ = q
     m = np.zeros(Q.dof_count)
-    np.add.at(m, Q.cell_dofs, np.matmul(w[:, None, :], q)[:, 0])
+    np.add.at(m, Q.cell_dofs, np.matmul(w[:, None, :], vals)[:, 0])
     return m
 
 
 def assemble_rhs(V: EdgeSpace, Q: NodalSpace, f: Callable, g: Callable, C_w: float,
-                 *, v_data=None, boundary=None) -> tuple[np.ndarray, np.ndarray]:
+                 v, boundary) -> tuple[np.ndarray, np.ndarray]:
     """Both load vectors, (f, v) + C_w/h <g, gamma_par(v)> + <g, gamma_curl(v)>
     and <g . n, q>, from one sampling of the boundary velocity g(x, y), whose
-    tangential part the traces select; ``v_data`` is ``_volume_data(V)``,
-    ``boundary`` is ``_boundary_edge_data(V)``."""
+    tangential part the traces select."""
     if V.mesh is not Q.mesh or V.order != Q.order:
         raise ValueError("velocity and pressure spaces must share a mesh and an order")
     mesh = V.mesh
-    w, phi, _ = _volume_data(V) if v_data is None else v_data
+    w, phi, _ = v
     fv = _sample(f, np.matmul(_volume_rule(V).points, mesh.vertices[mesh.triangles]))
     rhs_u = np.zeros(V.dof_count)
     np.add.at(rhs_u, V.cell_dofs, np.einsum("fk,fkd,fkid->fi", w, fv, phi))
-    tri, w, bary, pts, trace, curls = _boundary_edge_data(V) if boundary is None else boundary
+    tri, w, bary, pts, trace, curls = boundary
     gv = _sample(g, pts)
     gt = np.matmul(gv, mesh.boundary_tangents[:, :, None])[..., 0]
     np.add.at(rhs_u, V.cell_dofs[tri],
@@ -232,10 +227,8 @@ def assemble_rhs(V: EdgeSpace, Q: NodalSpace, f: Callable, g: Callable, C_w: flo
     return rhs_u, rhs_q
 
 
-def assemble_velocity_block(V: EdgeSpace, C_w: float, *, v_data=None,
-                            boundary=None) -> SparseOperator:
-    """Full velocity operator: curl-curl plus the boundary terms; ``v_data``
-    is ``_volume_data(V)``, ``boundary`` is ``_boundary_edge_data(V)``."""
-    k = assemble_curl_curl(V, v_data=v_data)
-    n = assemble_nitsche(V, C_w, boundary=boundary)
+def assemble_velocity_block(V: EdgeSpace, C_w: float, v, boundary) -> SparseOperator:
+    """Full velocity operator: curl-curl plus the boundary terms."""
+    k = assemble_curl_curl(V, v)
+    n = assemble_nitsche(V, C_w, boundary)
     return SparseOperator((k.matrix + n.matrix).tocsr())

@@ -38,7 +38,8 @@ _CG_RTOL = 1e-12   # relative tolerance of the augmented-Lagrangian Schur CG
 
 @dataclass
 class SaddleSystem:
-    """Assembled blocks of the velocity-pressure system."""
+    """Assembled blocks of the velocity-pressure system; the mean vector
+    integrates the pressure basis, so it sums to the domain's area."""
 
     A: sparse.csr_array
     B: sparse.csr_array
@@ -54,6 +55,8 @@ class SaddleSystem:
             raise ValueError("right-hand side lengths do not match the blocks")
         if self.mean_vector.shape != (n_q,):
             raise ValueError("mean vector length does not match the pressure block")
+        if not 0.0 < self.mean_vector.sum() < np.inf:
+            raise ValueError("mean vector sum must be positive and finite")
 
     @property
     def n_u(self) -> int:
@@ -163,11 +166,8 @@ def _verdict(system: SaddleSystem, k: sparse.csc_array, inverse, fill: int = 0) 
         d = 1.0 / np.sqrt(_column_max_abs(k))
         xi = np.random.default_rng(0).standard_normal(k.shape[0])
         if np.linalg.norm(d * (k @ inverse(xi / d)) - xi) / np.linalg.norm(xi) <= _PROBE_RTOL:
-            p = z[system.n_u:system.n_u + system.n_q]
-            total = float(system.mean_vector.sum())
-            if total > 0:
-                p = p - (system.mean_vector @ p) / total
-            return SolveReport(z[:system.n_u], p, residual, False, fill)
+            p, m = z[system.n_u:system.n_u + system.n_q], system.mean_vector
+            return SolveReport(z[:system.n_u], p - (m @ p) / m.sum(), residual, False, fill)
     return SolveReport(np.full(system.n_u, np.nan), np.full(system.n_q, np.nan), np.inf, True, fill)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from curlstokes.analysis import compute_eoc, compute_errors
 from curlstokes.cases import get_case
 from curlstokes.experiments import build_saddle_system, level_meshes
-from curlstokes.forms import DEFAULT_C_W, assemble_mass_nodal
+from curlstokes.forms import DEFAULT_C_W, assemble_mass_nodal, tabulate_volume
 from curlstokes.solver import augmented_solve, solve
 from curlstokes.spaces import build_edge_space, build_nodal_space
 
@@ -65,7 +65,7 @@ def main():
     for k, mesh in enumerate(level_meshes(case, args.base_n, args.levels, args.jitter)):
         V, Q = build_edge_space(mesh, args.order), build_nodal_space(mesh, args.order)
         system = build_saddle_system(V, Q, case, DEFAULT_C_W)
-        report = augmented_solve(system, assemble_mass_nodal(Q).matrix)
+        report = augmented_solve(system, assemble_mass_nodal(Q, tabulate_volume(Q)).matrix)
         where = f"level {k} (n={args.base_n * 2 ** k})"
         if report.singular:
             raise SystemExit(f"{where}: augmented_solve() reports the system singular")

@@ -20,7 +20,8 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import splu
 
 from curlstokes.experiments import _spaces, build_saddle_system
-from curlstokes.forms import _volume_rule, assemble_b, assemble_mass
+from curlstokes.forms import (_volume_rule, assemble_b, assemble_mass, assemble_stiffness,
+                              tabulate_volume)
 from curlstokes.quadrature import edge_rule, triangle_rule
 from curlstokes.solver import KERNEL_RANK_RTOL, SolveReport, solve
 from curlstokes.spaces import (_ALL, EdgeSpace, NodalSpace, _cell_moments, _cell_weights,
@@ -82,8 +83,9 @@ def grad_inclusion_check(edge_space: EdgeSpace, nodal_space: NodalSpace) -> floa
     """
     if edge_space.order != nodal_space.order:
         raise ValueError("gradient inclusion requires matching orders")
-    m = assemble_mass(edge_space).matrix
-    b = assemble_b(edge_space, nodal_space).matrix
+    v = tabulate_volume(edge_space)
+    m = assemble_mass(edge_space, v).matrix
+    b = assemble_b(edge_space, nodal_space, v, tabulate_volume(nodal_space)).matrix
     lu = splu(m.tocsc())
     x = lu.solve(b.toarray())          # best-approximation coefficients per column
 
@@ -151,11 +153,19 @@ def _curl_factor(V: EdgeSpace) -> np.ndarray:
     return out
 
 
+def hodge_operators(V: EdgeSpace, Q: NodalSpace):
+    """The velocity mass, coupling and pressure stiffness matrices that
+    ``harmonic_fields`` takes, from one volume tabulation of each space."""
+    v, q = tabulate_volume(V), tabulate_volume(Q)
+    return (assemble_mass(V, v).matrix, assemble_b(V, Q, v, q).matrix,
+            assemble_stiffness(Q, q).matrix)
+
+
 def full_svd_hodge(V: EdgeSpace, Q: NodalSpace):
     """Gradient, Z_h and harmonic bases, each M-orthonormal, with full SVDs
     of the coupling and of the whole curl split."""
-    m = assemble_mass(V).matrix.toarray()
-    b = assemble_b(V, Q).matrix.toarray()
+    m, b, _ = hodge_operators(V, Q)
+    m, b = m.toarray(), b.toarray()
     g = gradient_coefficients(V, Q).toarray()
     w, vecs = np.linalg.eigh(g.T @ m @ g)
     keep = w > KERNEL_RANK_RTOL * w.max()

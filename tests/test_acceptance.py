@@ -22,12 +22,11 @@ import pytest
 from curlstokes.analysis import betti_number, compute_eoc, compute_errors, harmonic_fields
 from curlstokes.cases import ManufacturedCase, get_case
 from curlstokes.experiments import level_meshes, run_convergence, run_counterexample, run_probe
-from curlstokes.forms import assemble_b, assemble_mass
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
                              generate_unit_square, jitter)
 from curlstokes.quadrature import edge_rule, triangle_rule
 from curlstokes.spaces import build_edge_space, build_nodal_space
-from oracles import full_svd_hodge, grad_inclusion_check, solve_fields
+from oracles import full_svd_hodge, grad_inclusion_check, hodge_operators, solve_fields
 
 JITTER_SEED = 7   # fixed seed of the unstructuredness emulation (order 1 runs)
 TOL = 0.15        # half-width of a rate band around its target
@@ -215,8 +214,7 @@ def test_criterion_4_hole_rates():
     for mesh in level_meshes(get_case("hole"), 3, 7, JITTER_SEED):
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
-        M, B = assemble_mass(V).matrix, assemble_b(V, Q).matrix
-        dims.append(harmonic_fields(V, Q, M, B).shape[1])
+        dims.append(harmonic_fields(V, *hodge_operators(V, Q)).shape[1])
         bettis.append(betti_number(mesh))
     if dims != bettis or bettis != [1] * 7:
         violations.append(f"harmonic dimensions {dims} != Betti numbers {bettis}")
@@ -267,8 +265,8 @@ def test_criterion_6_structure_invariants():
         mesh = make()
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
-        M = assemble_mass(V).matrix
-        harmonic_basis = harmonic_fields(V, Q, M, assemble_b(V, Q).matrix)
+        M, B, S = hodge_operators(V, Q)
+        harmonic_basis = harmonic_fields(V, M, B, S)
         grad_basis, z_basis, _ = full_svd_hodge(V, Q)
         if grad_basis.shape[1] + z_basis.shape[1] + harmonic_basis.shape[1] != V.dof_count:
             violations.append("Hodge dimensions do not sum to dof count")

@@ -9,23 +9,24 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curlstokes import analysis, experiments, forms, solver
+from curlstokes import analysis, experiments, solver
 from curlstokes.analysis import (betti_number, compute_eoc, compute_errors,
                                  harmonic_fields, least_squares_rates,
                                  stability_probes, trace_constant_n)
 from curlstokes.cases import ManufacturedCase, get_case
 from curlstokes.experiments import run_harmonic, run_probe
-from curlstokes.forms import (_assemble_cells, _boundary_edge_data, _boundary_gram,
-                              assemble_b, assemble_curl_curl, assemble_mass,
-                              assemble_mean_vector, assemble_stiffness,
-                              assemble_velocity_block)
+from curlstokes.forms import (_assemble_cells, _boundary_gram, assemble_b,
+                              assemble_curl_curl, assemble_mass, assemble_mean_vector,
+                              assemble_stiffness, assemble_velocity_block, tabulate_boundary,
+                              tabulate_volume)
 from curlstokes.mesh import (_grid_mesh, generate_l_shape, generate_square_with_hole,
                              generate_unit_square, jitter, two_triangle_square)
 from curlstokes.solver import _factor
 from curlstokes.spaces import build_edge_space, build_nodal_space
 
 from mesh_strategies import jittered_meshes
-from oracles import full_svd_hodge, interpolate_edge, interpolate_nodal, solve_fields
+from oracles import (full_svd_hodge, hodge_operators, interpolate_edge, interpolate_nodal,
+                     solve_fields)
 
 
 # Dense oracles for the trace-constant and inf-sup probes: full generalized
@@ -35,7 +36,7 @@ from oracles import full_svd_hodge, interpolate_edge, interpolate_nodal, solve_f
 def dense_boundary_grams(V):
     """Dense boundary Gram matrices of tangential traces and curl traces."""
     n = V.dof_count
-    tri, w, _, _, trace, curls = _boundary_edge_data(V)
+    tri, w, _, _, trace, curls = tabulate_boundary(V)
     dofs = V.cell_dofs[tri]
     t_par = _assemble_cells(dofs, dofs, np.einsum("ek,eki,ekj->eij", w, trace, trace),
                             (n, n)).toarray()
@@ -48,8 +49,9 @@ def dense_trace_constants(V):
     """(C_n, C_par) from dense eigensolves; C_n over the range of the curl."""
     h = V.mesh.h_max
     t_par, t_curl = dense_boundary_grams(V)
-    m = assemble_mass(V).matrix.toarray()
-    k = assemble_curl_curl(V).matrix.toarray()
+    v = tabulate_volume(V)
+    m = assemble_mass(V, v).matrix.toarray()
+    k = assemble_curl_curl(V, v).matrix.toarray()
     c_par_sq = scipy.linalg.eigh(h * t_par, m, eigvals_only=True)[-1]
     w, vecs = np.linalg.eigh(k)
     basis = vecs[:, w > 1e-10 * w.max()]
@@ -62,14 +64,15 @@ def dense_infsup(V, Q):
     """beta_h from a dense solve and eigensolve on the zero-mean pressures."""
     h = V.mesh.h_max
     t_par, t_curl = dense_boundary_grams(V)
-    hash_gram = (assemble_mass(V).matrix.toarray() + assemble_curl_curl(V).matrix.toarray()
+    v, q = tabulate_volume(V), tabulate_volume(Q)
+    hash_gram = (assemble_mass(V, v).matrix.toarray() + assemble_curl_curl(V, v).matrix.toarray()
                  + t_par / h + h * t_curl)
-    b = assemble_b(V, Q).matrix.toarray()
-    _, _, vt = np.linalg.svd(assemble_mean_vector(Q)[None, :])
+    b = assemble_b(V, Q, v, q).matrix.toarray()
+    _, _, vt = np.linalg.svd(assemble_mean_vector(Q, q)[None, :])
     z = vt[1:].T
     bz = b @ z
     gram = bz.T @ np.linalg.solve(hash_gram, bz)
-    vals = scipy.linalg.eigh(gram, z.T @ assemble_stiffness(Q).matrix.toarray() @ z,
+    vals = scipy.linalg.eigh(gram, z.T @ assemble_stiffness(Q, q).matrix.toarray() @ z,
                              eigvals_only=True)
     return float(np.sqrt(max(vals[0], 0.0)))
 
@@ -146,8 +149,9 @@ def test_hash_norm_matches_gram_of_infsup_probe(mesh, order, seed):
     V = build_edge_space(mesh, order)
     c = np.random.default_rng(seed).standard_normal(V.dof_count)
     h = mesh.h_max
-    t_par, t_curl = _boundary_gram(V)
-    gram = assemble_mass(V).matrix + assemble_curl_curl(V).matrix + t_par / h + h * t_curl
+    t_par, t_curl = _boundary_gram(V, tabulate_boundary(V))
+    v = tabulate_volume(V)
+    gram = assemble_mass(V, v).matrix + assemble_curl_curl(V, v).matrix + t_par / h + h * t_curl
     rec = _velocity_errors(V, c)
     assert rec["norm_u_hash"] == pytest.approx(np.sqrt(c @ (gram @ c)), rel=1e-12)
 
@@ -217,8 +221,8 @@ def test_hodge_square(order):
     mesh = generate_unit_square(2)
     V = build_edge_space(mesh, order)
     Q = build_nodal_space(mesh, order)
-    M = assemble_mass(V).matrix
-    basis = harmonic_fields(V, Q, M, assemble_b(V, Q).matrix)
+    M, B, S = hodge_operators(V, Q)
+    basis = harmonic_fields(V, M, B, S)
     assert basis.shape[1] == 0
     check_harmonic_complements_oracle(V, Q, M, basis)
 
@@ -227,8 +231,8 @@ def test_hodge_orthogonality_and_hole_dimension():
     mesh = generate_square_with_hole(3)
     V = build_edge_space(mesh, 1)
     Q = build_nodal_space(mesh, 1)
-    M = assemble_mass(V).matrix
-    basis = harmonic_fields(V, Q, M, assemble_b(V, Q).matrix)
+    M, B, S = hodge_operators(V, Q)
+    basis = harmonic_fields(V, M, B, S)
     assert basis.shape[1] == 1
     check_harmonic_complements_oracle(V, Q, M, basis)
 
@@ -241,7 +245,7 @@ def test_harmonic_fields_check_the_gram_rank(monkeypatch):
     Q = build_nodal_space(mesh, 1)
     monkeypatch.setattr(analysis, "KERNEL_RANK_RTOL", 1.0)
     with pytest.raises(RuntimeError, match="linearly dependent"):
-        harmonic_fields(V, Q, assemble_mass(V).matrix, assemble_b(V, Q).matrix)
+        harmonic_fields(V, *hodge_operators(V, Q))
 
 
 def _mass_projector(M, basis):
@@ -256,8 +260,8 @@ def test_harmonic_span_matches_full_svd_oracle(order, n):
     mesh = generate_square_with_hole(n)
     V = build_edge_space(mesh, order)
     Q = build_nodal_space(mesh, order)
-    M = assemble_mass(V).matrix
-    basis, oracle = harmonic_fields(V, Q, M, assemble_b(V, Q).matrix), full_svd_hodge(V, Q)[2]
+    M, B, S = hodge_operators(V, Q)
+    basis, oracle = harmonic_fields(V, M, B, S), full_svd_hodge(V, Q)[2]
     assert basis.shape[1] == oracle.shape[1] == 1
     assert np.abs(_mass_projector(M, basis) - _mass_projector(M, oracle)).max() <= 1e-10
 
@@ -271,8 +275,8 @@ def test_two_holes_carry_two_harmonic_fields(order):
     mesh = _grid_mesh(coords, coords, keep)
     V = build_edge_space(mesh, order)
     Q = build_nodal_space(mesh, order)
-    M = assemble_mass(V).matrix
-    basis = harmonic_fields(V, Q, M, assemble_b(V, Q).matrix)
+    M, B, S = hodge_operators(V, Q)
+    basis = harmonic_fields(V, M, B, S)
     assert basis.shape[1] == betti_number(mesh) == 2
     assert np.abs(basis.T @ (M @ basis) - np.eye(2)).max() <= 1e-12
     check_harmonic_complements_oracle(V, Q, M, basis)
@@ -310,8 +314,7 @@ def test_harmonic_basis_size_equals_betti():
         assert betti_number(mesh) == betti
         V = build_edge_space(mesh, 1)
         Q = build_nodal_space(mesh, 1)
-        M, B = assemble_mass(V).matrix, assemble_b(V, Q).matrix
-        assert harmonic_fields(V, Q, M, B).shape[1] == betti
+        assert harmonic_fields(V, *hodge_operators(V, Q)).shape[1] == betti
 
 
 def test_harmonic_curl_over_trace_bounded_across_levels():
@@ -325,9 +328,9 @@ def test_harmonic_curl_over_trace_bounded_across_levels():
 def test_harmonic_run_decomposes_once(monkeypatch):
     calls = []
 
-    def counted(V, Q, M, B):
+    def counted(V, M, B, S):
         calls.append(V)
-        return harmonic_fields(V, Q, M, B)
+        return harmonic_fields(V, M, B, S)
 
     for module in (analysis, experiments):
         monkeypatch.setattr(module, "harmonic_fields", counted)
@@ -382,13 +385,7 @@ def test_infsup_probe_factors_no_dense_column(monkeypatch, order):
 
 def test_probe_tabulates_boundary_traces_once_per_level(monkeypatch):
     # both probes scale the same two boundary Grams
-    calls = []
-
-    def counted(V):
-        calls.append(V)
-        return _boundary_edge_data(V)
-
-    monkeypatch.setattr(forms, "_boundary_edge_data", counted)
+    calls = _count_calls(monkeypatch, tabulate_boundary)
     run_probe("star", 2, 2)
     assert len(calls) == 2
 
@@ -426,7 +423,8 @@ def test_recommended_penalty_keeps_velocity_block_semidefinite():
     # coercivity needs C_w > C_n^2; on this order-2 mesh C_n^2 = 16.57 lies
     # above 4 C_n = 16.28, a penalty that leaves two negative eigenvalues
     V = build_edge_space(jitter(generate_unit_square(6), 0), 2)
-    ev = np.linalg.eigvalsh(assemble_velocity_block(V, 2.0 * trace_constant_n(V) ** 2)
+    ev = np.linalg.eigvalsh(assemble_velocity_block(V, 2.0 * trace_constant_n(V) ** 2,
+                                                    tabulate_volume(V), tabulate_boundary(V))
                             .matrix.toarray())
     assert ev.min() >= -1e-12 * ev.max()
 
@@ -468,7 +466,8 @@ def test_velocity_block_coercive_above_local_trace_threshold(mesh, order):
     # y = h^-1/2 ||v . t||_Gamma, which is nonnegative for C_w >= C_n^2. The
     # bound is not sharp, so nothing is asserted below the threshold.
     V = build_edge_space(mesh, order)
-    ev = np.linalg.eigvalsh(assemble_velocity_block(V, 1.01 * trace_constant_n(V) ** 2)
+    ev = np.linalg.eigvalsh(assemble_velocity_block(V, 1.01 * trace_constant_n(V) ** 2,
+                                                    tabulate_volume(V), tabulate_boundary(V))
                             .matrix.toarray())
     assert ev.min() >= -1e-12 * ev.max()
 

@@ -20,7 +20,7 @@ from curlstokes.cases import get_case
 from curlstokes.forms import (_boundary_gram, assemble_b, assemble_mass,
                               assemble_mass_nodal, assemble_mean_vector, assemble_rhs,
                               assemble_stiffness, assemble_velocity_block,
-                              merge_triplets)
+                              merge_triplets, tabulate_boundary, tabulate_volume)
 from curlstokes.mesh import generate_square_with_hole, generate_unit_square, jitter
 from curlstokes.quadrature import edge_rule, triangle_rule
 from curlstokes.spaces import build_edge_space, build_nodal_space
@@ -320,20 +320,21 @@ def test_batched_assembly_is_bit_identical_to_loops(mesh, seed):
         rule = triangle_rule(2 * order + 2)
         edge = lambda t: loop_edge_basis(V, t, rule.points)
         nodal = lambda t: loop_nodal_basis(Q, t, rule.points)
+        v, q, boundary = tabulate_volume(V), tabulate_volume(Q), tabulate_boundary(V)
 
-        assert _same(assemble_velocity_block(V, 10.0).matrix, loop_velocity_block(V, 10.0))
-        for batched, loop in zip(_boundary_gram(V), loop_boundary_grams(V)):
+        assert _same(assemble_velocity_block(V, 10.0, v, boundary).matrix,
+                     loop_velocity_block(V, 10.0))
+        for batched, loop in zip(_boundary_gram(V, boundary), loop_boundary_grams(V)):
             assert _same(batched, loop)
-        assert _same(assemble_b(V, Q).matrix, loop_cell_matrix(
+        assert _same(assemble_b(V, Q, v, q).matrix, loop_cell_matrix(
             V, Q, lambda t: (edge(t)[0], nodal(t)[1]), rule, "k,kid,kjd->ij", (nv, nq)))
-        assert _same(assemble_mass(V).matrix, loop_cell_matrix(
+        assert _same(assemble_mass(V, v).matrix, loop_cell_matrix(
             V, V, lambda t: (edge(t)[0],) * 2, rule, "k,kid,kjd->ij", (nv, nv)))
-        assert _same(assemble_mass_nodal(Q).matrix, loop_cell_matrix(
+        assert _same(assemble_mass_nodal(Q, q).matrix, loop_cell_matrix(
             Q, Q, lambda t: (nodal(t)[0],) * 2, rule, "k,ki,kj->ij", (nq, nq)))
-        assert _same(assemble_stiffness(Q).matrix, loop_cell_matrix(
+        assert _same(assemble_stiffness(Q, q).matrix, loop_cell_matrix(
             Q, Q, lambda t: (nodal(t)[1],) * 2, rule, "k,kid,kjd->ij", (nq, nq)))
-        assert np.array_equal(assemble_rhs(V, Q, case.f, case.u, 10.0)[0],
-                              loop_rhs(V, case.f, case.u, 10.0))
-        assert np.array_equal(assemble_rhs(V, Q, case.f, case.u, 10.0)[1],
-                              loop_divergence_rhs(Q, case.u))
-        assert np.array_equal(assemble_mean_vector(Q), loop_mean_vector(Q))
+        rhs_u, rhs_q = assemble_rhs(V, Q, case.f, case.u, 10.0, v, boundary)
+        assert np.array_equal(rhs_u, loop_rhs(V, case.f, case.u, 10.0))
+        assert np.array_equal(rhs_q, loop_divergence_rhs(Q, case.u))
+        assert np.array_equal(assemble_mean_vector(Q, q), loop_mean_vector(Q))

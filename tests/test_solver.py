@@ -9,9 +9,9 @@ from curlstokes.analysis import compute_errors
 from curlstokes.cases import get_case
 from curlstokes.experiments import (_spaces, build_essential_system,
                                     build_saddle_system, run_counterexample)
-from curlstokes.forms import (_assemble_cells, _boundary_edge_data, _local_matrix,
-                              assemble_b, assemble_curl_curl, assemble_mass_nodal,
-                              assemble_mean_vector, assemble_rhs)
+from curlstokes.forms import (_assemble_cells, _local_matrix, assemble_b, assemble_curl_curl,
+                              assemble_mass_nodal, assemble_mean_vector, assemble_rhs,
+                              tabulate_boundary, tabulate_volume)
 from curlstokes.mesh import (build_mesh, generate_l_shape, generate_square_with_hole,
                              generate_unit_square, jitter, refine_uniform, two_triangle_square)
 from curlstokes.solver import (KERNEL_RANK_RTOL, SaddleSystem, _augmented, _column_max_abs,
@@ -80,7 +80,7 @@ def test_essential_system_flagged_on_sparse_path(n):
     V, Q = _spaces(generate_unit_square(n), 1)
     system = build_essential_system(V, Q)
     assert solve(system).singular
-    assert augmented_solve(system, assemble_mass_nodal(Q).matrix).singular
+    assert augmented_solve(system, assemble_mass_nodal(Q, tabulate_volume(Q)).matrix).singular
     assert kernel_probe(system).shape[1] == 2
 
 
@@ -101,18 +101,19 @@ def graded_lshape_system(n: int, mu: float, C_w: float) -> SaddleSystem:
     x = base.vertices
     V, Q = _spaces(build_mesh(x * np.abs(x).max(axis=1, keepdims=True) ** (1 / mu - 1),
                               base.triangles), 2)
-    tri, w, _, _, trace, curls = _boundary_edge_data(V)
+    v, q, boundary = tabulate_volume(V), tabulate_volume(Q), tabulate_boundary(V)
+    tri, w, _, _, trace, curls = boundary
     trace = trace[..., None]
     pen = (C_w / V.mesh.diameters[tri])[:, None, None] * _local_matrix(w, trace, trace)
     cons = -_local_matrix(w, trace, curls[..., None])
     dofs = V.cell_dofs[tri]
-    A = assemble_curl_curl(V).matrix + _assemble_cells(
+    A = assemble_curl_curl(V, v).matrix + _assemble_cells(
         dofs, dofs, pen + cons + cons.transpose(0, 2, 1), (V.dof_count,) * 2)
     load = lambda x, y: np.column_stack([np.sin(y), np.cos(x)])
     zero = lambda x, y: np.zeros((np.size(x), 2))
-    return SaddleSystem(A.tocsr(), assemble_b(V, Q).matrix,
-                        assemble_rhs(V, Q, load, zero, C_w)[0], np.zeros(Q.dof_count),
-                        assemble_mean_vector(Q))
+    return SaddleSystem(A.tocsr(), assemble_b(V, Q, v, q).matrix,
+                        assemble_rhs(V, Q, load, zero, C_w, v, boundary)[0],
+                        np.zeros(Q.dof_count), assemble_mean_vector(Q, q))
 
 
 def test_graded_system_is_not_flagged_singular():
@@ -178,7 +179,7 @@ def test_augmented_solve_matches_dense_svd_reference(order_mesh):
     order, mesh = order_mesh
     V, Q = _spaces(mesh, order)
     system = build_saddle_system(V, Q, get_case("star"), C_w={1: 10.0, 2: 35.0}[order])
-    report = augmented_solve(system, assemble_mass_nodal(Q).matrix)
+    report = augmented_solve(system, assemble_mass_nodal(Q, tabulate_volume(Q)).matrix)
     assert_matches_dense_svd(system, report, order)
     assert report.iterations <= 10 and report.fill > 0
 
@@ -299,3 +300,12 @@ def test_dimension_validation():
         SaddleSystem(a, b, np.zeros(3), np.zeros(2), np.ones(3))
     with pytest.raises(ValueError):
         SaddleSystem(a, b, np.zeros(2), np.zeros(2), np.ones(2))
+
+
+@pytest.mark.parametrize("total", [0.0, -1.0, np.nan, np.inf])
+def test_mean_vector_sum_validation(total):
+    # the mean vector integrates the pressure basis: it sums to the area
+    a = sparse.csr_array((3, 3))
+    b = sparse.csr_array((3, 2))
+    with pytest.raises(ValueError, match="mean vector sum"):
+        SaddleSystem(a, b, np.zeros(3), np.zeros(2), np.array([total, 0.0]))

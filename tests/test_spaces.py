@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curlstokes.experiments import _spaces, build_essential_system
-from curlstokes.forms import assemble_b
+from curlstokes.forms import assemble_b, tabulate_volume
 from curlstokes.mesh import (generate_l_shape, generate_square_with_hole,
                              generate_unit_square, jitter, two_triangle_square)
 from curlstokes.quadrature import edge_rule, triangle_rule
@@ -86,7 +86,7 @@ def test_edge_space_dof_counts():
 def test_essential_space_keeps_the_interior_edge():
     tt = two_triangle_square()
     V, Q = build_edge_space(tt, 1), build_nodal_space(tt, 1)
-    full_b = assemble_b(V, Q).matrix.toarray()
+    full_b = assemble_b(V, Q, tabulate_volume(V), tabulate_volume(Q)).matrix.toarray()
     kept_b = build_essential_system(V, Q).B.toarray()
     interior = [e for e in range(tt.edge_count) if tuple(tt.edges[e]) == (1, 3)]
     assert len(interior) == 1
