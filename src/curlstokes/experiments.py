@@ -7,10 +7,15 @@ writes, and only the parser holds defaults. Two systems come out of the
 same spaces: ``build_saddle_system``, the Nitsche formulation with weak
 tangential data, and ``build_essential_system``, the strongly imposed
 variant whose singularity ``run_counterexample`` exhibits.
+
+``run_convergence`` forks one helper process (POSIX only; SuperLU holds the
+GIL) that solves the coarser levels while this one solves the finest; the
+lowest failing level is raised first.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from collections.abc import Iterator
 
 import numpy as np
@@ -96,17 +101,27 @@ def run_convergence(case_name: str, order: int, levels: int, C_w: float,
     if base_n is None:
         base_n = case.default_n
 
-    records = []
-    for k, mesh in enumerate(level_meshes(case, base_n, levels, jitter_seed)):
-        V, Q = _spaces(mesh, order)
+    study = (case, order, C_w, base_n, jitter_seed)
+    fork = multiprocessing.get_context("fork")      # fork pickles nothing: a closure runs
+    reader, writer = fork.Pipe(duplex=False)
+    with reader, writer:
+        helper = fork.Process(target=lambda: writer.send(_solve_levels(*study, 0, levels - 1)))
+        helper.start()
         try:
-            rep = solve(build_saddle_system(V, Q, case, C_w))
-        except MemoryError as exc:
-            raise MemoryError(f"level {k} (n={base_n * 2 ** k}): {exc}") from exc
-        if rep.singular:
-            raise SingularLevelError(f"singular system at refinement level {k}")
-        records.append(compute_errors(V, rep.u, Q, rep.p, case)
-                       | {"cw_over_cn2": C_w / trace_constant_n(V) ** 2})
+            writer.close()      # the helper's copy alone is left: its exit is EOF here
+            finest, failure = _solve_levels(*study, levels - 1, levels)
+            try:
+                coarse, coarse_failure = reader.recv()
+            except EOFError:
+                helper.join()
+                raise MemoryError(f"levels 0 to {levels - 2}: their process ended with "
+                                  f"exit code {helper.exitcode} and no result") from None
+        finally:
+            helper.terminate()  # it has sent by now, unless this call is leaving early
+            helper.join()
+    if coarse_failure or failure:
+        raise coarse_failure or failure
+    records = coarse + finest
     return {
         "schema_version": SCHEMA_VERSION,
         "config": {"command": "convergence", "case": case_name, "order": order,
@@ -119,6 +134,29 @@ def run_convergence(case_name: str, order: int, levels: int, C_w: float,
 
 class SingularLevelError(Exception):
     """A convergence level produced a singular system."""
+
+
+def _solve_levels(case: ManufacturedCase, order: int, C_w: float, base_n: int,
+                  jitter_seed: int | None, first: int, stop: int) -> tuple[list, Exception | None]:
+    """Solve levels first to stop - 1 of a study in order, on meshes built here: their
+    records with ``cw_over_cn2``, and the exception that stopped them, or None."""
+    records = []
+    try:
+        for k, mesh in enumerate(level_meshes(case, base_n, stop, jitter_seed)):
+            if k < first:
+                continue
+            V, Q = _spaces(mesh, order)
+            try:
+                rep = solve(build_saddle_system(V, Q, case, C_w))
+            except MemoryError as exc:
+                raise MemoryError(f"level {k} (n={base_n * 2 ** k}): {exc}") from exc
+            if rep.singular:
+                raise SingularLevelError(f"singular system at refinement level {k}")
+            records.append(compute_errors(V, rep.u, Q, rep.p, case)
+                           | {"cw_over_cn2": C_w / trace_constant_n(V) ** 2})
+    except Exception as exc:
+        return records, exc
+    return records, None
 
 
 def run_counterexample() -> dict:

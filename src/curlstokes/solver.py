@@ -34,6 +34,7 @@ _PROBE_RTOL = 1e-6
 _RESIDUAL_RTOL = 1e-10
 GAMMA = 1e3        # augmentation weight, relative to the blocks' mean diagonals
 _CG_RTOL = 1e-12   # relative tolerance of the augmented-Lagrangian Schur CG
+_EXACTLY_SINGULAR = "Factor is exactly singular"    # SuperLU's zero pivot
 
 
 @dataclass
@@ -109,7 +110,9 @@ def solve(system: SaddleSystem) -> SolveReport:
     k = _augmented(system.A, system.B, system.mean_vector)
     try:
         lu = _factor(k)
-    except RuntimeError:    # SuperLU: factor is exactly singular
+    except RuntimeError as exc:
+        if _EXACTLY_SINGULAR not in str(exc):
+            raise
         return _verdict(system, k, None)
     return _verdict(system, k, lu.solve, fill=lu.nnz)
 
@@ -127,7 +130,9 @@ def augmented_solve(system: SaddleSystem, W) -> SolveReport:
     try:
         lu = _factor((A + gamma * bwb).tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    except RuntimeError:
+    except RuntimeError as exc:
+        if _EXACTLY_SINGULAR not in str(exc):
+            raise
         return _verdict(system, k, None)
 
     def zero_mean(v):
@@ -180,12 +185,14 @@ def _column_max_abs(k: sparse.csc_array) -> np.ndarray:
 
 
 def _factor(matrix: sparse.csc_array, **options):
-    """Sparse LU with the caller's ``splu`` options; out of memory (a bare
-    MemoryError, or a SystemError naming a MemType) names what it factored."""
+    """Sparse LU with the caller's ``splu`` options; out of memory names what
+    it factored. SuperLU runs out as a MemoryError, a SystemError (past about
+    2 GB as "invalid arguments", which no caller passes: square CSC, fixed
+    options) or a RuntimeError naming SUPERLU_MALLOC."""
     try:
         return splu(matrix, **options)
-    except (MemoryError, SystemError) as exc:
-        if isinstance(exc, SystemError) and "MemType" not in str(exc):
+    except (MemoryError, SystemError, RuntimeError) as exc:
+        if isinstance(exc, RuntimeError) and "SUPERLU_MALLOC" not in str(exc):
             raise
         raise MemoryError(f"sparse LU factor of {matrix.shape[0]} unknowns "
                           f"and {matrix.nnz} nonzeros") from exc

@@ -2,7 +2,7 @@
 
 ``solver.solve`` factors the indefinite saddle matrix with SuperLU, which
 runs out of memory near 250k unknowns. This study solves each level by
-``solver.augmented_solve`` (ROADMAP item 2) and exits non-zero at the first
+``solver.augmented_solve`` (ROADMAP item 21) and exits non-zero at the first
 level it reports singular. ``--check-below`` also compares both solves on the
 small levels and exits non-zero when they disagree or ``solve`` reports a
 singular system. Prints each level's errors, Schur CG steps, the entries

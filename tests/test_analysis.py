@@ -190,16 +190,19 @@ def test_least_squares_rates():
     assert tuple(compute_eoc(records)) == analysis.NORMS
 
 
-@pytest.mark.parametrize("order,jitter_seed", [(1, 7), (2, None)])
-def test_report_levels_are_compute_errors_records(order, jitter_seed):
+@pytest.mark.parametrize("order,jitter_seed,levels", [
+    pytest.param(1, 7, 2, id="1-7"), pytest.param(2, None, 2, id="2-None"),
+    pytest.param(1, 7, 3, id="1-7-3-levels")])
+def test_report_levels_are_compute_errors_records(order, jitter_seed, levels):
     # each report.json level is compute_errors' record of that level's solve,
     # plus the penalty over the coercivity threshold, C_w / C_n^2, recomputed
-    # here from trace_constant_n
+    # here from trace_constant_n; at 3 levels the helper process solves two
+    # levels in order and the records must come back in level order
     case, C_w = get_case("star"), 10.0
-    report = experiments.run_convergence("star", order, 2, C_w=C_w, base_n=4,
+    report = experiments.run_convergence("star", order, levels, C_w=C_w, base_n=4,
                                          jitter_seed=jitter_seed)
-    assert len(report["levels"]) == 2
-    meshes = experiments.level_meshes(case, 4, 2, jitter_seed)
+    assert len(report["levels"]) == levels
+    meshes = experiments.level_meshes(case, 4, levels, jitter_seed)
     for k, (level, mesh) in enumerate(zip(report["levels"], meshes)):
         rep, V, Q = solve_fields(mesh, order, case, C_w)
         assert level == {"level": k, **compute_errors(V, rep.u, Q, rep.p, case),

@@ -1,6 +1,8 @@
 import json
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,25 @@ import pytest
 
 import curlstokes
 from curlstokes import cli, experiments, solver
+from curlstokes.cases import get_case
 from curlstokes.cli import EXIT_BETTI_MISMATCH, EXIT_CONFIG, EXIT_MEMORY, EXIT_SINGULAR, main
 from curlstokes.forms import DEFAULT_C_W
+from curlstokes.spaces import build_edge_space
+
+
+@pytest.fixture(autouse=True)
+def no_process_outlives_a_command():
+    # a convergence helper left running, after a success or any failure,
+    # would outlive the command that started it
+    yield
+    assert not multiprocessing.active_children()
+
+
+def star_edge_dofs(base_n: int, levels: int) -> list[int]:
+    """The order-1 velocity dofs of each level of a star study, unjittered."""
+    meshes = experiments.level_meshes(get_case("star"), base_n, levels, None)
+    return [build_edge_space(mesh, 1).dof_count for mesh in meshes]
+
 
 CSV_HEADER = ("level,h,dofs_u,dofs_p,err_u_l2,err_u_curl,err_u_hash,err_gpar,"
               "err_gcurl,err_p_l2,err_p_h1,eoc_u_l2,eoc_u_curl,eoc_u_hash,"
@@ -211,17 +230,26 @@ def test_probe_rejects_fewer_than_one_level(tmp_path, capsys, levels):
 
 
 @pytest.mark.parametrize("error", [SystemError("Can't expand MemType 1: jcol 1320"),
-                                   MemoryError("Unable to allocate 2.0 GiB")])
+                                   MemoryError("Unable to allocate 2.0 GiB"),
+                                   SystemError("gstrf was called with invalid arguments"),
+                                   RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc()")])
 def test_out_of_memory_exits_cleanly(tmp_path, monkeypatch, capsys, error):
+    # SuperLU runs out of memory as a SystemError, a MemoryError or, past
+    # 2 GB, as the last two texts (measured): each exits 5, not 1 (a
+    # traceback) or 3 (a singular level). Both processes fail, and the
+    # helper's level 0 is named, not the finest level
     def splu(matrix):
         raise error
 
     monkeypatch.setattr(solver, "splu", splu)
+    out = tmp_path / "oom"
     code = main(["convergence", "--case", "star", "--levels", "2", "--base-n", "16",
-                 "--out", str(tmp_path / "oom")])
+                 "--out", str(out)])
     assert code == EXIT_MEMORY
     err = capsys.readouterr().err
-    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert err.startswith("error: out of memory: level 0 (n=16): sparse LU factor of ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_harmonic_out_of_memory_exits_5(tmp_path, monkeypatch, capsys):
@@ -278,22 +306,61 @@ def test_each_driver_returns_the_document_its_command_writes(tmp_path, argv, dri
 
 
 def test_singular_level_exits_3_without_output(tmp_path, monkeypatch, capsys):
-    calls = []
+    # the helper process solves levels 0 to 2 in order and stops at the
+    # singular level 1, while the parent solves level 3; both append each
+    # solve's velocity size to one file
+    sizes = star_edge_dofs(2, 4)
+    solved = tmp_path / "solved"
 
     def solve(system):
-        calls.append(system)
-        if len(calls) == 2:
+        with solved.open("a") as log:
+            log.write(f"{system.n_u}\n")
+        if system.n_u == sizes[1]:
             nan_u, nan_p = np.full(system.n_u, np.nan), np.full(system.n_q, np.nan)
             return solver.SolveReport(nan_u, nan_p, np.inf, True)
         return solver.solve(system)
 
     monkeypatch.setattr(experiments, "solve", solve)
     out = tmp_path / "singular"
-    code = main(["convergence", "--case", "star", "--levels", "3", "--base-n", "2",
+    code = main(["convergence", "--case", "star", "--levels", "4", "--base-n", "2",
                  "--out", str(out)])
     assert code == EXIT_SINGULAR
     assert capsys.readouterr().err == "error: singular system at refinement level 1\n"
-    assert len(calls) == 2
+    assert sorted(map(int, solved.read_text().split())) == [sizes[0], sizes[1], sizes[3]]
+    assert not out.exists()
+
+
+def test_killed_helper_exits_5_without_output(tmp_path, monkeypatch, capsys):
+    # a helper that dies without a result, as under the kernel's
+    # out-of-memory killer, must end as one error line and exit 5: not as a
+    # hang, a traceback, or a success with levels missing
+    finest = star_edge_dofs(2, 3)[-1]
+
+    def solve(system):
+        if system.n_u < finest:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return solver.solve(system)
+
+    monkeypatch.setattr(experiments, "solve", solve)
+    out = tmp_path / "killed"
+    code = main(["convergence", "--case", "star", "--levels", "3", "--base-n", "2",
+                 "--out", str(out)])
+    assert code == EXIT_MEMORY
+    assert capsys.readouterr().err == ("error: out of memory: levels 0 to 1: their process "
+                                       "ended with exit code -9 and no result\n")
+    assert not out.exists()
+
+
+def test_helper_failure_prints_one_line(tmp_path):
+    # the helper sends its exception back: a traceback that it printed
+    # itself would stand above the parent's error line
+    out = tmp_path / "nan"
+    run = subprocess.run([sys.executable, "-m", "curlstokes.cli", "convergence", "--case", "star",
+                          "--levels", "3", "--cw", "nan", "--out", str(out)],
+                         cwd=Path(curlstokes.__file__).parents[1],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == EXIT_CONFIG
+    assert run.stderr == "error: penalty constant must be positive and finite\n"
     assert not out.exists()
 
 

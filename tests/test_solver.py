@@ -229,6 +229,27 @@ def test_singular_verdict_computes_no_kernel(monkeypatch):
     assert solve(system).singular
 
 
+@pytest.mark.parametrize("solver_call", ["solve", "augmented_solve"])
+@pytest.mark.parametrize("message,singular", [("Factor is exactly singular", True),
+                                              ("gssv: unexpected status", False)])
+def test_only_an_exactly_singular_factor_reads_singular(monkeypatch, solver_call,
+                                                        message, singular):
+    # any other RuntimeError from SuperLU is a fault, not a verdict on the system
+    def splu(matrix, **options):
+        raise RuntimeError(message)
+
+    V, Q = _spaces(two_triangle_square(), 1)
+    system = build_saddle_system(V, Q, get_case("linear"), C_w=10.0)
+    W = assemble_mass_nodal(Q, tabulate_volume(Q)).matrix
+    monkeypatch.setattr("curlstokes.solver.splu", splu)
+    call = solve if solver_call == "solve" else lambda s: augmented_solve(s, W)
+    if singular:
+        assert call(system).singular
+    else:
+        with pytest.raises(RuntimeError, match=message):
+            call(system)
+
+
 def test_refined_essential_kernel_persists():
     mesh = refine_uniform(two_triangle_square())
     assert kernel_probe(build_essential_system(*_spaces(mesh, 1))).shape[1] >= 1
