@@ -5,10 +5,11 @@ Each command runs its driver in ``experiments`` and returns the files it
 writes (name -> text, read off the driver's document), its summary line and
 its exit code; ``main`` alone checks ``--out``, before any driver runs, and
 writes. Outputs are deterministic: identical configuration (and jitter seed)
-yields byte-identical CSV and JSON files, at any BLAS thread count. Exit
-codes: 0 success, 2 configuration error or unusable ``--out``, 3 solver
-singularity (outside the counterexample command), 5 out of memory, 6
-harmonic dimension differs from the Betti number. Code 4 is unused.
+yields byte-identical CSV and JSON files; past CI's sizes, the BLAS thread
+count moves the last bits of the larger probes (README). Exit codes: 0
+success, 2 configuration error or unusable ``--out``, 3 solver singularity
+(outside the counterexample command), 5 out of memory, 6 harmonic dimension
+differs from the Betti number. Code 4 is unused.
 """
 
 from __future__ import annotations

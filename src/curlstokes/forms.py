@@ -180,13 +180,6 @@ def assemble_b(V: EdgeSpace, Q: NodalSpace, v, q) -> SparseOperator:
                                           (V.dof_count, Q.dof_count)))
 
 
-def assemble_mass_nodal(Q: NodalSpace, q) -> SparseOperator:
-    """Pressure mass matrix (q_i, q_j)."""
-    w, vals, _ = q
-    local = _local_matrix(w, vals[..., None], vals[..., None])
-    return SparseOperator(_assemble_cells(Q.cell_dofs, Q.cell_dofs, local, (Q.dof_count,) * 2))
-
-
 def assemble_stiffness(Q: NodalSpace, q) -> SparseOperator:
     """Pressure stiffness matrix (grad q_i, grad q_j)."""
     w, _, gq = q

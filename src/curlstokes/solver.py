@@ -6,34 +6,32 @@ multiplier. The module is linear algebra only: blocks go in, coefficient
 arrays come out, and the caller reads them on its spaces.
 
 ``solve`` factors the augmented matrix by a pivoting sparse LU at every size,
-``augmented_solve`` only the SPD augmented-Lagrangian velocity block. Both
-share ``_factor`` and one verdict: a seeded, row-scaled random right-hand side
-exposes a singular operator, and the solution must reach a true relative
-residual of 1e-10. A singular system is reported; no solve computes a kernel.
-Kernel dimensions and witnesses come only from ``kernel_probe``, a dense
-symmetric eigensolve of the same augmented matrix on the counterexample's
-meshes of 2 and 8 triangles. ``estimate_infsup`` factors the saddle matrix
-with a Gram matrix in place of A and the first pressure dof pinned, as the
-multiplier's dense row and column would fill the factor.
+``pinned_solve`` the saddle matrix with the first pressure dof pinned in place
+of the multiplier, whose dense row and column fill the factor. Both share
+``_factor`` and one verdict on the augmented matrix: a seeded, row-scaled
+random right-hand side exposes a singular operator, and the solution must
+reach a true relative residual of 1e-10. A singular system is reported; no
+solve computes a kernel. Kernel dimensions and witnesses come only from
+``kernel_probe``, a dense symmetric eigensolve of the same augmented matrix
+on the counterexample's meshes of 2 and 8 triangles. ``estimate_infsup``
+factors the pinned matrix with a Gram matrix in place of A.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, cg, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 KERNEL_RANK_RTOL = 1e-10
-#: row-scaled relative residual of the seeded probe solve above which a
-#: factored system counts as singular; well-posed systems, graded meshes
-#: included, read at most about 4e-8, singular ones at least 2
+#: row-scaled relative residual of the seeded probe solve above which a factored system
+#: counts as singular. Through solve / pinned_solve, well-posed systems read at most
+#: 4.5e-10 / 1.7e-11 (a graded mesh 5.6e-9 / 6.3e-9), singular ones at least 0.24 / 6.4e12
 _PROBE_RTOL = 1e-6
 #: relative residual of the solution above which a solve counts as singular
 _RESIDUAL_RTOL = 1e-10
-GAMMA = 1e3        # augmentation weight, relative to the blocks' mean diagonals
-_CG_RTOL = 1e-12   # relative tolerance of the augmented-Lagrangian Schur CG
 _EXACTLY_SINGULAR = "Factor is exactly singular"    # SuperLU's zero pivot
 
 
@@ -72,14 +70,13 @@ class SaddleSystem:
 class SolveReport:
     """Outcome of a solve. A singular system has ``singular=True``, NaN fields,
     an infinite residual and no kernel. ``fill`` counts SuperLU's stored factor
-    entries, padding included; ``iterations`` the data's Schur CG steps."""
+    entries, padding included."""
 
     u: np.ndarray
     p: np.ndarray
     residual: float
     singular: bool
     fill: int = 0
-    iterations: int = 0
 
 
 def _augmented(A, B, mean: np.ndarray) -> sparse.csc_array:
@@ -104,6 +101,14 @@ def _augmented(A, B, mean: np.ndarray) -> sparse.csc_array:
     return sparse.csc_array((data, indices, indptr), shape=(n_u + n_q + 1,) * 2)
 
 
+def _pinned(A, B) -> sparse.csc_array:
+    """The saddle matrix [[A, B_1], [B_1^T, 0]], B_1 being B less its first
+    column: the first pressure dof pinned to zero. Sound only where B
+    annihilates the constants, as the pinned dof then loses no solution."""
+    b_1 = B.tocsc()[:, 1:]
+    return sparse.block_array([[A, b_1], [b_1.T, None]], format="csc")
+
+
 def solve(system: SaddleSystem) -> SolveReport:
     """Solve the augmented symmetric indefinite system by a pivoting sparse
     LU; the report's pressure has zero mean."""
@@ -117,46 +122,27 @@ def solve(system: SaddleSystem) -> SolveReport:
     return _verdict(system, k, lu.solve, fill=lu.nnz)
 
 
-def augmented_solve(system: SaddleSystem, W) -> SolveReport:
-    """``solve``'s solution and verdict by the augmented Lagrangian (Fortin &
-    Glowinski 1983), W the pressure mass: factor A_g = A + g B W^-1 B^T unpivoted
-    and solve B^T A_g^-1 B p = B^T A_g^-1 (f + g B W^-1 q) - q, p zero-mean, by CG
-    preconditioned with g W^-1 (Benzi & Olshanskii 2006); CG failing is singular."""
-    A, B, m = system.A, system.B, system.mean_vector
-    w_inv = 1.0 / W.diagonal()
-    bwb = B @ sparse.diags(w_inv) @ B.T
-    gamma = GAMMA * A.diagonal().mean() / bwb.diagonal().mean()
+def pinned_solve(system: SaddleSystem) -> SolveReport:
+    """``solve``'s solution and verdict through a pivoting sparse LU of
+    ``_pinned(A, B)``, which fills less than the multiplier's dense row and
+    column. For data (f, q, c): B annihilates the constants, so B^T u sums to
+    zero, the multiplier is sum(q) / sum(m), and a constant shifts p to m.p = c."""
+    A, B, m, n_u = system.A, system.B, system.mean_vector, system.n_u
     k = _augmented(A, B, m)
     try:
-        lu = _factor((A + gamma * bwb).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        lu = _factor(_pinned(A, B))
     except RuntimeError as exc:
         if _EXACTLY_SINGULAR not in str(exc):
             raise
         return _verdict(system, k, None)
 
-    def zero_mean(v):
-        return v - v.mean()       # B annihilates the constants
-
-    n_u, n_q = B.shape
-    schur = LinearOperator((n_q, n_q), dtype=float,
-                           matvec=lambda v: zero_mean(B.T @ lu.solve(B @ zero_mean(v))))
-    precond = LinearOperator((n_q, n_q), dtype=float,
-                             matvec=lambda v: zero_mean(gamma * w_inv * zero_mean(v)))
-    iterates, steps = [], []
-
     def inverse(r):
-        lam = r[n_u:-1].sum() / m.sum()   # B^T u sums to zero
-        q = r[n_u:-1] - lam * m
-        load = r[:n_u] + gamma * (B @ (w_inv * q))
-        p, info = cg(schur, zero_mean(B.T @ lu.solve(load) - q), rtol=_CG_RTOL,
-                     maxiter=200, M=precond, callback=iterates.append)
-        steps.append(len(iterates))
-        z = np.concatenate([lu.solve(load - B @ p), p + (r[-1] - m @ p) / m.sum(), [lam]])
-        return np.full(len(r), np.nan) if info else z
+        lam = r[n_u:-1].sum() / m.sum()
+        z = lu.solve(np.concatenate([r[:n_u], (r[n_u:-1] - lam * m)[1:]]))
+        p = np.concatenate([[0.0], z[n_u:]])
+        return np.concatenate([z[:n_u], p + (r[-1] - m @ p) / m.sum(), [lam]])
 
-    # the data solve is inverse's first call, the probe its second
-    return replace(_verdict(system, k, inverse, fill=lu.nnz), iterations=steps[0])
+    return _verdict(system, k, inverse, fill=lu.nnz)
 
 
 def _verdict(system: SaddleSystem, k: sparse.csc_array, inverse, fill: int = 0) -> SolveReport:
@@ -234,12 +220,11 @@ def estimate_infsup(H, B, S) -> float:
     """beta_h = min over zero-mean q of max over v of v.Bq / (|v|_H |q|_S),
     H and S the Gram matrices of a velocity norm and a pressure seminorm.
     beta_h^2 is the bottom eigenvalue of the pencil (B^T H^-1 B, S), by
-    shift-invert Lanczos through an LU factor of [[H, B_1], [B_1^T, 0]], B_1
-    being B less its first column. Pinning the first pressure dof is sound only
-    because both forms of the pencil vanish on constants: B^T H^-1 B does, S must."""
+    shift-invert Lanczos through an LU factor of ``_pinned(H, B)``. Pinning the
+    first pressure dof is sound only because both forms of the pencil vanish
+    on constants: B^T H^-1 B does, S must."""
     n_u, n_q = B.shape
-    b_1 = B.tocsc()[:, 1:]
-    lu = _factor(sparse.block_array([[H, b_1], [b_1.T, None]], format="csc"))
+    lu = _factor(_pinned(H, B))
 
     # in shift-invert mode eigsh reads only the shape of A; OPinv applies A^-1,
     # the negated pressure of the factor's solve with data (0, r)

@@ -2,12 +2,12 @@
 
 ``solver.solve`` factors the indefinite saddle matrix with SuperLU, which
 runs out of memory near 250k unknowns. This study solves each level by
-``solver.augmented_solve`` (ROADMAP item 21) and exits non-zero at the first
+``solver.pinned_solve`` (ROADMAP item 21) and exits non-zero at the first
 level it reports singular. ``--check-below`` also compares both solves on the
 small levels and exits non-zero when they disagree or ``solve`` reports a
-singular system. Prints each level's errors, Schur CG steps, the entries
-SuperLU stores for its factor (``superlu_nnz``, supernode padding included)
-and saddle residual, and the pairwise EOCs of ``analysis.compute_eoc``:
+singular system. Prints each level's errors, the entries SuperLU stores for
+its factor (``superlu_nnz``, supernode padding included) and saddle residual,
+and the pairwise EOCs of ``analysis.compute_eoc``:
 
     PYTHONPATH=src python studies/deep_rates.py --case star --order 1 \\
         --base-n 8 --levels 6 --jitter 7 --check-below 20000
@@ -20,13 +20,13 @@ import numpy as np
 from curlstokes.analysis import compute_eoc, compute_errors
 from curlstokes.cases import get_case
 from curlstokes.experiments import build_saddle_system, level_meshes
-from curlstokes.forms import DEFAULT_C_W, assemble_mass_nodal, tabulate_volume
-from curlstokes.solver import augmented_solve, solve
+from curlstokes.forms import DEFAULT_C_W
+from curlstokes.solver import pinned_solve, solve
 from curlstokes.spaces import build_edge_space, build_nodal_space
 
 #: largest difference from ``solver.solve``, relative to the largest direct-solve
 #: coefficient, that ``--check-below`` accepts. Agreeing solves differ by at most
-#: 1.1e-10 against max |p| >= 2 at the CI sizes, and by 3e-8 at order 2, n = 32.
+#: 4.8e-8 at order 1 (n <= 72) and 3.6e-7 at order 2, n = 32, against max |p| >= 2.
 CHECK_RTOL = 1e-6
 
 
@@ -65,16 +65,16 @@ def main():
     for k, mesh in enumerate(level_meshes(case, args.base_n, args.levels, args.jitter)):
         V, Q = build_edge_space(mesh, args.order), build_nodal_space(mesh, args.order)
         system = build_saddle_system(V, Q, case, DEFAULT_C_W)
-        report = augmented_solve(system, assemble_mass_nodal(Q, tabulate_volume(Q)).matrix)
+        report = pinned_solve(system)
         where = f"level {k} (n={args.base_n * 2 ** k})"
         if report.singular:
-            raise SystemExit(f"{where}: augmented_solve() reports the system singular")
+            raise SystemExit(f"{where}: pinned_solve() reports the system singular")
         rec = compute_errors(V, report.u, Q, report.p, case)
         records.append(rec)
         e = rec["errors"]
         print(f"n={args.base_n * 2 ** k} dofs={rec['dofs_u']}+{rec['dofs_p']} "
               f"u_l2={e['err_u_l2']:.6e} curl={e['err_u_curl']:.6e} hash={e['err_u_hash']:.6e} "
-              f"p_l2={e['err_p_l2']:.6e} p_h1={e['err_p_h1']:.6e} cg={report.iterations} "
+              f"p_l2={e['err_p_l2']:.6e} p_h1={e['err_p_h1']:.6e} "
               f"superlu_nnz={report.fill} residual={report.residual:.1e}", flush=True)
         if system.n_u + system.n_q < args.check_below:
             check_against_solve(system, report.u, report.p, where)

@@ -14,14 +14,14 @@ from curlstokes.analysis import (betti_number, compute_eoc, compute_errors,
                                  harmonic_fields, least_squares_rates,
                                  stability_probes, trace_constant_n)
 from curlstokes.cases import ManufacturedCase, get_case
-from curlstokes.experiments import run_harmonic, run_probe
+from curlstokes.experiments import _spaces, build_saddle_system, run_harmonic, run_probe
 from curlstokes.forms import (_assemble_cells, _boundary_gram, assemble_b,
                               assemble_curl_curl, assemble_mass, assemble_mean_vector,
                               assemble_stiffness, assemble_velocity_block, tabulate_boundary,
                               tabulate_volume)
 from curlstokes.mesh import (_grid_mesh, generate_l_shape, generate_square_with_hole,
                              generate_unit_square, jitter, two_triangle_square)
-from curlstokes.solver import _factor
+from curlstokes.solver import _factor, _pinned
 from curlstokes.spaces import build_edge_space, build_nodal_space
 
 from mesh_strategies import jittered_meshes
@@ -372,17 +372,25 @@ def test_probe_assembles_no_mean_vector(monkeypatch):
 @pytest.mark.parametrize("order", [1, 2])
 def test_infsup_probe_factors_no_dense_column(monkeypatch, order):
     # a mean multiplier's column would hold every pressure dof (289 at order
-    # 1, 1089 at order 2) and fill the factor
-    factored = []
+    # 1, 1089 at order 2) and fill the factor; the probe and pinned_solve
+    # factor what one builder pins, with the Gram or the velocity block as H
+    factored, built = [], []
 
     def recorded(matrix, **options):
         factored.append(matrix)
         return _factor(matrix, **options)
 
+    def pinned(H, B):
+        built.append(_pinned(H, B))
+        return built[-1]
+
     monkeypatch.setattr(solver, "_factor", recorded)
-    mesh = get_case("star").mesh_builder(16)
-    stability_probes(build_edge_space(mesh, order), build_nodal_space(mesh, order))
-    assert factored
+    monkeypatch.setattr(solver, "_pinned", pinned)
+    case = get_case("star")
+    V, Q = _spaces(case.mesh_builder(16), order)
+    stability_probes(V, Q)
+    assert not solver.pinned_solve(build_saddle_system(V, Q, case, 10.0)).singular
+    assert len(factored) == 2 and all(m is b for m, b in zip(factored, built, strict=True))
     assert max(np.diff(m.indptr).max() for m in factored) <= 48
 
 

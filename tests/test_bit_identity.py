@@ -18,9 +18,9 @@ from scipy import sparse
 
 from curlstokes.cases import get_case
 from curlstokes.forms import (_boundary_gram, assemble_b, assemble_mass,
-                              assemble_mass_nodal, assemble_mean_vector, assemble_rhs,
-                              assemble_stiffness, assemble_velocity_block,
-                              merge_triplets, tabulate_boundary, tabulate_volume)
+                              assemble_mean_vector, assemble_rhs, assemble_stiffness,
+                              assemble_velocity_block, merge_triplets, tabulate_boundary,
+                              tabulate_volume)
 from curlstokes.mesh import generate_square_with_hole, generate_unit_square, jitter
 from curlstokes.quadrature import edge_rule, triangle_rule
 from curlstokes.spaces import build_edge_space, build_nodal_space
@@ -330,8 +330,6 @@ def test_batched_assembly_is_bit_identical_to_loops(mesh, seed):
             V, Q, lambda t: (edge(t)[0], nodal(t)[1]), rule, "k,kid,kjd->ij", (nv, nq)))
         assert _same(assemble_mass(V, v).matrix, loop_cell_matrix(
             V, V, lambda t: (edge(t)[0],) * 2, rule, "k,kid,kjd->ij", (nv, nv)))
-        assert _same(assemble_mass_nodal(Q, q).matrix, loop_cell_matrix(
-            Q, Q, lambda t: (nodal(t)[0],) * 2, rule, "k,ki,kj->ij", (nq, nq)))
         assert _same(assemble_stiffness(Q, q).matrix, loop_cell_matrix(
             Q, Q, lambda t: (nodal(t)[1],) * 2, rule, "k,kid,kjd->ij", (nq, nq)))
         rhs_u, rhs_q = assemble_rhs(V, Q, case.f, case.u, 10.0, v, boundary)

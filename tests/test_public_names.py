@@ -13,7 +13,7 @@ somewhere in that module.
 
 The last ones keep a private helper in its module: no module of ``src/`` or
 ``studies/`` but ``solver.py`` names the saddle factor (``_augmented``,
-``_factor``) or SuperLU (``splu``), none but ``forms.py`` the assembler
+``_pinned``, ``_factor``) or SuperLU (``splu``), none but ``forms.py`` the assembler
 (``_assemble_cells``, ``_local_matrix``), and none but ``spaces.py`` the edge
 parametrization (``_edge_points``), as an import, a name or an attribute. The inf-sup probe ``estimate_infsup`` is
 named only where it is defined and in ``analysis.py``, whose
@@ -97,7 +97,7 @@ def _modules_naming(private: set[str], owner: str) -> dict[str, list[str]]:
 
 
 def test_only_the_solver_names_the_saddle_factor():
-    named = _modules_naming({"_augmented", "_factor", "splu"}, "solver.py")
+    named = _modules_naming({"_augmented", "_pinned", "_factor", "splu"}, "solver.py")
     assert not named, f"modules besides solver.py that name the saddle factor or splu: {named}"
 
 
